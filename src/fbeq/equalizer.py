@@ -264,8 +264,17 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     -------
     (numpy.ndarray, LatencyReport)
         ``floor(T/r) * r`` output samples and the latency accounting.
+
+    Raises
+    ------
+    DataError
+        A non-finite input sample (its index is reported), or a gain stream
+        that does not fit the configuration or the input.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
+    if not np.isfinite(x).all():
+        bad = int(np.argmin(np.isfinite(x)))
+        raise DataError(f"input sample {bad} is non-finite ({x[bad]})")
     spec = cfg.filterbank_spec()
     proto = design_prototype(spec)
     p = cfg.shorten_len

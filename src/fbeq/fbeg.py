@@ -114,8 +114,10 @@ def load_gain_stream(path) -> tuple[StreamHeader, np.ndarray]:
     Raises
     ------
     FormatError
-        Bad magic, version, record type, inconsistent bin count, or a
-        truncated/oversized payload — with the offending byte offset.
+        Bad magic, version, record type, inconsistent bin count, a
+        truncated/oversized payload, or a non-finite payload value — with
+        the offending byte offset (and, for a payload value, its frame and
+        bin).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -149,6 +151,14 @@ def load_gain_stream(path) -> tuple[StreamHeader, np.ndarray]:
             f"expected {expected} ({num_frames} frames x {num_bins} bins)"
         )
     flat = np.frombuffer(payload, dtype="<f4").reshape(num_frames, num_bins, 2)
+    if not np.isfinite(flat).all():
+        first = int(np.argmin(np.isfinite(flat).ravel()))
+        frame, rem = divmod(first, 2 * num_bins)
+        raise FormatError(
+            f"non-finite value in frame {frame}, bin {rem // 2} "
+            f"({'imag' if rem % 2 else 'real'} part) at offset "
+            f"{_HEADER.size + 4 * first}"
+        )
     frames = flat[..., 0].astype(np.complex128)
     frames += 1j * flat[..., 1].astype(np.float64)
     header = StreamHeader(record_type, frame_size, hop, num_bins, num_frames)

@@ -1,53 +1,14 @@
 """Exponential integral E1 for positive real arguments.
 
-Implemented from scratch so the enhancement path has no dependency on
-special-function libraries: a power series below the crossover point and a
-continued fraction (modified Lentz) above it.  Double precision gives
-relative error far below 1e-8 across [1e-3, 50].
+A thin wrapper around :func:`scipy.special.exp1` that enforces the domain
+``x > 0`` the LSA gain rule relies on and returns a Python float for scalar
+input.  ``scipy.special`` is imported on the first call rather than at module
+import, so ``import fbeq`` does not pay for loading it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-EULER_GAMMA = 0.5772156649015329
-
-# Fixed term/iteration counts keep every evaluation on the same arithmetic
-# path (scalar or batched), so results are deterministic and shape-invariant.
-# 60 series terms converge to machine precision over (0, 1]; 120 Lentz
-# iterations cover the slowest case just above the crossover.
-_SERIES_TERMS = 60
-_LENTZ_ITERS = 120
-_TINY = 1e-300
-
-
-def _e1_series(x: np.ndarray) -> np.ndarray:
-    # E1(x) = -gamma - ln(x) + sum_{n>=1} (-1)^(n+1) x^n / (n * n!)
-    total = -EULER_GAMMA - np.log(x)
-    term = x.copy()  # n = 1 term, x^1 / (1 * 1!)
-    sign = 1.0
-    for n in range(1, _SERIES_TERMS + 1):
-        total = total + sign * term
-        # a_{n+1} = a_n * x * n / (n+1)^2
-        term = term * x * (n / ((n + 1.0) ** 2))
-        sign = -sign
-    return total
-
-
-def _e1_continued_fraction(x: np.ndarray) -> np.ndarray:
-    # Modified Lentz evaluation of
-    #   E1(x) = exp(-x) / (x + 1 - 1/(x + 3 - 4/(x + 5 - 9/(...))))
-    b = x + 1.0
-    c = np.full_like(x, 1.0 / _TINY)
-    d = 1.0 / b
-    h = d.copy()
-    for i in range(1, _LENTZ_ITERS + 1):
-        a = -float(i * i)
-        b = b + 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        h = h * (c * d)
-    return np.exp(-x) * h
 
 
 def exp_integral_e1(x):
@@ -61,26 +22,20 @@ def exp_integral_e1(x):
     Returns
     -------
     float or numpy.ndarray
-        ``E1`` evaluated elementwise; a Python float for scalar input.
+        ``E1`` evaluated elementwise with :func:`scipy.special.exp1`; a
+        Python float for scalar input, the input's shape otherwise.
 
-    Notes
-    -----
-    Uses the alternating power series for ``x <= 1`` and a continued
-    fraction evaluated with the modified Lentz algorithm for ``x > 1``;
-    relative error stays below 1e-13 across [1e-3, 50].
+    Raises
+    ------
+    ValueError
+        If any argument is not strictly positive.
     """
+    from scipy.special import exp1
+
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     if np.any(arr <= 0.0):
         raise ValueError("exp_integral_e1 requires x > 0")
-
-    out = np.empty_like(arr)
-    small = arr <= 1.0
-    if np.any(small):
-        out[small] = _e1_series(arr[small])
-    if np.any(~small):
-        out[~small] = _e1_continued_fraction(arr[~small])
-    if scalar:
-        return float(out[0])
+    out = exp1(arr)
+    if arr.ndim == 0:
+        return float(out)
     return out

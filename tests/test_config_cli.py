@@ -322,6 +322,22 @@ class TestExitCodes:
         assert main(["design", "-M", "15"]) == 3
         assert "fbeq: error:" in capsys.readouterr().err
 
+    def test_non_finite_gain_stream_is_three(self, tmp_path, capsys):
+        wav = tmp_path / "in.wav"
+        write_test_wav(wav, 0.1 * np.random.default_rng(8).standard_normal(160))
+        gains = np.ones((40, 9), dtype=np.complex64)
+        gains[12, 3] = np.nan
+        stream = tmp_path / "nan.fbeg"
+        fbeg.write_gain_stream(stream, gains, fbeg.TYPE_SUBBAND_GAINS, 16, 4)
+        code = main(["enhance", *SMALL_FLAGS, "--in", str(wav),
+                     "--out", str(tmp_path / "out.wav"),
+                     "--gains", str(stream)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "fbeq: error:" in err
+        assert f"frame 12, bin 3 (real part) at offset {24 + 8 * (12 * 9 + 3)}" in err
+        assert not (tmp_path / "out.wav").exists()
+
     def test_numeric_violation_is_four(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
         wav = tmp_path / "in.wav"

@@ -295,6 +295,14 @@ class TestProcessStream:
         with pytest.raises(DataError, match="ends after frame 3"):
             process_stream(np.ones(40), (header, frames), small_config())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, value):
+        x = np.ones(4 * 30)
+        x[37] = value
+        x[50] = np.nan
+        with pytest.raises(DataError, match=r"input sample 37 is non-finite"):
+            process_stream(x, "mmse-lsa", small_config())
+
     def test_stream_geometry_mismatch(self):
         frames = np.ones((10, 9), dtype=np.complex128)
         header = StreamHeader(TYPE_SUBBAND_GAINS, 32, 4, 9, 10)

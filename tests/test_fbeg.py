@@ -148,6 +148,31 @@ class TestLoadValidation:
         with pytest.raises(FormatError, match="offset 24"):
             load_gain_stream(bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("frame, bin_, part", [(0, 0, 0), (2, 5, 1), (1, 8, 0)])
+    def test_non_finite_payload(self, tmp_path, value, frame, bin_, part):
+        raw = bytearray(self.make_valid(tmp_path))
+        offset = 24 + 4 * ((frame * 9 + bin_) * 2 + part)
+        struct.pack_into("<f", raw, offset, value)
+        bad = tmp_path / "bad.fbeg"
+        bad.write_bytes(bytes(raw))
+        label = "imag" if part else "real"
+        with pytest.raises(
+            FormatError,
+            match=rf"frame {frame}, bin {bin_} \({label} part\) at offset {offset}$",
+        ):
+            load_gain_stream(bad)
+
+    def test_non_finite_payload_reports_first(self, tmp_path):
+        raw = bytearray(self.make_valid(tmp_path))
+        struct.pack_into("<f", raw, 24 + 4 * 40, np.inf)   # frame 2, bin 2
+        struct.pack_into("<f", raw, 24 + 4 * 21, np.nan)   # frame 1, bin 1 imag
+        bad = tmp_path / "bad.fbeg"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(FormatError,
+                           match=r"frame 1, bin 1 \(imag part\) at offset 108"):
+            load_gain_stream(bad)
+
     def test_fuzzed_headers_never_crash(self, tmp_path):
         """Random corruption must surface as FormatError, nothing harsher."""
         base = self.make_valid(tmp_path)
