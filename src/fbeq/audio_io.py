@@ -34,8 +34,9 @@ def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
     FormatError
         Unparseable or compressed files.
     DataError
-        Stereo files, unsupported sample formats, non-finite samples, or a
-        rate different from ``expected_rate`` (no silent resampling).
+        Stereo files, unsupported sample formats, a non-finite sample (its
+        index is reported), or a rate different from ``expected_rate`` (no
+        silent resampling).
     """
     try:
         rate, data = wavfile.read(path)
@@ -59,8 +60,10 @@ def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
             f"{path}: sample rate {rate} Hz does not match the configured "
             f"{expected_rate} Hz (resampling is not performed)"
         )
-    if not np.all(np.isfinite(samples)):
-        raise DataError(f"{path}: file contains non-finite samples")
+    finite = np.isfinite(samples)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise DataError(f"{path}: sample {bad} is non-finite ({samples[bad]})")
     return AudioBuffer(samples=samples, sample_rate_hz=int(rate))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import sys
 
 import numpy as np
@@ -28,12 +29,7 @@ from .metrics import compute_report
 RESPONSE_DFT_SIZE = 2048
 NOT_APPLICABLE = "n/a"
 
-_OVERRIDE_FIELDS = (
-    "frame_size", "proto_len", "hop", "sample_rate_hz", "shorten_len",
-    "mode", "estimator", "gains", "g_max", "alpha_dd", "xi_min_db",
-    "gain_floor_db", "alpha_noise", "gamma_threshold", "init_frames",
-    "lambda_floor", "seed",
-)
+_OVERRIDE_FIELDS = tuple(f.name for f in dataclasses.fields(Config))
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:

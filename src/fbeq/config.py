@@ -8,12 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .equalizer import ESTIMATOR_MMSE_LSA
 from .errors import ConfigError
-from .filterbank import FilterbankSpec
+from .filterbank import FilterbankSpec, check_shorten_len
 from .gains import EstimatorParams
 
 MODES = ("ols", "direct")
-ESTIMATORS = ("mmse-lsa",)
+ESTIMATORS = (ESTIMATOR_MMSE_LSA,)
 
 
 @dataclass
@@ -26,7 +27,7 @@ class Config:
     sample_rate_hz: int = 16000
     shorten_len: int = 128
     mode: str = "ols"
-    estimator: str = "mmse-lsa"
+    estimator: str = ESTIMATOR_MMSE_LSA
     gains: str | None = None
     g_max: float = 4.0
     alpha_dd: float = 0.98
@@ -59,24 +60,10 @@ class Config:
 
     def validate(self) -> "Config":
         """Re-validate every module-level invariant; returns self."""
-        spec = self.filterbank_spec()
+        self.filterbank_spec()
         self.estimator_params()
-        p = self.shorten_len
-        if p <= 0 or p % 2 != 0:
-            raise ConfigError(
-                f"shorten_len must be a positive even number, got {p}"
-            )
-        start = spec.tau - p // 2
-        if start < 0 or start + p > self.proto_len + 1:
-            raise ConfigError(
-                f"shorten_len {p} does not fit inside the {self.proto_len + 1}-tap "
-                "prototype when centered on its group-delay point"
-            )
-        if self.hop > p + 1:
-            raise ConfigError(
-                f"hop {self.hop} exceeds shorten_len + 1 = {p + 1}; "
-                "overlap-save blocks would alias"
-            )
+        check_shorten_len(self.shorten_len, num_taps=self.proto_len + 1,
+                          hop=self.hop)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got '{self.mode}'")
         if self.estimator not in ESTIMATORS:

@@ -19,14 +19,15 @@ import numpy as np
 from . import fbeg
 from .errors import ConfigError, DataError, NumericError
 from .filterbank import (
-    FilterbankSpec,
+    HERMITIAN_IMAG_TOL,
     PrototypeFilter,
     analyze_polyphase,
+    check_shorten_len,
     design_prototype,
+    expand_hermitian,
+    _first_flagged,
 )
 from .gains import estimate_gains
-
-IMAG_RESIDUE_TOL = 1e-9
 
 ESTIMATOR_MMSE_LSA = "mmse-lsa"
 
@@ -79,11 +80,7 @@ class EngineState:
 
     @classmethod
     def create(cls, shorten_len: int, hop: int) -> "EngineState":
-        if hop > shorten_len + 1:
-            raise ConfigError(
-                f"hop {hop} exceeds shorten_len + 1 = {shorten_len + 1}; "
-                "overlap-save blocks would alias"
-            )
+        check_shorten_len(shorten_len, hop=hop)
         return cls(history=np.zeros(2 * shorten_len, dtype=np.float64), hop=hop)
 
     def push(self, block) -> np.ndarray:
@@ -97,74 +94,46 @@ class EngineState:
         return self.history
 
 
-def _expand_hermitian_rows(half: np.ndarray) -> np.ndarray:
-    """Batched half-to-full spectrum expansion with the edge-bin reality check."""
-    half = np.atleast_2d(np.asarray(half, dtype=np.complex128))
-    scale = np.max(np.abs(half), axis=1, initial=0.0)
-    edge_imag = np.maximum(np.abs(half[:, 0].imag), np.abs(half[:, -1].imag))
-    bad = np.flatnonzero(edge_imag > 1e-9 * scale)
-    if bad.size:
-        k = int(bad[0])
-        raise NumericError(
-            f"Hermitian symmetry error in frame {k}: DC/Nyquist bins are not "
-            f"real (|imag| = {edge_imag[k]:.3e})"
-        )
-    m = 2 * (half.shape[1] - 1)
-    full = np.empty((half.shape[0], m), dtype=np.complex128)
-    full[:, : half.shape[1]] = half
-    full[:, half.shape[1] :] = np.conj(half[:, -2:0:-1])
-    return full
-
-
-def _full_gains_to_taps(full: np.ndarray, proto: PrototypeFilter) -> np.ndarray:
-    """Batched synthesis sum: rows of M full-band gains -> rows of L+1 taps.
+def subband_to_time(gains_full, proto: PrototypeFilter) -> HighOrderFilter:
+    """Map full-band (Hermitian) gain vectors to their time-domain filters.
 
     ``taps[l] = h(l) * sum_i W_i * exp(-j*(2*pi/M)*i*(l - tau))``; the inner
-    sum is one M-point DFT of the gain row, gathered at ``(l - tau) mod M``.
-    Raises on imaginary residue above ``IMAG_RESIDUE_TOL`` relative (the
-    caller passed non-Hermitian gains), then discards the imaginary part.
-    """
-    full = np.atleast_2d(np.asarray(full, dtype=np.complex128))
-    m = full.shape[1]
-    taps = np.asarray(proto.taps, dtype=np.float64)
-    lag_bins = (np.arange(taps.size) - proto.tau) % m
-    spectrum = np.fft.fft(full, axis=1)
-    complex_taps = taps[None, :] * spectrum[:, lag_bins]
-    scale = np.max(np.abs(complex_taps), axis=1, initial=0.0)
-    residue = np.max(np.abs(complex_taps.imag), axis=1, initial=0.0)
-    bad = np.flatnonzero(residue > IMAG_RESIDUE_TOL * scale)
-    if bad.size:
-        k = int(bad[0])
-        raise NumericError(
-            f"non-Hermitian gains in frame {k}: imaginary residue "
-            f"{residue[k]:.3e} exceeds {IMAG_RESIDUE_TOL:.0e} relative"
-        )
-    return complex_taps.real
-
-
-def subband_to_time(gains_full, proto: PrototypeFilter) -> HighOrderFilter:
-    """Map one full-band (Hermitian) gain vector to its time-domain filter.
+    sum is one M-point DFT of the gains, gathered at ``(l - tau) mod M``.
 
     Parameters
     ----------
     gains_full : array_like
         ``M`` complex gains, Hermitian-symmetric (e.g. from
-        :func:`fbeq.filterbank.expand_hermitian`).
+        :func:`fbeq.filterbank.expand_hermitian`), or a ``K x M`` matrix of
+        such frames.
     proto : PrototypeFilter
 
     Returns
     -------
     HighOrderFilter
-        Real taps over lags ``0..L``.
+        Real taps over lags ``0..L`` (one row per frame for a matrix).
 
     Raises
     ------
     NumericError
-        If the synthesis sum's imaginary residue exceeds ``1e-9`` relative
-        (non-Hermitian input).
+        If the synthesis sum's imaginary residue exceeds
+        ``HERMITIAN_IMAG_TOL`` relative (non-Hermitian input); for a matrix
+        the message names the first such frame.
     """
-    gains_full = np.asarray(gains_full, dtype=np.complex128).ravel()
-    return HighOrderFilter(taps=_full_gains_to_taps(gains_full, proto)[0])
+    gains_full = np.asarray(gains_full, dtype=np.complex128)
+    taps = np.asarray(proto.taps, dtype=np.float64)
+    lag_bins = (np.arange(taps.size) - proto.tau) % gains_full.shape[-1]
+    complex_taps = taps * np.fft.fft(gains_full, axis=-1)[..., lag_bins]
+    scale = np.abs(complex_taps).max(axis=-1, initial=0.0)
+    residue = np.abs(complex_taps.imag).max(axis=-1, initial=0.0)
+    bad = _first_flagged(residue > HERMITIAN_IMAG_TOL * scale)
+    if bad is not None:
+        k, where = bad
+        raise NumericError(
+            f"non-Hermitian gains{where}: imaginary residue "
+            f"{residue.flat[k]:.3e} exceeds {HERMITIAN_IMAG_TOL:.0e} relative"
+        )
+    return HighOrderFilter(taps=complex_taps.real)
 
 
 def shorten_filter(hd: HighOrderFilter, shorten_len: int) -> ShortenedFilter:
@@ -173,25 +142,30 @@ def shorten_filter(hd: HighOrderFilter, shorten_len: int) -> ShortenedFilter:
     For the fixed support ``[tau - P/2, tau + P/2 - 1]`` this rectangular
     extraction is the L2-optimal length-P approximation (the squared error
     equals the discarded tail energy); the resulting group delay is ``P/2``.
+    Works along the last axis: one filter or a ``K x (L+1)`` matrix.
     """
     taps = np.asarray(hd.taps, dtype=np.float64)
-    tau = (taps.size - 1) // 2
     p = int(shorten_len)
-    if p <= 0 or p % 2 != 0:
-        raise ConfigError(f"shorten length must be a positive even number, got {p}")
-    start = tau - p // 2
-    if start < 0 or start + p > taps.size:
-        raise ConfigError(
-            f"extraction window [{start}, {start + p - 1}] falls outside "
-            f"taps 0..{taps.size - 1}"
-        )
-    return ShortenedFilter(taps=taps[start : start + p].copy(), group_delay=p // 2)
+    check_shorten_len(p, num_taps=taps.shape[-1])
+    start = (taps.shape[-1] - 1) // 2 - p // 2
+    return ShortenedFilter(taps=taps[..., start : start + p].copy(),
+                           group_delay=p // 2)
 
 
 def filter_to_freq(sf: ShortenedFilter) -> FreqResponse:
-    """2P-point DFT of the shortened filter, lower P+1 bins."""
+    """2P-point DFT of the shortened filter(s), lower P+1 bins, along the last axis."""
     taps = np.asarray(sf.taps, dtype=np.float64)
-    return FreqResponse(bins=np.fft.rfft(taps, n=2 * taps.size))
+    return FreqResponse(bins=np.fft.rfft(taps, n=2 * taps.shape[-1], axis=-1))
+
+
+def _overlap_save(blocks: np.ndarray, bins: np.ndarray, hop: int) -> np.ndarray:
+    """Circularly filter each 2P-sample block by its response; keep the last ``hop``.
+
+    Those samples are free of circular wrap, so they equal linear convolution
+    with the block's filter.  ``blocks`` is one block or a ``K x 2P`` matrix.
+    """
+    spectra = np.fft.rfft(blocks, axis=-1) * bins
+    return np.fft.irfft(spectra, n=blocks.shape[-1], axis=-1)[..., -hop:]
 
 
 def ols_filter_frame(state: EngineState, resp: FreqResponse,
@@ -211,9 +185,7 @@ def ols_filter_frame(state: EngineState, resp: FreqResponse,
             f"response implies a {fft_size}-point block, state holds "
             f"{state.history.size} samples"
         )
-    history = state.push(new_samples)
-    y = np.fft.irfft(np.fft.rfft(history) * bins, n=fft_size)
-    return y[-state.hop :]
+    return _overlap_save(state.push(new_samples), bins, state.hop)
 
 
 def direct_filter_block(state: EngineState, sf: ShortenedFilter,
@@ -248,7 +220,9 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     time-domain filter -> central-P extraction -> 2P-point response ->
     overlap-save filtering of the hop (or direct FIR in ``direct`` mode).
     DFT-response streams (type B) skip the mapping stages and drive the
-    overlap-save engine directly.
+    overlap-save engine directly.  Each step runs once on all frames, through
+    the same public functions a per-hop caller uses, so the output equals
+    that per-hop chain exactly.
 
     Parameters
     ----------
@@ -297,69 +271,54 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     if header is None:
         analysis = analyze_polyphase(x, proto, spec)
         gain_rows = estimate_gains(analysis.frames, cfg.estimator_params())
-        short_taps = _gain_rows_to_short_taps(gain_rows, proto, spec, p)
-    elif header.record_type == fbeg.TYPE_SUBBAND_GAINS:
-        fbeg.check_stream_geometry(header, spec, p)
-        _require_frames(header.num_frames, num_frames)
-        gain_rows = _clamp_magnitude(stream_frames[:num_frames], cfg.g_max)
-        short_taps = _gain_rows_to_short_taps(gain_rows, proto, spec, p)
     else:
         fbeg.check_stream_geometry(header, spec, p)
-        _require_frames(header.num_frames, num_frames)
-        if cfg.mode == "direct":
+        if np.shape(stream_frames) != (header.num_frames, header.num_bins):
+            raise ConfigError(
+                f"gain stream frames have shape {np.shape(stream_frames)}; its "
+                f"header declares {header.num_frames} x {header.num_bins}"
+            )
+        if header.num_frames < num_frames:
+            raise DataError(
+                f"gain stream ends after frame {header.num_frames}; the input "
+                f"requires {num_frames} frames"
+            )
+        if header.record_type == fbeg.TYPE_SUBBAND_GAINS:
+            gain_rows = _clamp_magnitude(stream_frames[:num_frames], cfg.g_max)
+        elif cfg.mode == "direct":
             raise ConfigError(
                 "DFT-response (type B) streams carry no time-domain taps; "
                 "use the ols mode"
             )
-        responses = stream_frames[:num_frames]
-        return _run_ols(x, responses, spec.hop, p), report
+        else:
+            return _ols_batch(x, stream_frames[:num_frames], spec.hop), report
 
+    short = shorten_filter(subband_to_time(expand_hermitian(gain_rows), proto), p)
     if cfg.mode == "direct":
-        return _run_direct(x, short_taps, spec.hop, p), report
-    responses = np.fft.rfft(short_taps, n=2 * p, axis=1)
-    return _run_ols(x, responses, spec.hop, p), report
+        return _run_direct(x, short, spec.hop), report
+    return _ols_batch(x, filter_to_freq(short).bins, spec.hop), report
 
 
-def _require_frames(available: int, needed: int) -> None:
-    if available < needed:
-        raise DataError(
-            f"gain stream ends after frame {available}; the input requires "
-            f"{needed} frames"
-        )
+def _ols_batch(x: np.ndarray, responses: np.ndarray, hop: int) -> np.ndarray:
+    """Overlap-save over all K frames at once; equal to K ``ols_filter_frame`` calls.
+
+    Row k of the strided ``K x 2P`` view of the zero-padded input is the
+    history ``EngineState`` holds after the k-th hop: the 2P samples ending
+    at sample ``(k+1)*hop``.
+    """
+    num_frames, fft_size = responses.shape[0], 2 * (responses.shape[1] - 1)
+    padded = np.concatenate([np.zeros(fft_size - hop), x[: num_frames * hop]])
+    blocks = np.lib.stride_tricks.sliding_window_view(padded, fft_size)[::hop]
+    return _overlap_save(blocks, responses, hop).ravel()
 
 
-def _gain_rows_to_short_taps(gain_rows: np.ndarray, proto: PrototypeFilter,
-                             spec: FilterbankSpec, shorten_len: int) -> np.ndarray:
-    full = _expand_hermitian_rows(gain_rows)
-    hd = _full_gains_to_taps(full, proto)
-    start = proto.tau - shorten_len // 2
-    if start < 0 or start + shorten_len > hd.shape[1]:
-        raise ConfigError(
-            f"extraction window [{start}, {start + shorten_len - 1}] falls "
-            f"outside taps 0..{hd.shape[1] - 1}"
-        )
-    return hd[:, start : start + shorten_len]
-
-
-def _run_ols(x: np.ndarray, responses: np.ndarray, hop: int,
-             shorten_len: int) -> np.ndarray:
-    state = EngineState.create(shorten_len, hop)
-    num_frames = responses.shape[0]
+def _run_direct(x: np.ndarray, short: ShortenedFilter, hop: int) -> np.ndarray:
+    """Per-frame direct FIR filtering, the reference for the batched overlap-save."""
+    num_frames, p = short.taps.shape
+    state = EngineState.create(p, hop)
     out = np.empty(num_frames * hop, dtype=np.float64)
     for k in range(num_frames):
-        out[k * hop : (k + 1) * hop] = ols_filter_frame(
-            state, FreqResponse(responses[k]), x[k * hop : (k + 1) * hop]
-        )
-    return out
-
-
-def _run_direct(x: np.ndarray, taps_rows: np.ndarray, hop: int,
-                shorten_len: int) -> np.ndarray:
-    state = EngineState.create(shorten_len, hop)
-    num_frames = taps_rows.shape[0]
-    out = np.empty(num_frames * hop, dtype=np.float64)
-    for k in range(num_frames):
-        sf = ShortenedFilter(taps=taps_rows[k], group_delay=shorten_len // 2)
+        sf = ShortenedFilter(taps=short.taps[k], group_delay=short.group_delay)
         out[k * hop : (k + 1) * hop] = direct_filter_block(
             state, sf, x[k * hop : (k + 1) * hop]
         )

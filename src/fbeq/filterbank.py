@@ -218,32 +218,79 @@ def analyze_polyphase(x, proto: PrototypeFilter, spec: FilterbankSpec) -> Analys
 
 
 def expand_hermitian(half) -> np.ndarray:
-    """Expand a half-spectrum of ``M/2+1`` bins to the full ``M``-bin spectrum.
+    """Expand half-spectra of ``M/2+1`` bins to full ``M``-bin spectra.
 
-    ``full[i] = half[i]`` for ``i <= M/2`` and ``full[M-i] = conj(half[i])``
-    for the rest.  Bins 0 and ``M/2`` must be (numerically) real.
+    Works along the last axis, so ``half`` is one frame or a ``K x (M/2+1)``
+    matrix of frames.  ``full[..., i] = half[..., i]`` for ``i <= M/2`` and
+    ``full[..., M-i] = conj(half[..., i])`` for the rest.  Bins 0 and ``M/2``
+    must be (numerically) real.
 
     Raises
     ------
     NumericError
-        If the DC or Nyquist bin has imaginary part above
-        ``1e-9 * max |half|`` (Hermitian symmetry error).
+        If a DC or Nyquist bin has imaginary part above
+        ``HERMITIAN_IMAG_TOL * max |half|`` of its frame (Hermitian symmetry
+        error); for a matrix the message names the first such frame.
     """
-    half = np.asarray(half, dtype=np.complex128).ravel()
-    if half.size < 2:
-        raise DataError(f"half-spectrum needs at least 2 bins, got {half.size}")
-    scale = float(np.max(np.abs(half))) if half.size else 0.0
-    edge_imag = max(abs(half[0].imag), abs(half[-1].imag))
-    if edge_imag > HERMITIAN_IMAG_TOL * scale:
+    half = np.asarray(half, dtype=np.complex128)
+    n = half.shape[-1] if half.ndim else 1
+    if n < 2:
+        raise DataError(f"half-spectrum needs at least 2 bins, got {n}")
+    scale = np.abs(half).max(axis=-1)
+    edge_imag = np.abs(half[..., :: n - 1].imag).max(axis=-1)  # bins 0 and M/2
+    bad = _first_flagged(edge_imag > HERMITIAN_IMAG_TOL * scale)
+    if bad is not None:
+        k, where = bad
         raise NumericError(
-            "Hermitian symmetry error: DC/Nyquist bins are not real "
-            f"(|imag| = {edge_imag:.3e}, limit {HERMITIAN_IMAG_TOL * scale:.3e})"
+            f"Hermitian symmetry error{where}: DC/Nyquist bins are not real "
+            f"(|imag| = {edge_imag.flat[k]:.3e}, "
+            f"limit {HERMITIAN_IMAG_TOL * scale.flat[k]:.3e})"
         )
-    m = 2 * (half.size - 1)
-    full = np.empty(m, dtype=np.complex128)
-    full[: half.size] = half
-    full[half.size :] = np.conj(half[-2:0:-1])
+    full = np.empty(half.shape[:-1] + (2 * (n - 1),), dtype=np.complex128)
+    full[..., :n] = half
+    full[..., n:] = np.conj(half[..., -2:0:-1])
     return full
+
+
+def _first_flagged(flags: np.ndarray) -> tuple[int, str] | None:
+    """Index of the first set per-frame flag and its error-message text.
+
+    ``None`` when no flag is set; the text is ``" in frame k"``, or empty when
+    ``flags`` is 0-d (a single frame).
+    """
+    if flags.ndim == 0:  # a NumPy bool; its .any() costs more than the check
+        return (0, "") if flags else None
+    if not flags.any():
+        return None
+    k = int(np.argmax(flags))
+    return k, f" in frame {k}"
+
+
+def check_shorten_len(shorten_len: int, num_taps: int | None = None,
+                      hop: int | None = None) -> None:
+    """Validate the short-filter length P, the one place P and the hop are checked.
+
+    P must be positive and even.  Given ``num_taps``, the central-P window
+    around the group-delay point ``(num_taps - 1) // 2`` must fit inside a
+    filter of that many taps.  Given ``hop``, ``hop <= P + 1``, or the
+    2P-point overlap-save blocks would alias.
+    """
+    p = shorten_len
+    if p <= 0 or p % 2 != 0:
+        raise ConfigError(f"shorten_len must be a positive even number, got {p}")
+    if num_taps is not None:
+        start = (num_taps - 1) // 2 - p // 2
+        if start < 0 or start + p > num_taps:
+            raise ConfigError(
+                f"shorten_len {p} does not fit inside a {num_taps}-tap filter: "
+                f"its central window [{start}, {start + p - 1}] falls outside "
+                f"taps 0..{num_taps - 1}"
+            )
+    if hop is not None and hop > p + 1:
+        raise ConfigError(
+            f"hop {hop} exceeds shorten_len + 1 = {p + 1}; "
+            "overlap-save blocks would alias"
+        )
 
 
 class PolyphaseAnalyzer:

@@ -97,8 +97,9 @@ class TestReadValidation:
         path = tmp_path / "nf.wav"
         data = np.zeros(100, dtype=np.float32)
         data[3] = np.inf
+        data[50] = np.nan
         wavfile.write(path, 16000, data)
-        with pytest.raises(DataError, match="non-finite"):
+        with pytest.raises(DataError, match=r"sample 3 is non-finite \(inf\)"):
             read_wav(path)
 
     def test_rejects_garbage_file(self, tmp_path):

@@ -23,7 +23,10 @@ from fbeq.fbeg import (
     StreamHeader,
     write_gain_stream,
 )
-from fbeq.filterbank import expand_hermitian
+from fbeq.filterbank import PolyphaseAnalyzer, design_prototype, expand_hermitian
+from fbeq.gains import NoiseTrackerState, mmse_lsa_gain, update_noise_psd
+
+from conftest import make_speech
 
 
 def random_hermitian_gains(rng, num_bins):
@@ -137,7 +140,62 @@ class TestFilterToFreq:
             assert abs(resp.bins[k] - want) <= 1e-12
 
 
+class TestMatrixMapping:
+    """Each mapping step on a K-frame matrix equals the same step row by row."""
+
+    def test_expand_hermitian_rows(self):
+        rng = np.random.default_rng(71)
+        half = np.stack([random_hermitian_gains(rng, 9) for _ in range(6)])
+        rows = np.stack([expand_hermitian(row) for row in half])
+        assert np.array_equal(expand_hermitian(half), rows)
+
+    def test_subband_to_time_rows(self, small_proto):
+        rng = np.random.default_rng(73)
+        full = expand_hermitian(
+            np.stack([random_hermitian_gains(rng, 9) for _ in range(6)]))
+        rows = np.stack([subband_to_time(row, small_proto).taps for row in full])
+        assert np.array_equal(subband_to_time(full, small_proto).taps, rows)
+
+    def test_shorten_filter_rows(self):
+        taps = np.random.default_rng(79).standard_normal((6, 17))
+        rows = np.stack([shorten_filter(HighOrderFilter(row), 8).taps
+                         for row in taps])
+        sf = shorten_filter(HighOrderFilter(taps), 8)
+        assert np.array_equal(sf.taps, rows)
+        assert sf.group_delay == 4
+
+    def test_filter_to_freq_rows(self):
+        taps = np.random.default_rng(83).standard_normal((6, 8))
+        rows = np.stack([filter_to_freq(ShortenedFilter(row, 4)).bins
+                         for row in taps])
+        assert np.array_equal(filter_to_freq(ShortenedFilter(taps, 4)).bins, rows)
+
+    def test_expand_hermitian_names_bad_frame(self):
+        half = np.ones((6, 9), dtype=np.complex128)
+        half[3, -1] = 1.0 + 1j
+        half[5, 0] = 1j
+        with pytest.raises(NumericError, match="symmetry error in frame 3:"):
+            expand_hermitian(half)
+
+    def test_subband_to_time_names_bad_frame(self, small_proto):
+        gains = np.ones((6, 16), dtype=np.complex128)
+        gains[2, 3] = 2.0 + 1j  # mirror bin 13 stays at 1: not Hermitian
+        gains[4, 5] = 3.0
+        with pytest.raises(NumericError, match="non-Hermitian gains in frame 2:"):
+            subband_to_time(gains, small_proto)
+
+    def test_single_frame_error_names_no_frame(self, small_proto):
+        gains = np.ones(16, dtype=np.complex128)
+        gains[3] = 2.0 + 1j
+        with pytest.raises(NumericError, match="^non-Hermitian gains: "):
+            subband_to_time(gains, small_proto)
+
+
 class TestEngineState:
+    def test_create_rejects_odd_shorten_len(self):
+        with pytest.raises(ConfigError, match="positive even"):
+            EngineState.create(7, 4)
+
     def test_create_zero_history(self):
         state = EngineState.create(8, 4)
         np.testing.assert_array_equal(state.history, np.zeros(16))
@@ -303,6 +361,14 @@ class TestProcessStream:
         with pytest.raises(DataError, match=r"input sample 37 is non-finite"):
             process_stream(x, "mmse-lsa", small_config())
 
+    @pytest.mark.parametrize("record_type", [TYPE_SUBBAND_GAINS, TYPE_DFT_RESPONSES])
+    @pytest.mark.parametrize("shape", [(10, 5), (8, 9)])
+    def test_frames_must_match_their_header(self, record_type, shape):
+        header = StreamHeader(record_type, 16, 4, 9, 10)  # 9 bins fit both types
+        with pytest.raises(ConfigError, match="header declares 10 x 9"):
+            process_stream(np.ones(40), (header, np.ones(shape, complex)),
+                           small_config())
+
     def test_stream_geometry_mismatch(self):
         frames = np.ones((10, 9), dtype=np.complex128)
         header = StreamHeader(TYPE_SUBBAND_GAINS, 32, 4, 9, 10)
@@ -342,3 +408,75 @@ class TestProcessStream:
                                block_buffer_samples=64, sample_rate_hz=16000)
         assert report.group_delay_ms == pytest.approx(4.0, abs=1e-12)
         assert report.block_ms == pytest.approx(4.0, abs=1e-12)
+
+
+def per_hop_chain(x, rows, cfg, record_type=None):
+    """Run the public per-hop functions one hop at a time.
+
+    ``record_type`` None runs the built-in estimator
+    (``PolyphaseAnalyzer.push -> update_noise_psd -> mmse_lsa_gain``);
+    otherwise ``rows`` holds one gain-stream record per frame.
+    """
+    spec, p, hop = cfg.filterbank_spec(), cfg.shorten_len, cfg.hop
+    proto = design_prototype(spec)
+    params = cfg.estimator_params()
+    analyzer = PolyphaseAnalyzer(proto, spec)
+    tracker = NoiseTrackerState.initial(spec.num_bins, params)
+    engine = EngineState.create(p, hop)
+    out = []
+    for k in range(spec.num_frames(x.size)):
+        block = x[k * hop : (k + 1) * hop]
+        if record_type == TYPE_DFT_RESPONSES:
+            resp = FreqResponse(rows[k])
+        else:
+            if record_type is None:
+                frame = analyzer.push(block)
+                tracker = update_noise_psd(tracker, frame, params)
+                gains = mmse_lsa_gain(frame, tracker, params).values
+            else:
+                gains = _clamp_magnitude(rows[k : k + 1], cfg.g_max)[0]
+            hd = subband_to_time(expand_hermitian(gains), proto)
+            resp = filter_to_freq(shorten_filter(hd, p))
+        out.append(ols_filter_frame(engine, resp, block))
+    return np.concatenate(out)
+
+
+GEOMETRIES = [
+    dict(frame_size=512, proto_len=512, hop=64, shorten_len=128),
+    dict(frame_size=16, proto_len=16, hop=4, shorten_len=8),
+    dict(frame_size=256, proto_len=384, hop=32, shorten_len=64),
+]
+
+
+class TestBatchEqualsPerHop:
+    """``process_stream`` is the per-hop chain vectorised over frames, bit for bit."""
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES,
+                             ids=lambda g: "{frame_size}-{proto_len}-{hop}-"
+                                           "{shorten_len}".format(**g))
+    def test_estimator(self, geometry):
+        rng = np.random.default_rng(89)
+        x = make_speech(0.5) + 0.05 * rng.standard_normal(8000)
+        cfg = Config(**geometry).validate()
+        out, _ = process_stream(x, "mmse-lsa", cfg)
+        assert np.array_equal(out, per_hop_chain(x, None, cfg))
+
+    def test_subband_gain_stream(self):
+        cfg = Config().validate()
+        rng = np.random.default_rng(97)
+        x = rng.standard_normal(64 * 40)
+        gains = random_hermitian_gains(rng, 257 * 40).reshape(40, 257) * 2.0
+        gains[:, [0, -1]] = gains[:, [0, -1]].real  # some bins above g_max
+        header = StreamHeader(TYPE_SUBBAND_GAINS, 512, 64, 257, 40)
+        out, _ = process_stream(x, (header, gains), cfg)
+        assert np.array_equal(out, per_hop_chain(x, gains, cfg, TYPE_SUBBAND_GAINS))
+
+    def test_dft_response_stream(self):
+        cfg = Config().validate()
+        rng = np.random.default_rng(101)
+        x = rng.standard_normal(64 * 40)
+        responses = np.fft.rfft(rng.standard_normal((40, 128)), n=256, axis=1)
+        header = StreamHeader(TYPE_DFT_RESPONSES, 512, 64, 129, 40)
+        out, _ = process_stream(x, (header, responses), cfg)
+        assert np.array_equal(
+            out, per_hop_chain(x, responses, cfg, TYPE_DFT_RESPONSES))
