@@ -10,10 +10,7 @@ from .audio_io import AudioBuffer, mix_at_snr, read_wav, write_wav
 from .config import Config, build_config, load_config_file
 from .equalizer import (
     EngineState,
-    FreqResponse,
-    HighOrderFilter,
     LatencyReport,
-    ShortenedFilter,
     direct_filter_block,
     filter_to_freq,
     ols_filter_frame,
@@ -35,11 +32,9 @@ from .filterbank import (
     FilterbankSpec,
     PolyphaseAnalyzer,
     PrototypeFilter,
-    analyze_direct,
     analyze_polyphase,
     design_prototype,
     expand_hermitian,
-    modulation,
 )
 from .gains import (
     EstimatorParams,
@@ -74,20 +69,16 @@ __all__ = [
     "FilterbankSpec",
     "FormatError",
     "FrameLabeling",
-    "FreqResponse",
     "GainFrame",
-    "HighOrderFilter",
     "LatencyReport",
     "MetricReport",
     "NoiseTrackerState",
     "NumericError",
     "PolyphaseAnalyzer",
     "PrototypeFilter",
-    "ShortenedFilter",
     "StreamHeader",
     "TYPE_DFT_RESPONSES",
     "TYPE_SUBBAND_GAINS",
-    "analyze_direct",
     "analyze_polyphase",
     "build_config",
     "check_stream_geometry",
@@ -103,7 +94,6 @@ __all__ = [
     "load_gain_stream",
     "mix_at_snr",
     "mmse_lsa_gain",
-    "modulation",
     "ols_filter_frame",
     "process_stream",
     "read_wav",

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import fbeg
 from .audio_io import AudioBuffer, mix_at_snr, read_wav, write_wav
-from .config import ESTIMATORS, MODES, Config, build_config
-from .equalizer import process_stream
+from .config import MODES, Config, build_config
+from .equalizer import ESTIMATOR_MMSE_LSA, process_stream
 from .errors import FbeqError, NumericError
 from .filterbank import analyze_polyphase, design_prototype
 from .metrics import compute_report
@@ -42,10 +42,8 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     geo.add_argument("-P", "--shorten-len", type=int, dest="shorten_len")
     geo.add_argument("--sample-rate", type=int, dest="sample_rate_hz")
     parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--estimator", choices=ESTIMATORS)
     parser.add_argument("--gains", metavar="FBEG",
                         help="gain-stream file replacing the estimator")
-    parser.add_argument("--seed", type=int)
     est = parser.add_argument_group("estimator constants")
     est.add_argument("--g-max", type=float, dest="g_max")
     est.add_argument("--alpha-dd", type=float, dest="alpha_dd")
@@ -89,6 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clean", required=True, metavar="WAV")
     p.add_argument("--noise", required=True, metavar="WAV")
     p.add_argument("--snr-db", type=float, required=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="picks the noise crop offset (default 0)")
     p.add_argument("--out-mix", required=True, metavar="WAV")
     p.add_argument("--out-noise", required=True, metavar="WAV")
     p.add_argument("--format", choices=("pcm16", "float32"), default="float32")
@@ -156,7 +156,7 @@ def cmd_analyze(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_enhance(args: argparse.Namespace, cfg: Config) -> int:
     buf = read_wav(args.in_wav, expected_rate=cfg.sample_rate_hz)
-    source = cfg.gains if cfg.gains else cfg.estimator
+    source = cfg.gains or ESTIMATOR_MMSE_LSA
     enhanced, report = process_stream(buf.samples, source, cfg)
     clipped = write_wav(
         args.out, AudioBuffer(enhanced, cfg.sample_rate_hz), fmt=args.format
@@ -173,7 +173,7 @@ def cmd_mix(args: argparse.Namespace, cfg: Config) -> int:
     clean = read_wav(args.clean, expected_rate=cfg.sample_rate_hz)
     noise = read_wav(args.noise, expected_rate=cfg.sample_rate_hz)
     mixture, scaled = mix_at_snr(clean.samples, noise.samples,
-                                 args.snr_db, cfg.seed)
+                                 args.snr_db, args.seed)
     for path, samples in ((args.out_mix, mixture), (args.out_noise, scaled)):
         clipped = write_wav(
             path, AudioBuffer(samples, cfg.sample_rate_hz), fmt=args.format

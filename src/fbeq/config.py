@@ -8,13 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .equalizer import ESTIMATOR_MMSE_LSA
 from .errors import ConfigError
 from .filterbank import FilterbankSpec, check_shorten_len
 from .gains import EstimatorParams
 
 MODES = ("ols", "direct")
-ESTIMATORS = (ESTIMATOR_MMSE_LSA,)
 
 
 @dataclass
@@ -27,7 +25,6 @@ class Config:
     sample_rate_hz: int = 16000
     shorten_len: int = 128
     mode: str = "ols"
-    estimator: str = ESTIMATOR_MMSE_LSA
     gains: str | None = None
     g_max: float = 4.0
     alpha_dd: float = 0.98
@@ -37,7 +34,6 @@ class Config:
     gamma_threshold: float = 2.5
     init_frames: int = 6
     lambda_floor: float = 1e-20
-    seed: int = 0
 
     def filterbank_spec(self) -> FilterbankSpec:
         return FilterbankSpec(
@@ -66,10 +62,6 @@ class Config:
                           hop=self.hop)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got '{self.mode}'")
-        if self.estimator not in ESTIMATORS:
-            raise ConfigError(
-                f"estimator must be one of {ESTIMATORS}, got '{self.estimator}'"
-            )
         if self.g_max <= 0:
             raise ConfigError(f"g_max must be positive, got {self.g_max}")
         return self

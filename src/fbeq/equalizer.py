@@ -25,30 +25,12 @@ from .filterbank import (
     check_shorten_len,
     design_prototype,
     expand_hermitian,
+    slide_history,
     _first_flagged,
 )
 from .gains import estimate_gains
 
 ESTIMATOR_MMSE_LSA = "mmse-lsa"
-
-
-class HighOrderFilter(NamedTuple):
-    """Per-frame time-domain filter over all prototype lags (length L+1)."""
-
-    taps: np.ndarray
-
-
-class ShortenedFilter(NamedTuple):
-    """Length-P extraction of a HighOrderFilter; delays the signal by P/2."""
-
-    taps: np.ndarray
-    group_delay: int
-
-
-class FreqResponse(NamedTuple):
-    """Half-spectrum of the 2P-point DFT of a ShortenedFilter (P+1 bins)."""
-
-    bins: np.ndarray
 
 
 class LatencyReport(NamedTuple):
@@ -76,7 +58,6 @@ class EngineState:
 
     history: np.ndarray
     hop: int
-    frame_index: int = 0
 
     @classmethod
     def create(cls, shorten_len: int, hop: int) -> "EngineState":
@@ -84,17 +65,11 @@ class EngineState:
         return cls(history=np.zeros(2 * shorten_len, dtype=np.float64), hop=hop)
 
     def push(self, block) -> np.ndarray:
-        block = np.asarray(block, dtype=np.float64).ravel()
-        if block.size != self.hop:
-            raise DataError(
-                f"expected a block of {self.hop} samples, got {block.size}"
-            )
-        self.history = np.concatenate([self.history[block.size :], block])
-        self.frame_index += 1
+        self.history = slide_history(self.history, block, self.hop)
         return self.history
 
 
-def subband_to_time(gains_full, proto: PrototypeFilter) -> HighOrderFilter:
+def subband_to_time(gains_full, proto: PrototypeFilter) -> np.ndarray:
     """Map full-band (Hermitian) gain vectors to their time-domain filters.
 
     ``taps[l] = h(l) * sum_i W_i * exp(-j*(2*pi/M)*i*(l - tau))``; the inner
@@ -110,8 +85,9 @@ def subband_to_time(gains_full, proto: PrototypeFilter) -> HighOrderFilter:
 
     Returns
     -------
-    HighOrderFilter
-        Real taps over lags ``0..L`` (one row per frame for a matrix).
+    numpy.ndarray
+        Real taps over lags ``0..L``, shape ``(..., L+1)`` (one row per frame
+        for a matrix).
 
     Raises
     ------
@@ -133,29 +109,29 @@ def subband_to_time(gains_full, proto: PrototypeFilter) -> HighOrderFilter:
             f"non-Hermitian gains{where}: imaginary residue "
             f"{residue.flat[k]:.3e} exceeds {HERMITIAN_IMAG_TOL:.0e} relative"
         )
-    return HighOrderFilter(taps=complex_taps.real)
+    return complex_taps.real
 
 
-def shorten_filter(hd: HighOrderFilter, shorten_len: int) -> ShortenedFilter:
+def shorten_filter(taps, shorten_len: int) -> np.ndarray:
     """Extract the central ``shorten_len`` taps around the group-delay point.
 
     For the fixed support ``[tau - P/2, tau + P/2 - 1]`` this rectangular
     extraction is the L2-optimal length-P approximation (the squared error
     equals the discarded tail energy); the resulting group delay is ``P/2``.
-    Works along the last axis: one filter or a ``K x (L+1)`` matrix.
+    Works along the last axis: ``(..., L+1)`` taps in, ``(..., P)`` out.  The
+    result is a copy, so the high-order taps can be freed.
     """
-    taps = np.asarray(hd.taps, dtype=np.float64)
+    taps = np.asarray(taps, dtype=np.float64)
     p = int(shorten_len)
     check_shorten_len(p, num_taps=taps.shape[-1])
     start = (taps.shape[-1] - 1) // 2 - p // 2
-    return ShortenedFilter(taps=taps[..., start : start + p].copy(),
-                           group_delay=p // 2)
+    return taps[..., start : start + p].copy()
 
 
-def filter_to_freq(sf: ShortenedFilter) -> FreqResponse:
-    """2P-point DFT of the shortened filter(s), lower P+1 bins, along the last axis."""
-    taps = np.asarray(sf.taps, dtype=np.float64)
-    return FreqResponse(bins=np.fft.rfft(taps, n=2 * taps.shape[-1], axis=-1))
+def filter_to_freq(taps) -> np.ndarray:
+    """2P-point DFT of ``(..., P)`` shortened taps: the ``(..., P+1)`` lower bins."""
+    taps = np.asarray(taps, dtype=np.float64)
+    return np.fft.rfft(taps, n=2 * taps.shape[-1], axis=-1)
 
 
 def _overlap_save(blocks: np.ndarray, bins: np.ndarray, hop: int) -> np.ndarray:
@@ -168,17 +144,16 @@ def _overlap_save(blocks: np.ndarray, bins: np.ndarray, hop: int) -> np.ndarray:
     return np.fft.irfft(spectra, n=blocks.shape[-1], axis=-1)[..., -hop:]
 
 
-def ols_filter_frame(state: EngineState, resp: FreqResponse,
-                     new_samples) -> np.ndarray:
+def ols_filter_frame(state: EngineState, bins, new_samples) -> np.ndarray:
     """Filter one hop by overlap-save.
 
     Pushes the ``hop`` new samples into the 2P-sample history, multiplies the
-    history's DFT by the response bin-wise (the upper half follows from
+    history's DFT by the ``P+1`` response bins (the upper half follows from
     Hermitian symmetry), inverse-transforms, and returns the last ``hop``
     samples — the alias-free tail, equal to linear convolution with the
     frame's filter.
     """
-    bins = np.asarray(resp.bins)
+    bins = np.asarray(bins)
     fft_size = 2 * (bins.size - 1)
     if fft_size != state.history.size:
         raise ConfigError(
@@ -188,10 +163,9 @@ def ols_filter_frame(state: EngineState, resp: FreqResponse,
     return _overlap_save(state.push(new_samples), bins, state.hop)
 
 
-def direct_filter_block(state: EngineState, sf: ShortenedFilter,
-                        new_samples) -> np.ndarray:
-    """Filter one hop by direct FIR convolution; same contract as overlap-save."""
-    taps = np.asarray(sf.taps, dtype=np.float64)
+def direct_filter_block(state: EngineState, taps, new_samples) -> np.ndarray:
+    """Filter one hop by the ``P`` taps in direct FIR form; same contract as overlap-save."""
+    taps = np.asarray(taps, dtype=np.float64)
     if 2 * taps.size != state.history.size:
         raise ConfigError(
             f"filter of {taps.size} taps does not match a history of "
@@ -296,7 +270,7 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     short = shorten_filter(subband_to_time(expand_hermitian(gain_rows), proto), p)
     if cfg.mode == "direct":
         return _run_direct(x, short, spec.hop), report
-    return _ols_batch(x, filter_to_freq(short).bins, spec.hop), report
+    return _ols_batch(x, filter_to_freq(short), spec.hop), report
 
 
 def _ols_batch(x: np.ndarray, responses: np.ndarray, hop: int) -> np.ndarray:
@@ -312,14 +286,13 @@ def _ols_batch(x: np.ndarray, responses: np.ndarray, hop: int) -> np.ndarray:
     return _overlap_save(blocks, responses, hop).ravel()
 
 
-def _run_direct(x: np.ndarray, short: ShortenedFilter, hop: int) -> np.ndarray:
+def _run_direct(x: np.ndarray, short: np.ndarray, hop: int) -> np.ndarray:
     """Per-frame direct FIR filtering, the reference for the batched overlap-save."""
-    num_frames, p = short.taps.shape
+    num_frames, p = short.shape
     state = EngineState.create(p, hop)
     out = np.empty(num_frames * hop, dtype=np.float64)
     for k in range(num_frames):
-        sf = ShortenedFilter(taps=short.taps[k], group_delay=short.group_delay)
         out[k * hop : (k + 1) * hop] = direct_filter_block(
-            state, sf, x[k * hop : (k + 1) * hop]
+            state, short[k], x[k * hop : (k + 1) * hop]
         )
     return out

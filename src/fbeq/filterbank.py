@@ -1,10 +1,10 @@
 """GDFT-modulated analysis filterbank.
 
 Prototype low-pass design (windowed sinc, Hann taper) plus causal subband
-analysis with downsampling, in two interchangeable realizations: a direct
-per-bin inner-product form and a polyphase form (windowed time-fold,
-M-point DFT, per-bin phase correction).  Only the lower half-spectrum is
-computed; real inputs make the upper half redundant.
+analysis with downsampling in polyphase form (windowed time-fold, M-point
+DFT, per-bin phase correction), batched over a signal or streamed one hop
+at a time.  Only the lower half-spectrum is computed; real inputs make the
+upper half redundant.
 
 Frame indexing convention, used consistently package-wide: with 0-based
 sample time, frame ``k`` (``k = 1..floor(T/r)``) becomes available once
@@ -114,15 +114,6 @@ def design_prototype(spec: FilterbankSpec) -> PrototypeFilter:
     return PrototypeFilter(taps=taps, tau=tau)
 
 
-def modulation(spec: FilterbankSpec, i: int, l: int) -> complex:
-    """Complex modulation factor ``exp(-j*(2*pi/M)*i*(l - tau))`` for bin ``i``, lag ``l``."""
-    if not 0 <= i < spec.frame_size:
-        raise ConfigError(f"bin index {i} outside 0..{spec.frame_size - 1}")
-    return complex(
-        np.exp(-2j * np.pi * i * (l - spec.tau) / spec.frame_size)
-    )
-
-
 def _analysis_segments(x: np.ndarray, spec: FilterbankSpec) -> np.ndarray:
     """Time-ascending windows ``x[k*r - 1 - L .. k*r - 1]`` for each frame k."""
     big_l, r = spec.proto_len, spec.hop
@@ -130,42 +121,6 @@ def _analysis_segments(x: np.ndarray, spec: FilterbankSpec) -> np.ndarray:
     padded = np.concatenate([np.zeros(big_l, dtype=np.float64), x])
     windows = np.lib.stride_tricks.sliding_window_view(padded, big_l + 1)
     return windows[r - 1 :: r][:num_frames]
-
-
-def analyze_direct(x, proto: PrototypeFilter, spec: FilterbankSpec) -> AnalysisFrameSeq:
-    """Subband analysis as an explicit inner product per bin.
-
-    Computes ``x_i(k) = sum_l x[k*r - 1 - l] * taps[l] * modulation(i, l)``
-    for ``k = 1..floor(T/r)`` and ``i = 0..M/2``, assuming zero signal
-    before time zero.
-
-    Parameters
-    ----------
-    x : array_like
-        Real input signal.
-    proto : PrototypeFilter
-        Prototype from :func:`design_prototype`.
-    spec : FilterbankSpec
-        Matching geometry.
-
-    Returns
-    -------
-    AnalysisFrameSeq
-        ``floor(T/r)`` frames of ``M/2 + 1`` complex bins.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    bins = spec.num_bins
-    if spec.num_frames(x.size) == 0:
-        return AnalysisFrameSeq(np.zeros((0, bins), dtype=np.complex128), spec)
-    segments = _analysis_segments(x, spec)
-    # Segment column m holds lag l = L - m; fold taps and modulation together.
-    lags = np.arange(spec.proto_len, -1, -1, dtype=np.float64)
-    i = np.arange(bins, dtype=np.float64)[:, None]
-    weights = proto.taps[::-1] * np.exp(
-        -2j * np.pi * i * (lags[None, :] - spec.tau) / spec.frame_size
-    )
-    frames = segments @ weights.T
-    return AnalysisFrameSeq(frames, spec)
 
 
 def _phase_correction(spec: FilterbankSpec) -> np.ndarray:
@@ -204,8 +159,10 @@ def analyze_polyphase(x, proto: PrototypeFilter, spec: FilterbankSpec) -> Analys
     Windows the ``L+1`` most recent samples with the prototype, folds the
     products into ``M`` bins, applies an M-point DFT, and corrects each bin
     for the ``tau``-lag offset (``(-1)**i`` when ``2*tau`` is a multiple of
-    ``M``, as in the default geometry).  Output matches
-    :func:`analyze_direct` to floating-point tolerance.
+    ``M``, as in the default geometry).  Output matches the per-bin inner
+    product ``x_i(k) = sum_l x[k*r - 1 - l] * taps[l] *
+    exp(-j*(2*pi/M)*i*(l - tau))`` to floating-point tolerance; the tests
+    hold that sum as a reference oracle.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     bins = spec.num_bins
@@ -266,6 +223,22 @@ def _first_flagged(flags: np.ndarray) -> tuple[int, str] | None:
     return k, f" in frame {k}"
 
 
+def slide_history(history: np.ndarray, block, hop: int) -> np.ndarray:
+    """Shift ``hop`` new samples into a sliding history, dropping the oldest.
+
+    Returns a new array of ``history.size`` samples ending with ``block``.
+
+    Raises
+    ------
+    DataError
+        If ``block`` does not hold exactly ``hop`` samples.
+    """
+    block = np.asarray(block, dtype=np.float64).ravel()
+    if block.size != hop:
+        raise DataError(f"expected a block of {hop} samples, got {block.size}")
+    return np.concatenate([history[hop:], block])
+
+
 def check_shorten_len(shorten_len: int, num_taps: int | None = None,
                       hop: int | None = None) -> None:
     """Validate the short-filter length P, the one place P and the hop are checked.
@@ -316,11 +289,6 @@ class PolyphaseAnalyzer:
 
     def push(self, block) -> np.ndarray:
         """Consume ``hop`` new samples and return the resulting frame."""
-        block = np.asarray(block, dtype=np.float64).ravel()
-        if block.size != self.spec.hop:
-            raise DataError(
-                f"expected a block of {self.spec.hop} samples, got {block.size}"
-            )
-        self._history = np.concatenate([self._history[block.size :], block])
+        self._history = slide_history(self._history, block, self.spec.hop)
         windowed = self._history[::-1] * self._taps
         return _fold_and_transform(windowed, self.spec, self._correction)

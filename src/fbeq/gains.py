@@ -102,7 +102,7 @@ class NoiseTrackerState:
         # common reference initialization of this estimator family.
         return cls(
             noise_psd=np.full(num_bins, params.lambda_floor, dtype=np.float64),
-            xi_prev=np.full(num_bins, max(1.0, 10.0 ** (params.xi_min_db / 10.0))),
+            xi_prev=np.full(num_bins, max(1.0, params.xi_min)),
             frame_count=0,
         )
 

@@ -45,6 +45,19 @@ class MetricReport:
     delay_compensation_samples: int
 
 
+def _advance(processed, delay: int) -> np.ndarray:
+    """The processed signal advanced by ``delay`` samples (delay compensation).
+
+    Raises
+    ------
+    DataError
+        If ``delay`` is negative: slicing would keep the signal's tail instead.
+    """
+    if delay < 0:
+        raise DataError(f"delay must be >= 0, got {delay}")
+    return np.asarray(processed, dtype=np.float64).ravel()[delay:]
+
+
 def _frame_energies(x: np.ndarray, frame_len: int, num_frames: int) -> np.ndarray:
     trimmed = x[: num_frames * frame_len].reshape(num_frames, frame_len)
     return np.sum(trimmed * trimmed, axis=1)
@@ -83,7 +96,7 @@ def label_noise_only(clean, frame_len: int,
 def _seg_na_detail(noise, processed, labeling: FrameLabeling,
                    delay: int = 0) -> tuple[float | None, int, int]:
     noise = np.asarray(noise, dtype=np.float64).ravel()
-    shifted = np.asarray(processed, dtype=np.float64).ravel()[delay:]
+    shifted = _advance(processed, delay)
     r = labeling.frame_len
     num_frames = min(labeling.num_frames, noise.size // r, shifted.size // r)
     indices = np.array(sorted(m for m in labeling.noise_only if m < num_frames),
@@ -125,7 +138,7 @@ def seg_snr(clean, processed, frame_len: int, delay: int = 0) -> float | None:
     metric not applicable (infinite SNR) and returns ``None``.
     """
     clean = np.asarray(clean, dtype=np.float64).ravel()
-    shifted = np.asarray(processed, dtype=np.float64).ravel()[delay:]
+    shifted = _advance(processed, delay)
     if frame_len <= 0:
         raise DataError(f"frame length must be positive, got {frame_len}")
     num_frames = min(clean.size, shifted.size) // frame_len
@@ -176,17 +189,16 @@ def compute_report(clean, processed, noise=None, spec: FilterbankSpec | None = N
     re-analyzed).  ``delay`` advances the processed signal first.
     """
     clean = np.asarray(clean, dtype=np.float64).ravel()
-    processed = np.asarray(processed, dtype=np.float64).ravel()
+    shifted = _advance(processed, delay)
     frame_len = spec.hop if spec is not None else 64
     labeling = label_noise_only(clean, frame_len, threshold_db)
     na_value, _, na_clamped = (None, 0, 0) if noise is None else _seg_na_detail(
-        noise, processed, labeling, delay
+        noise, shifted, labeling
     )
-    snr_value = seg_snr(clean, processed, frame_len, delay)
+    snr_value = seg_snr(clean, shifted, frame_len)
     loss = None
     if spec is not None:
         proto = design_prototype(spec)
-        shifted = processed[delay:]
         common = min(clean.size, shifted.size)
         ref = analyze_polyphase(clean[:common], proto, spec)
         est = analyze_polyphase(shifted[:common], proto, spec)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from fbeq.filterbank import FilterbankSpec, design_prototype
+from fbeq.errors import ConfigError
+from fbeq.filterbank import (
+    AnalysisFrameSeq,
+    FilterbankSpec,
+    PrototypeFilter,
+    _analysis_segments,
+    design_prototype,
+)
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +29,53 @@ def small_spec():
 @pytest.fixture(scope="session")
 def small_proto(small_spec):
     return design_prototype(small_spec)
+
+
+def modulation(spec: FilterbankSpec, i: int, l: int) -> complex:
+    """Complex modulation factor ``exp(-j*(2*pi/M)*i*(l - tau))`` for bin ``i``, lag ``l``."""
+    if not 0 <= i < spec.frame_size:
+        raise ConfigError(f"bin index {i} outside 0..{spec.frame_size - 1}")
+    return complex(
+        np.exp(-2j * np.pi * i * (l - spec.tau) / spec.frame_size)
+    )
+
+
+def analyze_direct(x, proto: PrototypeFilter, spec: FilterbankSpec) -> AnalysisFrameSeq:
+    """Subband analysis as an explicit inner product per bin.
+
+    The reference oracle that ``fbeq.filterbank.analyze_polyphase`` is
+    checked against.  Computes
+    ``x_i(k) = sum_l x[k*r - 1 - l] * taps[l] * modulation(i, l)``
+    for ``k = 1..floor(T/r)`` and ``i = 0..M/2``, assuming zero signal
+    before time zero.
+
+    Parameters
+    ----------
+    x : array_like
+        Real input signal.
+    proto : PrototypeFilter
+        Prototype from :func:`fbeq.filterbank.design_prototype`.
+    spec : FilterbankSpec
+        Matching geometry.
+
+    Returns
+    -------
+    AnalysisFrameSeq
+        ``floor(T/r)`` frames of ``M/2 + 1`` complex bins.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    bins = spec.num_bins
+    if spec.num_frames(x.size) == 0:
+        return AnalysisFrameSeq(np.zeros((0, bins), dtype=np.complex128), spec)
+    segments = _analysis_segments(x, spec)
+    # Segment column m holds lag l = L - m; fold taps and modulation together.
+    lags = np.arange(spec.proto_len, -1, -1, dtype=np.float64)
+    i = np.arange(bins, dtype=np.float64)[:, None]
+    weights = proto.taps[::-1] * np.exp(
+        -2j * np.pi * i * (lags[None, :] - spec.tau) / spec.frame_size
+    )
+    frames = segments @ weights.T
+    return AnalysisFrameSeq(frames, spec)
 
 
 def make_speech(duration_s: float = 4.0, rate: int = 16000,

@@ -26,7 +26,7 @@ class TestConfigValidation:
         assert cfg.hop == 64
         assert cfg.shorten_len == 128
         assert cfg.mode == "ols"
-        assert cfg.estimator == "mmse-lsa"
+        assert cfg.gains is None  # the built-in estimator supplies the gains
 
     def test_spec_and_params_round_trip(self):
         cfg = Config(frame_size=16, proto_len=16, hop=4, shorten_len=8,
@@ -54,10 +54,6 @@ class TestConfigValidation:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match="mode must be one of"):
             Config(mode="zero-latency").validate()
-
-    def test_unknown_estimator(self):
-        with pytest.raises(ConfigError, match="estimator must be one of"):
-            Config(estimator="wiener").validate()
 
     def test_nonpositive_g_max(self):
         with pytest.raises(ConfigError, match="g_max"):
@@ -246,6 +242,21 @@ class TestCliMix:
         np.testing.assert_allclose(mixture, clean_back + scaled,
                                    rtol=0, atol=1e-6)
 
+    def test_seed_defaults_to_zero(self, tmp_path):
+        rng = np.random.default_rng(5)
+        cw, nw = tmp_path / "c.wav", tmp_path / "n.wav"
+        write_test_wav(cw, 0.3 * np.sin(np.arange(4000) / 5.0))
+        write_test_wav(nw, 0.1 * rng.standard_normal(9000))
+        mixes = []
+        for name, seed_flag in (("default", []), ("zero", ["--seed", "0"])):
+            out_mix = tmp_path / f"{name}.wav"
+            assert main(["mix", "--clean", str(cw), "--noise", str(nw),
+                         "--snr-db", "0", "--out-mix", str(out_mix),
+                         "--out-noise", str(tmp_path / f"{name}_n.wav"),
+                         *seed_flag]) == 0
+            mixes.append(read_wav(out_mix).samples)
+        np.testing.assert_array_equal(mixes[0], mixes[1])
+
 
 class TestCliEvaluate:
     def _make_files(self, tmp_path):
@@ -317,6 +328,17 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out.wav")])
         assert code == 3
         assert "fbeq: error:" in capsys.readouterr().err
+
+    def test_negative_delay_is_three(self, tmp_path, capsys):
+        clean = np.concatenate([0.3 * np.sin(np.linspace(0, 300, 4000)),
+                                np.zeros(4000)])
+        cw, pw = tmp_path / "clean.wav", tmp_path / "proc.wav"
+        write_test_wav(cw, clean)
+        write_test_wav(pw, 0.5 * clean)
+        code = main(["evaluate", "--clean", str(cw), "--processed", str(pw),
+                     "--delay", "-3200"])
+        assert code == 3
+        assert "delay must be >= 0, got -3200" in capsys.readouterr().err
 
     def test_config_error_is_three(self, capsys):
         assert main(["design", "-M", "15"]) == 3

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbeq.config import Config
 from fbeq.equalizer import (
     EngineState,
-    FreqResponse,
-    HighOrderFilter,
     LatencyReport,
-    ShortenedFilter,
     _clamp_magnitude,
     direct_filter_block,
     filter_to_freq,
@@ -53,30 +52,30 @@ class TestSubbandToTime:
         for _ in range(20):
             half = random_hermitian_gains(rng, small_spec.num_bins)
             full = expand_hermitian(half)
-            got = subband_to_time(full, small_proto).taps
+            got = subband_to_time(full, small_proto)
             want = brute_force_taps(full, small_proto)
             assert np.max(np.abs(want.imag)) <= 1e-12 * np.max(np.abs(want.real))
             np.testing.assert_allclose(got, want.real, rtol=0,
                                        atol=1e-12 * np.max(np.abs(want.real)))
 
     def test_unity_gains_give_center_impulse(self, default_proto):
-        hd = subband_to_time(np.ones(512, dtype=np.complex128), default_proto)
+        taps = subband_to_time(np.ones(512, dtype=np.complex128), default_proto)
         expected = np.zeros(513)
         expected[256] = 1.0
-        np.testing.assert_allclose(hd.taps, expected, atol=1e-12)
+        np.testing.assert_allclose(taps, expected, atol=1e-12)
 
     def test_unity_gains_small_geometry(self, small_proto):
-        hd = subband_to_time(np.ones(16, dtype=np.complex128), small_proto)
+        taps = subband_to_time(np.ones(16, dtype=np.complex128), small_proto)
         expected = np.zeros(17)
         expected[8] = 1.0
-        np.testing.assert_allclose(hd.taps, expected, atol=1e-13)
+        np.testing.assert_allclose(taps, expected, atol=1e-13)
 
     def test_taps_are_real_arrays(self, small_proto):
         rng = np.random.default_rng(11)
         full = expand_hermitian(random_hermitian_gains(rng, 9))
-        hd = subband_to_time(full, small_proto)
-        assert hd.taps.dtype == np.float64
-        assert hd.taps.shape == (17,)
+        taps = subband_to_time(full, small_proto)
+        assert taps.dtype == np.float64
+        assert taps.shape == (17,)
 
     def test_non_hermitian_rejected(self, small_proto):
         gains = np.ones(16, dtype=np.complex128)
@@ -89,17 +88,16 @@ class TestShortenFilter:
     def test_extracts_central_window(self):
         rng = np.random.default_rng(13)
         taps = rng.standard_normal(513)
-        sf = shorten_filter(HighOrderFilter(taps=taps), 128)
-        np.testing.assert_array_equal(sf.taps, taps[192:320])
-        assert sf.group_delay == 64
+        short = shorten_filter(taps, 128)
+        np.testing.assert_array_equal(short, taps[192:320])
+        assert not np.shares_memory(short, taps)
 
     def test_projection_is_l2_optimal_for_the_support(self):
         # any perturbation of the kept taps increases the approximation error
         rng = np.random.default_rng(17)
         taps = rng.standard_normal(17)
-        sf = shorten_filter(HighOrderFilter(taps=taps), 8)
         padded = np.zeros(17)
-        padded[4:12] = sf.taps
+        padded[4:12] = shorten_filter(taps, 8)
         base_err = np.sum((taps - padded) ** 2)
         for _ in range(25):
             perturbed = padded.copy()
@@ -109,35 +107,33 @@ class TestShortenFilter:
     def test_error_equals_discarded_energy(self):
         rng = np.random.default_rng(19)
         taps = rng.standard_normal(513)
-        sf = shorten_filter(HighOrderFilter(taps=taps), 128)
         padded = np.zeros(513)
-        padded[192:320] = sf.taps
+        padded[192:320] = shorten_filter(taps, 128)
         discarded = np.sum(taps[:192] ** 2) + np.sum(taps[320:] ** 2)
         assert np.sum((taps - padded) ** 2) == pytest.approx(discarded, rel=1e-12)
 
     def test_odd_or_nonpositive_length(self):
-        hd = HighOrderFilter(taps=np.ones(17))
+        taps = np.ones(17)
         with pytest.raises(ConfigError, match="even"):
-            shorten_filter(hd, 7)
+            shorten_filter(taps, 7)
         with pytest.raises(ConfigError, match="even"):
-            shorten_filter(hd, 0)
+            shorten_filter(taps, 0)
 
     def test_window_out_of_range(self):
-        hd = HighOrderFilter(taps=np.ones(17))
         with pytest.raises(ConfigError, match="outside"):
-            shorten_filter(hd, 18)
+            shorten_filter(np.ones(17), 18)
 
 
 class TestFilterToFreq:
     def test_matches_direct_dft(self):
         rng = np.random.default_rng(23)
         taps = rng.standard_normal(8)
-        resp = filter_to_freq(ShortenedFilter(taps=taps, group_delay=4))
-        assert resp.bins.shape == (9,)
+        bins = filter_to_freq(taps)
+        assert bins.shape == (9,)
         n = 16
         for k in range(9):
             want = sum(taps[j] * np.exp(-2j * np.pi * k * j / n) for j in range(8))
-            assert abs(resp.bins[k] - want) <= 1e-12
+            assert abs(bins[k] - want) <= 1e-12
 
 
 class TestMatrixMapping:
@@ -153,22 +149,18 @@ class TestMatrixMapping:
         rng = np.random.default_rng(73)
         full = expand_hermitian(
             np.stack([random_hermitian_gains(rng, 9) for _ in range(6)]))
-        rows = np.stack([subband_to_time(row, small_proto).taps for row in full])
-        assert np.array_equal(subband_to_time(full, small_proto).taps, rows)
+        rows = np.stack([subband_to_time(row, small_proto) for row in full])
+        assert np.array_equal(subband_to_time(full, small_proto), rows)
 
     def test_shorten_filter_rows(self):
         taps = np.random.default_rng(79).standard_normal((6, 17))
-        rows = np.stack([shorten_filter(HighOrderFilter(row), 8).taps
-                         for row in taps])
-        sf = shorten_filter(HighOrderFilter(taps), 8)
-        assert np.array_equal(sf.taps, rows)
-        assert sf.group_delay == 4
+        rows = np.stack([shorten_filter(row, 8) for row in taps])
+        assert np.array_equal(shorten_filter(taps, 8), rows)
 
     def test_filter_to_freq_rows(self):
         taps = np.random.default_rng(83).standard_normal((6, 8))
-        rows = np.stack([filter_to_freq(ShortenedFilter(row, 4)).bins
-                         for row in taps])
-        assert np.array_equal(filter_to_freq(ShortenedFilter(taps, 4)).bins, rows)
+        rows = np.stack([filter_to_freq(row) for row in taps])
+        assert np.array_equal(filter_to_freq(taps), rows)
 
     def test_expand_hermitian_names_bad_frame(self):
         half = np.ones((6, 9), dtype=np.complex128)
@@ -199,7 +191,6 @@ class TestEngineState:
     def test_create_zero_history(self):
         state = EngineState.create(8, 4)
         np.testing.assert_array_equal(state.history, np.zeros(16))
-        assert state.frame_index == 0
 
     def test_push_shifts(self):
         state = EngineState.create(2, 2)
@@ -207,7 +198,6 @@ class TestEngineState:
         np.testing.assert_array_equal(state.history, [0.0, 0.0, 1.0, 2.0])
         state.push([3.0, 4.0])
         np.testing.assert_array_equal(state.history, [1.0, 2.0, 3.0, 4.0])
-        assert state.frame_index == 2
 
     def test_hop_too_large(self):
         with pytest.raises(ConfigError, match="alias"):
@@ -224,10 +214,9 @@ class TestBlockFiltering:
         rng = np.random.default_rng(29)
         taps = rng.standard_normal(8)
         x = rng.standard_normal(25 * 4)
-        sf = ShortenedFilter(taps=taps, group_delay=4)
         state = EngineState.create(8, 4)
         out = np.concatenate(
-            [direct_filter_block(state, sf, x[k * 4 : (k + 1) * 4])
+            [direct_filter_block(state, taps, x[k * 4 : (k + 1) * 4])
              for k in range(25)]
         )
         want = np.convolve(x, taps)[: out.size]
@@ -238,10 +227,10 @@ class TestBlockFiltering:
         rng = np.random.default_rng(31)
         taps = rng.standard_normal(8)
         x = rng.standard_normal(25 * 4)
-        resp = filter_to_freq(ShortenedFilter(taps=taps, group_delay=4))
+        bins = filter_to_freq(taps)
         state = EngineState.create(8, 4)
         out = np.concatenate(
-            [ols_filter_frame(state, resp, x[k * 4 : (k + 1) * 4])
+            [ols_filter_frame(state, bins, x[k * 4 : (k + 1) * 4])
              for k in range(25)]
         )
         want = np.convolve(x, taps)[: out.size]
@@ -258,9 +247,8 @@ class TestBlockFiltering:
         worst = 0.0
         for k in range(40):
             block = x[k * 4 : (k + 1) * 4]
-            sf = ShortenedFilter(taps=filters[k], group_delay=4)
-            a = direct_filter_block(s1, sf, block)
-            b = ols_filter_frame(s2, filter_to_freq(sf), block)
+            a = direct_filter_block(s1, filters[k], block)
+            b = ols_filter_frame(s2, filter_to_freq(filters[k]), block)
             peak = max(peak, np.max(np.abs(a)))
             worst = max(worst, np.max(np.abs(a - b)))
         assert worst <= 1e-12 * peak
@@ -268,13 +256,12 @@ class TestBlockFiltering:
     def test_ols_response_size_mismatch(self):
         state = EngineState.create(8, 4)
         with pytest.raises(ConfigError, match="block"):
-            ols_filter_frame(state, FreqResponse(bins=np.ones(5)), np.ones(4))
+            ols_filter_frame(state, np.ones(5), np.ones(4))
 
     def test_direct_taps_size_mismatch(self):
         state = EngineState.create(8, 4)
-        sf = ShortenedFilter(taps=np.ones(6), group_delay=3)
         with pytest.raises(ConfigError, match="does not match"):
-            direct_filter_block(state, sf, np.ones(4))
+            direct_filter_block(state, np.ones(6), np.ones(4))
 
 
 class TestClampMagnitude:
@@ -427,7 +414,7 @@ def per_hop_chain(x, rows, cfg, record_type=None):
     for k in range(spec.num_frames(x.size)):
         block = x[k * hop : (k + 1) * hop]
         if record_type == TYPE_DFT_RESPONSES:
-            resp = FreqResponse(rows[k])
+            resp = rows[k]
         else:
             if record_type is None:
                 frame = analyzer.push(block)
@@ -435,8 +422,8 @@ def per_hop_chain(x, rows, cfg, record_type=None):
                 gains = mmse_lsa_gain(frame, tracker, params).values
             else:
                 gains = _clamp_magnitude(rows[k : k + 1], cfg.g_max)[0]
-            hd = subband_to_time(expand_hermitian(gains), proto)
-            resp = filter_to_freq(shorten_filter(hd, p))
+            taps = subband_to_time(expand_hermitian(gains), proto)
+            resp = filter_to_freq(shorten_filter(taps, p))
         out.append(ols_filter_frame(engine, resp, block))
     return np.concatenate(out)
 
@@ -477,6 +464,48 @@ class TestBatchEqualsPerHop:
         x = rng.standard_normal(64 * 40)
         responses = np.fft.rfft(rng.standard_normal((40, 128)), n=256, axis=1)
         header = StreamHeader(TYPE_DFT_RESPONSES, 512, 64, 129, 40)
+        out, _ = process_stream(x, (header, responses), cfg)
+        assert np.array_equal(
+            out, per_hop_chain(x, responses, cfg, TYPE_DFT_RESPONSES))
+
+
+@st.composite
+def geometries(draw):
+    """Valid geometries: M even, L even with L+1 >= M, hop | M, P even, hop <= P+1, P <= L."""
+    m = 2 * draw(st.integers(1, 32))
+    big_l = m + 2 * draw(st.integers(0, 32))
+    hop = draw(st.sampled_from([r for r in range(1, m + 1) if m % r == 0]))
+    p = 2 * draw(st.integers(max(1, hop // 2), big_l // 2))
+    return dict(frame_size=m, proto_len=big_l, hop=hop, shorten_len=p)
+
+
+class TestBatchEqualsPerHopProperty:
+    """The batch/per-hop equality above, over drawn geometries instead of three."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(geometry=geometries(), num_frames=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_gain_source(self, geometry, num_frames, seed):
+        cfg = Config(**geometry).validate()
+        m, hop, p = cfg.frame_size, cfg.hop, cfg.shorten_len
+        bins = m // 2 + 1
+        rng = np.random.default_rng(seed)
+        n = num_frames * hop
+        # Loud and quiet stretches, so the noise tracker's gate both opens and shuts.
+        x = rng.standard_normal(n) * np.where(np.arange(n) // (4 * hop) % 2, 4.0, 1.0)
+
+        out, _ = process_stream(x, "mmse-lsa", cfg)
+        assert np.array_equal(out, per_hop_chain(x, None, cfg))
+
+        gains = 3.0 * random_hermitian_gains(rng, num_frames * bins).reshape(
+            num_frames, bins)
+        gains[:, [0, -1]] = gains[:, [0, -1]].real  # some bins above g_max
+        header = StreamHeader(TYPE_SUBBAND_GAINS, m, hop, bins, num_frames)
+        out, _ = process_stream(x, (header, gains), cfg)
+        assert np.array_equal(out, per_hop_chain(x, gains, cfg, TYPE_SUBBAND_GAINS))
+
+        responses = np.fft.rfft(rng.standard_normal((num_frames, p)), n=2 * p, axis=1)
+        header = StreamHeader(TYPE_DFT_RESPONSES, m, hop, p + 1, num_frames)
         out, _ = process_stream(x, (header, responses), cfg)
         assert np.array_equal(
             out, per_hop_chain(x, responses, cfg, TYPE_DFT_RESPONSES))

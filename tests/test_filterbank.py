@@ -5,12 +5,12 @@ from fbeq.errors import ConfigError, DataError, NumericError
 from fbeq.filterbank import (
     FilterbankSpec,
     PolyphaseAnalyzer,
-    analyze_direct,
     analyze_polyphase,
     design_prototype,
     expand_hermitian,
-    modulation,
 )
+
+from conftest import analyze_direct, modulation
 
 
 def brute_force_frames(x, proto, spec):

@@ -24,3 +24,9 @@ def test_import_leaves_scipy_special_unloaded():
                             capture_output=True, text=True, timeout=60,
                             check=True)
     assert result.stdout.split() == ["False", "True"]
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in fbeq.__all__ if not hasattr(fbeq, name)]
+    assert missing == []
+    assert len(set(fbeq.__all__)) == len(fbeq.__all__)

@@ -260,3 +260,38 @@ class TestComputeReport:
         report = compute_report(clean, processed, noise=noise)
         assert report.seg_na_clamped_frames == 1
         assert report.seg_na_db == pytest.approx(100.0, abs=1e-9)
+
+
+NEGATIVE_DELAY_CALLS = {
+    "seg_snr": lambda clean, noise, proc, d: seg_snr(clean, proc, 64, delay=d),
+    "seg_na": lambda clean, noise, proc, d: seg_na(
+        noise, proc, label_noise_only(clean, 64), delay=d),
+    "compute_report": lambda clean, noise, proc, d: compute_report(
+        clean, proc, noise=noise, delay=d),
+}
+
+
+class TestNegativeDelay:
+    """A negative delay would take the signal's tail; every metric rejects it."""
+
+    @pytest.mark.parametrize("name", NEGATIVE_DELAY_CALLS)
+    @pytest.mark.parametrize("delay", [-1, -3200])
+    def test_rejected(self, name, delay):
+        rng = np.random.default_rng(43)
+        clean = np.concatenate([np.sin(np.linspace(0, 400, 4800)), np.zeros(3200)])
+        noise = 0.05 * rng.standard_normal(clean.size)
+        with pytest.raises(DataError, match=rf"^delay must be >= 0, got {delay}$"):
+            NEGATIVE_DELAY_CALLS[name](clean, noise, clean + noise, delay)
+
+    def test_compute_report_equals_pre_advanced_signal(self, small_spec):
+        rng = np.random.default_rng(47)
+        clean = np.concatenate([np.sin(np.linspace(0, 40, 256)), np.zeros(256)])
+        noise = 0.05 * rng.standard_normal(512)
+        processed = np.concatenate([np.zeros(4), clean + 0.5 * noise])
+        shifted = compute_report(clean, processed, noise=noise, spec=small_spec,
+                                 delay=4)
+        direct = compute_report(clean, processed[4:], noise=noise,
+                                spec=small_spec, delay=0)
+        assert (shifted.seg_na_db, shifted.seg_snr_db, shifted.ri_mag_loss) == (
+            direct.seg_na_db, direct.seg_snr_db, direct.ri_mag_loss)
+        assert shifted.delay_compensation_samples == 4
