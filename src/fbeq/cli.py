@@ -195,21 +195,25 @@ def cmd_evaluate(args: argparse.Namespace, cfg: Config) -> int:
     if args.noise:
         noise = read_wav(args.noise, expected_rate=spec.sample_rate_hz).samples
     delay = args.delay if args.delay is not None else cfg.shorten_len // 2
+    # Score every file before writing, so a failing file leaves no partial CSV.
+    reports = []
+    for path in args.processed:
+        processed = read_wav(path, expected_rate=spec.sample_rate_hz)
+        report = compute_report(clean.samples, processed.samples,
+                                noise=noise, spec=spec, delay=delay)
+        reports.append(report)
+        if report.seg_na_clamped_frames:
+            print(
+                f"warning: {report.seg_na_clamped_frames} noise-only "
+                f"frames of {path} had zero energy; their attenuation "
+                "was clamped at +100 dB",
+                file=sys.stderr,
+            )
     with _open_text_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["file", "snr_db", "seg_na_db", "seg_snr_db",
                          "ri_mag_loss", "frames_noise_only", "frames_total"])
-        for path in args.processed:
-            processed = read_wav(path, expected_rate=spec.sample_rate_hz)
-            report = compute_report(clean.samples, processed.samples,
-                                    noise=noise, spec=spec, delay=delay)
-            if report.seg_na_clamped_frames:
-                print(
-                    f"warning: {report.seg_na_clamped_frames} noise-only "
-                    f"frames of {path} had zero energy; their attenuation "
-                    "was clamped at +100 dB",
-                    file=sys.stderr,
-                )
+        for path, report in zip(args.processed, reports):
             writer.writerow([
                 path,
                 _metric_cell(args.snr_db, ".3f"),

@@ -27,6 +27,7 @@ from .filterbank import (
     expand_hermitian,
     slide_history,
     _first_flagged,
+    _frame_blocks,
 )
 from .gains import estimate_gains
 
@@ -69,7 +70,8 @@ class EngineState:
         return self.history
 
 
-def subband_to_time(gains_full, proto: PrototypeFilter) -> np.ndarray:
+def subband_to_time(gains_full, proto: PrototypeFilter,
+                    first_frame: int = 0) -> np.ndarray:
     """Map full-band (Hermitian) gain vectors to their time-domain filters.
 
     ``taps[l] = h(l) * sum_i W_i * exp(-j*(2*pi/M)*i*(l - tau))``; the inner
@@ -82,6 +84,9 @@ def subband_to_time(gains_full, proto: PrototypeFilter) -> np.ndarray:
         :func:`fbeq.filterbank.expand_hermitian`), or a ``K x M`` matrix of
         such frames.
     proto : PrototypeFilter
+    first_frame : int
+        Index of row 0 in error messages, for a block cut from a longer
+        stream.
 
     Returns
     -------
@@ -93,22 +98,28 @@ def subband_to_time(gains_full, proto: PrototypeFilter) -> np.ndarray:
     ------
     NumericError
         If the synthesis sum's imaginary residue exceeds
-        ``HERMITIAN_IMAG_TOL`` relative (non-Hermitian input); for a matrix
-        the message names the first such frame.
+        ``HERMITIAN_IMAG_TOL`` relative to the frame's largest ``|tap|``
+        (non-Hermitian input); for a matrix the message names the first such
+        frame.
     """
     gains_full = np.asarray(gains_full, dtype=np.complex128)
     taps = np.asarray(proto.taps, dtype=np.float64)
     lag_bins = (np.arange(taps.size) - proto.tau) % gains_full.shape[-1]
-    complex_taps = taps * np.fft.fft(gains_full, axis=-1)[..., lag_bins]
-    scale = np.abs(complex_taps).max(axis=-1, initial=0.0)
-    residue = np.abs(complex_taps.imag).max(axis=-1, initial=0.0)
-    bad = _first_flagged(residue > HERMITIAN_IMAG_TOL * scale)
-    if bad is not None:
-        k, where = bad
-        raise NumericError(
-            f"non-Hermitian gains{where}: imaginary residue "
-            f"{residue.flat[k]:.3e} exceeds {HERMITIAN_IMAG_TOL:.0e} relative"
-        )
+    complex_taps = np.fft.fft(gains_full, axis=-1)[..., lag_bins]
+    np.multiply(taps, complex_taps, out=complex_taps)
+    magnitude = np.abs(complex_taps.imag)
+    residue = magnitude.max(axis=-1, initial=0.0)
+    real_scale = np.abs(complex_taps.real, out=magnitude).max(axis=-1, initial=0.0)
+    # |z| >= |Re z|: a frame that passes against max|Re| passes against max|z|.
+    if (residue > HERMITIAN_IMAG_TOL * real_scale).any():
+        scale = np.abs(complex_taps).max(axis=-1, initial=0.0)
+        bad = _first_flagged(residue > HERMITIAN_IMAG_TOL * scale, first_frame)
+        if bad is not None:
+            k, where = bad
+            raise NumericError(
+                f"non-Hermitian gains{where}: imaginary residue "
+                f"{residue.flat[k]:.3e} exceeds {HERMITIAN_IMAG_TOL:.0e} relative"
+            )
     return complex_taps.real
 
 
@@ -194,9 +205,9 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     time-domain filter -> central-P extraction -> 2P-point response ->
     overlap-save filtering of the hop (or direct FIR in ``direct`` mode).
     DFT-response streams (type B) skip the mapping stages and drive the
-    overlap-save engine directly.  Each step runs once on all frames, through
-    the same public functions a per-hop caller uses, so the output equals
-    that per-hop chain exactly.
+    overlap-save engine directly.  Each step runs on blocks of
+    ``BLOCK_FRAMES`` frames, through the same public functions a per-hop
+    caller uses, so the output equals that per-hop chain exactly.
 
     Parameters
     ----------
@@ -245,6 +256,7 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     if header is None:
         analysis = analyze_polyphase(x, proto, spec)
         gain_rows = estimate_gains(analysis.frames, cfg.estimator_params())
+        g_max = None
     else:
         fbeg.check_stream_geometry(header, spec, p)
         if np.shape(stream_frames) != (header.num_frames, header.num_bins):
@@ -258,32 +270,48 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
                 f"requires {num_frames} frames"
             )
         if header.record_type == fbeg.TYPE_SUBBAND_GAINS:
-            gain_rows = _clamp_magnitude(stream_frames[:num_frames], cfg.g_max)
+            gain_rows, g_max = stream_frames[:num_frames], cfg.g_max
         elif cfg.mode == "direct":
             raise ConfigError(
                 "DFT-response (type B) streams carry no time-domain taps; "
                 "use the ols mode"
             )
         else:
-            return _ols_batch(x, stream_frames[:num_frames], spec.hop), report
+            return _ols_batch(x, lambda frames: stream_frames[frames], num_frames,
+                              spec.hop, p), report
 
-    short = shorten_filter(subband_to_time(expand_hermitian(gain_rows), proto), p)
+    def short_taps(frames: slice) -> np.ndarray:
+        rows = gain_rows[frames]
+        if g_max is not None:
+            rows = _clamp_magnitude(rows, g_max)
+        full = expand_hermitian(rows, first_frame=frames.start)
+        return shorten_filter(subband_to_time(full, proto, first_frame=frames.start), p)
+
     if cfg.mode == "direct":
+        short = np.empty((num_frames, p), dtype=np.float64)
+        for frames in _frame_blocks(num_frames):
+            short[frames] = short_taps(frames)
         return _run_direct(x, short, spec.hop), report
-    return _ols_batch(x, filter_to_freq(short), spec.hop), report
+    return _ols_batch(x, lambda frames: filter_to_freq(short_taps(frames)),
+                      num_frames, spec.hop, p), report
 
 
-def _ols_batch(x: np.ndarray, responses: np.ndarray, hop: int) -> np.ndarray:
-    """Overlap-save over all K frames at once; equal to K ``ols_filter_frame`` calls.
+def _ols_batch(x: np.ndarray, responses, num_frames: int, hop: int,
+               shorten_len: int) -> np.ndarray:
+    """Overlap-save over K frames, a block at a time; equal to K ``ols_filter_frame`` calls.
 
-    Row k of the strided ``K x 2P`` view of the zero-padded input is the
-    history ``EngineState`` holds after the k-th hop: the 2P samples ending
-    at sample ``(k+1)*hop``.
+    ``responses(frames)`` returns the ``P+1``-bin responses of a slice of
+    frames.  Row k of the strided ``K x 2P`` view of the zero-padded input is
+    the history ``EngineState`` holds after the k-th hop: the 2P samples
+    ending at sample ``(k+1)*hop``.
     """
-    num_frames, fft_size = responses.shape[0], 2 * (responses.shape[1] - 1)
+    fft_size = 2 * shorten_len
     padded = np.concatenate([np.zeros(fft_size - hop), x[: num_frames * hop]])
     blocks = np.lib.stride_tricks.sliding_window_view(padded, fft_size)[::hop]
-    return _overlap_save(blocks, responses, hop).ravel()
+    out = np.empty((num_frames, hop), dtype=np.float64)
+    for frames in _frame_blocks(num_frames):
+        out[frames] = _overlap_save(blocks[frames], responses(frames), hop)
+    return out.ravel()
 
 
 def _run_direct(x: np.ndarray, short: np.ndarray, hop: int) -> np.ndarray:

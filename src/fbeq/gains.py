@@ -12,6 +12,7 @@ complex per-bin responses enter the pipeline only through gain-stream files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +26,11 @@ _NU_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Suppressor constants; defaults are the normative values for this package."""
+    """Suppressor constants; defaults are the normative values for this package.
+
+    The derived linear values are computed on first use and kept, since the
+    gain loop reads them on every frame.
+    """
 
     alpha_dd: float = 0.98
     xi_min_db: float = -15.0
@@ -53,12 +58,12 @@ class EstimatorParams:
         if self.lambda_floor <= 0.0:
             raise ConfigError(f"lambda_floor must be positive, got {self.lambda_floor}")
 
-    @property
+    @cached_property
     def xi_min(self) -> float:
         """A priori SNR floor as a linear power ratio."""
         return 10.0 ** (self.xi_min_db / 10.0)
 
-    @property
+    @cached_property
     def gate_bias_factor(self) -> float:
         """Correction for the gate's truncation of the power distribution.
 
@@ -75,7 +80,7 @@ class EstimatorParams:
         et = np.exp(-t)
         return (1.0 - et) / (1.0 - (1.0 + t) * et)
 
-    @property
+    @cached_property
     def gain_floor(self) -> float:
         """Gain floor as a linear amplitude."""
         return 10.0 ** (self.gain_floor_db / 20.0)
@@ -119,26 +124,28 @@ def update_noise_psd(state: NoiseTrackerState, frame,
     ``params.gate_bias_factor`` so the truncated average stays centered on
     the true noise power.  The PSD never drops below ``lambda_floor``.
 
-    The state is updated in place and returned.
+    The state is updated in place and returned.  ``frame`` is taken as
+    ``complex128``, the dtype of the analysis frames.
     """
-    frame = np.asarray(frame)
+    frame = np.asarray(frame, dtype=np.complex128)
     if frame.shape != state.noise_psd.shape:
         raise DataError(
             f"frame has {frame.shape} bins, tracker expects {state.noise_psd.shape}"
         )
-    power = np.abs(frame) ** 2
+    power = np.abs(frame)
+    power *= power
     if state.frame_count < params.init_frames:
         n = state.frame_count
         if n == 0:
-            state.noise_psd = power.copy()
+            state.noise_psd = power
         else:
             state.noise_psd = (state.noise_psd * n + power) / (n + 1)
     else:
         gate = power < params.gamma_threshold * state.noise_psd
-        state.noise_psd[gate] = (
-            params.alpha_noise * state.noise_psd[gate]
-            + (1.0 - params.alpha_noise) * params.gate_bias_factor * power[gate]
-        )
+        updated = params.alpha_noise * state.noise_psd
+        power *= (1.0 - params.alpha_noise) * params.gate_bias_factor
+        updated += power
+        np.copyto(state.noise_psd, updated, where=gate)
     np.maximum(state.noise_psd, params.lambda_floor, out=state.noise_psd)
     state.frame_count += 1
     return state
@@ -154,28 +161,39 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
     gain ``(xi / (1 + xi)) * exp(0.5 * E1(nu))`` clamped to
     ``[gain_floor, 1]``.  Updates the DD memory in ``state`` in place.
 
+    ``frame`` is taken as ``complex128``, the dtype of the analysis frames.
+
     Returns
     -------
     GainFrame
         Real nonnegative gains (zero phase modification) and the frame index.
     """
-    frame = np.asarray(frame)
+    frame = np.asarray(frame, dtype=np.complex128)
     if frame.shape != state.noise_psd.shape:
         raise DataError(
             f"frame has {frame.shape} bins, tracker expects {state.noise_psd.shape}"
         )
-    power = np.abs(frame) ** 2
-    gamma = power / state.noise_psd
-    xi = np.maximum(
-        params.xi_min,
-        params.alpha_dd * state.xi_prev
-        + (1.0 - params.alpha_dd) * np.maximum(gamma - 1.0, 0.0),
-    )
-    ratio = xi / (1.0 + xi)
-    nu = np.maximum(gamma * ratio, _NU_FLOOR)
-    gain = ratio * np.exp(0.5 * exp_integral_e1(nu))
-    gain = np.clip(gain, params.gain_floor, 1.0)
-    state.xi_prev = np.maximum(gain * gain * gamma, params.xi_min)
+    gamma = np.abs(frame)
+    gamma *= gamma
+    gamma /= state.noise_psd
+    xi = gamma - 1.0
+    np.maximum(xi, 0.0, out=xi)
+    xi *= 1.0 - params.alpha_dd
+    xi += params.alpha_dd * state.xi_prev
+    np.maximum(xi, params.xi_min, out=xi)
+    ratio = xi + 1.0
+    np.divide(xi, ratio, out=ratio)
+    nu = gamma * ratio
+    np.maximum(nu, _NU_FLOOR, out=nu)
+    gain = exp_integral_e1(nu)
+    gain *= 0.5
+    np.exp(gain, out=gain)
+    gain *= ratio
+    np.maximum(gain, params.gain_floor, out=gain)  # np.clip, minus its
+    np.minimum(gain, 1.0, out=gain)                # Python-level overhead
+    xi_prev = gain * gain
+    xi_prev *= gamma
+    state.xi_prev = np.maximum(xi_prev, params.xi_min, out=xi_prev)
     return GainFrame(values=gain, index=state.frame_count)
 
 

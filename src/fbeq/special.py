@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# scipy.special.exp1, bound on the first call.
+_exp1 = None
+
 
 def exp_integral_e1(x):
     """Exponential integral ``E1(x) = int_x^inf exp(-t)/t dt`` for ``x > 0``.
@@ -28,14 +31,16 @@ def exp_integral_e1(x):
     Raises
     ------
     ValueError
-        If any argument is not strictly positive.
+        If any argument is not strictly positive (NaN included).
     """
-    from scipy.special import exp1
+    global _exp1
+    if _exp1 is None:
+        from scipy.special import exp1 as _exp1
 
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
+    if not (arr > 0.0).all():  # also fails on NaN
         raise ValueError("exp_integral_e1 requires x > 0")
-    out = exp1(arr)
+    out = _exp1(arr)
     if arr.ndim == 0:
         return float(out)
     return out

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from fbeq.errors import ConfigError
 from fbeq.filterbank import (
@@ -29,6 +30,16 @@ def small_spec():
 @pytest.fixture(scope="session")
 def small_proto(small_spec):
     return design_prototype(small_spec)
+
+
+@st.composite
+def geometries(draw):
+    """Valid geometries: M even, L even with L+1 >= M, hop | M, P even, hop <= P+1, P <= L."""
+    m = 2 * draw(st.integers(1, 32))
+    big_l = m + 2 * draw(st.integers(0, 32))
+    hop = draw(st.sampled_from([r for r in range(1, m + 1) if m % r == 0]))
+    p = 2 * draw(st.integers(max(1, hop // 2), big_l // 2))
+    return dict(frame_size=m, proto_len=big_l, hop=hop, shorten_len=p)
 
 
 def modulation(spec: FilterbankSpec, i: int, l: int) -> complex:

@@ -340,6 +340,30 @@ class TestExitCodes:
         assert code == 3
         assert "delay must be >= 0, got -3200" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("failure", ["negative-delay", "unreadable-wav"])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out-file", "stdout"])
+    def test_failed_evaluate_writes_no_csv(self, tmp_path, capsys, failure, to_file):
+        clean = np.concatenate([0.3 * np.sin(np.linspace(0, 300, 4000)),
+                                np.zeros(4000)])
+        cw, good = tmp_path / "clean.wav", tmp_path / "good.wav"
+        write_test_wav(cw, clean)
+        write_test_wav(good, 0.5 * clean)
+        processed, delay = [str(good)], "0"
+        if failure == "negative-delay":
+            delay = "-3200"
+        else:  # the first file scores; the second fails
+            bad = tmp_path / "bad.wav"
+            bad.write_bytes(b"RIFF this is not a WAV file")
+            processed.append(str(bad))
+        out = tmp_path / "scores.csv"
+        code = main(["evaluate", "--clean", str(cw), "--processed", *processed,
+                     "--delay", delay, *(["--out", str(out)] if to_file else [])])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "fbeq: error:" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_config_error_is_three(self, capsys):
         assert main(["design", "-M", "15"]) == 3
         assert "fbeq: error:" in capsys.readouterr().err

@@ -1,8 +1,11 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbeq import filterbank
 from fbeq.config import Config
 from fbeq.equalizer import (
     EngineState,
@@ -22,10 +25,16 @@ from fbeq.fbeg import (
     StreamHeader,
     write_gain_stream,
 )
-from fbeq.filterbank import PolyphaseAnalyzer, design_prototype, expand_hermitian
+from fbeq.filterbank import (
+    HERMITIAN_IMAG_TOL,
+    FilterbankSpec,
+    PolyphaseAnalyzer,
+    design_prototype,
+    expand_hermitian,
+)
 from fbeq.gains import NoiseTrackerState, mmse_lsa_gain, update_noise_psd
 
-from conftest import make_speech
+from conftest import geometries, make_speech
 
 
 def random_hermitian_gains(rng, num_bins):
@@ -181,6 +190,72 @@ class TestMatrixMapping:
         gains[3] = 2.0 + 1j
         with pytest.raises(NumericError, match="^non-Hermitian gains: "):
             subband_to_time(gains, small_proto)
+
+
+def _first_frame_flagged(flags):
+    """The first frame a reference predicate flags, or None."""
+    return int(np.argmax(flags)) if flags.any() else None
+
+
+def _raised_frame(fn, *args):
+    """The frame a Hermitian check names in its error, or None when it passes."""
+    try:
+        fn(*args)
+    except NumericError as exc:
+        return int(str(exc).split(" in frame ")[1].split(":")[0])
+    return None
+
+
+class TestHermitianChecksProperty:
+    """The Hermitian checks decide as the plain predicates on ``max|z|`` do.
+
+    ``expand_hermitian`` rejects a frame when ``edge_imag > TOL*max|half|``
+    and ``subband_to_time`` when ``residue > TOL*max|z|``.  Both screen with a
+    cheaper test first, which must not change a decision or the frame named.
+    Perturbations are scaled to land on both sides of the tolerance, and one
+    frame is all zero.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 32).map(lambda n: 2 * n), extra=st.integers(0, 16),
+           num_frames=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           factors=st.lists(st.sampled_from([0.0, 0.3, 0.999, 1.0, 1.001, 1.5, 3.0]),
+                            min_size=8, max_size=8))
+    def test_decisions_match_reference(self, m, extra, num_frames, seed, factors):
+        rng = np.random.default_rng(seed)
+        bins = m // 2 + 1
+        half = np.stack([random_hermitian_gains(rng, bins) for _ in range(num_frames)])
+        half[rng.integers(num_frames)] = 0.0
+        for k in range(num_frames):
+            edge = rng.integers(2) * (bins - 1)
+            half[k, edge] += 1j * factors[k] * HERMITIAN_IMAG_TOL * np.abs(half[k]).max()
+        edge_imag = np.abs(half[:, [0, -1]].imag).max(axis=1)
+        want = _first_frame_flagged(
+            edge_imag > HERMITIAN_IMAG_TOL * np.abs(half).max(axis=1))
+        assert _raised_frame(expand_hermitian, half) == want
+
+        proto = design_prototype(FilterbankSpec(frame_size=m, proto_len=m + 2 * extra,
+                                                hop=1))
+        half[:, [0, -1]] = half[:, [0, -1]].real
+        full = expand_hermitian(half)
+        lag_bins = (np.arange(proto.taps.size) - proto.tau) % m
+
+        def synthesis(gains):
+            return proto.taps * np.fft.fft(gains, axis=-1)[..., lag_bins]
+
+        scale = np.abs(synthesis(full)).max(axis=1)
+        for k in range(num_frames):  # an unmirrored imaginary part breaks symmetry
+            unit = np.zeros(m, dtype=np.complex128)
+            unit[rng.integers(m)] = 1j
+            # Sized so the residue is about factors[k] * TOL * max|z|.
+            unit *= factors[k] * HERMITIAN_IMAG_TOL * scale[k] / max(
+                np.abs(synthesis(unit).imag).max(), 1e-300)
+            full[k] += unit
+        taps = synthesis(full)
+        residue = np.abs(taps.imag).max(axis=1)
+        want = _first_frame_flagged(
+            residue > HERMITIAN_IMAG_TOL * np.abs(taps).max(axis=1))
+        assert _raised_frame(subband_to_time, full, proto) == want
 
 
 class TestEngineState:
@@ -340,6 +415,17 @@ class TestProcessStream:
         with pytest.raises(DataError, match="ends after frame 3"):
             process_stream(np.ones(40), (header, frames), small_config())
 
+    @pytest.mark.parametrize("block_frames", [1, 4, 64])
+    @pytest.mark.parametrize("mode", ["ols", "direct"])
+    def test_hermitian_error_names_stream_frame(self, block_frames, mode):
+        frames = np.ones((20, 9), dtype=np.complex128)
+        frames[13, 0] = 1.0 + 0.5j
+        frames[17, -1] = 1j
+        header = StreamHeader(TYPE_SUBBAND_GAINS, 16, 4, 9, 20)
+        with patch.object(filterbank, "BLOCK_FRAMES", block_frames):
+            with pytest.raises(NumericError, match="symmetry error in frame 13:"):
+                process_stream(np.ones(80), (header, frames), small_config(mode=mode))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_input(self, value):
         x = np.ones(4 * 30)
@@ -469,23 +555,24 @@ class TestBatchEqualsPerHop:
             out, per_hop_chain(x, responses, cfg, TYPE_DFT_RESPONSES))
 
 
-@st.composite
-def geometries(draw):
-    """Valid geometries: M even, L even with L+1 >= M, hop | M, P even, hop <= P+1, P <= L."""
-    m = 2 * draw(st.integers(1, 32))
-    big_l = m + 2 * draw(st.integers(0, 32))
-    hop = draw(st.sampled_from([r for r in range(1, m + 1) if m % r == 0]))
-    p = 2 * draw(st.integers(max(1, hop // 2), big_l // 2))
-    return dict(frame_size=m, proto_len=big_l, hop=hop, shorten_len=p)
-
-
 class TestBatchEqualsPerHopProperty:
-    """The batch/per-hop equality above, over drawn geometries instead of three."""
+    """The batch/per-hop equality above, over drawn geometries instead of three.
+
+    The batch runs in blocks of fewer frames than the signal has, so every
+    draw crosses at least one block boundary.
+    """
 
     @settings(max_examples=100, deadline=None)
-    @given(geometry=geometries(), num_frames=st.integers(1, 40),
-           seed=st.integers(0, 2**32 - 1))
-    def test_every_gain_source(self, geometry, num_frames, seed):
+    @given(geometry=geometries(), num_frames=st.integers(2, 40),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_every_gain_source(self, geometry, num_frames, seed, data):
+        block_frames = data.draw(st.integers(1, min(7, num_frames - 1)),
+                                 label="block_frames")
+        with patch.object(filterbank, "BLOCK_FRAMES", block_frames):
+            self._check_every_gain_source(geometry, num_frames, seed)
+
+    @staticmethod
+    def _check_every_gain_source(geometry, num_frames, seed):
         cfg = Config(**geometry).validate()
         m, hop, p = cfg.frame_size, cfg.hop, cfg.shorten_len
         bins = m // 2 + 1

@@ -1,6 +1,11 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fbeq import filterbank
 from fbeq.errors import ConfigError, DataError, NumericError
 from fbeq.filterbank import (
     FilterbankSpec,
@@ -10,7 +15,7 @@ from fbeq.filterbank import (
     expand_hermitian,
 )
 
-from conftest import analyze_direct, modulation
+from conftest import analyze_direct, geometries, modulation
 
 
 def brute_force_frames(x, proto, spec):
@@ -218,6 +223,32 @@ class TestAnalyzePolyphase:
         )
         scale = np.max(np.abs(rhs))
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
+
+
+class TestAnalyzePolyphaseBlocksProperty:
+    """Blocked analysis equals one block and the direct oracle, on drawn geometries.
+
+    The block is smaller than the frame count, so every draw crosses at
+    least one block boundary.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(geometry=geometries(), num_frames=st.integers(2, 40),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matches_one_block_and_direct(self, geometry, num_frames, seed, data):
+        block_frames = data.draw(st.integers(1, min(7, num_frames - 1)),
+                                 label="block_frames")
+        spec = FilterbankSpec(frame_size=geometry["frame_size"],
+                              proto_len=geometry["proto_len"], hop=geometry["hop"])
+        proto = design_prototype(spec)
+        x = np.random.default_rng(seed).standard_normal(num_frames * spec.hop + 1)
+        with patch.object(filterbank, "BLOCK_FRAMES", block_frames):
+            blocked = analyze_polyphase(x, proto, spec).frames
+        with patch.object(filterbank, "BLOCK_FRAMES", num_frames):
+            whole = analyze_polyphase(x, proto, spec).frames
+        assert np.array_equal(blocked, whole)
+        d = analyze_direct(x, proto, spec).frames
+        assert np.max(np.abs(d - blocked)) <= 1e-10 * np.max(np.abs(d))
 
 
 class TestPolyphaseAnalyzer:

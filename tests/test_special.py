@@ -53,6 +53,13 @@ class TestExpIntegralE1:
         with pytest.raises(ValueError, match="x > 0"):
             exp_integral_e1(np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("x", [float("nan"), np.array([1.0, np.nan]),
+                                   np.array([[np.nan, 2.0], [3.0, 4.0]])],
+                             ids=["scalar", "array", "2d-array"])
+    def test_rejects_nan(self, x):
+        with pytest.raises(ValueError, match="x > 0"):
+            exp_integral_e1(x)
+
     def test_array_matches_scalar(self):
         xs = np.array([1e-3, 0.3, 1.0, 2.5, 9.0, 42.0])
         batch = exp_integral_e1(xs)
