@@ -13,6 +13,7 @@ from .equalizer import (
     LatencyReport,
     direct_filter_block,
     filter_to_freq,
+    gains_to_taps,
     ols_filter_frame,
     process_stream,
     shorten_filter,
@@ -89,6 +90,7 @@ __all__ = [
     "exp_integral_e1",
     "expand_hermitian",
     "filter_to_freq",
+    "gains_to_taps",
     "label_noise_only",
     "load_config_file",
     "load_gain_stream",

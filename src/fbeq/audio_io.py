@@ -60,11 +60,16 @@ def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
             f"{path}: sample rate {rate} Hz does not match the configured "
             f"{expected_rate} Hz (resampling is not performed)"
         )
+    _check_finite(samples, f"{path}: ")
+    return AudioBuffer(samples=samples, sample_rate_hz=int(rate))
+
+
+def _check_finite(samples: np.ndarray, context: str) -> None:
+    """Raise ``DataError`` "<context>sample N is non-finite (V)" for the first bad sample."""
     finite = np.isfinite(samples)
     if not finite.all():
         bad = int(np.argmin(finite))
-        raise DataError(f"{path}: sample {bad} is non-finite ({samples[bad]})")
-    return AudioBuffer(samples=samples, sample_rate_hz=int(rate))
+        raise DataError(f"{context}sample {bad} is non-finite ({samples[bad]})")
 
 
 def write_wav(path, buf: AudioBuffer, fmt: str = "pcm16") -> int:
@@ -73,10 +78,14 @@ def write_wav(path, buf: AudioBuffer, fmt: str = "pcm16") -> int:
     ``pcm16`` scales by 32768, rounds half away from zero, and saturates to
     ``[-32768, 32767]`` (so +1.0 lands on 32767 and -1.0 on -32768 exactly).
     ``float32`` writes IEEE floats untouched.
+
+    Raises
+    ------
+    DataError
+        A non-finite sample; the message names the first one.
     """
     samples = np.asarray(buf.samples, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(samples)):
-        raise DataError("refusing to write non-finite samples")
+    _check_finite(samples, f"refusing to write {path}: ")
     if fmt == "pcm16":
         scaled = samples * PCM16_SCALE
         rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)

@@ -1,9 +1,13 @@
 """From subband gains to short time-domain filters, and block filtering.
 
-Two mapping stages: the synthesis sum turning a full-band gain vector into a
-high-order linear-phase filter (one tap per prototype lag), then rectangular
-extraction of the central ``P`` taps — fixing the group delay to ``P/2``
-samples.  Filtering runs per hop with the frame's filter held constant over
+The mapping is the synthesis sum that turns a frame's gains into a
+high-order linear-phase filter (one tap per prototype lag), followed by
+rectangular extraction of the central ``P`` taps, which fixes the group delay
+to ``P/2`` samples.  :func:`gains_to_taps` computes it as one inverse FFT of
+the half spectrum, read at the central ``P`` lags only; the step-by-step
+chain (:func:`fbeq.filterbank.expand_hermitian`, :func:`subband_to_time`,
+:func:`shorten_filter`) forms all ``L+1`` taps and is kept as its reference.
+Filtering runs per hop with the frame's filter held constant over
 the block, either by overlap-save fast convolution (2P-point transforms,
 keep the last r samples) or by direct FIR convolution; the two are exactly
 equivalent and cross-checked in the tests.
@@ -24,8 +28,8 @@ from .filterbank import (
     analyze_polyphase,
     check_shorten_len,
     design_prototype,
-    expand_hermitian,
     slide_history,
+    _check_hermitian_edges,
     _first_flagged,
     _frame_blocks,
 )
@@ -70,9 +74,58 @@ class EngineState:
         return self.history
 
 
-def subband_to_time(gains_full, proto: PrototypeFilter,
-                    first_frame: int = 0) -> np.ndarray:
+def gains_to_taps(half, proto: PrototypeFilter, shorten_len: int,
+                  first_frame: int = 0) -> np.ndarray:
+    """Map half-spectrum gains straight to their central ``shorten_len`` taps.
+
+    Equals ``shorten_filter(subband_to_time(expand_hermitian(half), proto),
+    P)`` to rounding without forming the ``L+1`` taps: for a Hermitian
+    spectrum, ``sum_i W_i * exp(-j*(2*pi/M)*i*(l - tau))`` is the unscaled
+    real inverse DFT of the half spectrum at ``(tau - l) mod M``.  So each
+    frame takes one ``irfft``, read at the lags ``tau - P/2 .. tau + P/2 - 1``
+    and weighted by the prototype there.  The ``irfft`` ignores the DC and
+    Nyquist imaginary parts, which the Hermitian check bounds.
+
+    Parameters
+    ----------
+    half : array_like
+        ``M/2+1`` complex gains, or a ``K x (M/2+1)`` matrix of frames.
+    proto : PrototypeFilter
+    shorten_len : int
+        ``P``, even, with the central window inside the prototype's taps.
+    first_frame : int
+        Index of row 0 in error messages, for a block cut from a longer
+        stream.
+
+    Returns
+    -------
+    numpy.ndarray
+        Real taps, shape ``(..., P)``.  Each frame is transformed on its own,
+        so a matrix gives the same bits as its rows one at a time.
+
+    Raises
+    ------
+    NumericError
+        A DC or Nyquist bin that is not real, as in
+        :func:`fbeq.filterbank.expand_hermitian`.
+    ConfigError
+        An odd ``P``, or one whose window does not fit the prototype.
+    """
+    half = _check_hermitian_edges(half, first_frame)
+    m = 2 * (half.shape[-1] - 1)
+    check_shorten_len(shorten_len, num_taps=proto.taps.size)
+    lags = np.arange(proto.tau - shorten_len // 2, proto.tau + shorten_len // 2)
+    kernel = np.fft.irfft(half, n=m, axis=-1, norm="forward")
+    short = kernel[..., (proto.tau - lags) % m]
+    short *= proto.taps[lags]
+    return short
+
+
+def subband_to_time(gains_full, proto: PrototypeFilter) -> np.ndarray:
     """Map full-band (Hermitian) gain vectors to their time-domain filters.
+
+    All ``L+1`` taps; :func:`gains_to_taps` computes only the central ``P``
+    and is what :func:`process_stream` uses.  This one is its reference.
 
     ``taps[l] = h(l) * sum_i W_i * exp(-j*(2*pi/M)*i*(l - tau))``; the inner
     sum is one M-point DFT of the gains, gathered at ``(l - tau) mod M``.
@@ -84,9 +137,6 @@ def subband_to_time(gains_full, proto: PrototypeFilter,
         :func:`fbeq.filterbank.expand_hermitian`), or a ``K x M`` matrix of
         such frames.
     proto : PrototypeFilter
-    first_frame : int
-        Index of row 0 in error messages, for a block cut from a longer
-        stream.
 
     Returns
     -------
@@ -113,7 +163,7 @@ def subband_to_time(gains_full, proto: PrototypeFilter,
     # |z| >= |Re z|: a frame that passes against max|Re| passes against max|z|.
     if (residue > HERMITIAN_IMAG_TOL * real_scale).any():
         scale = np.abs(complex_taps).max(axis=-1, initial=0.0)
-        bad = _first_flagged(residue > HERMITIAN_IMAG_TOL * scale, first_frame)
+        bad = _first_flagged(residue > HERMITIAN_IMAG_TOL * scale)
         if bad is not None:
             k, where = bad
             raise NumericError(
@@ -201,9 +251,9 @@ def _clamp_magnitude(frames: np.ndarray, g_max: float) -> np.ndarray:
 def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     """Run the full enhancement pipeline over a signal.
 
-    Per frame: polyphase analysis -> per-bin gains -> full-band expansion ->
-    time-domain filter -> central-P extraction -> 2P-point response ->
-    overlap-save filtering of the hop (or direct FIR in ``direct`` mode).
+    Per frame: polyphase analysis -> per-bin gains -> central-P taps
+    (:func:`gains_to_taps`) -> 2P-point response -> overlap-save filtering
+    of the hop (or direct FIR in ``direct`` mode).
     DFT-response streams (type B) skip the mapping stages and drive the
     overlap-save engine directly.  Each step runs on blocks of
     ``BLOCK_FRAMES`` frames, through the same public functions a per-hop
@@ -229,6 +279,9 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     DataError
         A non-finite input sample (its index is reported), or a gain stream
         that does not fit the configuration or the input.
+    NumericError
+        A subband-gain frame whose DC or Nyquist bin is not real (the frame
+        is named).
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     if not np.isfinite(x).all():
@@ -284,8 +337,7 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
         rows = gain_rows[frames]
         if g_max is not None:
             rows = _clamp_magnitude(rows, g_max)
-        full = expand_hermitian(rows, first_frame=frames.start)
-        return shorten_filter(subband_to_time(full, proto, first_frame=frames.start), p)
+        return gains_to_taps(rows, proto, p, first_frame=frames.start)
 
     if cfg.mode == "direct":
         short = np.empty((num_frames, p), dtype=np.float64)

@@ -108,8 +108,9 @@ def load_gain_stream(path) -> tuple[StreamHeader, np.ndarray]:
     Returns
     -------
     (StreamHeader, numpy.ndarray)
-        Header plus a ``num_frames x num_bins`` complex128 matrix (exact
-        widening of the stored 32-bit values).
+        Header plus a ``num_frames x num_bins`` complex128 matrix: the exact
+        widening of the stored 32-bit values, bit for bit (signed zeros and
+        subnormals included).
 
     Raises
     ------
@@ -144,23 +145,24 @@ def load_gain_stream(path) -> tuple[StreamHeader, np.ndarray]:
             f"{frame_size} (expected {frame_size // 2 + 1})"
         )
     expected = num_frames * num_bins * 8
-    payload = data[_HEADER.size :]
-    if len(payload) != expected:
+    payload_size = len(data) - _HEADER.size
+    if payload_size != expected:
         raise FormatError(
-            f"payload is {len(payload)} bytes at offset {_HEADER.size}, "
+            f"payload is {payload_size} bytes at offset {_HEADER.size}, "
             f"expected {expected} ({num_frames} frames x {num_bins} bins)"
         )
-    flat = np.frombuffer(payload, dtype="<f4").reshape(num_frames, num_bins, 2)
-    if not np.isfinite(flat).all():
-        first = int(np.argmin(np.isfinite(flat).ravel()))
+    stored = np.frombuffer(data, dtype="<c8", count=num_frames * num_bins,
+                           offset=_HEADER.size)
+    parts = stored.view("<f4")  # real, imag, real, ... as laid out in the file
+    if not np.isfinite(parts).all():
+        first = int(np.argmin(np.isfinite(parts)))
         frame, rem = divmod(first, 2 * num_bins)
         raise FormatError(
             f"non-finite value in frame {frame}, bin {rem // 2} "
             f"({'imag' if rem % 2 else 'real'} part) at offset "
             f"{_HEADER.size + 4 * first}"
         )
-    frames = flat[..., 0].astype(np.complex128)
-    frames += 1j * flat[..., 1].astype(np.float64)
+    frames = stored.astype(np.complex128).reshape(num_frames, num_bins)
     header = StreamHeader(record_type, frame_size, hop, num_bins, num_frames)
     if record_type == TYPE_DFT_RESPONSES and num_frames:
         _check_alias_tail(frames, hop)

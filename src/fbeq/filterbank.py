@@ -23,8 +23,9 @@ from .errors import ConfigError, DataError, NumericError
 
 HERMITIAN_IMAG_TOL = 1e-9
 # Frames per block in the batch paths.  At the default geometry a block's
-# largest temporaries (BLOCK_FRAMES x (L+1) complex, ~0.5 MB) fit a per-core
-# L2 cache and are reused by the allocator; 64 was the fastest of 8..128.
+# largest temporaries (BLOCK_FRAMES x (L+1) floats in the analysis, ~0.26 MB)
+# fit a per-core L2 cache and are reused by the allocator; 64 was the fastest
+# of 8..128.
 BLOCK_FRAMES = 64
 
 
@@ -190,14 +191,13 @@ def _frame_blocks(num_frames: int):
         yield slice(start, min(start + BLOCK_FRAMES, num_frames))
 
 
-def expand_hermitian(half, first_frame: int = 0) -> np.ndarray:
+def expand_hermitian(half) -> np.ndarray:
     """Expand half-spectra of ``M/2+1`` bins to full ``M``-bin spectra.
 
     Works along the last axis, so ``half`` is one frame or a ``K x (M/2+1)``
     matrix of frames.  ``full[..., i] = half[..., i]`` for ``i <= M/2`` and
     ``full[..., M-i] = conj(half[..., i])`` for the rest.  Bins 0 and ``M/2``
-    must be (numerically) real.  ``first_frame`` is the index of row 0 in
-    error messages, for a block cut from a longer stream.
+    must be (numerically) real.
 
     Raises
     ------
@@ -205,6 +205,21 @@ def expand_hermitian(half, first_frame: int = 0) -> np.ndarray:
         If a DC or Nyquist bin has imaginary part above
         ``HERMITIAN_IMAG_TOL * max |half|`` of its frame (Hermitian symmetry
         error); for a matrix the message names the first such frame.
+    """
+    half = _check_hermitian_edges(half, 0)
+    n = half.shape[-1]
+    full = np.empty(half.shape[:-1] + (2 * (n - 1),), dtype=np.complex128)
+    full[..., :n] = half
+    np.conjugate(half[..., -2:0:-1], out=full[..., n:])
+    return full
+
+
+def _check_hermitian_edges(half, first_frame: int) -> np.ndarray:
+    """Return ``half`` as complex128 after checking that its DC and Nyquist bins are real.
+
+    The check and its errors are those documented on :func:`expand_hermitian`;
+    ``first_frame`` is the index of row 0 in the messages, for a block cut
+    from a longer stream.
     """
     half = np.asarray(half, dtype=np.complex128)
     n = half.shape[-1] if half.ndim else 1
@@ -221,10 +236,7 @@ def expand_hermitian(half, first_frame: int = 0) -> np.ndarray:
                 f"(|imag| = {edge_imag.flat[k]:.3e}, "
                 f"limit {HERMITIAN_IMAG_TOL * scale.flat[k]:.3e})"
             )
-    full = np.empty(half.shape[:-1] + (2 * (n - 1),), dtype=np.complex128)
-    full[..., :n] = half
-    np.conjugate(half[..., -2:0:-1], out=full[..., n:])
-    return full
+    return half
 
 
 def _first_flagged(flags: np.ndarray, first_frame: int = 0) -> tuple[int, str] | None:

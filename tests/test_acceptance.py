@@ -16,7 +16,7 @@ from fbeq import fbeg
 from fbeq.audio_io import AudioBuffer, mix_at_snr, write_wav
 from fbeq.cli import main
 from fbeq.config import Config
-from fbeq.equalizer import process_stream, subband_to_time
+from fbeq.equalizer import gains_to_taps, process_stream, subband_to_time
 from fbeq.errors import FormatError
 from fbeq.filterbank import (
     FilterbankSpec,
@@ -172,15 +172,23 @@ class TestAcceptance:
             lags = np.arange(proto.taps.size) - proto.tau
             phase = np.exp(-2j * np.pi * np.outer(lags, np.arange(m)) / m)
             rng = np.random.default_rng(m)
-            worst = 0.0
+            # gains_to_taps keeps only the central P lags of the same sum.
+            p = m // 4
+            central = slice(proto.tau - p // 2, proto.tau + p // 2)
+            worst = worst_short = 0.0
             for _ in range(50):
-                full = expand_hermitian(random_hermitian(rng, m // 2 + 1))
+                half = random_hermitian(rng, m // 2 + 1)
+                full = expand_hermitian(half)
                 lib = subband_to_time(full, proto)
                 brute = proto.taps * (phase @ full).real
                 worst = max(worst,
                             np.max(np.abs(lib - brute)) / np.max(np.abs(brute)))
-            detail.append(f"M={m}: {worst:.3e}")
-            ok = ok and worst <= 1e-11
+                short = gains_to_taps(half, proto, p)
+                worst_short = max(worst_short,
+                                  np.max(np.abs(short - brute[central]))
+                                  / np.max(np.abs(brute[central])))
+            detail.append(f"M={m}: {worst:.3e}, central P={p}: {worst_short:.3e}")
+            ok = ok and worst <= 1e-11 and worst_short <= 1e-11
         assert _verdict(5, "gain-to-filter synthesis brute force", ok), (
             " ".join(detail)
         )

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -111,9 +113,10 @@ class TestReadValidation:
 
 class TestWriteValidation:
     def test_rejects_non_finite(self, tmp_path):
-        with pytest.raises(DataError, match="non-finite"):
-            write_wav(tmp_path / "x.wav",
-                      AudioBuffer(np.array([0.0, np.nan]), 16000))
+        path = tmp_path / "x.wav"
+        message = f"refusing to write {path}: sample 1 is non-finite (nan)"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            write_wav(path, AudioBuffer(np.array([0.0, np.nan, np.inf]), 16000))
 
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown WAV format"):

@@ -13,6 +13,7 @@ from fbeq.equalizer import (
     _clamp_magnitude,
     direct_filter_block,
     filter_to_freq,
+    gains_to_taps,
     ols_filter_frame,
     process_stream,
     shorten_filter,
@@ -145,6 +146,51 @@ class TestFilterToFreq:
             assert abs(bins[k] - want) <= 1e-12
 
 
+class TestGainsToTaps:
+    """The one-inverse-FFT mapping against the three-step chain it replaces."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(geometry=geometries(), num_frames=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1), complex_gains=st.booleans())
+    def test_matches_chain_and_rows(self, geometry, num_frames, seed, complex_gains):
+        m, p = geometry["frame_size"], geometry["shorten_len"]
+        proto = design_prototype(FilterbankSpec(
+            frame_size=m, proto_len=geometry["proto_len"], hop=geometry["hop"]))
+        rng = np.random.default_rng(seed)
+        if complex_gains:
+            half = np.stack([random_hermitian_gains(rng, m // 2 + 1)
+                             for _ in range(num_frames)])
+        else:
+            half = rng.standard_normal((num_frames, m // 2 + 1))
+        got = gains_to_taps(half, proto, p)
+        want = shorten_filter(subband_to_time(expand_hermitian(half), proto), p)
+        assert got.shape == (num_frames, p)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        rows = np.stack([gains_to_taps(row, proto, p) for row in half])
+        assert np.array_equal(got, rows)
+
+    def test_rejects_window_outside_prototype(self, small_proto):
+        with pytest.raises(ConfigError, match="outside"):
+            gains_to_taps(np.ones(9), small_proto, 18)
+
+    @pytest.mark.parametrize("mode", ["ols", "direct"])
+    def test_edge_imaginary_parts_under_tolerance_are_dropped(self, mode):
+        """DC/Nyquist imaginary parts the check lets through change no output bit."""
+        rng = np.random.default_rng(67)
+        gains = np.stack([random_hermitian_gains(rng, 9) for _ in range(20)])
+        limit = 0.999 * HERMITIAN_IMAG_TOL * np.abs(gains).max(axis=1)
+        salted = gains.copy()
+        salted[:, 0] += 1j * limit
+        salted[:, -1] -= 1j * limit
+        header = StreamHeader(TYPE_SUBBAND_GAINS, 16, 4, 9, 20)
+        cfg = small_config(mode=mode, g_max=10.0)
+        assert np.abs(salted).max() < cfg.g_max  # no clamping
+        x = rng.standard_normal(80)
+        out, _ = process_stream(x, (header, salted), cfg)
+        want, _ = process_stream(x, (header, gains), cfg)
+        assert np.array_equal(out, want)
+
+
 class TestMatrixMapping:
     """Each mapping step on a K-frame matrix equals the same step row by row."""
 
@@ -233,9 +279,10 @@ class TestHermitianChecksProperty:
         want = _first_frame_flagged(
             edge_imag > HERMITIAN_IMAG_TOL * np.abs(half).max(axis=1))
         assert _raised_frame(expand_hermitian, half) == want
-
         proto = design_prototype(FilterbankSpec(frame_size=m, proto_len=m + 2 * extra,
                                                 hop=1))
+        assert _raised_frame(gains_to_taps, half, proto, 2) == want
+
         half[:, [0, -1]] = half[:, [0, -1]].real
         full = expand_hermitian(half)
         lag_bins = (np.arange(proto.taps.size) - proto.tau) % m
@@ -508,8 +555,7 @@ def per_hop_chain(x, rows, cfg, record_type=None):
                 gains = mmse_lsa_gain(frame, tracker, params).values
             else:
                 gains = _clamp_magnitude(rows[k : k + 1], cfg.g_max)[0]
-            taps = subband_to_time(expand_hermitian(gains), proto)
-            resp = filter_to_freq(shorten_filter(taps, p))
+            resp = filter_to_freq(gains_to_taps(gains, proto, p))
         out.append(ols_filter_frame(engine, resp, block))
     return np.concatenate(out)
 

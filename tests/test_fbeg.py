@@ -1,8 +1,11 @@
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fbeq.errors import ConfigError, FormatError
 from fbeq.fbeg import (
@@ -74,6 +77,57 @@ class TestRoundTrip:
             np.frombuffer(raw[24:], dtype="<f4"),
             np.array([1.5, 2.5, -3.0, 0.25], dtype=np.float32),
         )
+
+
+F32 = np.finfo(np.float32)
+# Signed zeros, the smallest and largest subnormals, the smallest normal and
+# the largest finite value, each with both signs.
+F32_EDGES = [sign * v for v in (0.0, float(F32.smallest_subnormal),
+                                float(F32.smallest_normal - F32.smallest_subnormal),
+                                float(F32.smallest_normal), float(F32.max))
+             for sign in (1.0, -1.0)]
+
+
+class TestRoundTripProperty:
+    """Loading widens every stored float32 part exactly, bit for bit."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(record_type=st.sampled_from([TYPE_SUBBAND_GAINS, TYPE_DFT_RESPONSES]),
+           half_m=st.integers(1, 8), num_frames=st.integers(0, 6), data=st.data())
+    def test_load_is_exact_widening(self, tmp_path, record_type, half_m,
+                                    num_frames, data):
+        num_bins = half_m + 1
+        size = 2 * num_frames * num_bins
+        edges = F32_EDGES[:size]
+        others = data.draw(st.lists(st.floats(width=32).filter(np.isfinite),
+                                    min_size=size - len(edges),
+                                    max_size=size - len(edges)))
+        parts = data.draw(st.permutations(edges + others))
+        stored = np.array(parts, dtype=np.float32).view(np.complex64)
+        stored = stored.reshape(num_frames, num_bins)
+        path = tmp_path / "edges.fbeg"
+        write_gain_stream(path, stored, record_type, 2 * half_m, 1)
+        with warnings.catch_warnings():  # huge type-B responses may alias
+            warnings.simplefilter("ignore")
+            _, loaded = load_gain_stream(path)
+        assert loaded.dtype == np.complex128
+        assert np.array_equal(loaded.view(np.uint64),
+                              stored.astype(np.complex128).view(np.uint64))
+
+    def test_peak_memory_is_file_plus_result(self, tmp_path):
+        path = tmp_path / "long.fbeg"
+        write_gain_stream(path, random_gains(np.random.default_rng(19), 1000, 257),
+                          TYPE_SUBBAND_GAINS, 512, 64)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _, loaded = load_gain_stream(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.stat().st_size + loaded.nbytes + 64 * 1024
 
 
 class TestWriteValidation:
