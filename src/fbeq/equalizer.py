@@ -7,10 +7,11 @@ to ``P/2`` samples.  :func:`gains_to_taps` computes it as one inverse FFT of
 the half spectrum, read at the central ``P`` lags only; the step-by-step
 chain (:func:`fbeq.filterbank.expand_hermitian`, :func:`subband_to_time`,
 :func:`shorten_filter`) forms all ``L+1`` taps and is kept as its reference.
-Filtering runs per hop with the frame's filter held constant over
-the block, either by overlap-save fast convolution (2P-point transforms,
-keep the last r samples) or by direct FIR convolution; the two are exactly
-equivalent and cross-checked in the tests.
+Filtering holds each frame's filter over its hop, by overlap-save (2P-point
+transforms, keep the last r samples) or by direct FIR convolution, the two
+cross-checked in the tests; both take one hop or a block of hops per call.
+:func:`process_stream` streams a signal through these steps a block at a
+time, carrying each step's state from block to block.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fbeg
+from .audio_io import _check_finite
 from .errors import ConfigError, DataError, NumericError
 from .filterbank import (
     HERMITIAN_IMAG_TOL,
@@ -32,8 +34,9 @@ from .filterbank import (
     _check_hermitian_edges,
     _first_flagged,
     _frame_blocks,
+    _hop_windows,
 )
-from .gains import estimate_gains
+from .gains import NoiseTrackerState, estimate_gains
 
 ESTIMATOR_MMSE_LSA = "mmse-lsa"
 
@@ -69,9 +72,13 @@ class EngineState:
         check_shorten_len(shorten_len, hop=hop)
         return cls(history=np.zeros(2 * shorten_len, dtype=np.float64), hop=hop)
 
-    def push(self, block) -> np.ndarray:
-        self.history = slide_history(self.history, block, self.hop)
-        return self.history
+    def push(self, block, hops: int = 1) -> np.ndarray:
+        """Shift in ``hops * hop`` samples; row k of the ``hops x 2P`` result
+        is the history after hop k."""
+        extended = slide_history(self.history, block, self.hop, hops)
+        size = self.history.size
+        self.history = extended[-size:]
+        return _hop_windows(extended, size, self.hop, hops)
 
 
 def gains_to_taps(half, proto: PrototypeFilter, shorten_len: int,
@@ -195,46 +202,41 @@ def filter_to_freq(taps) -> np.ndarray:
     return np.fft.rfft(taps, n=2 * taps.shape[-1], axis=-1)
 
 
-def _overlap_save(blocks: np.ndarray, bins: np.ndarray, hop: int) -> np.ndarray:
-    """Circularly filter each 2P-sample block by its response; keep the last ``hop``.
-
-    Those samples are free of circular wrap, so they equal linear convolution
-    with the block's filter.  ``blocks`` is one block or a ``K x 2P`` matrix.
-    """
-    spectra = np.fft.rfft(blocks, axis=-1) * bins
-    return np.fft.irfft(spectra, n=blocks.shape[-1], axis=-1)[..., -hop:]
-
-
 def ols_filter_frame(state: EngineState, bins, new_samples) -> np.ndarray:
-    """Filter one hop by overlap-save.
+    """Filter one hop, or ``n`` hops, by overlap-save.
 
-    Pushes the ``hop`` new samples into the 2P-sample history, multiplies the
-    history's DFT by the ``P+1`` response bins (the upper half follows from
-    Hermitian symmetry), inverse-transforms, and returns the last ``hop``
-    samples — the alias-free tail, equal to linear convolution with the
-    frame's filter.
+    ``bins``: one ``P+1``-bin response or ``n x (P+1)``, one per hop of
+    ``new_samples``.  Each hop's 2P-sample history is multiplied by its
+    response in the DFT domain; the last ``hop`` samples back are free of
+    circular wrap, so they equal linear convolution with the hop's filter.
+    Hops are transformed one by one: ``n`` hops give ``n`` one-hop calls' bits.
     """
     bins = np.asarray(bins)
-    fft_size = 2 * (bins.size - 1)
+    bins = bins.reshape(-1, bins.shape[-1])
+    fft_size = 2 * (bins.shape[-1] - 1)
     if fft_size != state.history.size:
         raise ConfigError(
             f"response implies a {fft_size}-point block, state holds "
             f"{state.history.size} samples"
         )
-    return _overlap_save(state.push(new_samples), bins, state.hop)
+    spectra = np.fft.rfft(state.push(new_samples, len(bins)), axis=-1) * bins
+    return np.fft.irfft(spectra, n=fft_size, axis=-1)[:, -state.hop :].ravel()
 
 
 def direct_filter_block(state: EngineState, taps, new_samples) -> np.ndarray:
-    """Filter one hop by the ``P`` taps in direct FIR form; same contract as overlap-save."""
+    """Filter one hop, or ``n`` hops by ``n x P`` taps, in direct FIR form;
+    otherwise as :func:`ols_filter_frame`."""
     taps = np.asarray(taps, dtype=np.float64)
-    if 2 * taps.size != state.history.size:
+    taps = taps.reshape(-1, taps.shape[-1])
+    if 2 * taps.shape[-1] != state.history.size:
         raise ConfigError(
-            f"filter of {taps.size} taps does not match a history of "
+            f"filter of {taps.shape[-1]} taps does not match a history of "
             f"{state.history.size} samples"
         )
-    history = state.push(new_samples)
-    full = np.convolve(history, taps)
-    return full[history.size - state.hop : history.size]
+    windows = state.push(new_samples, len(taps))
+    end = state.history.size
+    return np.concatenate([np.convolve(window, row)[end - state.hop : end]
+                           for window, row in zip(windows, taps)])
 
 
 def _clamp_magnitude(frames: np.ndarray, g_max: float) -> np.ndarray:
@@ -255,9 +257,11 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     (:func:`gains_to_taps`) -> 2P-point response -> overlap-save filtering
     of the hop (or direct FIR in ``direct`` mode).
     DFT-response streams (type B) skip the mapping stages and drive the
-    overlap-save engine directly.  Each step runs on blocks of
-    ``BLOCK_FRAMES`` frames, through the same public functions a per-hop
-    caller uses, so the output equals that per-hop chain exactly.
+    overlap-save engine directly.  The signal streams through the public
+    per-hop functions in blocks of at most ``BLOCK_FRAMES`` hops, carrying
+    the analysis history, noise tracker and overlap-save history from block
+    to block.  So the output equals the per-hop chain exactly, and memory
+    beyond the input and output does not grow with the signal.
 
     Parameters
     ----------
@@ -284,15 +288,13 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
         is named).
     """
     x = np.asarray(x, dtype=np.float64).ravel()
-    if not np.isfinite(x).all():
-        bad = int(np.argmin(np.isfinite(x)))
-        raise DataError(f"input sample {bad} is non-finite ({x[bad]})")
+    _check_finite(x, "input ")
     spec = cfg.filterbank_spec()
     proto = design_prototype(spec)
-    p = cfg.shorten_len
+    p, hop = cfg.shorten_len, spec.hop
     report = LatencyReport(
         filter_group_delay_samples=p // 2,
-        block_buffer_samples=spec.hop,
+        block_buffer_samples=hop,
         sample_rate_hz=spec.sample_rate_hz,
     )
     num_frames = spec.num_frames(x.size)
@@ -301,16 +303,15 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
 
     if isinstance(gain_source, str) and gain_source == ESTIMATOR_MMSE_LSA:
         header, stream_frames = None, None
+        params = cfg.estimator_params()
+        tracker = NoiseTrackerState.initial(spec.num_bins, params)
+        history = np.zeros(spec.proto_len)
     elif isinstance(gain_source, tuple):
         header, stream_frames = gain_source
     else:
         header, stream_frames = fbeg.load_gain_stream(gain_source)
 
-    if header is None:
-        analysis = analyze_polyphase(x, proto, spec)
-        gain_rows = estimate_gains(analysis.frames, cfg.estimator_params())
-        g_max = None
-    else:
+    if header is not None:
         fbeg.check_stream_geometry(header, spec, p)
         if np.shape(stream_frames) != (header.num_frames, header.num_bins):
             raise ConfigError(
@@ -322,57 +323,29 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
                 f"gain stream ends after frame {header.num_frames}; the input "
                 f"requires {num_frames} frames"
             )
-        if header.record_type == fbeg.TYPE_SUBBAND_GAINS:
-            gain_rows, g_max = stream_frames[:num_frames], cfg.g_max
-        elif cfg.mode == "direct":
+        if header.record_type == fbeg.TYPE_DFT_RESPONSES and cfg.mode == "direct":
             raise ConfigError(
                 "DFT-response (type B) streams carry no time-domain taps; "
                 "use the ols mode"
             )
-        else:
-            return _ols_batch(x, lambda frames: stream_frames[frames], num_frames,
-                              spec.hop, p), report
 
-    def short_taps(frames: slice) -> np.ndarray:
-        rows = gain_rows[frames]
-        if g_max is not None:
-            rows = _clamp_magnitude(rows, g_max)
-        return gains_to_taps(rows, proto, p, first_frame=frames.start)
-
-    if cfg.mode == "direct":
-        short = np.empty((num_frames, p), dtype=np.float64)
-        for frames in _frame_blocks(num_frames):
-            short[frames] = short_taps(frames)
-        return _run_direct(x, short, spec.hop), report
-    return _ols_batch(x, lambda frames: filter_to_freq(short_taps(frames)),
-                      num_frames, spec.hop, p), report
-
-
-def _ols_batch(x: np.ndarray, responses, num_frames: int, hop: int,
-               shorten_len: int) -> np.ndarray:
-    """Overlap-save over K frames, a block at a time; equal to K ``ols_filter_frame`` calls.
-
-    ``responses(frames)`` returns the ``P+1``-bin responses of a slice of
-    frames.  Row k of the strided ``K x 2P`` view of the zero-padded input is
-    the history ``EngineState`` holds after the k-th hop: the 2P samples
-    ending at sample ``(k+1)*hop``.
-    """
-    fft_size = 2 * shorten_len
-    padded = np.concatenate([np.zeros(fft_size - hop), x[: num_frames * hop]])
-    blocks = np.lib.stride_tricks.sliding_window_view(padded, fft_size)[::hop]
-    out = np.empty((num_frames, hop), dtype=np.float64)
-    for frames in _frame_blocks(num_frames):
-        out[frames] = _overlap_save(blocks[frames], responses(frames), hop)
-    return out.ravel()
-
-
-def _run_direct(x: np.ndarray, short: np.ndarray, hop: int) -> np.ndarray:
-    """Per-frame direct FIR filtering, the reference for the batched overlap-save."""
-    num_frames, p = short.shape
-    state = EngineState.create(p, hop)
+    engine = EngineState.create(p, hop)
     out = np.empty(num_frames * hop, dtype=np.float64)
-    for k in range(num_frames):
-        out[k * hop : (k + 1) * hop] = direct_filter_block(
-            state, short[k], x[k * hop : (k + 1) * hop]
-        )
-    return out
+    for frames in _frame_blocks(num_frames):
+        samples = slice(frames.start * hop, frames.stop * hop)
+        block = x[samples]
+        if header is None:
+            analysis = analyze_polyphase(block, proto, spec, history)
+            history = np.concatenate([history, block])[-history.size:]
+            rows = estimate_gains(analysis.frames, params, tracker)
+        elif header.record_type == fbeg.TYPE_DFT_RESPONSES:
+            out[samples] = ols_filter_frame(engine, stream_frames[frames], block)
+            continue
+        else:
+            rows = _clamp_magnitude(stream_frames[frames], cfg.g_max)
+        taps = gains_to_taps(rows, proto, p, first_frame=frames.start)
+        if cfg.mode == "direct":
+            out[samples] = direct_filter_block(engine, taps, block)
+        else:
+            out[samples] = ols_filter_frame(engine, filter_to_freq(taps), block)
+    return out, report

@@ -22,10 +22,10 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError
 
 HERMITIAN_IMAG_TOL = 1e-9
-# Frames per block in the batch paths.  At the default geometry a block's
-# largest temporaries (BLOCK_FRAMES x (L+1) floats in the analysis, ~0.26 MB)
-# fit a per-core L2 cache and are reused by the allocator; 64 was the fastest
-# of 8..128.
+# Frames per block in analyze_polyphase and process_stream.  At the default
+# geometry a block's largest temporaries (BLOCK_FRAMES x (L+1) floats in the
+# analysis, ~0.26 MB) fit a per-core L2 cache and are reused by the
+# allocator; 64 was the fastest of 8..128.
 BLOCK_FRAMES = 64
 
 
@@ -77,7 +77,10 @@ class PrototypeFilter:
     """Linear-phase low-pass prototype: ``taps`` over lags 0..L, centered at ``tau``."""
 
     taps: np.ndarray
-    tau: int
+
+    @property
+    def tau(self) -> int:
+        return (self.taps.size - 1) // 2
 
 
 class AnalysisFrameSeq(NamedTuple):
@@ -116,16 +119,20 @@ def design_prototype(spec: FilterbankSpec) -> PrototypeFilter:
     core = np.sinc(2.0 * (lags - tau) / m) / m
     half = window * core
     taps = np.concatenate([half, half[-2::-1]])
-    return PrototypeFilter(taps=taps, tau=tau)
+    return PrototypeFilter(taps=taps)
 
 
-def _analysis_segments(x: np.ndarray, spec: FilterbankSpec) -> np.ndarray:
-    """Time-ascending windows ``x[k*r - 1 - L .. k*r - 1]`` for each frame k."""
+def _analysis_segments(x: np.ndarray, spec: FilterbankSpec, history=None) -> np.ndarray:
+    """Time-ascending windows ``x[k*r - 1 - L .. k*r - 1]`` for each frame k;
+    ``history`` holds the ``L`` samples before ``x[0]`` (zeros when omitted)."""
     big_l, r = spec.proto_len, spec.hop
     num_frames = spec.num_frames(x.size)
-    padded = np.concatenate([np.zeros(big_l, dtype=np.float64), x])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, big_l + 1)
-    return windows[r - 1 :: r][:num_frames]
+    history = np.zeros(big_l) if history is None else np.asarray(history, dtype=np.float64)
+    if history.shape != (big_l,):
+        raise DataError(f"analysis history must hold the {big_l} samples before "
+                        f"the input, got {history.size}")
+    padded = np.concatenate([history, x])
+    return _hop_windows(padded[r - 1 :], big_l + 1, r, num_frames)
 
 
 def _phase_correction(spec: FilterbankSpec) -> np.ndarray:
@@ -141,25 +148,27 @@ def _phase_correction(spec: FilterbankSpec) -> np.ndarray:
 
 
 def _fold_and_transform(windowed: np.ndarray, spec: FilterbankSpec,
-                        correction: np.ndarray) -> np.ndarray:
+                        correction: np.ndarray, out=None) -> np.ndarray:
     """Fold lag-indexed products into M bins, DFT, and phase-correct.
 
-    ``windowed[..., l]`` holds ``x[k*r - 1 - l] * taps[l]``; the result is
-    the half-spectrum frame(s) ``x_i(k)``.
+    ``windowed[..., l]`` holds ``x[k*r - 1 - l] * taps[l]`` and is folded in
+    place (freed block temporaries fault back in): the result is the
+    half-spectrum frame(s) ``x_i(k)``, in ``out`` when given.
     """
     m = spec.frame_size
     length = windowed.shape[-1]
-    # Start from +0.0 as a NumPy sum does, so all-(-0.0) columns fold to +0.0.
-    folded = windowed[..., :m] + 0.0
+    folded = windowed[..., :m]
+    folded += 0.0  # as a NumPy sum starts, so all-(-0.0) columns fold to +0.0
     for start in range(m, length, m):
         part = windowed[..., start : start + m]
         folded[..., : part.shape[-1]] += part
-    spectra = np.fft.rfft(folded, axis=-1)
+    spectra = np.fft.rfft(folded, axis=-1, out=out)
     spectra *= correction
     return spectra
 
 
-def analyze_polyphase(x, proto: PrototypeFilter, spec: FilterbankSpec) -> AnalysisFrameSeq:
+def analyze_polyphase(x, proto: PrototypeFilter, spec: FilterbankSpec,
+                      history=None) -> AnalysisFrameSeq:
     """Subband analysis via the polyphase realization.
 
     Windows the ``L+1`` most recent samples with the prototype, folds the
@@ -171,17 +180,19 @@ def analyze_polyphase(x, proto: PrototypeFilter, spec: FilterbankSpec) -> Analys
     hold that sum as a reference oracle.  Frames are computed in blocks of
     ``BLOCK_FRAMES``, so the temporaries stay cache-sized; each frame is
     computed on its own, so the output does not depend on the block size.
+    ``history``, the ``L`` samples before ``x`` (zeros when omitted), lets a
+    signal cut at hop boundaries be analysed piece by piece to the same bits.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     num_frames = spec.num_frames(x.size)
     frames = np.empty((num_frames, spec.num_bins), dtype=np.complex128)
     if num_frames == 0:
         return AnalysisFrameSeq(frames, spec)
-    segments = _analysis_segments(x, spec)
+    segments = _analysis_segments(x, spec, history)
     correction = _phase_correction(spec)
     for block in _frame_blocks(num_frames):
         windowed = segments[block, ::-1] * proto.taps
-        frames[block] = _fold_and_transform(windowed, spec, correction)
+        _fold_and_transform(windowed, spec, correction, out=frames[block])
     return AnalysisFrameSeq(frames, spec)
 
 
@@ -197,7 +208,8 @@ def expand_hermitian(half) -> np.ndarray:
     Works along the last axis, so ``half`` is one frame or a ``K x (M/2+1)``
     matrix of frames.  ``full[..., i] = half[..., i]`` for ``i <= M/2`` and
     ``full[..., M-i] = conj(half[..., i])`` for the rest.  Bins 0 and ``M/2``
-    must be (numerically) real.
+    must be (numerically) real and are written as their real parts, as an
+    ``irfft`` reads them, so the result is exactly Hermitian.
 
     Raises
     ------
@@ -210,6 +222,7 @@ def expand_hermitian(half) -> np.ndarray:
     n = half.shape[-1]
     full = np.empty(half.shape[:-1] + (2 * (n - 1),), dtype=np.complex128)
     full[..., :n] = half
+    full[..., : n : n - 1].imag = 0.0  # bins 0 and M/2
     np.conjugate(half[..., -2:0:-1], out=full[..., n:])
     return full
 
@@ -254,20 +267,30 @@ def _first_flagged(flags: np.ndarray, first_frame: int = 0) -> tuple[int, str] |
     return k, f" in frame {first_frame + k}"
 
 
-def slide_history(history: np.ndarray, block, hop: int) -> np.ndarray:
-    """Shift ``hop`` new samples into a sliding history, dropping the oldest.
+def slide_history(history: np.ndarray, block, hop: int, hops: int = 1) -> np.ndarray:
+    """Shift ``hops`` hops of new samples into a sliding history.
 
-    Returns a new array of ``history.size`` samples ending with ``block``.
+    Returns ``history`` minus its oldest hop, then ``block``: for one hop the
+    next history; for more, the histories after each hop at steps of ``hop``.
 
     Raises
     ------
     DataError
-        If ``block`` does not hold exactly ``hop`` samples.
+        If ``block`` does not hold exactly ``hops * hop`` samples.
     """
     block = np.asarray(block, dtype=np.float64).ravel()
-    if block.size != hop:
-        raise DataError(f"expected a block of {hop} samples, got {block.size}")
+    if block.size != hops * hop:
+        raise DataError(f"expected a block of {hops * hop} samples, got {block.size}")
     return np.concatenate([history[hop:], block])
+
+
+def _hop_windows(samples: np.ndarray, size: int, hop: int, count: int) -> np.ndarray:
+    """``count`` windows of ``size`` contiguous ``samples``, ``hop`` apart: a view
+    on the buffer, as ``sliding_window_view`` costs per-hop callers ~20x more."""
+    if count == 1:
+        return samples[None, :size]
+    item = samples.itemsize
+    return np.ndarray((count, size), samples.dtype, samples, strides=(hop * item, item))
 
 
 def check_shorten_len(shorten_len: int, num_taps: int | None = None,

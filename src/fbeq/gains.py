@@ -90,7 +90,6 @@ class GainFrame(NamedTuple):
     """Per-bin gains for one frame (real for the built-in estimator)."""
 
     values: np.ndarray
-    index: int
 
 
 @dataclass
@@ -166,7 +165,7 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
     Returns
     -------
     GainFrame
-        Real nonnegative gains (zero phase modification) and the frame index.
+        Real nonnegative gains (zero phase modification).
     """
     frame = np.asarray(frame, dtype=np.complex128)
     if frame.shape != state.noise_psd.shape:
@@ -194,11 +193,12 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
     xi_prev = gain * gain
     xi_prev *= gamma
     state.xi_prev = np.maximum(xi_prev, params.xi_min, out=xi_prev)
-    return GainFrame(values=gain, index=state.frame_count)
+    return GainFrame(values=gain)
 
 
-def estimate_gains(frames: np.ndarray, params: EstimatorParams) -> np.ndarray:
-    """Run the tracker + gain rule over a whole frame matrix.
+def estimate_gains(frames: np.ndarray, params: EstimatorParams,
+                   state: NoiseTrackerState | None = None) -> np.ndarray:
+    """Run the tracker + gain rule over a matrix of consecutive frames.
 
     Per frame: noise-PSD update first, then the gain (so the gain always sees
     the current frame's estimate).  Deterministic: identical inputs give
@@ -209,6 +209,9 @@ def estimate_gains(frames: np.ndarray, params: EstimatorParams) -> np.ndarray:
     frames : numpy.ndarray
         ``K x bins`` complex analysis frames.
     params : EstimatorParams
+    state : NoiseTrackerState, optional
+        The tracker to continue, advanced in place by ``K`` frames; a fresh
+        one when omitted.
 
     Returns
     -------
@@ -218,7 +221,8 @@ def estimate_gains(frames: np.ndarray, params: EstimatorParams) -> np.ndarray:
     frames = np.asarray(frames)
     if frames.ndim != 2:
         raise DataError(f"expected a 2-D frame matrix, got shape {frames.shape}")
-    state = NoiseTrackerState.initial(frames.shape[1], params)
+    if state is None:
+        state = NoiseTrackerState.initial(frames.shape[1], params)
     out = np.empty(frames.shape, dtype=np.float64)
     for k in range(frames.shape[0]):
         state = update_noise_psd(state, frames[k], params)

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -305,6 +306,41 @@ class TestHermitianChecksProperty:
         assert _raised_frame(subband_to_time, full, proto) == want
 
 
+class TestHermitianChainProperty:
+    """``expand_hermitian -> subband_to_time`` accepts exactly what ``gains_to_taps`` accepts.
+
+    DC/Nyquist imaginary parts are drawn on both sides of the edge tolerance.
+    Accepted edges are written as their real parts, so the chain's synthesis
+    is Hermitian to rounding and agrees with ``gains_to_taps``.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(geometry=geometries(), num_frames=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1),
+           factors=st.lists(st.sampled_from([0.0, 0.5, 0.999, 1.001, 3.0]),
+                            min_size=16, max_size=16))
+    def test_chain_matches_gains_to_taps(self, geometry, num_frames, seed, factors):
+        m, p = geometry["frame_size"], geometry["shorten_len"]
+        proto = design_prototype(FilterbankSpec(
+            frame_size=m, proto_len=geometry["proto_len"], hop=geometry["hop"]))
+        rng = np.random.default_rng(seed)
+        half = np.stack([random_hermitian_gains(rng, m // 2 + 1)
+                         for _ in range(num_frames)])
+        limit = HERMITIAN_IMAG_TOL * np.abs(half).max(axis=1)
+        half[:, 0] += 1j * np.array(factors[:num_frames]) * limit
+        half[:, -1] -= 1j * np.array(factors[8 : 8 + num_frames]) * limit
+
+        def chain(gains):
+            return subband_to_time(expand_hermitian(gains), proto)
+
+        want = _raised_frame(gains_to_taps, half, proto, p)
+        assert _raised_frame(chain, half) == want
+        if want is None:
+            taps = gains_to_taps(half, proto, p)
+            got = shorten_filter(chain(half), p)
+            assert np.max(np.abs(got - taps)) <= 1e-12 * np.max(np.abs(taps))
+
+
 class TestEngineState:
     def test_create_rejects_odd_shorten_len(self):
         with pytest.raises(ConfigError, match="positive even"):
@@ -384,6 +420,33 @@ class TestBlockFiltering:
         state = EngineState.create(8, 4)
         with pytest.raises(ConfigError, match="does not match"):
             direct_filter_block(state, np.ones(6), np.ones(4))
+
+
+class TestMultiHopFiltering:
+    """``n`` hops in one call give the bits of ``n`` one-hop calls."""
+
+    @pytest.mark.parametrize("hops", [1, 2, 5])
+    def test_ols_and_direct(self, hops):
+        rng = np.random.default_rng(107)
+        x = rng.standard_normal(12 * 4)
+        filters = rng.standard_normal((12, 8))
+        for step, to_filter in ((ols_filter_frame, filter_to_freq),
+                                (direct_filter_block, np.asarray)):
+            one, many = EngineState.create(8, 4), EngineState.create(8, 4)
+            want = np.concatenate([step(one, to_filter(filters[k]), x[4 * k : 4 * k + 4])
+                                   for k in range(12)])
+            got = np.concatenate([  # the last call takes what is left
+                step(many, to_filter(filters[k : k + hops]), x[4 * k : 4 * (k + hops)])
+                for k in range(0, 12, hops)])
+            assert np.array_equal(got, want)
+            assert np.array_equal(many.history, one.history)
+
+    @pytest.mark.parametrize("step", [ols_filter_frame, direct_filter_block])
+    def test_samples_must_fill_one_hop_per_filter(self, step):
+        state = EngineState.create(8, 4)
+        filters = np.ones((3, 9)) if step is ols_filter_frame else np.ones((3, 8))
+        with pytest.raises(DataError, match="block of 12 samples, got 8"):
+            step(state, filters, np.ones(8))
 
 
 class TestClampMagnitude:
@@ -642,3 +705,61 @@ class TestBatchEqualsPerHopProperty:
         out, _ = process_stream(x, (header, responses), cfg)
         assert np.array_equal(
             out, per_hop_chain(x, responses, cfg, TYPE_DFT_RESPONSES))
+
+
+class TestOlsEqualsDirectProperty:
+    """Criterion 03 over drawn geometries: overlap-save and direct FIR agree.
+
+    The signal spans at least 2P samples, so the output is more than the
+    filters' near-zero edge taps and a relative error means something.  Both
+    modes run in blocks of fewer frames than the signal has, so both cross
+    block boundaries; direct filtering at that block size gives the bits of
+    one block over the whole signal.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry=geometries(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_estimator_and_subband_gains(self, geometry, seed, data):
+        shortest = -(-2 * geometry["shorten_len"] // geometry["hop"])
+        num_frames = data.draw(st.integers(shortest, shortest + 40), label="num_frames")
+        block_frames = data.draw(st.integers(1, min(7, num_frames - 1)),
+                                 label="block_frames")
+        ols = Config(mode="ols", **geometry).validate()
+        direct = Config(mode="direct", **geometry).validate()
+        m, hop = ols.frame_size, ols.hop
+        rng = np.random.default_rng(seed)
+        n = num_frames * hop
+        x = rng.standard_normal(n) * np.where(np.arange(n) // (4 * hop) % 2, 4.0, 1.0)
+        gains = 3.0 * random_hermitian_gains(rng, num_frames * (m // 2 + 1)).reshape(
+            num_frames, m // 2 + 1)
+        gains[:, [0, -1]] = gains[:, [0, -1]].real  # some bins above g_max
+        header = StreamHeader(TYPE_SUBBAND_GAINS, m, hop, m // 2 + 1, num_frames)
+        for source in ("mmse-lsa", (header, gains)):
+            with patch.object(filterbank, "BLOCK_FRAMES", block_frames):
+                y_ols, _ = process_stream(x, source, ols)
+                y_dir, _ = process_stream(x, source, direct)
+            with patch.object(filterbank, "BLOCK_FRAMES", num_frames):
+                y_one, _ = process_stream(x, source, direct)
+            assert np.array_equal(y_dir, y_one)
+            assert np.max(np.abs(y_ols - y_dir)) <= 1e-9 * np.max(np.abs(y_dir))
+
+
+class TestStreamMemory:
+    def test_peak_does_not_grow_with_signal_length(self):
+        """Beyond its output, ``process_stream`` holds one block's worth of memory."""
+        cfg = Config().validate()
+        rate = cfg.sample_rate_hz
+        process_stream(np.zeros(rate), "mmse-lsa", cfg)  # first-call imports
+
+        def peak_bytes(seconds):
+            x = 0.1 * np.random.default_rng(113).standard_normal(seconds * rate)
+            tracemalloc.start()
+            try:
+                process_stream(x, "mmse-lsa", cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak_bytes(4), peak_bytes(60)
+        extra_output = 56 * rate * 8
+        assert long <= short + extra_output + 2**20, (short, long)

@@ -251,6 +251,21 @@ class TestAnalyzePolyphaseBlocksProperty:
         assert np.max(np.abs(d - blocked)) <= 1e-10 * np.max(np.abs(d))
 
 
+class TestAnalysisHistory:
+    @pytest.mark.parametrize("cut", [1, 3, 40])
+    def test_pieces_with_their_history_equal_one_call(self, small_spec, small_proto, cut):
+        x = np.random.default_rng(109).standard_normal(4 * 50)
+        whole = analyze_polyphase(x, small_proto, small_spec).frames
+        first = analyze_polyphase(x[: 4 * cut], small_proto, small_spec).frames
+        before = np.concatenate([np.zeros(16), x])[4 * cut : 4 * cut + 16]
+        rest = analyze_polyphase(x[4 * cut :], small_proto, small_spec, before).frames
+        assert np.array_equal(np.concatenate([first, rest]), whole)
+
+    def test_history_must_hold_l_samples(self, small_spec, small_proto):
+        with pytest.raises(DataError, match="must hold the 16 samples .* got 15"):
+            analyze_polyphase(np.ones(8), small_proto, small_spec, np.zeros(15))
+
+
 class TestPolyphaseAnalyzer:
     def test_streaming_matches_batch(self, default_spec, default_proto):
         rng = np.random.default_rng(43)

@@ -236,7 +236,6 @@ class TestMmseLsaGain:
             np.maximum(result.values ** 2 * gamma, p.xi_min),
             rtol=1e-14,
         )
-        assert result.index == 3
 
     def test_bounds_on_random_frames(self):
         p = EstimatorParams()
