@@ -66,9 +66,9 @@ def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
 
 def _check_finite(samples: np.ndarray, context: str) -> None:
     """Raise ``DataError`` "<context>sample N is non-finite (V)" for the first bad sample."""
-    # min and max carry any NaN or infinity without a whole-signal mask.
-    if not np.isfinite([samples.min(initial=0.0), samples.max(initial=0.0)]).all():
-        bad = int(np.argmin(np.isfinite(samples)))
+    finite = np.isfinite(samples)
+    if not finite.all():
+        bad = int(np.argmin(finite))
         raise DataError(f"{context}sample {bad} is non-finite ({samples[bad]})")
 
 

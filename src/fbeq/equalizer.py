@@ -8,10 +8,9 @@ the half spectrum, read at the central ``P`` lags only; the step-by-step
 chain (:func:`fbeq.filterbank.expand_hermitian`, :func:`subband_to_time`,
 :func:`shorten_filter`) forms all ``L+1`` taps and is kept as its reference.
 Filtering holds each frame's filter over its hop, by overlap-save (2P-point
-transforms, keep the last r samples) or by direct FIR convolution, the two
-cross-checked in the tests; both take one hop or a block of hops per call.
-:func:`process_stream` streams a signal through these steps a block at a
-time, carrying each step's state from block to block.
+transforms, keep the last r samples) or by direct FIR convolution, one hop
+or a block of hops per call.  :func:`process_stream` streams a signal through
+these steps a block at a time, carrying each step's state between blocks.
 """
 
 from __future__ import annotations
@@ -72,13 +71,19 @@ class EngineState:
         check_shorten_len(shorten_len, hop=hop)
         return cls(history=np.zeros(2 * shorten_len, dtype=np.float64), hop=hop)
 
-    def push(self, block, hops: int = 1) -> np.ndarray:
-        """Shift in ``hops * hop`` samples; row k of the ``hops x 2P`` result
-        is the history after hop k."""
-        extended = slide_history(self.history, block, self.hop, hops)
-        size = self.history.size
-        self.history = extended[-size:]
-        return _hop_windows(extended, size, self.hop, hops)
+    def push(self, block, hops: int | None = None) -> np.ndarray:
+        """Shift in one hop and return the new history; or shift in ``hops``
+        hops and return the ``hops x 2P`` histories after each of them."""
+        if hops is None:
+            self.history = slide_history(self.history, block, self.hop)
+            return self.history
+        block = np.asarray(block, dtype=np.float64).ravel()
+        if block.size != hops * self.hop:
+            raise DataError(f"expected a block of {hops * self.hop} samples, "
+                            f"got {block.size}")
+        extended = np.concatenate([self.history[self.hop :], block])
+        self.history = extended[-self.history.size :]
+        return _hop_windows(extended, self.history.size, self.hop, hops)
 
 
 def gains_to_taps(half, proto: PrototypeFilter, shorten_len: int,
@@ -212,31 +217,31 @@ def ols_filter_frame(state: EngineState, bins, new_samples) -> np.ndarray:
     Hops are transformed one by one: ``n`` hops give ``n`` one-hop calls' bits.
     """
     bins = np.asarray(bins)
-    bins = bins.reshape(-1, bins.shape[-1])
     fft_size = 2 * (bins.shape[-1] - 1)
     if fft_size != state.history.size:
         raise ConfigError(
             f"response implies a {fft_size}-point block, state holds "
             f"{state.history.size} samples"
         )
-    spectra = np.fft.rfft(state.push(new_samples, len(bins)), axis=-1) * bins
-    return np.fft.irfft(spectra, n=fft_size, axis=-1)[:, -state.hop :].ravel()
+    windows = state.push(new_samples, len(bins) if bins.ndim > 1 else None)
+    spectra = np.fft.rfft(windows, axis=-1) * bins
+    return np.fft.irfft(spectra, n=fft_size, axis=-1)[..., -state.hop :].ravel()
 
 
 def direct_filter_block(state: EngineState, taps, new_samples) -> np.ndarray:
     """Filter one hop, or ``n`` hops by ``n x P`` taps, in direct FIR form;
     otherwise as :func:`ols_filter_frame`."""
     taps = np.asarray(taps, dtype=np.float64)
-    taps = taps.reshape(-1, taps.shape[-1])
     if 2 * taps.shape[-1] != state.history.size:
         raise ConfigError(
             f"filter of {taps.shape[-1]} taps does not match a history of "
             f"{state.history.size} samples"
         )
+    tail = slice(state.history.size - state.hop, state.history.size)
+    if taps.ndim == 1:
+        return np.convolve(state.push(new_samples), taps)[tail]
     windows = state.push(new_samples, len(taps))
-    end = state.history.size
-    return np.concatenate([np.convolve(window, row)[end - state.hop : end]
-                           for window, row in zip(windows, taps)])
+    return np.concatenate([np.convolve(w, row)[tail] for w, row in zip(windows, taps)])
 
 
 def _clamp_magnitude(frames: np.ndarray, g_max: float) -> np.ndarray:
@@ -257,11 +262,10 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     (:func:`gains_to_taps`) -> 2P-point response -> overlap-save filtering
     of the hop (or direct FIR in ``direct`` mode).
     DFT-response streams (type B) skip the mapping stages and drive the
-    overlap-save engine directly.  The signal streams through the public
-    per-hop functions in blocks of at most ``BLOCK_FRAMES`` hops, carrying
-    the analysis history, noise tracker and overlap-save history from block
-    to block.  So the output equals the per-hop chain exactly, and memory
-    beyond the input and output does not grow with the signal.
+    overlap-save engine directly.  The signal goes through the public per-hop
+    functions in blocks of at most ``BLOCK_FRAMES`` hops, carrying the analysis
+    history, noise tracker and overlap-save history between blocks: the output
+    equals the per-hop chain exactly, and memory does not grow with the signal.
 
     Parameters
     ----------

@@ -148,12 +148,11 @@ def _phase_correction(spec: FilterbankSpec) -> np.ndarray:
 
 
 def _fold_and_transform(windowed: np.ndarray, spec: FilterbankSpec,
-                        correction: np.ndarray, out=None) -> np.ndarray:
+                        correction: np.ndarray) -> np.ndarray:
     """Fold lag-indexed products into M bins, DFT, and phase-correct.
 
     ``windowed[..., l]`` holds ``x[k*r - 1 - l] * taps[l]`` and is folded in
-    place (freed block temporaries fault back in): the result is the
-    half-spectrum frame(s) ``x_i(k)``, in ``out`` when given.
+    place; the result is the half-spectrum frame(s) ``x_i(k)``.
     """
     m = spec.frame_size
     length = windowed.shape[-1]
@@ -162,7 +161,7 @@ def _fold_and_transform(windowed: np.ndarray, spec: FilterbankSpec,
     for start in range(m, length, m):
         part = windowed[..., start : start + m]
         folded[..., : part.shape[-1]] += part
-    spectra = np.fft.rfft(folded, axis=-1, out=out)
+    spectra = np.fft.rfft(folded, axis=-1)
     spectra *= correction
     return spectra
 
@@ -192,7 +191,7 @@ def analyze_polyphase(x, proto: PrototypeFilter, spec: FilterbankSpec,
     correction = _phase_correction(spec)
     for block in _frame_blocks(num_frames):
         windowed = segments[block, ::-1] * proto.taps
-        _fold_and_transform(windowed, spec, correction, out=frames[block])
+        frames[block] = _fold_and_transform(windowed, spec, correction)
     return AnalysisFrameSeq(frames, spec)
 
 
@@ -222,7 +221,7 @@ def expand_hermitian(half) -> np.ndarray:
     n = half.shape[-1]
     full = np.empty(half.shape[:-1] + (2 * (n - 1),), dtype=np.complex128)
     full[..., :n] = half
-    full[..., : n : n - 1].imag = 0.0  # bins 0 and M/2
+    full.imag[..., : n : n - 1] = 0.0  # bins 0 and M/2
     np.conjugate(half[..., -2:0:-1], out=full[..., n:])
     return full
 
@@ -267,28 +266,25 @@ def _first_flagged(flags: np.ndarray, first_frame: int = 0) -> tuple[int, str] |
     return k, f" in frame {first_frame + k}"
 
 
-def slide_history(history: np.ndarray, block, hop: int, hops: int = 1) -> np.ndarray:
-    """Shift ``hops`` hops of new samples into a sliding history.
+def slide_history(history: np.ndarray, block, hop: int) -> np.ndarray:
+    """Shift ``hop`` new samples into a sliding history, dropping the oldest.
 
-    Returns ``history`` minus its oldest hop, then ``block``: for one hop the
-    next history; for more, the histories after each hop at steps of ``hop``.
+    Returns a new array of ``history.size`` samples ending with ``block``.
 
     Raises
     ------
     DataError
-        If ``block`` does not hold exactly ``hops * hop`` samples.
+        If ``block`` does not hold exactly ``hop`` samples.
     """
     block = np.asarray(block, dtype=np.float64).ravel()
-    if block.size != hops * hop:
-        raise DataError(f"expected a block of {hops * hop} samples, got {block.size}")
+    if block.size != hop:
+        raise DataError(f"expected a block of {hop} samples, got {block.size}")
     return np.concatenate([history[hop:], block])
 
 
 def _hop_windows(samples: np.ndarray, size: int, hop: int, count: int) -> np.ndarray:
     """``count`` windows of ``size`` contiguous ``samples``, ``hop`` apart: a view
-    on the buffer, as ``sliding_window_view`` costs per-hop callers ~20x more."""
-    if count == 1:
-        return samples[None, :size]
+    on the buffer, ~20x cheaper per call than ``sliding_window_view``."""
     item = samples.itemsize
     return np.ndarray((count, size), samples.dtype, samples, strides=(hop * item, item))
 

@@ -210,8 +210,7 @@ def estimate_gains(frames: np.ndarray, params: EstimatorParams,
         ``K x bins`` complex analysis frames.
     params : EstimatorParams
     state : NoiseTrackerState, optional
-        The tracker to continue, advanced in place by ``K`` frames; a fresh
-        one when omitted.
+        The tracker to continue (advanced in place); a fresh one when omitted.
 
     Returns
     -------
