@@ -87,13 +87,16 @@ def write_wav(path, buf: AudioBuffer, fmt: str = "pcm16") -> int:
     samples = np.asarray(buf.samples, dtype=np.float64).ravel()
     _check_finite(samples, f"refusing to write {path}: ")
     if fmt == "pcm16":
-        scaled = samples * PCM16_SCALE
-        rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
-        clipped = int(np.count_nonzero((rounded > 32767.0) | (rounded < -32768.0)))
-        wavfile.write(
-            path, buf.sample_rate_hz,
-            np.clip(rounded, -32768.0, 32767.0).astype(np.int16),
-        )
+        # One buffer: |x| * 32768 equals |x * 32768| exactly (a power of two).
+        rounded = np.abs(samples)
+        rounded *= PCM16_SCALE
+        rounded += 0.5
+        np.floor(rounded, out=rounded)
+        np.copysign(rounded, samples, out=rounded)
+        clipped = (int(np.count_nonzero(rounded > 32767.0))
+                   + int(np.count_nonzero(rounded < -32768.0)))
+        np.clip(rounded, -32768.0, 32767.0, out=rounded)
+        wavfile.write(path, buf.sample_rate_hz, rounded.astype(np.int16))
         return clipped
     if fmt == "float32":
         wavfile.write(path, buf.sample_rate_hz, samples.astype(np.float32))

@@ -15,6 +15,7 @@ these steps a block at a time, carrying each step's state between blocks.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -265,7 +266,9 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     overlap-save engine directly.  The signal goes through the public per-hop
     functions in blocks of at most ``BLOCK_FRAMES`` hops, carrying the analysis
     history, noise tracker and overlap-save history between blocks: the output
-    equals the per-hop chain exactly, and memory does not grow with the signal.
+    equals the per-hop chain exactly.  A gain file is read and checked a block
+    of records at a time in the same loop, records past the input's last frame
+    included, so memory does not grow with the signal or the file.
 
     Parameters
     ----------
@@ -286,10 +289,17 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     ------
     DataError
         A non-finite input sample (its index is reported), or a gain stream
-        that does not fit the configuration or the input.
+        with fewer frames than the input needs.
+    ConfigError
+        A gain stream whose geometry or frame shape does not fit the
+        configuration, or a DFT-response stream in ``direct`` mode.
     NumericError
         A subband-gain frame whose DC or Nyquist bin is not real (the frame
         is named).
+    FormatError
+        A gain file that :func:`fbeq.fbeg.load_gain_stream` would reject,
+        with the same message; a pipe is rejected, as its payload size
+        cannot be checked before the records are read.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     _check_finite(x, "input ")
@@ -305,51 +315,70 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     if num_frames == 0:
         return np.zeros(0, dtype=np.float64), report
 
-    if isinstance(gain_source, str) and gain_source == ESTIMATOR_MMSE_LSA:
-        header, stream_frames = None, None
-        params = cfg.estimator_params()
-        tracker = NoiseTrackerState.initial(spec.num_bins, params)
-        history = np.zeros(spec.proto_len)
-    elif isinstance(gain_source, tuple):
-        header, stream_frames = gain_source
-    else:
-        header, stream_frames = fbeg.load_gain_stream(gain_source)
-
-    if header is not None:
-        fbeg.check_stream_geometry(header, spec, p)
-        if np.shape(stream_frames) != (header.num_frames, header.num_bins):
-            raise ConfigError(
-                f"gain stream frames have shape {np.shape(stream_frames)}; its "
-                f"header declares {header.num_frames} x {header.num_bins}"
-            )
-        if header.num_frames < num_frames:
-            raise DataError(
-                f"gain stream ends after frame {header.num_frames}; the input "
-                f"requires {num_frames} frames"
-            )
-        if header.record_type == fbeg.TYPE_DFT_RESPONSES and cfg.mode == "direct":
-            raise ConfigError(
-                "DFT-response (type B) streams carry no time-domain taps; "
-                "use the ols mode"
-            )
-
-    engine = EngineState.create(p, hop)
-    out = np.empty(num_frames * hop, dtype=np.float64)
-    for frames in _frame_blocks(num_frames):
-        samples = slice(frames.start * hop, frames.stop * hop)
-        block = x[samples]
-        if header is None:
-            analysis = analyze_polyphase(block, proto, spec, history)
-            history = np.concatenate([history, block])[-history.size:]
-            rows = estimate_gains(analysis.frames, params, tracker)
-        elif header.record_type == fbeg.TYPE_DFT_RESPONSES:
-            out[samples] = ols_filter_frame(engine, stream_frames[frames], block)
-            continue
+    estimator = isinstance(gain_source, str) and gain_source == ESTIMATOR_MMSE_LSA
+    from_file = not estimator and not isinstance(gain_source, tuple)
+    with open(gain_source, "rb") if from_file else nullcontext() as fh:
+        if estimator:
+            header = None
+            params = cfg.estimator_params()
+            tracker = NoiseTrackerState.initial(spec.num_bins, params)
+            history = np.zeros(spec.proto_len)
+        elif from_file:
+            header = fbeg._read_header(fh)
         else:
-            rows = _clamp_magnitude(stream_frames[frames], cfg.g_max)
-        taps = gains_to_taps(rows, proto, p, first_frame=frames.start)
-        if cfg.mode == "direct":
-            out[samples] = direct_filter_block(engine, taps, block)
-        else:
-            out[samples] = ols_filter_frame(engine, filter_to_freq(taps), block)
+            header, stream_frames = gain_source
+
+        if header is not None:
+            fbeg.check_stream_geometry(header, spec, p)
+            if not from_file and np.shape(stream_frames) != (header.num_frames,
+                                                             header.num_bins):
+                raise ConfigError(
+                    f"gain stream frames have shape {np.shape(stream_frames)}; its "
+                    f"header declares {header.num_frames} x {header.num_bins}"
+                )
+            if header.num_frames < num_frames:
+                raise DataError(
+                    f"gain stream ends after frame {header.num_frames}; the input "
+                    f"requires {num_frames} frames"
+                )
+            responses = header.record_type == fbeg.TYPE_DFT_RESPONSES
+            if responses and cfg.mode == "direct":
+                raise ConfigError(
+                    "DFT-response (type B) streams carry no time-domain taps; "
+                    "use the ols mode"
+                )
+        warned = False
+
+        def records(frames: slice) -> np.ndarray:
+            nonlocal warned
+            if not from_file:
+                return stream_frames[frames]
+            rows = fbeg._read_records(fh, header, frames.start,
+                                      frames.stop - frames.start)
+            if responses and not warned:
+                warned = fbeg._check_alias_tail(rows, hop, frames.start)
+            return rows
+
+        engine = EngineState.create(p, hop)
+        out = np.empty(num_frames * hop, dtype=np.float64)
+        for frames in _frame_blocks(num_frames):
+            samples = slice(frames.start * hop, frames.stop * hop)
+            block = x[samples]
+            if header is None:
+                analysis = analyze_polyphase(block, proto, spec, history)
+                history = np.concatenate([history, block])[-history.size:]
+                rows = estimate_gains(analysis.frames, params, tracker)
+            elif responses:
+                out[samples] = ols_filter_frame(engine, records(frames), block)
+                continue
+            else:
+                rows = _clamp_magnitude(records(frames), cfg.g_max)
+            taps = gains_to_taps(rows, proto, p, first_frame=frames.start)
+            if cfg.mode == "direct":
+                out[samples] = direct_filter_block(engine, taps, block)
+            else:
+                out[samples] = ols_filter_frame(engine, filter_to_freq(taps), block)
+        if from_file:  # the records past the input's end are checked, then dropped
+            for rest in _frame_blocks(header.num_frames, first=num_frames):
+                records(rest)
     return out, report

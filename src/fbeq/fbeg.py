@@ -16,10 +16,17 @@ offset   size  field
 20       4     u32 frame count
 24       ...   frames x bins x (f32 real, f32 imag)
 =======  ====  =====================================================
+
+A file is read in two steps: the header, checked together with the payload
+size it implies, then any run of records, each checked for non-finite values
+where it lies in the file.  :func:`load_gain_stream` reads every record at
+once; :func:`fbeq.equalizer.process_stream` reads a block at a time.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 import warnings
 from typing import NamedTuple
@@ -77,17 +84,19 @@ def write_gain_stream(path, frames, record_type: int, frame_size: int,
         fh.write(interleaved.tobytes())
 
 
-def _check_alias_tail(frames: np.ndarray, hop: int) -> None:
+def _check_alias_tail(frames: np.ndarray, hop: int, first: int = 0) -> bool:
     """Warn if a DFT-response record implies time taps that would alias.
 
     The overlap-save engine keeps the last ``hop`` samples of a ``2P``-point
     circular convolution; those are linear-convolution samples only if the
     implied time filter is supported on taps ``0 .. 2P - hop``.  Energy
-    beyond that, above ``ALIAS_TAIL_TOLERANCE`` relative, triggers a warning.
+    beyond that, above ``ALIAS_TAIL_TOLERANCE`` relative, triggers a warning
+    naming the first such frame, counted from ``first``.  Returns whether it
+    warned, so a stream checked block by block warns once.
     """
     fft_size = 2 * (frames.shape[1] - 1)
     if hop <= 0 or fft_size - hop + 1 >= fft_size:
-        return
+        return False
     taps = np.fft.irfft(frames, n=fft_size, axis=1)
     total = np.sum(taps * taps, axis=1)
     tail = np.sum(taps[:, fft_size - hop + 1 :] ** 2, axis=1)
@@ -95,15 +104,92 @@ def _check_alias_tail(frames: np.ndarray, hop: int) -> None:
         bad = np.flatnonzero(tail > ALIAS_TAIL_TOLERANCE * total)
     if bad.size:
         warnings.warn(
-            f"DFT-response stream implies time-aliasing: frame {bad[0]} has "
-            f"relative tail energy {tail[bad[0]] / total[bad[0]]:.3e} beyond "
+            f"DFT-response stream implies time-aliasing: frame {first + bad[0]} "
+            f"has relative tail energy {tail[bad[0]] / total[bad[0]]:.3e} beyond "
             f"tap {fft_size - hop} (tolerance {ALIAS_TAIL_TOLERANCE:.0e})",
             stacklevel=3,
         )
+    return bool(bad.size)
+
+
+def _read_header(fh) -> StreamHeader:
+    """Read and check the header of the FBEG file open as ``fh``.
+
+    The payload size declared by the header is checked against the file's
+    size, so the records can then be read a block at a time.
+    """
+    data = fh.read(_HEADER.size)
+    if len(data) < _HEADER.size:
+        raise FormatError(
+            f"truncated header: {len(data)} bytes, need {_HEADER.size} "
+            "(offset 0)"
+        )
+    magic, version, record_type, _reserved, frame_size, hop, num_bins, \
+        num_frames = _HEADER.unpack(data)
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r} at offset 0, expected {MAGIC!r}")
+    if version != VERSION:
+        raise FormatError(
+            f"unsupported version {version} at offset 4, expected {VERSION}"
+        )
+    if record_type not in (TYPE_SUBBAND_GAINS, TYPE_DFT_RESPONSES):
+        raise FormatError(f"unknown record type {record_type} at offset 6")
+    if num_bins < 2:
+        raise FormatError(f"bin count {num_bins} at offset 16 must be >= 2")
+    if record_type == TYPE_SUBBAND_GAINS and num_bins != frame_size // 2 + 1:
+        raise FormatError(
+            f"bin count {num_bins} at offset 16 does not match frame size "
+            f"{frame_size} (expected {frame_size // 2 + 1})"
+        )
+    info = os.fstat(fh.fileno())
+    if not stat.S_ISREG(info.st_mode):
+        raise FormatError(f"{fh.name} is not a regular file, so its payload "
+                          "size cannot be checked")
+    expected = num_frames * num_bins * 8
+    payload_size = info.st_size - _HEADER.size
+    if payload_size != expected:
+        raise FormatError(
+            f"payload is {payload_size} bytes at offset {_HEADER.size}, "
+            f"expected {expected} ({num_frames} frames x {num_bins} bins)"
+        )
+    return StreamHeader(record_type, frame_size, hop, num_bins, num_frames)
+
+
+def _read_records(fh, header: StreamHeader, first: int, count: int) -> np.ndarray:
+    """Read records ``first .. first + count - 1`` as a ``count x bins``
+    complex128 matrix: the exact widening of the stored 32-bit values.
+
+    A non-finite value is reported with its frame, bin and byte offset in
+    the whole file.
+    """
+    record_size = 8 * header.num_bins
+    offset = _HEADER.size + first * record_size
+    fh.seek(offset)
+    data = fh.read(count * record_size)
+    if len(data) != count * record_size:
+        raise FormatError(
+            f"payload ends at offset {offset + len(data)}, inside frame "
+            f"{first + len(data) // record_size} of {header.num_frames}"
+        )
+    stored = np.frombuffer(data, dtype="<c8")
+    parts = stored.view("<f4")  # real, imag, real, ... as laid out in the file
+    if not np.isfinite(parts).all():
+        bad = int(np.argmin(np.isfinite(parts)))
+        frame, rem = divmod(bad, 2 * header.num_bins)
+        raise FormatError(
+            f"non-finite value in frame {first + frame}, bin {rem // 2} "
+            f"({'imag' if rem % 2 else 'real'} part) at offset "
+            f"{offset + 4 * bad}"
+        )
+    return stored.astype(np.complex128).reshape(count, header.num_bins)
 
 
 def load_gain_stream(path) -> tuple[StreamHeader, np.ndarray]:
-    """Read an FBEG file.
+    """Read a whole FBEG file.
+
+    :func:`fbeq.equalizer.process_stream`, given a path, reads and checks
+    the same records a block at a time instead, so its memory does not grow
+    with the file.
 
     Returns
     -------
@@ -121,51 +207,10 @@ def load_gain_stream(path) -> tuple[StreamHeader, np.ndarray]:
         bin).
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise FormatError(
-            f"truncated header: {len(data)} bytes, need {_HEADER.size} "
-            "(offset 0)"
-        )
-    magic, version, record_type, _reserved, frame_size, hop, num_bins, \
-        num_frames = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r} at offset 0, expected {MAGIC!r}")
-    if version != VERSION:
-        raise FormatError(
-            f"unsupported version {version} at offset 4, expected {VERSION}"
-        )
-    if record_type not in (TYPE_SUBBAND_GAINS, TYPE_DFT_RESPONSES):
-        raise FormatError(f"unknown record type {record_type} at offset 6")
-    if num_bins < 2:
-        raise FormatError(f"bin count {num_bins} at offset 16 must be >= 2")
-    if record_type == TYPE_SUBBAND_GAINS and num_bins != frame_size // 2 + 1:
-        raise FormatError(
-            f"bin count {num_bins} at offset 16 does not match frame size "
-            f"{frame_size} (expected {frame_size // 2 + 1})"
-        )
-    expected = num_frames * num_bins * 8
-    payload_size = len(data) - _HEADER.size
-    if payload_size != expected:
-        raise FormatError(
-            f"payload is {payload_size} bytes at offset {_HEADER.size}, "
-            f"expected {expected} ({num_frames} frames x {num_bins} bins)"
-        )
-    stored = np.frombuffer(data, dtype="<c8", count=num_frames * num_bins,
-                           offset=_HEADER.size)
-    parts = stored.view("<f4")  # real, imag, real, ... as laid out in the file
-    if not np.isfinite(parts).all():
-        first = int(np.argmin(np.isfinite(parts)))
-        frame, rem = divmod(first, 2 * num_bins)
-        raise FormatError(
-            f"non-finite value in frame {frame}, bin {rem // 2} "
-            f"({'imag' if rem % 2 else 'real'} part) at offset "
-            f"{_HEADER.size + 4 * first}"
-        )
-    frames = stored.astype(np.complex128).reshape(num_frames, num_bins)
-    header = StreamHeader(record_type, frame_size, hop, num_bins, num_frames)
-    if record_type == TYPE_DFT_RESPONSES and num_frames:
-        _check_alias_tail(frames, hop)
+        header = _read_header(fh)
+        frames = _read_records(fh, header, 0, header.num_frames)
+    if header.record_type == TYPE_DFT_RESPONSES and header.num_frames:
+        _check_alias_tail(frames, header.hop)
     return header, frames
 
 

@@ -195,9 +195,10 @@ def analyze_polyphase(x, proto: PrototypeFilter, spec: FilterbankSpec,
     return AnalysisFrameSeq(frames, spec)
 
 
-def _frame_blocks(num_frames: int):
-    """Consecutive slices of at most ``BLOCK_FRAMES`` frames covering ``0..K-1``."""
-    for start in range(0, num_frames, BLOCK_FRAMES):
+def _frame_blocks(num_frames: int, first: int = 0):
+    """Consecutive slices of at most ``BLOCK_FRAMES`` frames covering
+    ``first..K-1``."""
+    for start in range(first, num_frames, BLOCK_FRAMES):
         yield slice(start, min(start + BLOCK_FRAMES, num_frames))
 
 

@@ -220,6 +220,22 @@ class TestCliEnhance:
         np.testing.assert_allclose(enhanced, read_wav(wav).samples,
                                    rtol=0, atol=1e-6)
 
+    def test_non_finite_record_past_input_end(self, tmp_path, capsys):
+        wav = tmp_path / "in.wav"
+        write_test_wav(wav, np.zeros(160))  # 40 frames
+        stream = tmp_path / "tail.fbeg"
+        gains = np.ones((100, 9), dtype=np.complex64)
+        gains[70, 2] = np.nan
+        fbeg.write_gain_stream(stream, gains, fbeg.TYPE_SUBBAND_GAINS, 16, 4)
+        code = main(["enhance", *SMALL_FLAGS, "--in", str(wav),
+                     "--out", str(tmp_path / "out.wav"), "--gains", str(stream)])
+        assert code == 3
+        offset = 24 + 8 * (70 * 9 + 2)
+        assert capsys.readouterr().err.strip() == (
+            f"fbeq: error: non-finite value in frame 70, bin 2 (real part) "
+            f"at offset {offset}"
+        )
+
 
 class TestCliMix:
     def test_mix_hits_target_snr(self, tmp_path):

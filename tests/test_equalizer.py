@@ -1,9 +1,10 @@
 import tracemalloc
+import warnings
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fbeq import filterbank
@@ -25,6 +26,7 @@ from fbeq.fbeg import (
     TYPE_DFT_RESPONSES,
     TYPE_SUBBAND_GAINS,
     StreamHeader,
+    load_gain_stream,
     write_gain_stream,
 )
 from fbeq.filterbank import (
@@ -744,6 +746,43 @@ class TestOlsEqualsDirectProperty:
             assert np.max(np.abs(y_ols - y_dir)) <= 1e-9 * np.max(np.abs(y_dir))
 
 
+class TestFileEqualsLoadedProperty:
+    """``process_stream`` reading a gain file a block at a time gives the bits
+    of the same file loaded whole, whether the file holds exactly the frames
+    the input needs or more."""
+
+    @pytest.mark.parametrize("extra", [0, 5])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(geometry=geometries(), num_frames=st.integers(2, 30),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_every_record_type(self, tmp_path, extra, geometry, num_frames, seed,
+                               data):
+        block_frames = data.draw(st.integers(1, min(7, num_frames - 1)),
+                                 label="block_frames")
+        m, hop, p = geometry["frame_size"], geometry["hop"], geometry["shorten_len"]
+        bins, stored = m // 2 + 1, num_frames + extra
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(num_frames * hop + data.draw(st.integers(0, hop - 1)))
+        gains = 3.0 * random_hermitian_gains(rng, stored * bins).reshape(stored, bins)
+        gains[:, [0, -1]] = gains[:, [0, -1]].real  # some bins above g_max
+        responses = np.fft.rfft(rng.standard_normal((stored, p)), n=2 * p, axis=1)
+        cases = ((TYPE_SUBBAND_GAINS, gains, ("ols", "direct")),
+                 (TYPE_DFT_RESPONSES, responses, ("ols",)))
+        for record_type, frames, modes in cases:
+            path = tmp_path / f"type{record_type}.fbeg"
+            write_gain_stream(path, frames, record_type, m, hop)
+            with warnings.catch_warnings():  # random responses may alias
+                warnings.simplefilter("ignore")
+                loaded = load_gain_stream(path)
+                for mode in modes:
+                    cfg = Config(mode=mode, **geometry).validate()
+                    with patch.object(filterbank, "BLOCK_FRAMES", block_frames):
+                        from_file, _ = process_stream(x, path, cfg)
+                        preloaded, _ = process_stream(x, loaded, cfg)
+                    assert np.array_equal(from_file, preloaded)
+
+
 class TestStreamMemory:
     def test_peak_does_not_grow_with_signal_length(self):
         """Beyond its output, ``process_stream`` holds one block's worth of memory."""
@@ -760,6 +799,34 @@ class TestStreamMemory:
             finally:
                 tracemalloc.stop()
 
+        short, long = peak_bytes(4), peak_bytes(60)
+        extra_output = 56 * rate * 8
+        assert long <= short + extra_output + 2**20, (short, long)
+
+    def test_peak_does_not_grow_with_gain_file_length(self, tmp_path):
+        """A gain file is read a block at a time, not loaded whole."""
+        cfg = Config().validate()
+        rate, bins = cfg.sample_rate_hz, cfg.frame_size // 2 + 1
+
+        def gain_file(seconds):
+            path = tmp_path / f"{seconds}s.fbeg"
+            record = np.full((1, bins), 0.5, dtype=np.complex64)
+            frames = np.broadcast_to(record, (seconds * rate // cfg.hop, bins))
+            write_gain_stream(path, frames, TYPE_SUBBAND_GAINS, cfg.frame_size,
+                              cfg.hop)
+            return path
+
+        def peak_bytes(seconds):
+            x = 0.1 * np.random.default_rng(127).standard_normal(seconds * rate)
+            path = gain_file(seconds)
+            tracemalloc.start()
+            try:
+                process_stream(x, path, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        process_stream(np.zeros(rate), gain_file(1), cfg)  # first-call imports
         short, long = peak_bytes(4), peak_bytes(60)
         extra_output = 56 * rate * 8
         assert long <= short + extra_output + 2**20, (short, long)

@@ -1,12 +1,20 @@
+import gc
+import os
+import re
 import struct
+import threading
 import tracemalloc
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fbeq import fbeg, filterbank
+from fbeq.config import Config
+from fbeq.equalizer import process_stream
 from fbeq.errors import ConfigError, FormatError
 from fbeq.fbeg import (
     ALIAS_TAIL_TOLERANCE,
@@ -202,6 +210,25 @@ class TestLoadValidation:
         with pytest.raises(FormatError, match="offset 24"):
             load_gain_stream(bad)
 
+    def test_pipe_rejected(self, tmp_path):
+        """A pipe has no size to check the header against."""
+        raw = self.make_valid(tmp_path)
+        pipe = tmp_path / "pipe.fbeg"
+        os.mkfifo(pipe)
+
+        def feed():
+            with open(pipe, "wb") as fh:
+                fh.write(raw)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            with pytest.raises(FormatError, match="is not a regular file"):
+                load_gain_stream(pipe)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("frame, bin_, part", [(0, 0, 0), (2, 5, 1), (1, 8, 0)])
     def test_non_finite_payload(self, tmp_path, value, frame, bin_, part):
@@ -289,6 +316,102 @@ class TestAliasTailWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             load_gain_stream(path)
+
+
+SMALL = dict(frame_size=16, proto_len=16, hop=4, shorten_len=8)
+
+
+class TestBlockReading:
+    """``process_stream`` reads a gain file four records at a time here and
+    rejects what ``load_gain_stream`` rejects, with the same message.
+
+    The input needs 6 frames and the file holds 10, so frames 6-9 are
+    records past the input's last frame, read only to be checked.
+    """
+
+    @staticmethod
+    def run(path, num_frames=6):
+        with patch.object(filterbank, "BLOCK_FRAMES", 4):
+            return process_stream(np.ones(4 * num_frames), path,
+                                  Config(**SMALL).validate())
+
+    @staticmethod
+    def unity_file(tmp_path, num_frames=10):
+        path = tmp_path / "unity.fbeg"
+        write_gain_stream(path, np.ones((num_frames, 9), dtype=np.complex64),
+                          TYPE_SUBBAND_GAINS, 16, 4)
+        return path
+
+    # frame 1: first block; 3 and 4: either side of a block boundary;
+    # 8: past the input's last frame
+    @pytest.mark.parametrize("frame, bin_, part",
+                             [(1, 3, 0), (3, 8, 1), (4, 0, 0), (8, 5, 1)])
+    def test_non_finite_value_reported_as_by_loader(self, tmp_path, frame, bin_,
+                                                    part):
+        path = self.unity_file(tmp_path)
+        raw = bytearray(path.read_bytes())
+        offset = 24 + 4 * ((frame * 9 + bin_) * 2 + part)
+        struct.pack_into("<f", raw, offset, np.nan)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as loaded:
+            load_gain_stream(path)
+        assert str(loaded.value).endswith(
+            f"frame {frame}, bin {bin_} ({'imag' if part else 'real'} part) "
+            f"at offset {offset}")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(loaded.value))}$"):
+            self.run(path)
+
+    def test_file_cut_short_after_size_check(self, tmp_path):
+        path = self.unity_file(tmp_path, num_frames=400)  # past the read buffer
+        cut = 24 + 72 * 200 + 30
+        read_header = fbeg._read_header
+
+        def read_then_cut(fh):
+            header = read_header(fh)
+            os.truncate(path, cut)
+            return header
+
+        with patch.object(fbeg, "_read_header", read_then_cut):
+            with pytest.raises(FormatError, match=rf"^payload ends at offset "
+                                                  rf"{cut}, inside frame 200 of 400$"):
+                self.run(path, num_frames=300)
+
+    @pytest.mark.parametrize("leaky", [[5, 6, 9], [9]])
+    def test_leaky_responses_warn_once_as_loader(self, tmp_path, leaky):
+        k = np.arange(9)
+        frames = np.ones((10, 9), dtype=np.complex128)
+        frames[leaky] = np.exp(-2j * np.pi * k * 13 / 16)  # delay past tap 12
+        path = tmp_path / "leaky.fbeg"
+        write_gain_stream(path, frames, TYPE_DFT_RESPONSES, 16, 4)
+        with pytest.warns(UserWarning) as loaded:
+            load_gain_stream(path)
+        assert f"frame {leaky[0]} " in str(loaded[0].message)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.run(path)
+        assert [str(w.message) for w in caught] == [str(loaded[0].message)]
+
+    def test_file_closed_after_mid_file_error(self, tmp_path):
+        path = self.unity_file(tmp_path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 24 + 4 * (5 * 9 * 2), np.inf)  # frame 5
+        path.write_bytes(bytes(raw))
+        handles = []
+        read_records = fbeg._read_records
+
+        def spy(fh, *args):
+            handles.append(fh)
+            return read_records(fh, *args)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with patch.object(fbeg, "_read_records", spy):
+                with pytest.raises(FormatError, match="frame 5, bin 0"):
+                    self.run(path)
+            assert len(handles) == 2 and all(fh.closed for fh in handles)
+            del handles
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestGeometryCheck:
