@@ -274,9 +274,8 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     ----------
     x : array_like
         Input signal.
-    gain_source : str or tuple or path-like
-        ``"mmse-lsa"`` for the built-in estimator, a path to an FBEG file,
-        or a preloaded ``(StreamHeader, frames)`` pair.
+    gain_source : str or path-like
+        ``"mmse-lsa"`` for the built-in estimator, or the path of an FBEG file.
     cfg : fbeq.config.Config
         Validated configuration.
 
@@ -288,18 +287,17 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     Raises
     ------
     DataError
-        A non-finite input sample (its index is reported), or a gain stream
+        A non-finite input sample (its index is reported), or a gain file
         with fewer frames than the input needs.
     ConfigError
-        A gain stream whose geometry or frame shape does not fit the
-        configuration, or a DFT-response stream in ``direct`` mode.
+        A gain file whose geometry does not fit the configuration, or a
+        DFT-response file in ``direct`` mode.
     NumericError
         A subband-gain frame whose DC or Nyquist bin is not real (the frame
         is named).
     FormatError
         A gain file that :func:`fbeq.fbeg.load_gain_stream` would reject,
-        with the same message; a pipe is rejected, as its payload size
-        cannot be checked before the records are read.
+        with the same message.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     _check_finite(x, "input ")
@@ -316,26 +314,14 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
         return np.zeros(0, dtype=np.float64), report
 
     estimator = isinstance(gain_source, str) and gain_source == ESTIMATOR_MMSE_LSA
-    from_file = not estimator and not isinstance(gain_source, tuple)
-    with open(gain_source, "rb") if from_file else nullcontext() as fh:
+    with (nullcontext((None, None)) if estimator
+          else fbeg.open_gain_stream(gain_source)) as (header, read):
         if estimator:
-            header = None
             params = cfg.estimator_params()
             tracker = NoiseTrackerState.initial(spec.num_bins, params)
             history = np.zeros(spec.proto_len)
-        elif from_file:
-            header = fbeg._read_header(fh)
         else:
-            header, stream_frames = gain_source
-
-        if header is not None:
             fbeg.check_stream_geometry(header, spec, p)
-            if not from_file and np.shape(stream_frames) != (header.num_frames,
-                                                             header.num_bins):
-                raise ConfigError(
-                    f"gain stream frames have shape {np.shape(stream_frames)}; its "
-                    f"header declares {header.num_frames} x {header.num_bins}"
-                )
             if header.num_frames < num_frames:
                 raise DataError(
                     f"gain stream ends after frame {header.num_frames}; the input "
@@ -347,38 +333,24 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
                     "DFT-response (type B) streams carry no time-domain taps; "
                     "use the ols mode"
                 )
-        warned = False
-
-        def records(frames: slice) -> np.ndarray:
-            nonlocal warned
-            if not from_file:
-                return stream_frames[frames]
-            rows = fbeg._read_records(fh, header, frames.start,
-                                      frames.stop - frames.start)
-            if responses and not warned:
-                warned = fbeg._check_alias_tail(rows, hop, frames.start)
-            return rows
 
         engine = EngineState.create(p, hop)
         out = np.empty(num_frames * hop, dtype=np.float64)
         for frames in _frame_blocks(num_frames):
             samples = slice(frames.start * hop, frames.stop * hop)
             block = x[samples]
-            if header is None:
+            if estimator:
                 analysis = analyze_polyphase(block, proto, spec, history)
                 history = np.concatenate([history, block])[-history.size:]
                 rows = estimate_gains(analysis.frames, params, tracker)
             elif responses:
-                out[samples] = ols_filter_frame(engine, records(frames), block)
+                out[samples] = ols_filter_frame(engine, read(frames), block)
                 continue
             else:
-                rows = _clamp_magnitude(records(frames), cfg.g_max)
+                rows = _clamp_magnitude(read(frames), cfg.g_max)
             taps = gains_to_taps(rows, proto, p, first_frame=frames.start)
             if cfg.mode == "direct":
                 out[samples] = direct_filter_block(engine, taps, block)
             else:
                 out[samples] = ols_filter_frame(engine, filter_to_freq(taps), block)
-        if from_file:  # the records past the input's end are checked, then dropped
-            for rest in _frame_blocks(header.num_frames, first=num_frames):
-                records(rest)
     return out, report

@@ -17,10 +17,10 @@ offset   size  field
 24       ...   frames x bins x (f32 real, f32 imag)
 =======  ====  =====================================================
 
-A file is read in two steps: the header, checked together with the payload
-size it implies, then any run of records, each checked for non-finite values
-where it lies in the file.  :func:`load_gain_stream` reads every record at
-once; :func:`fbeq.equalizer.process_stream` reads a block at a time.
+The one reader, :func:`open_gain_stream`, checks the header with the payload
+size it implies, then decodes records a block at a time, each checked where
+it lies in the file.  :func:`load_gain_stream` reads every record in one
+call; :func:`fbeq.equalizer.process_stream` reads a block at a time.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ import os
 import stat
 import struct
 import warnings
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
-from .filterbank import FilterbankSpec
+from .errors import ConfigError, DataError, FormatError
+from .filterbank import FilterbankSpec, _frame_blocks
 
 MAGIC = b"FBEG"
 VERSION = 1
@@ -60,9 +61,13 @@ def write_gain_stream(path, frames, record_type: int, frame_size: int,
     """Serialize a ``K x bins`` complex frame matrix to an FBEG file.
 
     Values are stored as IEEE-754 32-bit (real, imag) pairs; pass
-    ``complex64`` data for a bit-exact round-trip.
+    ``complex64`` data for a bit-exact round-trip.  Before the file is
+    opened, a value that is NaN, infinite or past the float32 range raises
+    :class:`DataError` naming its frame and bin, and a bad record type, bin
+    count, frame size or hop raises :class:`ConfigError`.
     """
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.complex64))
+    with np.errstate(over="ignore"):  # an overflowing value is reported below
+        frames = np.atleast_2d(np.asarray(frames, dtype=np.complex64))
     num_frames, num_bins = frames.shape
     if record_type not in (TYPE_SUBBAND_GAINS, TYPE_DFT_RESPONSES):
         raise ConfigError(f"unknown record type {record_type}")
@@ -73,26 +78,31 @@ def write_gain_stream(path, frames, record_type: int, frame_size: int,
         )
     if num_bins < 2:
         raise ConfigError(f"records need at least 2 bins, got {num_bins}")
-    header = _HEADER.pack(
-        MAGIC, VERSION, record_type, 0, frame_size, hop, num_bins, num_frames
-    )
-    interleaved = np.empty((num_frames, num_bins, 2), dtype="<f4")
-    interleaved[..., 0] = frames.real
-    interleaved[..., 1] = frames.imag
+    if not np.isfinite(frames).all():
+        frame, bin_ = np.argwhere(~np.isfinite(frames))[0]
+        raise DataError(f"value in frame {frame}, bin {bin_} is NaN, infinite "
+                        "or beyond the float32 range")
+    try:
+        header = _HEADER.pack(MAGIC, VERSION, record_type, 0, frame_size, hop,
+                              num_bins, num_frames)
+    except struct.error as exc:
+        raise ConfigError(f"frame size {frame_size} or hop {hop} does not fit "
+                          f"the header's u32 fields: {exc}") from exc
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(interleaved.tobytes())
+        fh.write(np.ascontiguousarray(frames, dtype="<c8").tobytes())
 
 
-def _check_alias_tail(frames: np.ndarray, hop: int, first: int = 0) -> bool:
+def _check_alias_tail(frames: np.ndarray, hop: int, first: int,
+                      stacklevel: int) -> bool:
     """Warn if a DFT-response record implies time taps that would alias.
 
     The overlap-save engine keeps the last ``hop`` samples of a ``2P``-point
     circular convolution; those are linear-convolution samples only if the
     implied time filter is supported on taps ``0 .. 2P - hop``.  Energy
-    beyond that, above ``ALIAS_TAIL_TOLERANCE`` relative, triggers a warning
-    naming the first such frame, counted from ``first``.  Returns whether it
-    warned, so a stream checked block by block warns once.
+    beyond that, above ``ALIAS_TAIL_TOLERANCE`` relative, triggers a warning,
+    filed ``stacklevel`` frames up, naming the first such frame counted from
+    ``first``.  Returns whether it warned, so a stream warns once.
     """
     fft_size = 2 * (frames.shape[1] - 1)
     if hop <= 0 or fft_size - hop + 1 >= fft_size:
@@ -107,17 +117,14 @@ def _check_alias_tail(frames: np.ndarray, hop: int, first: int = 0) -> bool:
             f"DFT-response stream implies time-aliasing: frame {first + bad[0]} "
             f"has relative tail energy {tail[bad[0]] / total[bad[0]]:.3e} beyond "
             f"tap {fft_size - hop} (tolerance {ALIAS_TAIL_TOLERANCE:.0e})",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return bool(bad.size)
 
 
 def _read_header(fh) -> StreamHeader:
-    """Read and check the header of the FBEG file open as ``fh``.
-
-    The payload size declared by the header is checked against the file's
-    size, so the records can then be read a block at a time.
-    """
+    """Read and check the header of the FBEG file open as ``fh``, and the
+    payload size it declares against the file's size."""
     data = fh.read(_HEADER.size)
     if len(data) < _HEADER.size:
         raise FormatError(
@@ -156,12 +163,7 @@ def _read_header(fh) -> StreamHeader:
 
 
 def _read_records(fh, header: StreamHeader, first: int, count: int) -> np.ndarray:
-    """Read records ``first .. first + count - 1`` as a ``count x bins``
-    complex128 matrix: the exact widening of the stored 32-bit values.
-
-    A non-finite value is reported with its frame, bin and byte offset in
-    the whole file.
-    """
+    """Decode records ``first .. first + count - 1`` of the file open as ``fh``."""
     record_size = 8 * header.num_bins
     offset = _HEADER.size + first * record_size
     fh.seek(offset)
@@ -184,12 +186,36 @@ def _read_records(fh, header: StreamHeader, first: int, count: int) -> np.ndarra
     return stored.astype(np.complex128).reshape(count, header.num_bins)
 
 
-def load_gain_stream(path) -> tuple[StreamHeader, np.ndarray]:
-    """Read a whole FBEG file.
+@contextmanager
+def open_gain_stream(path):
+    """Open an FBEG file; yield its checked header and ``read(frames)``.
 
-    :func:`fbeq.equalizer.process_stream`, given a path, reads and checks
-    the same records a block at a time instead, so its memory does not grow
-    with the file.
+    ``read`` decodes the records in the slice ``frames`` as
+    :func:`load_gain_stream` documents and, for type B, warns once per file
+    about the first record that would alias, filed under the caller of its
+    caller.  After a clean exit from the ``with`` block, the records past
+    the last one read are read and checked, then dropped.
+    """
+    with open(path, "rb") as fh:
+        header = _read_header(fh)
+        end, warned, stacklevel = 0, False, 4  # the caller of read's caller
+
+        def read(frames: slice) -> np.ndarray:
+            nonlocal end, warned
+            rows = _read_records(fh, header, frames.start, frames.stop - frames.start)
+            if header.record_type == TYPE_DFT_RESPONSES and not warned:
+                warned = _check_alias_tail(rows, header.hop, frames.start, stacklevel)
+            end = frames.stop
+            return rows
+
+        yield header, read
+        stacklevel += 2  # this generator and contextlib's __exit__ now call read
+        for rest in _frame_blocks(header.num_frames, first=end):
+            read(rest)
+
+
+def load_gain_stream(path) -> tuple[StreamHeader, np.ndarray]:
+    """Read a whole FBEG file in one call to :func:`open_gain_stream`'s reader.
 
     Returns
     -------
@@ -202,16 +228,12 @@ def load_gain_stream(path) -> tuple[StreamHeader, np.ndarray]:
     ------
     FormatError
         Bad magic, version, record type, inconsistent bin count, a
-        truncated/oversized payload, or a non-finite payload value — with
-        the offending byte offset (and, for a payload value, its frame and
-        bin).
+        truncated/oversized payload, a file that is not a regular file, or a
+        non-finite payload value — with the offending byte offset (and, for
+        a payload value, its frame and bin).
     """
-    with open(path, "rb") as fh:
-        header = _read_header(fh)
-        frames = _read_records(fh, header, 0, header.num_frames)
-    if header.record_type == TYPE_DFT_RESPONSES and header.num_frames:
-        _check_alias_tail(frames, header.hop)
-    return header, frames
+    with open_gain_stream(path) as (header, read):
+        return header, read(slice(0, header.num_frames))
 
 
 def check_stream_geometry(header: StreamHeader, spec: FilterbankSpec,

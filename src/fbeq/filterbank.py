@@ -122,6 +122,15 @@ def design_prototype(spec: FilterbankSpec) -> PrototypeFilter:
     return PrototypeFilter(taps=taps)
 
 
+def _prototype_taps(proto: PrototypeFilter, spec: FilterbankSpec) -> np.ndarray:
+    """The prototype's taps as float64, checked to be the ``L+1`` of ``spec``."""
+    taps = np.asarray(proto.taps, dtype=np.float64)
+    if taps.size != spec.proto_len + 1:
+        raise ConfigError(f"prototype has {taps.size} taps, geometry expects "
+                          f"{spec.proto_len + 1}")
+    return taps
+
+
 def _analysis_segments(x: np.ndarray, spec: FilterbankSpec, history=None) -> np.ndarray:
     """Time-ascending windows ``x[k*r - 1 - L .. k*r - 1]`` for each frame k;
     ``history`` holds the ``L`` samples before ``x[0]`` (zeros when omitted)."""
@@ -182,6 +191,7 @@ def analyze_polyphase(x, proto: PrototypeFilter, spec: FilterbankSpec,
     ``history``, the ``L`` samples before ``x`` (zeros when omitted), lets a
     signal cut at hop boundaries be analysed piece by piece to the same bits.
     """
+    taps = _prototype_taps(proto, spec)
     x = np.asarray(x, dtype=np.float64).ravel()
     num_frames = spec.num_frames(x.size)
     frames = np.empty((num_frames, spec.num_bins), dtype=np.complex128)
@@ -190,7 +200,7 @@ def analyze_polyphase(x, proto: PrototypeFilter, spec: FilterbankSpec,
     segments = _analysis_segments(x, spec, history)
     correction = _phase_correction(spec)
     for block in _frame_blocks(num_frames):
-        windowed = segments[block, ::-1] * proto.taps
+        windowed = segments[block, ::-1] * taps
         frames[block] = _fold_and_transform(windowed, spec, correction)
     return AnalysisFrameSeq(frames, spec)
 
@@ -326,12 +336,7 @@ class PolyphaseAnalyzer:
 
     def __init__(self, proto: PrototypeFilter, spec: FilterbankSpec) -> None:
         self.spec = spec
-        self._taps = np.asarray(proto.taps, dtype=np.float64)
-        if self._taps.size != spec.proto_len + 1:
-            raise ConfigError(
-                f"prototype has {self._taps.size} taps, geometry expects "
-                f"{spec.proto_len + 1}"
-            )
+        self._taps = _prototype_taps(proto, spec)
         self._correction = _phase_correction(spec)
         self._history = np.zeros(spec.proto_len + 1, dtype=np.float64)
 

@@ -1,8 +1,12 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from fbeq.errors import ConfigError
+from fbeq.fbeg import TYPE_SUBBAND_GAINS, write_gain_stream
 from fbeq.filterbank import (
     AnalysisFrameSeq,
     FilterbankSpec,
@@ -40,6 +44,19 @@ def geometries(draw):
     hop = draw(st.sampled_from([r for r in range(1, m + 1) if m % r == 0]))
     p = 2 * draw(st.integers(max(1, hop // 2), big_l // 2))
     return dict(frame_size=m, proto_len=big_l, hop=hop, shorten_len=p)
+
+
+def gain_file(directory, frames, frame_size, hop, record_type=TYPE_SUBBAND_GAINS):
+    """Write ``frames`` to a new FBEG file in ``directory``; return its path.
+
+    The file stores the frames as complex64, so code that must match
+    ``process_stream`` bit for bit takes the rows ``load_gain_stream`` reads
+    back, not ``frames``.
+    """
+    handle, path = tempfile.mkstemp(suffix=".fbeg", dir=directory)
+    os.close(handle)
+    write_gain_stream(path, frames, record_type, frame_size, hop)
+    return path
 
 
 def modulation(spec: FilterbankSpec, i: int, l: int) -> complex:

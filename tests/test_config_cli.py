@@ -1,5 +1,6 @@
 import csv
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -17,6 +18,16 @@ SMALL_FLAGS = ["-M", "16", "-L", "16", "-r", "4", "-P", "8"]
 def write_test_wav(path, samples, rate=16000):
     write_wav(path, AudioBuffer(np.asarray(samples, dtype=np.float64), rate),
               fmt="float32")
+
+
+def write_with_nan(path, num_frames, offset):
+    """A unity type-A file for ``SMALL_FLAGS`` with a NaN float at byte
+    ``offset``, patched in because ``write_gain_stream`` rejects NaN."""
+    fbeg.write_gain_stream(path, np.ones((num_frames, 9), dtype=np.complex64),
+                           fbeg.TYPE_SUBBAND_GAINS, 16, 4)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, offset, np.nan)
+    path.write_bytes(bytes(raw))
 
 
 class TestConfigValidation:
@@ -224,13 +235,11 @@ class TestCliEnhance:
         wav = tmp_path / "in.wav"
         write_test_wav(wav, np.zeros(160))  # 40 frames
         stream = tmp_path / "tail.fbeg"
-        gains = np.ones((100, 9), dtype=np.complex64)
-        gains[70, 2] = np.nan
-        fbeg.write_gain_stream(stream, gains, fbeg.TYPE_SUBBAND_GAINS, 16, 4)
+        offset = 24 + 8 * (70 * 9 + 2)
+        write_with_nan(stream, 100, offset)
         code = main(["enhance", *SMALL_FLAGS, "--in", str(wav),
                      "--out", str(tmp_path / "out.wav"), "--gains", str(stream)])
         assert code == 3
-        offset = 24 + 8 * (70 * 9 + 2)
         assert capsys.readouterr().err.strip() == (
             f"fbeq: error: non-finite value in frame 70, bin 2 (real part) "
             f"at offset {offset}"
@@ -387,10 +396,8 @@ class TestExitCodes:
     def test_non_finite_gain_stream_is_three(self, tmp_path, capsys):
         wav = tmp_path / "in.wav"
         write_test_wav(wav, 0.1 * np.random.default_rng(8).standard_normal(160))
-        gains = np.ones((40, 9), dtype=np.complex64)
-        gains[12, 3] = np.nan
         stream = tmp_path / "nan.fbeg"
-        fbeg.write_gain_stream(stream, gains, fbeg.TYPE_SUBBAND_GAINS, 16, 4)
+        write_with_nan(stream, 40, 24 + 8 * (12 * 9 + 3))
         code = main(["enhance", *SMALL_FLAGS, "--in", str(wav),
                      "--out", str(tmp_path / "out.wav"),
                      "--gains", str(stream)])

@@ -25,7 +25,6 @@ from fbeq.errors import ConfigError, DataError, NumericError
 from fbeq.fbeg import (
     TYPE_DFT_RESPONSES,
     TYPE_SUBBAND_GAINS,
-    StreamHeader,
     load_gain_stream,
     write_gain_stream,
 )
@@ -38,7 +37,7 @@ from fbeq.filterbank import (
 )
 from fbeq.gains import NoiseTrackerState, mmse_lsa_gain, update_noise_psd
 
-from conftest import geometries, make_speech
+from conftest import gain_file, geometries, make_speech
 
 
 def random_hermitian_gains(rng, num_bins):
@@ -177,7 +176,7 @@ class TestGainsToTaps:
             gains_to_taps(np.ones(9), small_proto, 18)
 
     @pytest.mark.parametrize("mode", ["ols", "direct"])
-    def test_edge_imaginary_parts_under_tolerance_are_dropped(self, mode):
+    def test_edge_imaginary_parts_under_tolerance_are_dropped(self, tmp_path, mode):
         """DC/Nyquist imaginary parts the check lets through change no output bit."""
         rng = np.random.default_rng(67)
         gains = np.stack([random_hermitian_gains(rng, 9) for _ in range(20)])
@@ -185,12 +184,11 @@ class TestGainsToTaps:
         salted = gains.copy()
         salted[:, 0] += 1j * limit
         salted[:, -1] -= 1j * limit
-        header = StreamHeader(TYPE_SUBBAND_GAINS, 16, 4, 9, 20)
         cfg = small_config(mode=mode, g_max=10.0)
         assert np.abs(salted).max() < cfg.g_max  # no clamping
         x = rng.standard_normal(80)
-        out, _ = process_stream(x, (header, salted), cfg)
-        want, _ = process_stream(x, (header, gains), cfg)
+        out, _ = process_stream(x, gain_file(tmp_path, salted, 16, 4), cfg)
+        want, _ = process_stream(x, gain_file(tmp_path, gains, 16, 4), cfg)
         assert np.array_equal(out, want)
 
 
@@ -472,13 +470,12 @@ def small_config(**overrides):
 
 
 class TestProcessStream:
-    def test_unity_gains_delay_by_half_window(self):
+    def test_unity_gains_delay_by_half_window(self, tmp_path):
         cfg = small_config()
         rng = np.random.default_rng(41)
         x = rng.standard_normal(4 * 120)
-        frames = np.ones((120, 9), dtype=np.complex128)
-        header = StreamHeader(TYPE_SUBBAND_GAINS, 16, 4, 9, 120)
-        out, report = process_stream(x, (header, frames), cfg)
+        path = gain_file(tmp_path, np.ones((120, 9)), 16, 4)
+        out, report = process_stream(x, path, cfg)
         assert out.size == 480
         assert report.filter_group_delay_samples == 4
         warm = 16 + 2 * 8
@@ -504,39 +501,36 @@ class TestProcessStream:
         np.testing.assert_array_equal(out1, out2)
         assert report.block_buffer_samples == 4
 
-    def test_type_b_identity_response(self):
+    def test_type_b_identity_response(self, tmp_path):
         cfg = small_config()
         rng = np.random.default_rng(53)
         x = rng.standard_normal(4 * 60)
-        frames = np.ones((60, 9), dtype=np.complex128)  # rfft of delta at 0
-        header = StreamHeader(TYPE_DFT_RESPONSES, 16, 4, 9, 60)
-        out, _ = process_stream(x, (header, frames), cfg)
+        frames = np.ones((60, 9))  # rfft of delta at 0
+        out, _ = process_stream(
+            x, gain_file(tmp_path, frames, 16, 4, TYPE_DFT_RESPONSES), cfg)
         np.testing.assert_allclose(out, x[:240], rtol=0,
                                    atol=1e-12 * np.max(np.abs(x)))
 
-    def test_type_b_rejects_direct_mode(self):
-        frames = np.ones((10, 9), dtype=np.complex128)
-        header = StreamHeader(TYPE_DFT_RESPONSES, 16, 4, 9, 10)
+    def test_type_b_rejects_direct_mode(self, tmp_path):
+        path = gain_file(tmp_path, np.ones((10, 9)), 16, 4, TYPE_DFT_RESPONSES)
         with pytest.raises(ConfigError, match="ols"):
-            process_stream(np.ones(40), (header, frames),
-                           small_config(mode="direct"))
+            process_stream(np.ones(40), path, small_config(mode="direct"))
 
-    def test_stream_too_short(self):
-        frames = np.ones((3, 9), dtype=np.complex128)
-        header = StreamHeader(TYPE_SUBBAND_GAINS, 16, 4, 9, 3)
+    def test_stream_too_short(self, tmp_path):
+        path = gain_file(tmp_path, np.ones((3, 9)), 16, 4)
         with pytest.raises(DataError, match="ends after frame 3"):
-            process_stream(np.ones(40), (header, frames), small_config())
+            process_stream(np.ones(40), path, small_config())
 
     @pytest.mark.parametrize("block_frames", [1, 4, 64])
     @pytest.mark.parametrize("mode", ["ols", "direct"])
-    def test_hermitian_error_names_stream_frame(self, block_frames, mode):
+    def test_hermitian_error_names_stream_frame(self, tmp_path, block_frames, mode):
         frames = np.ones((20, 9), dtype=np.complex128)
         frames[13, 0] = 1.0 + 0.5j
         frames[17, -1] = 1j
-        header = StreamHeader(TYPE_SUBBAND_GAINS, 16, 4, 9, 20)
+        path = gain_file(tmp_path, frames, 16, 4)
         with patch.object(filterbank, "BLOCK_FRAMES", block_frames):
             with pytest.raises(NumericError, match="symmetry error in frame 13:"):
-                process_stream(np.ones(80), (header, frames), small_config(mode=mode))
+                process_stream(np.ones(80), path, small_config(mode=mode))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_input(self, value):
@@ -546,19 +540,10 @@ class TestProcessStream:
         with pytest.raises(DataError, match=r"input sample 37 is non-finite"):
             process_stream(x, "mmse-lsa", small_config())
 
-    @pytest.mark.parametrize("record_type", [TYPE_SUBBAND_GAINS, TYPE_DFT_RESPONSES])
-    @pytest.mark.parametrize("shape", [(10, 5), (8, 9)])
-    def test_frames_must_match_their_header(self, record_type, shape):
-        header = StreamHeader(record_type, 16, 4, 9, 10)  # 9 bins fit both types
-        with pytest.raises(ConfigError, match="header declares 10 x 9"):
-            process_stream(np.ones(40), (header, np.ones(shape, complex)),
-                           small_config())
-
-    def test_stream_geometry_mismatch(self):
-        frames = np.ones((10, 9), dtype=np.complex128)
-        header = StreamHeader(TYPE_SUBBAND_GAINS, 32, 4, 9, 10)
+    def test_stream_geometry_mismatch(self, tmp_path):
+        path = gain_file(tmp_path, np.ones((10, 17)), 32, 4)
         with pytest.raises(ConfigError, match="written for frame size 32"):
-            process_stream(np.ones(40), (header, frames), small_config())
+            process_stream(np.ones(40), path, small_config())
 
     def test_loads_stream_from_file(self, tmp_path):
         cfg = small_config()
@@ -568,18 +553,17 @@ class TestProcessStream:
         write_gain_stream(path, np.ones((30, 9), dtype=np.complex64),
                           TYPE_SUBBAND_GAINS, 16, 4)
         out_file, _ = process_stream(x, path, cfg)
-        header = StreamHeader(TYPE_SUBBAND_GAINS, 16, 4, 9, 30)
-        out_mem, _ = process_stream(x, (header, np.ones((30, 9))), cfg)
-        np.testing.assert_array_equal(out_file, out_mem)
+        want = per_hop_chain(x, np.ones((30, 9)), cfg, TYPE_SUBBAND_GAINS)
+        np.testing.assert_array_equal(out_file, want)
 
-    def test_external_gains_are_clamped(self):
+    def test_external_gains_are_clamped(self, tmp_path):
         cfg = small_config()  # g_max defaults to 4.0
         rng = np.random.default_rng(61)
         x = rng.standard_normal(4 * 40)
-        hot = np.full((40, 9), 100.0, dtype=np.complex128)
-        header = StreamHeader(TYPE_SUBBAND_GAINS, 16, 4, 9, 40)
-        out_hot, _ = process_stream(x, (header, hot), cfg)
-        out_4, _ = process_stream(x, (header, np.full((40, 9), 4.0 + 0j)), cfg)
+        hot = gain_file(tmp_path, np.full((40, 9), 100.0), 16, 4)
+        out_hot, _ = process_stream(x, hot, cfg)
+        out_4, _ = process_stream(x, gain_file(tmp_path, np.full((40, 9), 4.0), 16, 4),
+                                  cfg)
         np.testing.assert_allclose(out_hot, out_4, rtol=0,
                                    atol=1e-12 * np.max(np.abs(out_4)))
 
@@ -645,68 +629,74 @@ class TestBatchEqualsPerHop:
         out, _ = process_stream(x, "mmse-lsa", cfg)
         assert np.array_equal(out, per_hop_chain(x, None, cfg))
 
-    def test_subband_gain_stream(self):
+    def test_subband_gain_stream(self, tmp_path):
         cfg = Config().validate()
         rng = np.random.default_rng(97)
         x = rng.standard_normal(64 * 40)
         gains = random_hermitian_gains(rng, 257 * 40).reshape(40, 257) * 2.0
         gains[:, [0, -1]] = gains[:, [0, -1]].real  # some bins above g_max
-        header = StreamHeader(TYPE_SUBBAND_GAINS, 512, 64, 257, 40)
-        out, _ = process_stream(x, (header, gains), cfg)
-        assert np.array_equal(out, per_hop_chain(x, gains, cfg, TYPE_SUBBAND_GAINS))
+        path = gain_file(tmp_path, gains, 512, 64)
+        out, _ = process_stream(x, path, cfg)
+        rows = load_gain_stream(path)[1]
+        assert np.array_equal(out, per_hop_chain(x, rows, cfg, TYPE_SUBBAND_GAINS))
 
-    def test_dft_response_stream(self):
+    def test_dft_response_stream(self, tmp_path):
         cfg = Config().validate()
         rng = np.random.default_rng(101)
         x = rng.standard_normal(64 * 40)
         responses = np.fft.rfft(rng.standard_normal((40, 128)), n=256, axis=1)
-        header = StreamHeader(TYPE_DFT_RESPONSES, 512, 64, 129, 40)
-        out, _ = process_stream(x, (header, responses), cfg)
-        assert np.array_equal(
-            out, per_hop_chain(x, responses, cfg, TYPE_DFT_RESPONSES))
+        path = gain_file(tmp_path, responses, 512, 64, TYPE_DFT_RESPONSES)
+        out, _ = process_stream(x, path, cfg)
+        rows = load_gain_stream(path)[1]
+        assert np.array_equal(out, per_hop_chain(x, rows, cfg, TYPE_DFT_RESPONSES))
 
 
 class TestBatchEqualsPerHopProperty:
     """The batch/per-hop equality above, over drawn geometries instead of three.
 
     The batch runs in blocks of fewer frames than the signal has, so every
-    draw crosses at least one block boundary.
+    draw crosses at least one block boundary.  Gain files hold 0-5 records
+    past the input's last frame, and the input may end in a partial hop.
     """
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(geometry=geometries(), num_frames=st.integers(2, 40),
            seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_every_gain_source(self, geometry, num_frames, seed, data):
+    def test_every_gain_source(self, tmp_path, geometry, num_frames, seed, data):
         block_frames = data.draw(st.integers(1, min(7, num_frames - 1)),
                                  label="block_frames")
+        extra = data.draw(st.integers(0, 5), label="extra")
+        tail = data.draw(st.integers(0, geometry["hop"] - 1), label="tail")
         with patch.object(filterbank, "BLOCK_FRAMES", block_frames):
-            self._check_every_gain_source(geometry, num_frames, seed)
+            self._check_every_gain_source(tmp_path, geometry, num_frames, extra,
+                                          tail, seed)
 
     @staticmethod
-    def _check_every_gain_source(geometry, num_frames, seed):
+    def _check_every_gain_source(tmp_path, geometry, num_frames, extra, tail, seed):
         cfg = Config(**geometry).validate()
         m, hop, p = cfg.frame_size, cfg.hop, cfg.shorten_len
-        bins = m // 2 + 1
+        bins, stored = m // 2 + 1, num_frames + extra
         rng = np.random.default_rng(seed)
-        n = num_frames * hop
+        n = num_frames * hop + tail
         # Loud and quiet stretches, so the noise tracker's gate both opens and shuts.
         x = rng.standard_normal(n) * np.where(np.arange(n) // (4 * hop) % 2, 4.0, 1.0)
 
         out, _ = process_stream(x, "mmse-lsa", cfg)
         assert np.array_equal(out, per_hop_chain(x, None, cfg))
 
-        gains = 3.0 * random_hermitian_gains(rng, num_frames * bins).reshape(
-            num_frames, bins)
+        gains = 3.0 * random_hermitian_gains(rng, stored * bins).reshape(stored, bins)
         gains[:, [0, -1]] = gains[:, [0, -1]].real  # some bins above g_max
-        header = StreamHeader(TYPE_SUBBAND_GAINS, m, hop, bins, num_frames)
-        out, _ = process_stream(x, (header, gains), cfg)
-        assert np.array_equal(out, per_hop_chain(x, gains, cfg, TYPE_SUBBAND_GAINS))
+        path = gain_file(tmp_path, gains, m, hop)
+        out, _ = process_stream(x, path, cfg)
+        rows = load_gain_stream(path)[1]
+        assert np.array_equal(out, per_hop_chain(x, rows, cfg, TYPE_SUBBAND_GAINS))
 
-        responses = np.fft.rfft(rng.standard_normal((num_frames, p)), n=2 * p, axis=1)
-        header = StreamHeader(TYPE_DFT_RESPONSES, m, hop, p + 1, num_frames)
-        out, _ = process_stream(x, (header, responses), cfg)
-        assert np.array_equal(
-            out, per_hop_chain(x, responses, cfg, TYPE_DFT_RESPONSES))
+        responses = np.fft.rfft(rng.standard_normal((stored, p)), n=2 * p, axis=1)
+        path = gain_file(tmp_path, responses, m, hop, TYPE_DFT_RESPONSES)
+        out, _ = process_stream(x, path, cfg)
+        rows = load_gain_stream(path)[1]
+        assert np.array_equal(out, per_hop_chain(x, rows, cfg, TYPE_DFT_RESPONSES))
 
 
 class TestOlsEqualsDirectProperty:
@@ -716,12 +706,14 @@ class TestOlsEqualsDirectProperty:
     filters' near-zero edge taps and a relative error means something.  Both
     modes run in blocks of fewer frames than the signal has, so both cross
     block boundaries; direct filtering at that block size gives the bits of
-    one block over the whole signal.
+    one block over the whole signal.  The gain file holds 0-5 records past the
+    input's last frame.
     """
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(geometry=geometries(), seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_estimator_and_subband_gains(self, geometry, seed, data):
+    def test_estimator_and_subband_gains(self, tmp_path, geometry, seed, data):
         shortest = -(-2 * geometry["shorten_len"] // geometry["hop"])
         num_frames = data.draw(st.integers(shortest, shortest + 40), label="num_frames")
         block_frames = data.draw(st.integers(1, min(7, num_frames - 1)),
@@ -732,11 +724,11 @@ class TestOlsEqualsDirectProperty:
         rng = np.random.default_rng(seed)
         n = num_frames * hop
         x = rng.standard_normal(n) * np.where(np.arange(n) // (4 * hop) % 2, 4.0, 1.0)
-        gains = 3.0 * random_hermitian_gains(rng, num_frames * (m // 2 + 1)).reshape(
-            num_frames, m // 2 + 1)
+        stored = num_frames + data.draw(st.integers(0, 5), label="extra")
+        gains = 3.0 * random_hermitian_gains(rng, stored * (m // 2 + 1)).reshape(
+            stored, m // 2 + 1)
         gains[:, [0, -1]] = gains[:, [0, -1]].real  # some bins above g_max
-        header = StreamHeader(TYPE_SUBBAND_GAINS, m, hop, m // 2 + 1, num_frames)
-        for source in ("mmse-lsa", (header, gains)):
+        for source in ("mmse-lsa", gain_file(tmp_path, gains, m, hop)):
             with patch.object(filterbank, "BLOCK_FRAMES", block_frames):
                 y_ols, _ = process_stream(x, source, ols)
                 y_dir, _ = process_stream(x, source, direct)
@@ -748,8 +740,9 @@ class TestOlsEqualsDirectProperty:
 
 class TestFileEqualsLoadedProperty:
     """``process_stream`` reading a gain file a block at a time gives the bits
-    of the same file loaded whole, whether the file holds exactly the frames
-    the input needs or more."""
+    of the same file read in one block, whether the file holds exactly the
+    frames the input needs or more.  Overlap-save is also held to the per-hop
+    chain over the rows ``load_gain_stream`` reads back."""
 
     @pytest.mark.parametrize("extra", [0, 5])
     @settings(max_examples=40, deadline=None,
@@ -770,17 +763,20 @@ class TestFileEqualsLoadedProperty:
         cases = ((TYPE_SUBBAND_GAINS, gains, ("ols", "direct")),
                  (TYPE_DFT_RESPONSES, responses, ("ols",)))
         for record_type, frames, modes in cases:
-            path = tmp_path / f"type{record_type}.fbeg"
-            write_gain_stream(path, frames, record_type, m, hop)
+            path = gain_file(tmp_path, frames, m, hop, record_type)
             with warnings.catch_warnings():  # random responses may alias
                 warnings.simplefilter("ignore")
-                loaded = load_gain_stream(path)
+                rows = load_gain_stream(path)[1]
                 for mode in modes:
                     cfg = Config(mode=mode, **geometry).validate()
                     with patch.object(filterbank, "BLOCK_FRAMES", block_frames):
-                        from_file, _ = process_stream(x, path, cfg)
-                        preloaded, _ = process_stream(x, loaded, cfg)
-                    assert np.array_equal(from_file, preloaded)
+                        blockwise, _ = process_stream(x, path, cfg)
+                    with patch.object(filterbank, "BLOCK_FRAMES", stored):
+                        whole, _ = process_stream(x, path, cfg)
+                    assert np.array_equal(blockwise, whole)
+                    if mode == "ols":
+                        assert np.array_equal(
+                            blockwise, per_hop_chain(x, rows, cfg, record_type))
 
 
 class TestStreamMemory:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from fbeq import fbeg, filterbank
 from fbeq.config import Config
 from fbeq.equalizer import process_stream
-from fbeq.errors import ConfigError, FormatError
+from fbeq.errors import ConfigError, DataError, FormatError
 from fbeq.fbeg import (
     ALIAS_TAIL_TOLERANCE,
     MAGIC,
@@ -149,6 +149,26 @@ class TestWriteValidation:
             write_gain_stream(tmp_path / "x.fbeg",
                               np.ones((1, 8), dtype=np.complex64),
                               TYPE_SUBBAND_GAINS, 16, 4)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, 1e39j])
+    def test_value_the_loader_would_reject(self, tmp_path, value):
+        """1e39 is finite as complex128 and inf once stored as float32."""
+        frames = np.ones((3, 9), dtype=np.complex128)
+        frames[1, 2] = value
+        path = tmp_path / "x.fbeg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning from the cast
+            with pytest.raises(DataError, match=r"^value in frame 1, bin 2 is "):
+                write_gain_stream(path, frames, TYPE_SUBBAND_GAINS, 16, 4)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("frame_size, hop", [(16, 2**32), (16, -1), (2**33, 4)])
+    def test_geometry_outside_header_fields(self, tmp_path, frame_size, hop):
+        path = tmp_path / "x.fbeg"
+        with pytest.raises(ConfigError, match="does not fit the header's u32"):
+            write_gain_stream(path, np.ones((1, 9), dtype=np.complex64),
+                              TYPE_DFT_RESPONSES, frame_size, hop)
+        assert not path.exists()
 
 
 class TestLoadValidation:
@@ -390,6 +410,8 @@ class TestBlockReading:
             warnings.simplefilter("always")
             self.run(path)
         assert [str(w.message) for w in caught] == [str(loaded[0].message)]
+        # Filed under the caller, so a caller's module filter can match it.
+        assert loaded[0].filename == caught[0].filename == __file__
 
     def test_file_closed_after_mid_file_error(self, tmp_path):
         path = self.unity_file(tmp_path)

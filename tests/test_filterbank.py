@@ -294,6 +294,17 @@ class TestPolyphaseAnalyzer:
         with pytest.raises(ConfigError, match="taps"):
             PolyphaseAnalyzer(default_proto, small_spec)
 
+    @pytest.mark.parametrize("analyze", [
+        lambda proto, spec: PolyphaseAnalyzer(proto, spec).push(np.ones(spec.hop)),
+        lambda proto, spec: analyze_polyphase(np.ones(40), proto, spec),
+    ], ids=["PolyphaseAnalyzer", "analyze_polyphase"])
+    def test_both_entry_points_check_prototype_length(self, analyze):
+        spec = FilterbankSpec(frame_size=16, proto_len=16, hop=4)
+        proto = design_prototype(FilterbankSpec(frame_size=16, proto_len=32, hop=4))
+        with pytest.raises(ConfigError,
+                           match="^prototype has 33 taps, geometry expects 17$"):
+            analyze(proto, spec)
+
 
 class TestExpandHermitian:
     def test_all_ones(self):
