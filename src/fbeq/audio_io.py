@@ -1,7 +1,9 @@
 """WAV ingestion/emission and SNR-controlled mixing for test material.
 
 Mono PCM16 or IEEE-float32 only; mismatched sample rates are errors — the
-DSP chain never resamples.
+DSP chain never resamples.  ``scipy.io.wavfile`` is imported on the first
+read or write rather than at module import, so ``import fbeq`` does not pay
+for loading it.
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import ConfigError, DataError, FormatError
 
@@ -38,6 +39,8 @@ def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
         index is reported), or a rate different from ``expected_rate`` (no
         silent resampling).
     """
+    from scipy.io import wavfile
+
     try:
         rate, data = wavfile.read(path)
     except ValueError as exc:
@@ -84,6 +87,8 @@ def write_wav(path, buf: AudioBuffer, fmt: str = "pcm16") -> int:
     DataError
         A non-finite sample; the message names the first one.
     """
+    from scipy.io import wavfile
+
     samples = np.asarray(buf.samples, dtype=np.float64).ravel()
     _check_finite(samples, f"refusing to write {path}: ")
     if fmt == "pcm16":

@@ -15,6 +15,7 @@ these steps a block at a time, carrying each step's state between blocks.
 
 from __future__ import annotations
 
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -268,7 +269,8 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     history, noise tracker and overlap-save history between blocks: the output
     equals the per-hop chain exactly.  A gain file is read and checked a block
     of records at a time in the same loop, records past the input's last frame
-    included, so memory does not grow with the signal or the file.
+    included, so memory does not grow with the signal or the file; it is
+    opened and checked even for an input shorter than one hop.
 
     Parameters
     ----------
@@ -290,15 +292,19 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
         A non-finite input sample (its index is reported), or a gain file
         with fewer frames than the input needs.
     ConfigError
-        A gain file whose geometry does not fit the configuration, or a
-        DFT-response file in ``direct`` mode.
+        A ``gain_source`` that is neither a string nor path-like, a gain file
+        whose geometry does not fit the configuration, or a DFT-response file
+        in ``direct`` mode.
     NumericError
-        A subband-gain frame whose DC or Nyquist bin is not real (the frame
-        is named).
+        A subband-gain frame whose DC or Nyquist bin is not real, past the
+        input's last frame too (the frame is named).
     FormatError
         A gain file that :func:`fbeq.fbeg.load_gain_stream` would reject,
         with the same message.
     """
+    if not isinstance(gain_source, (str, os.PathLike)):
+        raise ConfigError(f"gain source must be {ESTIMATOR_MMSE_LSA!r} or the path "
+                          f"of an FBEG file, got {type(gain_source).__name__}")
     x = np.asarray(x, dtype=np.float64).ravel()
     _check_finite(x, "input ")
     spec = cfg.filterbank_spec()
@@ -310,10 +316,7 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
         sample_rate_hz=spec.sample_rate_hz,
     )
     num_frames = spec.num_frames(x.size)
-    if num_frames == 0:
-        return np.zeros(0, dtype=np.float64), report
-
-    estimator = isinstance(gain_source, str) and gain_source == ESTIMATOR_MMSE_LSA
+    estimator = gain_source == ESTIMATOR_MMSE_LSA
     with (nullcontext((None, None)) if estimator
           else fbeg.open_gain_stream(gain_source)) as (header, read):
         if estimator:
@@ -353,4 +356,8 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
                 out[samples] = direct_filter_block(engine, taps, block)
             else:
                 out[samples] = ols_filter_frame(engine, filter_to_freq(taps), block)
+        if not (estimator or responses):  # the records past the input's end
+            for frames in _frame_blocks(header.num_frames, first=num_frames):
+                _check_hermitian_edges(_clamp_magnitude(read(frames), cfg.g_max),
+                                       frames.start)
     return out, report

@@ -94,7 +94,13 @@ class GainFrame(NamedTuple):
 
 @dataclass
 class NoiseTrackerState:
-    """Single-owner per-stream state: noise PSD, DD memory, frame counter."""
+    """Single-owner per-stream state: noise PSD, DD memory, frame counter.
+
+    ``noise_psd`` has the shape of the last :func:`update_noise_psd` input:
+    the estimate after one frame, or after each frame of an ``n x bins``
+    block, for :func:`mmse_lsa_gain` to read.  The next update continues from
+    its last row.
+    """
 
     noise_psd: np.ndarray
     xi_prev: np.ndarray
@@ -113,7 +119,7 @@ class NoiseTrackerState:
 
 def update_noise_psd(state: NoiseTrackerState, frame,
                      params: EstimatorParams) -> NoiseTrackerState:
-    """Advance the noise-PSD estimate with one analysis frame.
+    """Advance the noise-PSD estimate with one analysis frame or a block.
 
     During the first ``init_frames`` frames the PSD is the running mean of
     the per-bin powers (input treated as noise-only).  Afterwards a bin is
@@ -123,36 +129,55 @@ def update_noise_psd(state: NoiseTrackerState, frame,
     ``params.gate_bias_factor`` so the truncated average stays centered on
     the true noise power.  The PSD never drops below ``lambda_floor``.
 
-    The state is updated in place and returned.  ``frame`` is taken as
-    ``complex128``, the dtype of the analysis frames.
+    ``frame`` is one frame of bins, or an ``n x bins`` block of consecutive
+    frames, taken as ``complex128``, the dtype of the analysis frames.  The
+    state is advanced in place and returned; its ``noise_psd`` then has the
+    shape of ``frame``, one estimate per frame.  The tracker never reads the
+    gains, so a block gives the bits of its frames one at a time.
     """
     frame = np.asarray(frame, dtype=np.complex128)
-    if frame.shape != state.noise_psd.shape:
-        raise DataError(
-            f"frame has {frame.shape} bins, tracker expects {state.noise_psd.shape}"
-        )
+    bins = state.noise_psd.shape[-1:]
+    if frame.shape[-1:] != bins or frame.ndim > 2:
+        raise DataError(f"frame has {frame.shape} bins, tracker expects {bins}")
     power = np.abs(frame)
     power *= power
-    if state.frame_count < params.init_frames:
-        n = state.frame_count
-        if n == 0:
-            state.noise_psd = power
-        else:
-            state.noise_psd = (state.noise_psd * n + power) / (n + 1)
-    else:
-        gate = power < params.gamma_threshold * state.noise_psd
-        updated = params.alpha_noise * state.noise_psd
-        power *= (1.0 - params.alpha_noise) * params.gate_bias_factor
-        updated += power
-        np.copyto(state.noise_psd, updated, where=gate)
-    np.maximum(state.noise_psd, params.lambda_floor, out=state.noise_psd)
-    state.frame_count += 1
+    scaled = power * ((1.0 - params.alpha_noise) * params.gate_bias_factor)
+    estimate = state.noise_psd
+    if estimate.ndim == 2:  # a block's last row; the block stays as it was
+        estimate = estimate[-1].copy()
+    first = state.frame_count
+    if frame.ndim == 1:
+        state.noise_psd = _track_frame(estimate, power, scaled, first, params)
+        state.frame_count += 1
+    elif len(frame):
+        state.noise_psd = np.empty_like(power)
+        for k, row in enumerate(state.noise_psd):
+            row[...] = estimate
+            estimate = _track_frame(row, power[k], scaled[k], first + k, params)
+        state.frame_count += len(frame)
     return state
+
+
+def _track_frame(psd, power, scaled, n, params: EstimatorParams) -> np.ndarray:
+    """Advance the estimate ``psd`` in place by frame ``n`` of the stream and
+    return it; ``scaled`` is ``power`` times the gated update's weight."""
+    if n >= params.init_frames:
+        gate = power < params.gamma_threshold * psd
+        updated = params.alpha_noise * psd
+        updated += scaled
+        np.copyto(psd, updated, where=gate)
+    elif n:
+        psd *= n
+        psd += power
+        psd /= n + 1
+    else:
+        psd[...] = power
+    return np.maximum(psd, params.lambda_floor, out=psd)
 
 
 def mmse_lsa_gain(frame, state: NoiseTrackerState,
                   params: EstimatorParams) -> GainFrame:
-    """Compute per-bin suppression gains for one frame.
+    """Compute per-bin suppression gains for one frame or a block.
 
     Per bin: a posteriori SNR ``gamma = |x|^2 / noise_psd``; decision-directed
     a priori SNR ``xi = max(xi_min, alpha_dd * G_prev^2 * gamma_prev +
@@ -160,12 +185,17 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
     gain ``(xi / (1 + xi)) * exp(0.5 * E1(nu))`` clamped to
     ``[gain_floor, 1]``.  Updates the DD memory in ``state`` in place.
 
-    ``frame`` is taken as ``complex128``, the dtype of the analysis frames.
+    ``frame`` is taken as ``complex128``, the dtype of the analysis frames,
+    and has the shape of ``state.noise_psd``: one frame after a one-frame
+    :func:`update_noise_psd`, the same ``n x bins`` block after a block
+    update.  ``gamma`` and the decision-directed increment are formed for
+    the whole block; the rest runs frame by frame, since each frame's ``xi``
+    reads the previous frame's gain.
 
     Returns
     -------
     GainFrame
-        Real nonnegative gains (zero phase modification).
+        Real nonnegative gains (zero phase modification), shaped as ``frame``.
     """
     frame = np.asarray(frame, dtype=np.complex128)
     if frame.shape != state.noise_psd.shape:
@@ -175,34 +205,47 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
     gamma = np.abs(frame)
     gamma *= gamma
     gamma /= state.noise_psd
-    xi = gamma - 1.0
-    np.maximum(xi, 0.0, out=xi)
-    xi *= 1.0 - params.alpha_dd
-    xi += params.alpha_dd * state.xi_prev
+    # Each frame's decision-directed increment, overwritten by its gains.
+    gains = np.subtract(gamma, 1.0)
+    np.maximum(gains, 0.0, out=gains)
+    gains *= 1.0 - params.alpha_dd
+    if frame.ndim == 1:
+        state.xi_prev = _lsa_frame(state.xi_prev, gamma, gains, params)
+    else:
+        for k, gain in enumerate(gains):
+            state.xi_prev = _lsa_frame(state.xi_prev, gamma[k], gain, params)
+    return GainFrame(values=gains)
+
+
+def _lsa_frame(xi_prev, gamma, gain, params: EstimatorParams) -> np.ndarray:
+    """Replace one frame's decision-directed increment ``gain`` by its gains;
+    return its DD memory."""
+    xi = params.alpha_dd * xi_prev
+    xi += gain
     np.maximum(xi, params.xi_min, out=xi)
     ratio = xi + 1.0
     np.divide(xi, ratio, out=ratio)
     nu = gamma * ratio
     np.maximum(nu, _NU_FLOOR, out=nu)
-    gain = exp_integral_e1(nu)
-    gain *= 0.5
+    np.multiply(exp_integral_e1(nu), 0.5, out=gain)
     np.exp(gain, out=gain)
     gain *= ratio
     np.maximum(gain, params.gain_floor, out=gain)  # np.clip, minus its
     np.minimum(gain, 1.0, out=gain)                # Python-level overhead
-    xi_prev = gain * gain
-    xi_prev *= gamma
-    state.xi_prev = np.maximum(xi_prev, params.xi_min, out=xi_prev)
-    return GainFrame(values=gain)
+    memory = gain * gain
+    memory *= gamma
+    return np.maximum(memory, params.xi_min, out=memory)
 
 
 def estimate_gains(frames: np.ndarray, params: EstimatorParams,
                    state: NoiseTrackerState | None = None) -> np.ndarray:
     """Run the tracker + gain rule over a matrix of consecutive frames.
 
-    Per frame: noise-PSD update first, then the gain (so the gain always sees
-    the current frame's estimate).  Deterministic: identical inputs give
-    bit-identical gains.
+    One :func:`update_noise_psd` call over the block, then one
+    :func:`mmse_lsa_gain` call, so the gain always sees the current frame's
+    estimate.  The state keeps only the last frame's PSD.  Gains and state
+    equal the per-frame chain's bit for bit, for any split of the frames into
+    blocks.
 
     Parameters
     ----------
@@ -222,8 +265,9 @@ def estimate_gains(frames: np.ndarray, params: EstimatorParams,
         raise DataError(f"expected a 2-D frame matrix, got shape {frames.shape}")
     if state is None:
         state = NoiseTrackerState.initial(frames.shape[1], params)
-    out = np.empty(frames.shape, dtype=np.float64)
-    for k in range(frames.shape[0]):
-        state = update_noise_psd(state, frames[k], params)
-        out[k] = mmse_lsa_gain(frames[k], state, params).values
-    return out
+    if not len(frames):
+        return np.empty(frames.shape)
+    state = update_noise_psd(state, frames, params)
+    gains = mmse_lsa_gain(frames, state, params).values
+    state.noise_psd = state.noise_psd[-1].copy()  # hold one row between calls
+    return gains

@@ -245,6 +245,19 @@ class TestCliEnhance:
             f"at offset {offset}"
         )
 
+    @pytest.mark.parametrize("mode", ["ols", "direct"])
+    def test_non_real_edge_bin_past_input_end(self, tmp_path, capsys, mode):
+        wav = tmp_path / "in.wav"
+        write_test_wav(wav, np.zeros(200))  # 50 frames
+        frames = np.ones((60, 9), dtype=np.complex64)
+        frames[55, 0] = 1.0 + 0.5j
+        stream = tmp_path / "edge.fbeg"
+        fbeg.write_gain_stream(stream, frames, fbeg.TYPE_SUBBAND_GAINS, 16, 4)
+        code = main(["enhance", *SMALL_FLAGS, "--mode", mode, "--in", str(wav),
+                     "--out", str(tmp_path / "out.wav"), "--gains", str(stream)])
+        assert code == 4
+        assert "symmetry error in frame 55:" in capsys.readouterr().err
+
 
 class TestCliMix:
     def test_mix_hits_target_snr(self, tmp_path):

@@ -532,6 +532,35 @@ class TestProcessStream:
             with pytest.raises(NumericError, match="symmetry error in frame 13:"):
                 process_stream(np.ones(80), path, small_config(mode=mode))
 
+    @pytest.mark.parametrize("block_frames", [1, 4, 64])
+    @pytest.mark.parametrize("mode", ["ols", "direct"])
+    def test_hermitian_error_past_input_end(self, tmp_path, block_frames, mode):
+        frames = np.ones((60, 9), dtype=np.complex128)
+        frames[55, 0] = 1.0 + 0.5j
+        path = gain_file(tmp_path, frames, 16, 4)
+        with patch.object(filterbank, "BLOCK_FRAMES", block_frames):
+            with pytest.raises(NumericError, match="symmetry error in frame 55:"):
+                process_stream(np.ones(200), path, small_config(mode=mode))
+
+    def test_gain_file_checked_for_input_under_one_hop(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            process_stream(np.ones(3), tmp_path / "missing.fbeg", small_config())
+        path = gain_file(tmp_path, np.ones((10, 17)), 32, 4)
+        with pytest.raises(ConfigError, match="written for frame size 32"):
+            process_stream(np.ones(3), path, small_config())
+        frames = np.ones((2, 9), dtype=np.complex128)
+        frames[1, -1] = 1j
+        path = gain_file(tmp_path, frames, 16, 4)
+        with pytest.raises(NumericError, match="symmetry error in frame 1:"):
+            process_stream(np.ones(3), path, small_config())
+
+    @pytest.mark.parametrize("source", [3, b"gains.fbeg", None])
+    def test_rejects_gain_source_of_another_type(self, source):
+        with patch("builtins.open") as opened:
+            with pytest.raises(ConfigError, match=f"got {type(source).__name__}$"):
+                process_stream(np.ones(40), source, small_config())
+        opened.assert_not_called()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_input(self, value):
         x = np.ones(4 * 30)

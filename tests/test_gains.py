@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import exp1
 
 from fbeq.errors import ConfigError, DataError
@@ -12,6 +14,8 @@ from fbeq.gains import (
     mmse_lsa_gain,
     update_noise_psd,
 )
+
+from conftest import geometries
 
 
 def reference_gains(frames, p):
@@ -160,6 +164,25 @@ class TestUpdateNoisePsd:
         with pytest.raises(DataError, match="bins"):
             update_noise_psd(state, np.ones(5), p)
 
+    def test_frame_after_block_leaves_block_rows(self):
+        p = EstimatorParams(init_frames=2)
+        frames = np.arange(1.0, 13.0).reshape(4, 3)
+        frames[3] = 1.0  # under the gate: the last frame moves the estimate
+        chain = NoiseTrackerState.initial(3, p)
+        for frame in frames:
+            update_noise_psd(chain, frame, p)
+        state = update_noise_psd(NoiseTrackerState.initial(3, p), frames[:3], p)
+        rows = state.noise_psd
+        before = rows.copy()
+        update_noise_psd(state, frames[3], p)
+        np.testing.assert_array_equal(state.noise_psd, chain.noise_psd)
+        np.testing.assert_array_equal(rows, before)
+        assert state.frame_count == 4
+        with pytest.raises(DataError, match="bins"):
+            update_noise_psd(state, np.ones((2, 4)), p)
+        update_noise_psd(state, np.ones((0, 3)), p)  # an empty block: no change
+        np.testing.assert_array_equal(state.noise_psd, chain.noise_psd)
+
     def test_tracks_white_noise_within_3db(self):
         """Stationary-noise accuracy after 100 frames, every bin within 3 dB.
 
@@ -299,3 +322,63 @@ class TestEstimateGains:
     def test_rejects_non_matrix(self):
         with pytest.raises(DataError, match="2-D"):
             estimate_gains(np.ones(7), EstimatorParams())
+
+    def test_empty_matrix_leaves_state(self):
+        p = EstimatorParams()
+        state = NoiseTrackerState.initial(5, p)
+        assert estimate_gains(np.zeros((0, 5)), p, state).shape == (0, 5)
+        np.testing.assert_array_equal(state.noise_psd, np.full(5, p.lambda_floor))
+        assert state.frame_count == 0
+
+
+class TestBlocksEqualPerFrameProperty:
+    """Block calls give the per-frame chain's bits, for any split into blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry=geometries(), num_frames=st.integers(1, 20),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_any_split(self, geometry, num_frames, seed, data):
+        bins = geometry["frame_size"] // 2 + 1
+        init_frames = data.draw(st.integers(1, num_frames + 1), label="init_frames")
+        params = EstimatorParams(
+            alpha_dd=data.draw(st.floats(0.05, 0.99), label="alpha_dd"),
+            alpha_noise=data.draw(st.floats(0.05, 0.99), label="alpha_noise"),
+            gamma_threshold=data.draw(st.floats(0.5, 10.0), label="gamma_threshold"),
+            init_frames=init_frames,
+        )
+        # Edges at 0 and K, plus any inside: a block may hold the frame where
+        # the running mean hands over to the gated recursion, or end there.
+        inner = data.draw(st.sets(st.integers(1, max(1, num_frames - 1)),
+                                  max_size=num_frames - 1), label="edges")
+        edges = [0, *sorted(inner), num_frames]
+        rng = np.random.default_rng(seed)
+        # Frame levels spread over 40 dB, so the gate both opens and closes.
+        scale = 10.0 ** rng.uniform(-1.0, 1.0, size=(num_frames, 1))
+        frames = scale * (rng.standard_normal((num_frames, bins))
+                          + 1j * rng.standard_normal((num_frames, bins)))
+
+        chain = NoiseTrackerState.initial(bins, params)
+        chain_gains, chain_psd = [], []
+        for frame in frames:
+            chain = update_noise_psd(chain, frame, params)
+            chain_psd.append(chain.noise_psd.copy())
+            chain_gains.append(mmse_lsa_gain(frame, chain, params).values)
+
+        whole = NoiseTrackerState.initial(bins, params)
+        whole_gains = estimate_gains(frames, params, whole)
+        split = NoiseTrackerState.initial(bins, params)
+        split_gains = np.concatenate(
+            [estimate_gains(frames[a:b], params, split)
+             for a, b in zip(edges, edges[1:])])
+
+        block = update_noise_psd(NoiseTrackerState.initial(bins, params), frames,
+                                 params)
+        assert np.array_equal(block.noise_psd, np.array(chain_psd))
+        assert np.array_equal(mmse_lsa_gain(frames, block, params).values,
+                              np.array(chain_gains))
+        assert np.array_equal(block.xi_prev, chain.xi_prev)
+        for state, gains in ((whole, whole_gains), (split, split_gains)):
+            assert np.array_equal(gains, np.array(chain_gains))
+            assert np.array_equal(state.noise_psd, chain.noise_psd)
+            assert np.array_equal(state.xi_prev, chain.xi_prev)
+            assert state.frame_count == chain.frame_count == num_frames

@@ -8,6 +8,19 @@ import fbeq
 SRC_DIR = Path(fbeq.__file__).resolve().parent.parent
 
 
+def _run(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter that imports this checkout's fbeq;
+    return its printed words."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60,
+                            check=True)
+    return result.stdout.split()
+
+
 def test_import_leaves_scipy_special_unloaded():
     """``import fbeq`` must not load scipy.special; the first E1 call does."""
     code = (
@@ -16,14 +29,21 @@ def test_import_leaves_scipy_special_unloaded():
         "fbeq.exp_integral_e1(1.0)\n"
         "print('scipy.special' in sys.modules)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC_DIR)] + [p for p in [env.get("PYTHONPATH")] if p]
+    assert _run(code) == ["False", "True"]
+
+
+def test_import_leaves_scipy_io_wavfile_unloaded(tmp_path):
+    """``import fbeq``, a config and a prototype must not load
+    scipy.io.wavfile; the first WAV write does."""
+    code = (
+        "import sys, fbeq\n"
+        "cfg = fbeq.build_config()\n"
+        "fbeq.design_prototype(cfg.filterbank_spec())\n"
+        "print('scipy.io.wavfile' in sys.modules)\n"
+        f"fbeq.write_wav({str(tmp_path / 'x.wav')!r}, fbeq.AudioBuffer([0.0], 16000))\n"
+        "print('scipy.io.wavfile' in sys.modules)\n"
     )
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, timeout=60,
-                            check=True)
-    assert result.stdout.split() == ["False", "True"]
+    assert _run(code) == ["False", "True"]
 
 
 def test_every_exported_name_resolves():
