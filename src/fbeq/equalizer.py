@@ -268,9 +268,10 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     functions in blocks of at most ``BLOCK_FRAMES`` hops, carrying the analysis
     history, noise tracker and overlap-save history between blocks: the output
     equals the per-hop chain exactly.  A gain file is read and checked a block
-    of records at a time in the same loop, records past the input's last frame
-    included, so memory does not grow with the signal or the file; it is
-    opened and checked even for an input shorter than one hop.
+    of records at a time, in the same loop and then, for the records past the
+    input's last frame, in a second one, so memory does not grow with the
+    signal or the file; it is opened and checked even for an input shorter
+    than one hop.
 
     Parameters
     ----------
@@ -356,8 +357,10 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
                 out[samples] = direct_filter_block(engine, taps, block)
             else:
                 out[samples] = ols_filter_frame(engine, filter_to_freq(taps), block)
-        if not (estimator or responses):  # the records past the input's end
+        if not estimator:  # the records past the input's end
             for frames in _frame_blocks(header.num_frames, first=num_frames):
-                _check_hermitian_edges(_clamp_magnitude(read(frames), cfg.g_max),
-                                       frames.start)
+                rows = read(frames)
+                if not responses:
+                    _check_hermitian_edges(_clamp_magnitude(rows, cfg.g_max),
+                                           frames.start)
     return out, report

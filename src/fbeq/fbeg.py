@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
-from .filterbank import FilterbankSpec, _frame_blocks
+from .filterbank import FilterbankSpec
 
 MAGIC = b"FBEG"
 VERSION = 1
@@ -93,16 +93,17 @@ def write_gain_stream(path, frames, record_type: int, frame_size: int,
         fh.write(np.ascontiguousarray(frames, dtype="<c8").tobytes())
 
 
-def _check_alias_tail(frames: np.ndarray, hop: int, first: int,
-                      stacklevel: int) -> bool:
+def _check_alias_tail(frames: np.ndarray, hop: int, first: int) -> bool:
     """Warn if a DFT-response record implies time taps that would alias.
 
     The overlap-save engine keeps the last ``hop`` samples of a ``2P``-point
     circular convolution; those are linear-convolution samples only if the
     implied time filter is supported on taps ``0 .. 2P - hop``.  Energy
-    beyond that, above ``ALIAS_TAIL_TOLERANCE`` relative, triggers a warning,
-    filed ``stacklevel`` frames up, naming the first such frame counted from
-    ``first``.  Returns whether it warned, so a stream warns once.
+    beyond that, above ``ALIAS_TAIL_TOLERANCE`` relative, triggers a warning
+    naming the first such frame counted from ``first``.  It is filed under
+    the caller of the caller of :func:`open_gain_stream`'s ``read``, so under
+    the caller of :func:`load_gain_stream` or ``process_stream``.  Returns
+    whether it warned, so a stream warns once.
     """
     fft_size = 2 * (frames.shape[1] - 1)
     if hop <= 0 or fft_size - hop + 1 >= fft_size:
@@ -117,7 +118,7 @@ def _check_alias_tail(frames: np.ndarray, hop: int, first: int,
             f"DFT-response stream implies time-aliasing: frame {first + bad[0]} "
             f"has relative tail energy {tail[bad[0]] / total[bad[0]]:.3e} beyond "
             f"tap {fft_size - hop} (tolerance {ALIAS_TAIL_TOLERANCE:.0e})",
-            stacklevel=stacklevel,
+            stacklevel=4,  # this function, read, read's caller, its caller
         )
     return bool(bad.size)
 
@@ -193,25 +194,20 @@ def open_gain_stream(path):
     ``read`` decodes the records in the slice ``frames`` as
     :func:`load_gain_stream` documents and, for type B, warns once per file
     about the first record that would alias, filed under the caller of its
-    caller.  After a clean exit from the ``with`` block, the records past
-    the last one read are read and checked, then dropped.
+    caller.  Records the caller does not read are not checked.
     """
     with open(path, "rb") as fh:
         header = _read_header(fh)
-        end, warned, stacklevel = 0, False, 4  # the caller of read's caller
+        warned = False
 
         def read(frames: slice) -> np.ndarray:
-            nonlocal end, warned
+            nonlocal warned
             rows = _read_records(fh, header, frames.start, frames.stop - frames.start)
             if header.record_type == TYPE_DFT_RESPONSES and not warned:
-                warned = _check_alias_tail(rows, header.hop, frames.start, stacklevel)
-            end = frames.stop
+                warned = _check_alias_tail(rows, header.hop, frames.start)
             return rows
 
         yield header, read
-        stacklevel += 2  # this generator and contextlib's __exit__ now call read
-        for rest in _frame_blocks(header.num_frames, first=end):
-            read(rest)
 
 
 def load_gain_stream(path) -> tuple[StreamHeader, np.ndarray]:

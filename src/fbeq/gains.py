@@ -136,35 +136,38 @@ def update_noise_psd(state: NoiseTrackerState, frame,
     gains, so a block gives the bits of its frames one at a time.
     """
     frame = np.asarray(frame, dtype=np.complex128)
-    bins = state.noise_psd.shape[-1:]
-    if frame.shape[-1:] != bins or frame.ndim > 2:
-        raise DataError(f"frame has {frame.shape} bins, tracker expects {bins}")
-    power = np.abs(frame)
-    power *= power
-    scaled = power * ((1.0 - params.alpha_noise) * params.gate_bias_factor)
     estimate = state.noise_psd
     if estimate.ndim == 2:  # a block's last row; the block stays as it was
         estimate = estimate[-1].copy()
+    if frame.shape != estimate.shape and (frame.ndim != 2
+                                          or frame.shape[1:] != estimate.shape):
+        raise DataError(
+            f"frame has {frame.shape} bins, tracker expects {estimate.shape}"
+        )
+    power = np.abs(frame)
+    power *= power
     first = state.frame_count
     if frame.ndim == 1:
-        state.noise_psd = _track_frame(estimate, power, scaled, first, params)
+        state.noise_psd = _track_frame(estimate, power, first, params)
         state.frame_count += 1
     elif len(frame):
         state.noise_psd = np.empty_like(power)
         for k, row in enumerate(state.noise_psd):
             row[...] = estimate
-            estimate = _track_frame(row, power[k], scaled[k], first + k, params)
+            estimate = _track_frame(row, power[k], first + k, params)
         state.frame_count += len(frame)
     return state
 
 
-def _track_frame(psd, power, scaled, n, params: EstimatorParams) -> np.ndarray:
+def _track_frame(psd, power, n, params: EstimatorParams) -> np.ndarray:
     """Advance the estimate ``psd`` in place by frame ``n`` of the stream and
-    return it; ``scaled`` is ``power`` times the gated update's weight."""
+    return it.  A gated update scales ``power`` in place."""
     if n >= params.init_frames:
-        gate = power < params.gamma_threshold * psd
-        updated = params.alpha_noise * psd
-        updated += scaled
+        updated = psd * params.gamma_threshold
+        gate = power < updated
+        np.multiply(psd, params.alpha_noise, out=updated)
+        power *= (1.0 - params.alpha_noise) * params.gate_bias_factor
+        updated += power
         np.copyto(psd, updated, where=gate)
     elif n:
         psd *= n
@@ -225,7 +228,7 @@ def _lsa_frame(xi_prev, gamma, gain, params: EstimatorParams) -> np.ndarray:
     np.maximum(xi, params.xi_min, out=xi)
     ratio = xi + 1.0
     np.divide(xi, ratio, out=ratio)
-    nu = gamma * ratio
+    nu = np.multiply(gamma, ratio, out=xi)  # xi is not read again
     np.maximum(nu, _NU_FLOOR, out=nu)
     np.multiply(exp_integral_e1(nu), 0.5, out=gain)
     np.exp(gain, out=gain)

@@ -356,19 +356,24 @@ class TestBlockReading:
                                   Config(**SMALL).validate())
 
     @staticmethod
-    def unity_file(tmp_path, num_frames=10):
+    def unity_file(tmp_path, num_frames=10, record_type=TYPE_SUBBAND_GAINS):
         path = tmp_path / "unity.fbeg"
         write_gain_stream(path, np.ones((num_frames, 9), dtype=np.complex64),
-                          TYPE_SUBBAND_GAINS, 16, 4)
+                          record_type, 16, 4)
         return path
 
     # frame 1: first block; 3 and 4: either side of a block boundary;
-    # 8: past the input's last frame
-    @pytest.mark.parametrize("frame, bin_, part",
-                             [(1, 3, 0), (3, 8, 1), (4, 0, 0), (8, 5, 1)])
+    # 8: past the input's last frame, in a subband-gain and a response file
+    @pytest.mark.parametrize("frame, bin_, part, record_type", [
+        pytest.param(1, 3, 0, TYPE_SUBBAND_GAINS, id="1-3-0"),
+        pytest.param(3, 8, 1, TYPE_SUBBAND_GAINS, id="3-8-1"),
+        pytest.param(4, 0, 0, TYPE_SUBBAND_GAINS, id="4-0-0"),
+        pytest.param(8, 5, 1, TYPE_SUBBAND_GAINS, id="8-5-1"),
+        pytest.param(8, 5, 1, TYPE_DFT_RESPONSES, id="8-5-1-responses"),
+    ])
     def test_non_finite_value_reported_as_by_loader(self, tmp_path, frame, bin_,
-                                                    part):
-        path = self.unity_file(tmp_path)
+                                                    part, record_type):
+        path = self.unity_file(tmp_path, record_type=record_type)
         raw = bytearray(path.read_bytes())
         offset = 24 + 4 * ((frame * 9 + bin_) * 2 + part)
         struct.pack_into("<f", raw, offset, np.nan)
