@@ -2,7 +2,8 @@
 
 Subcommands: ``design`` (prototype taps/response as CSV), ``analyze``
 (subband frames to a gain-stream file), ``enhance`` (full pipeline),
-``mix`` (SNR-controlled mixing), ``evaluate`` (metric CSV).
+``mix`` (SNR-controlled mixing), ``evaluate`` (metric CSV).  A call builds
+only the subcommand it runs; help, no command or an unknown one get all five.
 
 Exit codes: 0 success, 2 usage error, 3 data/format/config error,
 4 numeric invariant violation.
@@ -30,6 +31,7 @@ RESPONSE_DFT_SIZE = 2048
 NOT_APPLICABLE = "n/a"
 
 _OVERRIDE_FIELDS = tuple(f.name for f in dataclasses.fields(Config))
+_COMMANDS = ("design", "analyze", "enhance", "mix", "evaluate")
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -55,58 +57,74 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     est.add_argument("--lambda-floor", type=float, dest="lambda_floor")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``fbeq`` parser, with only ``command``'s subparser when it names
+    one and with all of them otherwise (help, no command, a misspelt one).
+
+    Help texts, usage lines and parsed namespaces are the same either way.
+    """
+    # One command's parser still lists all five in its usage line, which
+    # argparse prints for arguments the command leaves unrecognized.
+    if command in _COMMANDS:
+        wanted, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"
+    else:
+        wanted, metavar = _COMMANDS, None
     parser = argparse.ArgumentParser(
         prog="fbeq",
         description="Low-latency subband speech enhancement "
                     "(filter-bank equalizer).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("design", help="dump prototype taps and response as CSV")
-    _add_shared_flags(p)
-    p.add_argument("--out", default="-", metavar="CSV",
-                   help="output path, '-' for stdout (default)")
-    p.set_defaults(func=cmd_design)
+    if "design" in wanted:
+        p = sub.add_parser("design", help="dump prototype taps and response as CSV")
+        _add_shared_flags(p)
+        p.add_argument("--out", default="-", metavar="CSV",
+                       help="output path, '-' for stdout (default)")
+        p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("analyze", help="write subband frames to an FBEG file")
-    _add_shared_flags(p)
-    p.add_argument("--in", dest="in_wav", required=True, metavar="WAV")
-    p.add_argument("--out", required=True, metavar="FBEG")
-    p.set_defaults(func=cmd_analyze)
+    if "analyze" in wanted:
+        p = sub.add_parser("analyze", help="write subband frames to an FBEG file")
+        _add_shared_flags(p)
+        p.add_argument("--in", dest="in_wav", required=True, metavar="WAV")
+        p.add_argument("--out", required=True, metavar="FBEG")
+        p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("enhance", help="run the enhancement pipeline")
-    _add_shared_flags(p)
-    p.add_argument("--in", dest="in_wav", required=True, metavar="WAV")
-    p.add_argument("--out", required=True, metavar="WAV")
-    p.add_argument("--format", choices=("pcm16", "float32"), default="pcm16")
-    p.set_defaults(func=cmd_enhance)
+    if "enhance" in wanted:
+        p = sub.add_parser("enhance", help="run the enhancement pipeline")
+        _add_shared_flags(p)
+        p.add_argument("--in", dest="in_wav", required=True, metavar="WAV")
+        p.add_argument("--out", required=True, metavar="WAV")
+        p.add_argument("--format", choices=("pcm16", "float32"), default="pcm16")
+        p.set_defaults(func=cmd_enhance)
 
-    p = sub.add_parser("mix", help="mix noise into clean speech at a target SNR")
-    _add_shared_flags(p)
-    p.add_argument("--clean", required=True, metavar="WAV")
-    p.add_argument("--noise", required=True, metavar="WAV")
-    p.add_argument("--snr-db", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0,
-                   help="picks the noise crop offset (default 0)")
-    p.add_argument("--out-mix", required=True, metavar="WAV")
-    p.add_argument("--out-noise", required=True, metavar="WAV")
-    p.add_argument("--format", choices=("pcm16", "float32"), default="float32")
-    p.set_defaults(func=cmd_mix)
+    if "mix" in wanted:
+        p = sub.add_parser("mix", help="mix noise into clean speech at a target SNR")
+        _add_shared_flags(p)
+        p.add_argument("--clean", required=True, metavar="WAV")
+        p.add_argument("--noise", required=True, metavar="WAV")
+        p.add_argument("--snr-db", type=float, required=True)
+        p.add_argument("--seed", type=int, default=0,
+                       help="picks the noise crop offset (default 0)")
+        p.add_argument("--out-mix", required=True, metavar="WAV")
+        p.add_argument("--out-noise", required=True, metavar="WAV")
+        p.add_argument("--format", choices=("pcm16", "float32"), default="float32")
+        p.set_defaults(func=cmd_mix)
 
-    p = sub.add_parser("evaluate", help="emit a metric CSV row per file")
-    _add_shared_flags(p)
-    p.add_argument("--clean", required=True, metavar="WAV")
-    p.add_argument("--processed", required=True, nargs="+", metavar="WAV")
-    p.add_argument("--noise", metavar="WAV",
-                   help="ground-truth additive noise (enables seg_na)")
-    p.add_argument("--snr-db", type=float,
-                   help="nominal mixture SNR, echoed into the CSV")
-    p.add_argument("--delay", type=int,
-                   help="delay compensation in samples "
-                        "(default: the filter group delay)")
-    p.add_argument("--out", default="-", metavar="CSV")
-    p.set_defaults(func=cmd_evaluate)
+    if "evaluate" in wanted:
+        p = sub.add_parser("evaluate", help="emit a metric CSV row per file")
+        _add_shared_flags(p)
+        p.add_argument("--clean", required=True, metavar="WAV")
+        p.add_argument("--processed", required=True, nargs="+", metavar="WAV")
+        p.add_argument("--noise", metavar="WAV",
+                       help="ground-truth additive noise (enables seg_na)")
+        p.add_argument("--snr-db", type=float,
+                       help="nominal mixture SNR, echoed into the CSV")
+        p.add_argument("--delay", type=int,
+                       help="delay compensation in samples "
+                            "(default: the filter group delay)")
+        p.add_argument("--out", default="-", metavar="CSV")
+        p.set_defaults(func=cmd_evaluate)
     return parser
 
 
@@ -227,8 +245,9 @@ def cmd_evaluate(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         cfg = build_config(args.config, _overrides(args))
         return args.func(args, cfg)

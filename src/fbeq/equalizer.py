@@ -247,7 +247,16 @@ def direct_filter_block(state: EngineState, taps, new_samples) -> np.ndarray:
 
 
 def _clamp_magnitude(frames: np.ndarray, g_max: float) -> np.ndarray:
-    """Clamp complex gains to ``|g| <= g_max``, preserving phase."""
+    """Clamp complex gains to ``|g| <= g_max``, preserving phase.
+
+    ``frames`` itself comes back when no gain is over.  That is certain,
+    without forming ``|g|``, when no real or imaginary part exceeds
+    ``g_max / 2`` in size: then ``|g| <= g_max / sqrt(2)``.
+    """
+    half = 0.5 * g_max
+    parts = np.ascontiguousarray(frames).view(frames.real.dtype)
+    if parts.max(initial=0.0) <= half and parts.min(initial=0.0) >= -half:
+        return frames
     mag = np.abs(frames)
     over = mag > g_max
     if not np.any(over):
@@ -298,7 +307,8 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
         in ``direct`` mode.
     NumericError
         A subband-gain frame whose DC or Nyquist bin is not real, past the
-        input's last frame too (the frame is named).
+        input's last frame too, or an input loud enough to overflow the
+        estimator's a posteriori SNR (the frame is named).
     FormatError
         A gain file that :func:`fbeq.fbeg.load_gain_stream` would reject,
         with the same message.

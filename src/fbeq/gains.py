@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .special import exp_integral_e1
 
 # Below this, nu is treated as its continuity limit (the gain clamps to 1).
@@ -199,6 +199,12 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
     -------
     GainFrame
         Real nonnegative gains (zero phase modification), shaped as ``frame``.
+
+    Raises
+    ------
+    NumericError
+        A frame so loud that ``gamma`` overflows, which makes ``nu`` NaN;
+        the frame is counted from the start of the stream.
     """
     frame = np.asarray(frame, dtype=np.complex128)
     if frame.shape != state.noise_psd.shape:
@@ -212,11 +218,19 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
     gains = np.subtract(gamma, 1.0)
     np.maximum(gains, 0.0, out=gains)
     gains *= 1.0 - params.alpha_dd
-    if frame.ndim == 1:
-        state.xi_prev = _lsa_frame(state.xi_prev, gamma, gains, params)
-    else:
-        for k, gain in enumerate(gains):
-            state.xi_prev = _lsa_frame(state.xi_prev, gamma[k], gain, params)
+    k = 0
+    try:
+        if frame.ndim == 1:
+            state.xi_prev = _lsa_frame(state.xi_prev, gamma, gains, params)
+        else:
+            for k, gain in enumerate(gains):
+                state.xi_prev = _lsa_frame(state.xi_prev, gamma[k], gain, params)
+    except ValueError:  # E1 of a NaN, from an infinite gamma
+        n = len(frame) if frame.ndim == 2 else 1
+        raise NumericError(
+            f"input power overflowed at frame {state.frame_count - n + k}: the "
+            "a posteriori SNR is not finite"
+        ) from None
     return GainFrame(values=gains)
 
 

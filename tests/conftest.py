@@ -14,6 +14,7 @@ from fbeq.filterbank import (
     _analysis_segments,
     design_prototype,
 )
+from fbeq.gains import NoiseTrackerState, update_noise_psd
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +58,18 @@ def gain_file(directory, frames, frame_size, hop, record_type=TYPE_SUBBAND_GAINS
     os.close(handle)
     write_gain_stream(path, frames, record_type, frame_size, hop)
     return path
+
+
+def first_overflowing_frame(frames, params) -> int:
+    """Index of the first frame whose a posteriori SNR ``|x|^2 / noise_psd``
+    is not finite in some bin, from the noise tracker alone; -1 if none."""
+    state = NoiseTrackerState.initial(frames.shape[1], params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, frame in enumerate(frames):
+            update_noise_psd(state, frame, params)
+            if not np.isfinite(np.abs(frame) ** 2 / state.noise_psd).all():
+                return k
+    return -1
 
 
 def modulation(spec: FilterbankSpec, i: int, l: int) -> complex:

@@ -1,13 +1,19 @@
+import argparse
 import csv
 import io
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fbeq
 from fbeq import fbeg
 from fbeq.audio_io import AudioBuffer, read_wav, write_wav
-from fbeq.cli import main
+from fbeq.cli import _build_parser, main
 from fbeq.config import Config, build_config, load_config_file
 from fbeq.errors import ConfigError
 from fbeq.filterbank import analyze_polyphase, design_prototype
@@ -433,3 +439,93 @@ class TestExitCodes:
                      "--gains", str(stream)])
         assert code == 4
         assert "fbeq: error:" in capsys.readouterr().err
+
+
+# One argv per subcommand, touching its own arguments and the shared flags.
+COMMAND_ARGV = {
+    "design": ["design", *SMALL_FLAGS, "--mode", "direct", "--out", "taps.csv"],
+    "analyze": ["analyze", "--config", "run.cfg", "--in", "a.wav",
+                "--out", "a.fbeg"],
+    "enhance": ["enhance", "--in", "a.wav", "--out", "b.wav", "--gains",
+                "g.fbeg", "--g-max", "2", "--format", "float32"],
+    "mix": ["mix", "--clean", "c.wav", "--noise", "n.wav", "--snr-db", "5",
+            "--seed", "3", "--out-mix", "m.wav", "--out-noise", "s.wav"],
+    "evaluate": ["evaluate", "--clean", "c.wav", "--processed", "p.wav",
+                 "q.wav", "--delay", "64", "--alpha-dd", "0.9"],
+}
+ALL_COMMANDS = "{design,analyze,enhance,mix,evaluate}"
+
+
+def _exit_and_output(parser_or_main, argv, capsys):
+    """Exit code and (stdout, stderr) of a call that argparse ends."""
+    with pytest.raises(SystemExit) as exc_info:
+        parser_or_main(argv)
+    captured = capsys.readouterr()
+    return exc_info.value.code, captured.out, captured.err
+
+
+class TestParserPerCommand:
+    """A call builds only the subcommand it runs; nothing it prints or parses
+    differs from the parser with all five."""
+
+    @pytest.fixture(autouse=True)
+    def _fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("command", list(COMMAND_ARGV))
+    def test_help_usage_and_namespace_match_full_parser(self, command, capsys):
+        full, one = _build_parser(), _build_parser(command)
+        assert one.format_usage() == full.format_usage()
+        helps = [_exit_and_output(p.parse_args, [command, "--help"], capsys)
+                 for p in (full, one)]
+        assert helps[0] == helps[1]
+        assert helps[0][0] == 0 and f"usage: fbeq {command}" in helps[0][1]
+        argv = COMMAND_ARGV[command]
+        assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+
+    @pytest.mark.parametrize("bad", [
+        ["extra"], ["--mode", "bad"], ["--g-max", "x"], ["--no-such-flag"],
+    ], ids=["unrecognized", "bad-choice", "bad-type", "unknown-flag"])
+    @pytest.mark.parametrize("command", list(COMMAND_ARGV))
+    def test_usage_errors_match_full_parser(self, command, bad, capsys):
+        argv = COMMAND_ARGV[command] + bad
+        want = _exit_and_output(_build_parser().parse_args, argv, capsys)
+        assert _exit_and_output(main, argv, capsys) == want
+        assert want[0] == 2
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), ([], 2), (["enhanc"], 2),
+    ], ids=["help", "no-command", "misspelt"])
+    def test_no_command_lists_every_command(self, argv, code, capsys):
+        got = _exit_and_output(main, argv, capsys)
+        assert got == _exit_and_output(_build_parser().parse_args, argv, capsys)
+        assert got[0] == code
+        assert ALL_COMMANDS in got[1] + got[2]
+
+    def test_builds_one_subparser_per_call_and_caches_none(self, tmp_path,
+                                                           monkeypatch, capsys):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            built.append(parser.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argv = ["enhance", "--in", str(tmp_path / "nope.wav"),
+                "--out", str(tmp_path / "out.wav")]
+        assert main(argv) == 3
+        assert built == ["fbeq", "fbeq enhance"]
+        assert main(argv) == 3
+        assert built == ["fbeq", "fbeq enhance"] * 2
+
+    def test_module_entry_point_reads_sys_argv(self, capsys):
+        want = _exit_and_output(_build_parser().parse_args,
+                                ["enhance", "--help"], capsys)
+        env = dict(os.environ, COLUMNS="80")
+        src = str(Path(fbeq.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        result = subprocess.run([sys.executable, "-m", "fbeq", "enhance", "--help"],
+                                env=env, capture_output=True, text=True,
+                                timeout=60)
+        assert (result.returncode, result.stdout, result.stderr) == want

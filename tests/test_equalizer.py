@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fbeq import filterbank
+from fbeq import equalizer, filterbank
 from fbeq.config import Config
 from fbeq.equalizer import (
     EngineState,
@@ -32,12 +32,13 @@ from fbeq.filterbank import (
     HERMITIAN_IMAG_TOL,
     FilterbankSpec,
     PolyphaseAnalyzer,
+    analyze_polyphase,
     design_prototype,
     expand_hermitian,
 )
 from fbeq.gains import NoiseTrackerState, mmse_lsa_gain, update_noise_psd
 
-from conftest import gain_file, geometries, make_speech
+from conftest import first_overflowing_frame, gain_file, geometries, make_speech
 
 
 def random_hermitian_gains(rng, num_bins):
@@ -462,6 +463,60 @@ class TestClampMagnitude:
         g = np.array([[1.0 + 0.5j]])
         assert _clamp_magnitude(g, 4.0) is g
 
+    @pytest.mark.parametrize("case", ["parts-under-half", "part-above-half",
+                                      "just-under-g-max", "over-g-max"])
+    def test_equals_unscreened_clamp(self, tmp_path, case):
+        """Gain files on both sides of the ``g_max / 2`` screen and of
+        ``g_max`` itself: the clamp and ``process_stream`` give the bits of
+        the clamp that forms every ``|g|``."""
+        cfg = Config().validate()
+        rng = np.random.default_rng(61)
+        stored, bins = 43, cfg.frame_size // 2 + 1  # 3 records past the input
+        gains = random_hermitian_gains(rng, stored * bins).reshape(stored, bins)
+        gains[:, [0, -1]] = gains[:, [0, -1]].real
+        gains /= np.max(np.abs(gains.view(np.float64)))  # every part in [-1, 1]
+        # Bin 7 of a few frames sits at the case's magnitude, at several phases.
+        angles = np.pi * np.array([0.0, 0.25, 0.5, 0.9])
+        size = {"parts-under-half": 1.0, "part-above-half": 2.0 * (1 + 1e-6),
+                "just-under-g-max": cfg.g_max * (1 - 1e-6),
+                "over-g-max": cfg.g_max * (1 + 1e-6)}[case]
+        gains[[2, 20, 41, 42], 7] = size * np.exp(1j * angles)
+        gains[[5, 41], 0] = size  # and a DC bin
+        path = gain_file(tmp_path, gains, cfg.frame_size, cfg.hop)
+        rows = load_gain_stream(path)[1]
+        parts, mag = np.abs(rows.view(np.float64)), np.abs(rows)
+        if case == "parts-under-half":
+            assert parts.max() <= cfg.g_max / 2
+        elif case == "part-above-half":
+            assert parts.max() > cfg.g_max / 2 and mag.max() <= cfg.g_max
+        elif case == "just-under-g-max":
+            assert cfg.g_max * (1 - 1e-5) < mag.max() <= cfg.g_max
+        else:
+            assert mag.max() > cfg.g_max
+
+        clamped = _clamp_magnitude(rows, cfg.g_max)
+        assert np.array_equal(clamped, clamp_oracle(rows, cfg.g_max))
+        assert (clamped is rows) == (case != "over-g-max")
+        for row in np.split(rows, stored):  # a block may hold one such bin
+            assert np.array_equal(_clamp_magnitude(row, cfg.g_max),
+                                  clamp_oracle(row, cfg.g_max))
+        x = np.random.default_rng(67).standard_normal(40 * cfg.hop)
+        out, _ = process_stream(x, path, cfg)
+        with patch.object(equalizer, "_clamp_magnitude", clamp_oracle):
+            want, _ = process_stream(x, path, cfg)
+        assert np.array_equal(out, want)
+
+
+def clamp_oracle(frames, g_max):
+    """The clamp forming ``|g|`` for every bin, as it was before the screen."""
+    mag = np.abs(frames)
+    over = mag > g_max
+    if not np.any(over):
+        return frames
+    out = frames.copy()
+    out[over] *= g_max / mag[over]
+    return out
+
 
 def small_config(**overrides):
     base = dict(frame_size=16, proto_len=16, hop=4, shorten_len=8)
@@ -606,6 +661,34 @@ class TestProcessStream:
                                block_buffer_samples=64, sample_rate_hz=16000)
         assert report.group_delay_ms == pytest.approx(4.0, abs=1e-12)
         assert report.block_ms == pytest.approx(4.0, abs=1e-12)
+
+
+class TestInputPowerOverflow:
+    """An input so loud that its a posteriori SNR overflows raises
+    ``NumericError`` naming the first such frame, counted from the start of
+    the stream; a tenth of the lower level still gives finite output."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["ols", "direct"])
+    @pytest.mark.parametrize("scale", [1e156, 1e200])
+    @pytest.mark.parametrize("onset", [0, 100], ids=["from-start", "second-block"])
+    def test_names_first_overflowing_frame(self, mode, scale, onset):
+        cfg = Config(mode=mode).validate()
+        spec = cfg.filterbank_spec()
+        x = np.random.default_rng(71).standard_normal(200 * cfg.hop)
+        x[onset * cfg.hop:] *= scale
+        frames = analyze_polyphase(x, design_prototype(spec), spec).frames
+        first = first_overflowing_frame(frames, cfg.estimator_params())
+        assert first >= onset
+        with pytest.raises(NumericError,
+                           match=f"input power overflowed at frame {first}: "):
+            process_stream(x, "mmse-lsa", cfg)
+
+    @pytest.mark.parametrize("mode", ["ols", "direct"])
+    def test_finite_just_below_overflow(self, mode):
+        x = 1e155 * np.random.default_rng(71).standard_normal(200 * 64)
+        out, _ = process_stream(x, "mmse-lsa", Config(mode=mode).validate())
+        assert np.isfinite(out).all()
 
 
 def per_hop_chain(x, rows, cfg, record_type=None):
@@ -765,6 +848,28 @@ class TestOlsEqualsDirectProperty:
                 y_one, _ = process_stream(x, source, direct)
             assert np.array_equal(y_dir, y_one)
             assert np.max(np.abs(y_ols - y_dir)) <= 1e-9 * np.max(np.abs(y_dir))
+
+
+class TestUnityGainProperty:
+    """Criterion 01 over drawn geometries, in both modes: unity subband gains
+    pass the input through, delayed by P/2, once ``L + 2P`` samples have
+    filled the analysis and filter histories.  This holds for P >= 2M too,
+    since the prototype is zero at the lags ``tau +- M``."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(geometry=geometries(), mode=st.sampled_from(["ols", "direct"]),
+           extra=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_delayed_identity(self, tmp_path, geometry, mode, extra, seed):
+        cfg = Config(mode=mode, **geometry).validate()
+        m, hop, p = cfg.frame_size, cfg.hop, cfg.shorten_len
+        warm = cfg.proto_len + 2 * p
+        num_frames = -(-warm // hop) + extra
+        x = np.random.default_rng(seed).standard_normal(num_frames * hop)
+        path = gain_file(tmp_path, np.ones((num_frames, m // 2 + 1)), m, hop)
+        y, _ = process_stream(x, path, cfg)
+        ref = x[warm - p // 2 : y.size - p // 2]
+        assert np.linalg.norm(y[warm:] - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 class TestFileEqualsLoadedProperty:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import exp1
 
-from fbeq.errors import ConfigError, DataError
+from fbeq.errors import ConfigError, DataError, NumericError
 from fbeq.filterbank import FilterbankSpec, design_prototype, analyze_polyphase
 from fbeq.gains import (
     EstimatorParams,
@@ -15,7 +15,7 @@ from fbeq.gains import (
     update_noise_psd,
 )
 
-from conftest import geometries
+from conftest import first_overflowing_frame, geometries
 
 
 def reference_gains(frames, p):
@@ -329,6 +329,40 @@ class TestEstimateGains:
         assert estimate_gains(np.zeros((0, 5)), p, state).shape == (0, 5)
         np.testing.assert_array_equal(state.noise_psd, np.full(5, p.lambda_floor))
         assert state.frame_count == 0
+
+
+class TestInputPowerOverflow:
+    """An overflowing a posteriori SNR is a ``NumericError`` naming its frame
+    from the start of the stream, in a block, across blocks and frame by
+    frame."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e156, 1e200])
+    def test_names_first_overflowing_frame(self, default_spec, default_proto,
+                                           scale):
+        x = np.random.default_rng(73).standard_normal(100 * default_spec.hop)
+        x[30 * default_spec.hop:] *= scale
+        frames = analyze_polyphase(x, default_proto, default_spec).frames
+        p, bins = EstimatorParams(), frames.shape[1]
+        first = first_overflowing_frame(frames, p)
+        assert first >= 30
+        message = f"input power overflowed at frame {first}: "
+        with pytest.raises(NumericError, match=message):
+            estimate_gains(frames, p)
+        state = NoiseTrackerState.initial(bins, p)
+        estimate_gains(frames[:20], p, state)
+        with pytest.raises(NumericError, match=message):
+            estimate_gains(frames[20:], p, state)
+        state = NoiseTrackerState.initial(bins, p)
+        with pytest.raises(NumericError, match=message):
+            for frame in frames:
+                mmse_lsa_gain(frame, update_noise_psd(state, frame, p), p)
+
+    def test_finite_just_below_overflow(self, default_spec, default_proto):
+        x = 1e155 * np.random.default_rng(73).standard_normal(100 * default_spec.hop)
+        frames = analyze_polyphase(x, default_proto, default_spec).frames
+        gains = estimate_gains(frames, EstimatorParams())
+        assert np.isfinite(gains).all()
 
 
 class TestBlocksEqualPerFrameProperty:
