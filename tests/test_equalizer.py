@@ -450,6 +450,17 @@ class TestMultiHopFiltering:
             step(state, filters, np.ones(8))
 
 
+def clamp_oracle(frames, g_max):
+    """The clamp forming ``|g|`` for every bin, as it was before the screen."""
+    mag = np.abs(frames)
+    over = mag > g_max
+    if not np.any(over):
+        return frames
+    out = frames.copy()
+    out[over] *= g_max / mag[over]
+    return out
+
+
 class TestClampMagnitude:
     def test_clamps_preserving_phase(self):
         g = np.array([[3.0 + 4.0j, 0.5j, -2.0]])
@@ -505,17 +516,6 @@ class TestClampMagnitude:
         with patch.object(equalizer, "_clamp_magnitude", clamp_oracle):
             want, _ = process_stream(x, path, cfg)
         assert np.array_equal(out, want)
-
-
-def clamp_oracle(frames, g_max):
-    """The clamp forming ``|g|`` for every bin, as it was before the screen."""
-    mag = np.abs(frames)
-    over = mag > g_max
-    if not np.any(over):
-        return frames
-    out = frames.copy()
-    out[over] *= g_max / mag[over]
-    return out
 
 
 def small_config(**overrides):
