@@ -85,7 +85,9 @@ def write_wav(path, buf: AudioBuffer, fmt: str = "pcm16") -> int:
     Raises
     ------
     DataError
-        A non-finite sample; the message names the first one.
+        A non-finite sample, or for ``float32`` a finite one beyond the
+        float32 range; the message names the first one, and no file is
+        written.
     """
     from scipy.io import wavfile
 
@@ -94,7 +96,8 @@ def write_wav(path, buf: AudioBuffer, fmt: str = "pcm16") -> int:
     if fmt == "pcm16":
         # One buffer: |x| * 32768 equals |x * 32768| exactly (a power of two).
         rounded = np.abs(samples)
-        rounded *= PCM16_SCALE
+        with np.errstate(over="ignore"):  # |x| near 1e308 saturates as inf
+            rounded *= PCM16_SCALE
         rounded += 0.5
         np.floor(rounded, out=rounded)
         np.copysign(rounded, samples, out=rounded)
@@ -104,7 +107,13 @@ def write_wav(path, buf: AudioBuffer, fmt: str = "pcm16") -> int:
         wavfile.write(path, buf.sample_rate_hz, rounded.astype(np.int16))
         return clipped
     if fmt == "float32":
-        wavfile.write(path, buf.sample_rate_hz, samples.astype(np.float32))
+        with np.errstate(over="ignore"):  # an overflowing sample is reported below
+            single = samples.astype(np.float32)
+        if not np.isfinite(single).all():
+            bad = int(np.argmin(np.isfinite(single)))
+            raise DataError(f"refusing to write {path}: sample {bad} ({samples[bad]}) "
+                            "is beyond the float32 range")
+        wavfile.write(path, buf.sample_rate_hz, single)
         return 0
     raise ConfigError(f"unknown WAV format '{fmt}' (use pcm16 or float32)")
 

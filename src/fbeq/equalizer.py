@@ -83,9 +83,9 @@ class EngineState:
         if block.size != hops * self.hop:
             raise DataError(f"expected a block of {hops * self.hop} samples, "
                             f"got {block.size}")
-        extended = np.concatenate([self.history[self.hop :], block])
-        self.history = extended[-self.history.size :]
-        return _hop_windows(extended, self.history.size, self.hop, hops)
+        extended = np.concatenate([self.history, block])  # zero hops: unchanged
+        self.history = extended[-self.history.size :].copy()  # a view would keep the block
+        return _hop_windows(extended[self.hop :], self.history.size, self.hop, hops)
 
 
 def gains_to_taps(half, proto: PrototypeFilter, shorten_len: int,
@@ -216,7 +216,8 @@ def ols_filter_frame(state: EngineState, bins, new_samples) -> np.ndarray:
     ``new_samples``.  Each hop's 2P-sample history is multiplied by its
     response in the DFT domain; the last ``hop`` samples back are free of
     circular wrap, so they equal linear convolution with the hop's filter.
-    Hops are transformed one by one: ``n`` hops give ``n`` one-hop calls' bits.
+    Hops are transformed one by one: ``n`` hops give ``n`` one-hop calls' bits,
+    and zero hops give no samples and leave the state as it was.
     """
     bins = np.asarray(bins)
     fft_size = 2 * (bins.shape[-1] - 1)
@@ -226,7 +227,8 @@ def ols_filter_frame(state: EngineState, bins, new_samples) -> np.ndarray:
             f"{state.history.size} samples"
         )
     windows = state.push(new_samples, len(bins) if bins.ndim > 1 else None)
-    spectra = np.fft.rfft(windows, axis=-1) * bins
+    spectra = np.fft.rfft(windows, axis=-1)
+    spectra *= bins
     return np.fft.irfft(spectra, n=fft_size, axis=-1)[..., -state.hop :].ravel()
 
 
@@ -243,7 +245,8 @@ def direct_filter_block(state: EngineState, taps, new_samples) -> np.ndarray:
     if taps.ndim == 1:
         return np.convolve(state.push(new_samples), taps)[tail]
     windows = state.push(new_samples, len(taps))
-    return np.concatenate([np.convolve(w, row)[tail] for w, row in zip(windows, taps)])
+    filtered = [np.convolve(w, row)[tail] for w, row in zip(windows, taps)]
+    return np.concatenate(filtered) if filtered else np.empty(0)
 
 
 def _clamp_magnitude(frames: np.ndarray, g_max: float) -> np.ndarray:
@@ -350,23 +353,29 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
 
         engine = EngineState.create(p, hop)
         out = np.empty(num_frames * hop, dtype=np.float64)
+        # A block's frames, gains and taps each go once their consumer has
+        # run, and the histories carried on are copies, so no array of one
+        # block is alive while the next is analysed.
         for frames in _frame_blocks(num_frames):
             samples = slice(frames.start * hop, frames.stop * hop)
             block = x[samples]
             if estimator:
-                analysis = analyze_polyphase(block, proto, spec, history)
-                history = np.concatenate([history, block])[-history.size:]
-                rows = estimate_gains(analysis.frames, params, tracker)
+                rows = estimate_gains(
+                    analyze_polyphase(block, proto, spec, history).frames,
+                    params, tracker)
+                history = np.concatenate([history, block])[-history.size:].copy()
             elif responses:
                 out[samples] = ols_filter_frame(engine, read(frames), block)
                 continue
             else:
                 rows = _clamp_magnitude(read(frames), cfg.g_max)
             taps = gains_to_taps(rows, proto, p, first_frame=frames.start)
+            del rows
             if cfg.mode == "direct":
                 out[samples] = direct_filter_block(engine, taps, block)
             else:
                 out[samples] = ols_filter_frame(engine, filter_to_freq(taps), block)
+            del taps
         if not estimator:  # the records past the input's end
             for frames in _frame_blocks(header.num_frames, first=num_frames):
                 rows = read(frames)

@@ -188,17 +188,22 @@ def analyze_polyphase(x, proto: PrototypeFilter, spec: FilterbankSpec,
     hold that sum as a reference oracle.  Frames are computed in blocks of
     ``BLOCK_FRAMES``, so the temporaries stay cache-sized; each frame is
     computed on its own, so the output does not depend on the block size.
-    ``history``, the ``L`` samples before ``x`` (zeros when omitted), lets a
-    signal cut at hop boundaries be analysed piece by piece to the same bits.
+    An input of one block returns that block's transform; a longer one fills
+    a preallocated ``K``-row matrix.  ``history``, the ``L`` samples before
+    ``x`` (zeros when omitted), lets a signal cut at hop boundaries be
+    analysed piece by piece to the same bits.
     """
     taps = _prototype_taps(proto, spec)
     x = np.asarray(x, dtype=np.float64).ravel()
     num_frames = spec.num_frames(x.size)
-    frames = np.empty((num_frames, spec.num_bins), dtype=np.complex128)
     if num_frames == 0:
-        return AnalysisFrameSeq(frames, spec)
+        return AnalysisFrameSeq(np.empty((0, spec.num_bins), np.complex128), spec)
     segments = _analysis_segments(x, spec, history)
     correction = _phase_correction(spec)
+    if num_frames <= BLOCK_FRAMES:
+        spectra = _fold_and_transform(segments[:, ::-1] * taps, spec, correction)
+        return AnalysisFrameSeq(spectra, spec)
+    frames = np.empty((num_frames, spec.num_bins), dtype=np.complex128)
     for block in _frame_blocks(num_frames):
         windowed = segments[block, ::-1] * taps
         frames[block] = _fold_and_transform(windowed, spec, correction)

@@ -133,7 +133,10 @@ def update_noise_psd(state: NoiseTrackerState, frame,
     frames, taken as ``complex128``, the dtype of the analysis frames.  The
     state is advanced in place and returned; its ``noise_psd`` then has the
     shape of ``frame``, one estimate per frame.  The tracker never reads the
-    gains, so a block gives the bits of its frames one at a time.
+    gains, so a block gives the bits of its frames one at a time; a block of
+    zero frames leaves the state as it was.  NumPy's floating-point error
+    state is left to the caller: an input loud enough to overflow ``|x|^2``
+    warns here unless the caller silences it, as :func:`estimate_gains` does.
     """
     frame = np.asarray(frame, dtype=np.complex128)
     estimate = state.noise_psd
@@ -193,7 +196,9 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
     :func:`update_noise_psd`, the same ``n x bins`` block after a block
     update.  ``gamma`` and the decision-directed increment are formed for
     the whole block; the rest runs frame by frame, since each frame's ``xi``
-    reads the previous frame's gain.
+    reads the previous frame's gain.  A block of zero frames gives zero rows
+    of gains and leaves the state as it was.  As in :func:`update_noise_psd`,
+    NumPy's floating-point error state is left to the caller.
 
     Returns
     -------
@@ -208,6 +213,8 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
     """
     frame = np.asarray(frame, dtype=np.complex128)
     if frame.shape != state.noise_psd.shape:
+        if frame.ndim == 2 and frame.shape == (0,) + state.noise_psd.shape[-1:]:
+            return GainFrame(values=np.empty(frame.shape))
         raise DataError(
             f"frame has {frame.shape} bins, tracker expects {state.noise_psd.shape}"
         )
@@ -262,7 +269,9 @@ def estimate_gains(frames: np.ndarray, params: EstimatorParams,
     :func:`mmse_lsa_gain` call, so the gain always sees the current frame's
     estimate.  The state keeps only the last frame's PSD.  Gains and state
     equal the per-frame chain's bit for bit, for any split of the frames into
-    blocks.
+    blocks.  NumPy's overflow and invalid-value warnings are silenced for the
+    block, so an input loud enough to overflow the a posteriori SNR raises
+    only the ``NumericError`` of :func:`mmse_lsa_gain`.
 
     Parameters
     ----------
@@ -284,7 +293,8 @@ def estimate_gains(frames: np.ndarray, params: EstimatorParams,
         state = NoiseTrackerState.initial(frames.shape[1], params)
     if not len(frames):
         return np.empty(frames.shape)
-    state = update_noise_psd(state, frames, params)
-    gains = mmse_lsa_gain(frames, state, params).values
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = update_noise_psd(state, frames, params)
+        gains = mmse_lsa_gain(frames, state, params).values
     state.noise_psd = state.noise_psd[-1].copy()  # hold one row between calls
     return gains

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,26 @@ class TestWriteValidation:
         message = f"refusing to write {path}: sample 1 is non-finite (nan)"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             write_wav(path, AudioBuffer(np.array([0.0, np.nan, np.inf]), 16000))
+
+    def test_float32_rejects_samples_past_its_range(self, tmp_path):
+        path = tmp_path / "x.wav"
+        message = (f"refusing to write {path}: sample 2 (-1e+39) is beyond the "
+                   "float32 range")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                write_wav(path, AudioBuffer(np.array([0.5, 3e38, -1e39, 1e308]),
+                                            16000), fmt="float32")
+        assert not path.exists()
+
+    def test_pcm16_saturates_extremes_without_warning(self, tmp_path):
+        path = tmp_path / "x.wav"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clipped = write_wav(path, AudioBuffer(np.array([1e308, -1e308, 0.5]),
+                                                  16000))
+        assert clipped == 2
+        assert wavfile.read(path)[1].tolist() == [32767, -32768, 16384]
 
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown WAV format"):

@@ -443,6 +443,15 @@ class TestMultiHopFiltering:
             assert np.array_equal(many.history, one.history)
 
     @pytest.mark.parametrize("step", [ols_filter_frame, direct_filter_block])
+    def test_zero_hops_change_nothing(self, step):
+        state = EngineState.create(8, 4)
+        width = 9 if step is ols_filter_frame else 8
+        step(state, np.ones(width), np.arange(4.0))
+        before = state.history.copy()
+        assert step(state, np.empty((0, width)), np.empty(0)).shape == (0,)
+        assert np.array_equal(state.history, before)
+
+    @pytest.mark.parametrize("step", [ols_filter_frame, direct_filter_block])
     def test_samples_must_fill_one_hop_per_filter(self, step):
         state = EngineState.create(8, 4)
         filters = np.ones((3, 9)) if step is ols_filter_frame else np.ones((3, 8))
@@ -668,7 +677,6 @@ class TestInputPowerOverflow:
     ``NumericError`` naming the first such frame, counted from the start of
     the stream; a tenth of the lower level still gives finite output."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("mode", ["ols", "direct"])
     @pytest.mark.parametrize("scale", [1e156, 1e200])
     @pytest.mark.parametrize("onset", [0, 100], ids=["from-start", "second-block"])
@@ -691,12 +699,14 @@ class TestInputPowerOverflow:
         assert np.isfinite(out).all()
 
 
-def per_hop_chain(x, rows, cfg, record_type=None):
+def per_hop_chain(x, rows, cfg, record_type=None, empty_at=None):
     """Run the public per-hop functions one hop at a time.
 
     ``record_type`` None runs the built-in estimator
     (``PolyphaseAnalyzer.push -> update_noise_psd -> mmse_lsa_gain``);
-    otherwise ``rows`` holds one gain-stream record per frame.
+    otherwise ``rows`` holds one gain-stream record per frame.  Filtering
+    follows ``cfg.mode``.  Before hop ``empty_at``, the estimator and the
+    filter are also called with zero hops, which must return nothing.
     """
     spec, p, hop = cfg.filterbank_spec(), cfg.shorten_len, cfg.hop
     proto = design_prototype(spec)
@@ -704,9 +714,18 @@ def per_hop_chain(x, rows, cfg, record_type=None):
     analyzer = PolyphaseAnalyzer(proto, spec)
     tracker = NoiseTrackerState.initial(spec.num_bins, params)
     engine = EngineState.create(p, hop)
+    direct = cfg.mode == "direct"
     out = []
     for k in range(spec.num_frames(x.size)):
         block = x[k * hop : (k + 1) * hop]
+        if k == empty_at:
+            if record_type is None:
+                none = np.empty((0, spec.num_bins), dtype=np.complex128)
+                tracker = update_noise_psd(tracker, none, params)
+                assert mmse_lsa_gain(none, tracker, params).values.shape == none.shape
+            step = direct_filter_block if direct else ols_filter_frame
+            assert step(engine, np.empty((0, p if direct else p + 1)),
+                        block[:0]).shape == (0,)
         if record_type == TYPE_DFT_RESPONSES:
             resp = rows[k]
         else:
@@ -716,9 +735,34 @@ def per_hop_chain(x, rows, cfg, record_type=None):
                 gains = mmse_lsa_gain(frame, tracker, params).values
             else:
                 gains = _clamp_magnitude(rows[k : k + 1], cfg.g_max)[0]
-            resp = filter_to_freq(gains_to_taps(gains, proto, p))
+            taps = gains_to_taps(gains, proto, p)
+            if direct:
+                out.append(direct_filter_block(engine, taps, block))
+                continue
+            resp = filter_to_freq(taps)
         out.append(ols_filter_frame(engine, resp, block))
     return np.concatenate(out)
+
+
+class TestZeroHopCalls:
+    """A zero-hop call inside the per-hop chain returns nothing and leaves its
+    state as it was, so every later hop keeps its bits: in the noise tracker
+    and gain rule (during the running mean and after it), and in overlap-save
+    and direct filtering."""
+
+    @pytest.mark.parametrize("mode, record_type", [
+        ("ols", None), ("direct", None), ("ols", TYPE_DFT_RESPONSES)],
+        ids=["estimator-ols", "estimator-direct", "type-B-ols"])
+    def test_later_hops_unchanged(self, mode, record_type):
+        cfg = Config(mode=mode, frame_size=16, proto_len=16, hop=4,
+                     shorten_len=8).validate()
+        rng = np.random.default_rng(131)
+        x = rng.standard_normal(30 * 4)
+        rows = np.fft.rfft(rng.standard_normal((30, 8)), n=16, axis=1)
+        want = per_hop_chain(x, rows, cfg, record_type)
+        for empty_at in (0, 1, 12):
+            got = per_hop_chain(x, rows, cfg, record_type, empty_at)
+            assert np.array_equal(got, want)
 
 
 GEOMETRIES = [
@@ -913,9 +957,19 @@ class TestFileEqualsLoadedProperty:
                             blockwise, per_hop_chain(x, rows, cfg, record_type))
 
 
+def block_frame_matrices(cfg, num_bytes):
+    """``num_bytes`` in units of one block's complex analysis-frame matrix."""
+    return num_bytes / (filterbank.BLOCK_FRAMES * (cfg.frame_size // 2 + 1) * 16)
+
+
 class TestStreamMemory:
+    """Beyond its output, ``process_stream`` holds one block's arrays at a time:
+    its peak does not grow with the signal or the gain file, and on a 4 s
+    signal the working set past the output stays within a few block frame
+    matrices (3.1 from the estimator, 2.6 from a type-A file), since no
+    array of one block outlives its consumer."""
+
     def test_peak_does_not_grow_with_signal_length(self):
-        """Beyond its output, ``process_stream`` holds one block's worth of memory."""
         cfg = Config().validate()
         rate = cfg.sample_rate_hz
         process_stream(np.zeros(rate), "mmse-lsa", cfg)  # first-call imports
@@ -932,6 +986,7 @@ class TestStreamMemory:
         short, long = peak_bytes(4), peak_bytes(60)
         extra_output = 56 * rate * 8
         assert long <= short + extra_output + 2**20, (short, long)
+        assert block_frame_matrices(cfg, short - 4 * rate * 8) <= 4.0
 
     def test_peak_does_not_grow_with_gain_file_length(self, tmp_path):
         """A gain file is read a block at a time, not loaded whole."""
@@ -960,3 +1015,4 @@ class TestStreamMemory:
         short, long = peak_bytes(4), peak_bytes(60)
         extra_output = 56 * rate * 8
         assert long <= short + extra_output + 2**20, (short, long)
+        assert block_frame_matrices(cfg, short - 4 * rate * 8) <= 3.0
