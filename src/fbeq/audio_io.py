@@ -8,6 +8,8 @@ for loading it.
 
 from __future__ import annotations
 
+import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,8 @@ def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
     Raises
     ------
     FormatError
-        Unparseable or compressed files.
+        Unparseable or compressed files, and files cut short of the size
+        their header declares.
     DataError
         Stereo files, unsupported sample formats, a non-finite sample (its
         index is reported), or a rate different from ``expected_rate`` (no
@@ -42,8 +45,13 @@ def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
     from scipy.io import wavfile
 
     try:
-        rate, data = wavfile.read(path)
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            # A data chunk cut short only warns, and the samples before the cut
+            # come back.
+            warnings.filterwarnings("error", "Reached EOF prematurely",
+                                    wavfile.WavFileWarning)
+            rate, data = wavfile.read(path)
+    except (ValueError, struct.error, wavfile.WavFileWarning) as exc:
         raise FormatError(f"{path}: not a readable WAV file ({exc})") from exc
     if data.ndim != 1:
         raise DataError(
@@ -135,6 +143,8 @@ def mix_at_snr(clean, noise, snr_db: float, seed: int) -> tuple[np.ndarray, np.n
         )
     if clean.size == 0:
         raise DataError("clean signal is empty")
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     offset = int(rng.integers(0, noise.size - clean.size, endpoint=True))
     crop = noise[offset : offset + clean.size]

@@ -4,6 +4,7 @@ Subcommands: ``design`` (prototype taps/response as CSV), ``analyze``
 (subband frames to a gain-stream file), ``enhance`` (full pipeline),
 ``mix`` (SNR-controlled mixing), ``evaluate`` (metric CSV).  A call builds
 only the subcommand it runs; help, no command or an unknown one get all five.
+Only ``enhance`` runs the engine, so only it takes the engine flags.
 
 Exit codes: 0 success, 2 usage error, 3 data/format/config error,
 4 numeric invariant violation.
@@ -21,16 +22,19 @@ import numpy as np
 
 from . import fbeg
 from .audio_io import AudioBuffer, mix_at_snr, read_wav, write_wav
-from .config import MODES, Config, build_config
+from .config import _FIELDS, _PARSERS, MODES, Config, build_config
 from .equalizer import ESTIMATOR_MMSE_LSA, process_stream
 from .errors import FbeqError, NumericError
 from .filterbank import analyze_polyphase, design_prototype
+from .gains import EstimatorParams
 from .metrics import compute_report
 
 RESPONSE_DFT_SIZE = 2048
 NOT_APPLICABLE = "n/a"
 
-_OVERRIDE_FIELDS = tuple(f.name for f in dataclasses.fields(Config))
+# Built once, with explicit dests: derived ones are new strings on every call.
+_ESTIMATOR_FLAGS = tuple(("--" + f.name.replace("_", "-"), f.name, _PARSERS[f.type])
+                         for f in dataclasses.fields(EstimatorParams))
 _COMMANDS = ("design", "analyze", "enhance", "mix", "evaluate")
 
 
@@ -43,18 +47,6 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     geo.add_argument("-r", "--hop", type=int, dest="hop")
     geo.add_argument("-P", "--shorten-len", type=int, dest="shorten_len")
     geo.add_argument("--sample-rate", type=int, dest="sample_rate_hz")
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--gains", metavar="FBEG",
-                        help="gain-stream file replacing the estimator")
-    est = parser.add_argument_group("estimator constants")
-    est.add_argument("--g-max", type=float, dest="g_max")
-    est.add_argument("--alpha-dd", type=float, dest="alpha_dd")
-    est.add_argument("--xi-min-db", type=float, dest="xi_min_db")
-    est.add_argument("--gain-floor-db", type=float, dest="gain_floor_db")
-    est.add_argument("--alpha-noise", type=float, dest="alpha_noise")
-    est.add_argument("--gamma-threshold", type=float, dest="gamma_threshold")
-    est.add_argument("--init-frames", type=int, dest="init_frames")
-    est.add_argument("--lambda-floor", type=float, dest="lambda_floor")
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -93,6 +85,13 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if "enhance" in wanted:
         p = sub.add_parser("enhance", help="run the enhancement pipeline")
         _add_shared_flags(p)
+        p.add_argument("--mode", choices=MODES)  # the engine flags: enhance only
+        p.add_argument("--gains", metavar="FBEG",
+                       help="gain-stream file replacing the estimator")
+        est = p.add_argument_group("estimator constants")
+        est.add_argument("--g-max", type=float, dest="g_max")
+        for flag, dest, parse in _ESTIMATOR_FLAGS:
+            est.add_argument(flag, type=parse, dest=dest)
         p.add_argument("--in", dest="in_wav", required=True, metavar="WAV")
         p.add_argument("--out", required=True, metavar="WAV")
         p.add_argument("--format", choices=("pcm16", "float32"), default="pcm16")
@@ -129,7 +128,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    return {name: getattr(args, name, None) for name in _OVERRIDE_FIELDS}
+    return {name: getattr(args, name, None) for name in _FIELDS}
 
 
 @contextlib.contextmanager
@@ -174,7 +173,7 @@ def cmd_analyze(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_enhance(args: argparse.Namespace, cfg: Config) -> int:
     buf = read_wav(args.in_wav, expected_rate=cfg.sample_rate_hz)
-    source = cfg.gains or ESTIMATOR_MMSE_LSA
+    source = args.gains or ESTIMATOR_MMSE_LSA
     enhanced, report = process_stream(buf.samples, source, cfg)
     clipped = write_wav(
         args.out, AudioBuffer(enhanced, cfg.sample_rate_hz), fmt=args.format

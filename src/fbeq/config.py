@@ -6,6 +6,7 @@ over file values, which win over defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -15,75 +16,60 @@ from .gains import EstimatorParams
 MODES = ("ols", "direct")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
-    """Full engine configuration; defaults give the 16 kHz low-latency setup."""
+    """Full engine configuration; defaults give the 16 kHz low-latency setup.
 
-    frame_size: int = 512
-    proto_len: int = 512
-    hop: int = 64
-    sample_rate_hz: int = 16000
+    Checked when built, and immutable.  Geometry and estimator defaults are
+    those of :class:`FilterbankSpec` and :class:`EstimatorParams`.
+    """
+
+    frame_size: int = FilterbankSpec.frame_size
+    proto_len: int = FilterbankSpec.proto_len
+    hop: int = FilterbankSpec.hop
+    sample_rate_hz: int = FilterbankSpec.sample_rate_hz
     shorten_len: int = 128
     mode: str = "ols"
-    gains: str | None = None
     g_max: float = 4.0
-    alpha_dd: float = 0.98
-    xi_min_db: float = -15.0
-    gain_floor_db: float = -25.0
-    alpha_noise: float = 0.8
-    gamma_threshold: float = 2.5
-    init_frames: int = 6
-    lambda_floor: float = 1e-20
+    alpha_dd: float = EstimatorParams.alpha_dd
+    xi_min_db: float = EstimatorParams.xi_min_db
+    gain_floor_db: float = EstimatorParams.gain_floor_db
+    alpha_noise: float = EstimatorParams.alpha_noise
+    gamma_threshold: float = EstimatorParams.gamma_threshold
+    init_frames: int = EstimatorParams.init_frames
+    lambda_floor: float = EstimatorParams.lambda_floor
 
-    def filterbank_spec(self) -> FilterbankSpec:
-        return FilterbankSpec(
-            frame_size=self.frame_size,
-            proto_len=self.proto_len,
-            hop=self.hop,
-            sample_rate_hz=self.sample_rate_hz,
-        )
-
-    def estimator_params(self) -> EstimatorParams:
-        return EstimatorParams(
-            alpha_dd=self.alpha_dd,
-            xi_min_db=self.xi_min_db,
-            gain_floor_db=self.gain_floor_db,
-            alpha_noise=self.alpha_noise,
-            gamma_threshold=self.gamma_threshold,
-            init_frames=self.init_frames,
-            lambda_floor=self.lambda_floor,
-        )
-
-    def validate(self) -> "Config":
-        """Re-validate every module-level invariant; returns self."""
+    def __post_init__(self) -> None:
         self.filterbank_spec()
         self.estimator_params()
         check_shorten_len(self.shorten_len, num_taps=self.proto_len + 1,
                           hop=self.hop)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got '{self.mode}'")
-        if self.g_max <= 0:
-            raise ConfigError(f"g_max must be positive, got {self.g_max}")
-        return self
+        if not 0.0 < self.g_max < math.inf:
+            raise ConfigError(f"g_max must be positive and finite, got {self.g_max}")
+
+    def filterbank_spec(self) -> FilterbankSpec:
+        return FilterbankSpec(**{name: getattr(self, name) for name in _SPEC_FIELDS})
+
+    def estimator_params(self) -> EstimatorParams:
+        return EstimatorParams(**{name: getattr(self, name) for name in _PARAM_FIELDS})
 
 
+_SPEC_FIELDS = tuple(f.name for f in fields(FilterbankSpec))
+_PARAM_FIELDS = tuple(f.name for f in fields(EstimatorParams))
 _FIELDS = {f.name: f.type for f in fields(Config)}
+# Parses a flag or config-file value by its field's type; text stays text.
+_PARSERS = {"int": int, "float": float}
 
 
 def _coerce(key: str, raw: str):
     if key not in _FIELDS:
         raise ConfigError(f"unknown config key '{key}'")
-    kind = _FIELDS[key]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
+        return _PARSERS.get(_FIELDS[key], str)(raw)
     except ValueError as exc:
         raise ConfigError(f"config key '{key}': {exc}") from exc
-    if raw.lower() in ("none", ""):
-        return None
-    return raw
 
 
 def load_config_file(path) -> dict:
@@ -114,4 +100,4 @@ def build_config(config_path=None, overrides: dict | None = None) -> Config:
         if key not in _FIELDS:
             raise ConfigError(f"unknown config key '{key}'")
         merged[key] = value
-    return Config(**merged).validate()
+    return Config(**merged)

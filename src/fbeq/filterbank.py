@@ -196,9 +196,9 @@ def analyze_polyphase(x, proto: PrototypeFilter, spec: FilterbankSpec,
     taps = _prototype_taps(proto, spec)
     x = np.asarray(x, dtype=np.float64).ravel()
     num_frames = spec.num_frames(x.size)
+    segments = _analysis_segments(x, spec, history)
     if num_frames == 0:
         return AnalysisFrameSeq(np.empty((0, spec.num_bins), np.complex128), spec)
-    segments = _analysis_segments(x, spec, history)
     correction = _phase_correction(spec)
     if num_frames <= BLOCK_FRAMES:
         spectra = _fold_and_transform(segments[:, ::-1] * taps, spec, correction)

@@ -11,7 +11,8 @@ complex per-bin responses enter the pipeline only through gain-stream files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -41,6 +42,9 @@ class EstimatorParams:
     lambda_floor: float = 1e-20
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_PARAMS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.alpha_dd < 1.0:
             raise ConfigError(f"alpha_dd must be in (0, 1), got {self.alpha_dd}")
         if not 0.0 < self.alpha_noise < 1.0:
@@ -84,6 +88,9 @@ class EstimatorParams:
     def gain_floor(self) -> float:
         """Gain floor as a linear amplitude."""
         return 10.0 ** (self.gain_floor_db / 20.0)
+
+
+_FLOAT_PARAMS = tuple(f.name for f in fields(EstimatorParams) if f.type == "float")
 
 
 class GainFrame(NamedTuple):

@@ -180,8 +180,7 @@ def ri_mag_loss(ref: AnalysisFrameSeq, est: AnalysisFrameSeq) -> float:
 
 
 def compute_report(clean, processed, noise=None, spec: FilterbankSpec | None = None,
-                   delay: int = 0,
-                   threshold_db: float = NOISE_ONLY_THRESHOLD_DB) -> MetricReport:
+                   delay: int = 0) -> MetricReport:
     """Assemble the full metric set for one processed signal.
 
     ``noise`` (the ground-truth additive noise) enables the attenuation
@@ -191,7 +190,7 @@ def compute_report(clean, processed, noise=None, spec: FilterbankSpec | None = N
     clean = np.asarray(clean, dtype=np.float64).ravel()
     shifted = _advance(processed, delay)
     frame_len = spec.hop if spec is not None else 64
-    labeling = label_noise_only(clean, frame_len, threshold_db)
+    labeling = label_noise_only(clean, frame_len)
     na_value, _, na_clamped = (None, 0, 0) if noise is None else _seg_na_detail(
         noise, shifted, labeling
     )

@@ -111,6 +111,18 @@ class TestReadValidation:
         with pytest.raises(FormatError, match="not a readable WAV"):
             read_wav(path)
 
+    @pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+    @pytest.mark.parametrize("cut", [30, 50, -1], ids=["at-30", "at-50", "last-byte"])
+    def test_rejects_truncated_file(self, tmp_path, fmt, cut):
+        path = tmp_path / "cut.wav"
+        write_wav(path, AudioBuffer(np.full(100, 0.1), 16000), fmt=fmt)
+        path.write_bytes(path.read_bytes()[:cut])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not a "
+                                                  "readable WAV"):
+                read_wav(path)
+
 
 class TestWriteValidation:
     def test_rejects_non_finite(self, tmp_path):
@@ -209,6 +221,10 @@ class TestMixAtSnr:
             mix_at_snr(np.zeros(100), rng.standard_normal(200), 0.0, seed=0)
         with pytest.raises(DataError, match="noise crop has zero power"):
             mix_at_snr(np.ones(100), np.zeros(100), 0.0, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="seed must be non-negative, got -1"):
+            mix_at_snr(np.ones(100), np.ones(200), 0.0, seed=-1)
 
     def test_empty_clean_rejected(self):
         with pytest.raises(DataError, match="empty"):

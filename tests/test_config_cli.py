@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import io
 import os
 import struct
@@ -16,7 +17,8 @@ from fbeq.audio_io import AudioBuffer, read_wav, write_wav
 from fbeq.cli import _build_parser, main
 from fbeq.config import Config, build_config, load_config_file
 from fbeq.errors import ConfigError
-from fbeq.filterbank import analyze_polyphase, design_prototype
+from fbeq.filterbank import FilterbankSpec, analyze_polyphase, design_prototype
+from fbeq.gains import EstimatorParams
 
 SMALL_FLAGS = ["-M", "16", "-L", "16", "-r", "4", "-P", "8"]
 
@@ -36,14 +38,27 @@ def write_with_nan(path, num_frames, offset):
     path.write_bytes(bytes(raw))
 
 
+FLOAT_SETTINGS = [f.name for f in dataclasses.fields(Config) if f.type == "float"]
+
+
 class TestConfigValidation:
     def test_defaults_validate(self):
-        cfg = Config().validate()
+        cfg = Config()
         assert cfg.frame_size == 512
         assert cfg.hop == 64
         assert cfg.shorten_len == 128
         assert cfg.mode == "ols"
-        assert cfg.gains is None  # the built-in estimator supplies the gains
+        # The gain file is an input of ``enhance``, not a setting.
+        assert "gains" not in {f.name for f in dataclasses.fields(Config)}
+
+    def test_defaults_are_those_of_the_parts(self):
+        assert Config().filterbank_spec() == FilterbankSpec()
+        assert Config().estimator_params() == EstimatorParams()
+
+    def test_immutable(self):
+        cfg = Config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.g_max = -1.0
 
     def test_spec_and_params_round_trip(self):
         cfg = Config(frame_size=16, proto_len=16, hop=4, shorten_len=8,
@@ -56,25 +71,33 @@ class TestConfigValidation:
 
     def test_odd_shorten_len(self):
         with pytest.raises(ConfigError, match="positive even"):
-            Config(shorten_len=127).validate()
+            Config(shorten_len=127)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", FLOAT_SETTINGS)
+    def test_non_finite_setting(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be .*finite"):
+            Config(**{name: value})
 
     def test_shorten_len_must_fit_prototype(self):
         with pytest.raises(ConfigError, match="does not fit"):
             Config(frame_size=16, proto_len=16, hop=4,
-                   shorten_len=32).validate()
+                   shorten_len=32)
 
     def test_hop_may_not_exceed_overlap_save_budget(self):
         with pytest.raises(ConfigError, match="alias"):
             Config(frame_size=512, proto_len=512, hop=256,
-                   shorten_len=128).validate()
+                   shorten_len=128)
 
     def test_unknown_mode(self):
-        with pytest.raises(ConfigError, match="mode must be one of"):
-            Config(mode="zero-latency").validate()
+        for mode in ("zero-latency", "DIRECT"):
+            with pytest.raises(ConfigError, match="mode must be one of"):
+                Config(mode=mode)
 
     def test_nonpositive_g_max(self):
-        with pytest.raises(ConfigError, match="g_max"):
-            Config(g_max=0.0).validate()
+        for g_max in (0.0, -1.0):  # silence, and inverted polarity
+            with pytest.raises(ConfigError, match="g_max"):
+                Config(g_max=g_max)
 
 
 class TestConfigFile:
@@ -88,12 +111,11 @@ class TestConfigFile:
             "hop = 4\n"
             "alpha_noise = 0.9\n"
             "mode = direct\n"
-            "gains = none\n"
         )
         got = load_config_file(path)
         assert got == {
             "frame_size": 16, "proto_len": 16, "hop": 4,
-            "alpha_noise": 0.9, "mode": "direct", "gains": None,
+            "alpha_noise": 0.9, "mode": "direct",
         }
         assert isinstance(got["frame_size"], int)
         assert isinstance(got["alpha_noise"], float)
@@ -412,6 +434,45 @@ class TestExitCodes:
         assert main(["design", "-M", "15"]) == 3
         assert "fbeq: error:" in capsys.readouterr().err
 
+    def test_negative_mix_seed_is_three(self, tmp_path, capsys):
+        cw, nw = tmp_path / "c.wav", tmp_path / "n.wav"
+        write_test_wav(cw, 0.3 * np.sin(np.arange(400) / 5.0))
+        write_test_wav(nw, 0.1 * np.random.default_rng(9).standard_normal(900))
+        code = main(["mix", "--clean", str(cw), "--noise", str(nw), "--snr-db", "0",
+                     "--seed", "-1", "--out-mix", str(tmp_path / "m.wav"),
+                     "--out-noise", str(tmp_path / "s.wav")])
+        assert code == 3
+        assert capsys.readouterr().err.strip() == (
+            "fbeq: error: seed must be non-negative, got -1")
+
+    @pytest.mark.parametrize("cut", [30, 50], ids=["in-fmt", "in-data"])
+    def test_truncated_wav_is_three(self, tmp_path, capsys, cut):
+        wav, out = tmp_path / "in.wav", tmp_path / "out.wav"
+        write_wav(wav, AudioBuffer(np.full(1600, 0.1), 16000), fmt="pcm16")
+        wav.write_bytes(wav.read_bytes()[:cut])
+        code = main(["enhance", "--in", str(wav), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            f"fbeq: error: {wav}: not a readable WAV file")
+        assert not out.exists()
+
+    def test_non_finite_setting_is_three(self, tmp_path, capsys):
+        code = main(["enhance", "--gamma-threshold", "nan",
+                     "--in", str(tmp_path / "in.wav"),
+                     "--out", str(tmp_path / "out.wav")])
+        assert code == 3
+        assert capsys.readouterr().err.strip() == (
+            "fbeq: error: gamma_threshold must be finite, got nan")
+
+    def test_gains_config_key_is_three(self, tmp_path, capsys):
+        path = tmp_path / "fbeq.conf"
+        path.write_text(f"gains = {tmp_path / 'g.fbeg'}\n")
+        code = main(["enhance", "--config", str(path),
+                     "--in", str(tmp_path / "in.wav"),
+                     "--out", str(tmp_path / "out.wav")])
+        assert code == 3
+        assert "unknown config key 'gains'" in capsys.readouterr().err
+
     def test_non_finite_gain_stream_is_three(self, tmp_path, capsys):
         wav = tmp_path / "in.wav"
         write_test_wav(wav, 0.1 * np.random.default_rng(8).standard_normal(160))
@@ -443,7 +504,7 @@ class TestExitCodes:
 
 # One argv per subcommand, touching its own arguments and the shared flags.
 COMMAND_ARGV = {
-    "design": ["design", *SMALL_FLAGS, "--mode", "direct", "--out", "taps.csv"],
+    "design": ["design", *SMALL_FLAGS, "--out", "taps.csv"],
     "analyze": ["analyze", "--config", "run.cfg", "--in", "a.wav",
                 "--out", "a.fbeg"],
     "enhance": ["enhance", "--in", "a.wav", "--out", "b.wav", "--gains",
@@ -451,9 +512,16 @@ COMMAND_ARGV = {
     "mix": ["mix", "--clean", "c.wav", "--noise", "n.wav", "--snr-db", "5",
             "--seed", "3", "--out-mix", "m.wav", "--out-noise", "s.wav"],
     "evaluate": ["evaluate", "--clean", "c.wav", "--processed", "p.wav",
-                 "q.wav", "--delay", "64", "--alpha-dd", "0.9"],
+                 "q.wav", "--delay", "64"],
 }
 ALL_COMMANDS = "{design,analyze,enhance,mix,evaluate}"
+# The settings only ``enhance`` reads, each with a valid value as it prints.
+ENGINE_FLAGS = [
+    ["--mode", "direct"], ["--gains", "g.fbeg"], ["--g-max", "2.0"],
+    ["--alpha-dd", "0.9"], ["--xi-min-db", "-10.0"], ["--gain-floor-db", "-20.0"],
+    ["--alpha-noise", "0.9"], ["--gamma-threshold", "3.0"], ["--init-frames", "4"],
+    ["--lambda-floor", "1e-12"],
+]
 
 
 def _exit_and_output(parser_or_main, argv, capsys):
@@ -492,6 +560,19 @@ class TestParserPerCommand:
         want = _exit_and_output(_build_parser().parse_args, argv, capsys)
         assert _exit_and_output(main, argv, capsys) == want
         assert want[0] == 2
+
+    @pytest.mark.parametrize("flag", ENGINE_FLAGS, ids=lambda flag: flag[0])
+    @pytest.mark.parametrize("command", list(COMMAND_ARGV))
+    def test_engine_flags_only_on_enhance(self, command, flag, capsys):
+        argv = COMMAND_ARGV[command] + flag
+        if command == "enhance":
+            args = _build_parser(command).parse_args(argv)
+            assert str(getattr(args, flag[0][2:].replace("-", "_"))) == flag[1]
+            return
+        code, _, err = _exit_and_output(_build_parser(command).parse_args, argv,
+                                        capsys)
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
 
     @pytest.mark.parametrize("argv, code", [
         (["--help"], 0), ([], 2), (["enhanc"], 2),

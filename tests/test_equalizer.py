@@ -489,7 +489,7 @@ class TestClampMagnitude:
         """Gain files on both sides of the ``g_max / 2`` screen and of
         ``g_max`` itself: the clamp and ``process_stream`` give the bits of
         the clamp that forms every ``|g|``."""
-        cfg = Config().validate()
+        cfg = Config()
         rng = np.random.default_rng(61)
         stored, bins = 43, cfg.frame_size // 2 + 1  # 3 records past the input
         gains = random_hermitian_gains(rng, stored * bins).reshape(stored, bins)
@@ -681,7 +681,7 @@ class TestInputPowerOverflow:
     @pytest.mark.parametrize("scale", [1e156, 1e200])
     @pytest.mark.parametrize("onset", [0, 100], ids=["from-start", "second-block"])
     def test_names_first_overflowing_frame(self, mode, scale, onset):
-        cfg = Config(mode=mode).validate()
+        cfg = Config(mode=mode)
         spec = cfg.filterbank_spec()
         x = np.random.default_rng(71).standard_normal(200 * cfg.hop)
         x[onset * cfg.hop:] *= scale
@@ -695,7 +695,7 @@ class TestInputPowerOverflow:
     @pytest.mark.parametrize("mode", ["ols", "direct"])
     def test_finite_just_below_overflow(self, mode):
         x = 1e155 * np.random.default_rng(71).standard_normal(200 * 64)
-        out, _ = process_stream(x, "mmse-lsa", Config(mode=mode).validate())
+        out, _ = process_stream(x, "mmse-lsa", Config(mode=mode))
         assert np.isfinite(out).all()
 
 
@@ -755,7 +755,7 @@ class TestZeroHopCalls:
         ids=["estimator-ols", "estimator-direct", "type-B-ols"])
     def test_later_hops_unchanged(self, mode, record_type):
         cfg = Config(mode=mode, frame_size=16, proto_len=16, hop=4,
-                     shorten_len=8).validate()
+                     shorten_len=8)
         rng = np.random.default_rng(131)
         x = rng.standard_normal(30 * 4)
         rows = np.fft.rfft(rng.standard_normal((30, 8)), n=16, axis=1)
@@ -781,12 +781,12 @@ class TestBatchEqualsPerHop:
     def test_estimator(self, geometry):
         rng = np.random.default_rng(89)
         x = make_speech(0.5) + 0.05 * rng.standard_normal(8000)
-        cfg = Config(**geometry).validate()
+        cfg = Config(**geometry)
         out, _ = process_stream(x, "mmse-lsa", cfg)
         assert np.array_equal(out, per_hop_chain(x, None, cfg))
 
     def test_subband_gain_stream(self, tmp_path):
-        cfg = Config().validate()
+        cfg = Config()
         rng = np.random.default_rng(97)
         x = rng.standard_normal(64 * 40)
         gains = random_hermitian_gains(rng, 257 * 40).reshape(40, 257) * 2.0
@@ -797,7 +797,7 @@ class TestBatchEqualsPerHop:
         assert np.array_equal(out, per_hop_chain(x, rows, cfg, TYPE_SUBBAND_GAINS))
 
     def test_dft_response_stream(self, tmp_path):
-        cfg = Config().validate()
+        cfg = Config()
         rng = np.random.default_rng(101)
         x = rng.standard_normal(64 * 40)
         responses = np.fft.rfft(rng.standard_normal((40, 128)), n=256, axis=1)
@@ -830,7 +830,7 @@ class TestBatchEqualsPerHopProperty:
 
     @staticmethod
     def _check_every_gain_source(tmp_path, geometry, num_frames, extra, tail, seed):
-        cfg = Config(**geometry).validate()
+        cfg = Config(**geometry)
         m, hop, p = cfg.frame_size, cfg.hop, cfg.shorten_len
         bins, stored = m // 2 + 1, num_frames + extra
         rng = np.random.default_rng(seed)
@@ -874,8 +874,8 @@ class TestOlsEqualsDirectProperty:
         num_frames = data.draw(st.integers(shortest, shortest + 40), label="num_frames")
         block_frames = data.draw(st.integers(1, min(7, num_frames - 1)),
                                  label="block_frames")
-        ols = Config(mode="ols", **geometry).validate()
-        direct = Config(mode="direct", **geometry).validate()
+        ols = Config(mode="ols", **geometry)
+        direct = Config(mode="direct", **geometry)
         m, hop = ols.frame_size, ols.hop
         rng = np.random.default_rng(seed)
         n = num_frames * hop
@@ -905,7 +905,7 @@ class TestUnityGainProperty:
     @given(geometry=geometries(), mode=st.sampled_from(["ols", "direct"]),
            extra=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
     def test_delayed_identity(self, tmp_path, geometry, mode, extra, seed):
-        cfg = Config(mode=mode, **geometry).validate()
+        cfg = Config(mode=mode, **geometry)
         m, hop, p = cfg.frame_size, cfg.hop, cfg.shorten_len
         warm = cfg.proto_len + 2 * p
         num_frames = -(-warm // hop) + extra
@@ -946,7 +946,7 @@ class TestFileEqualsLoadedProperty:
                 warnings.simplefilter("ignore")
                 rows = load_gain_stream(path)[1]
                 for mode in modes:
-                    cfg = Config(mode=mode, **geometry).validate()
+                    cfg = Config(mode=mode, **geometry)
                     with patch.object(filterbank, "BLOCK_FRAMES", block_frames):
                         blockwise, _ = process_stream(x, path, cfg)
                     with patch.object(filterbank, "BLOCK_FRAMES", stored):
@@ -970,7 +970,7 @@ class TestStreamMemory:
     array of one block outlives its consumer."""
 
     def test_peak_does_not_grow_with_signal_length(self):
-        cfg = Config().validate()
+        cfg = Config()
         rate = cfg.sample_rate_hz
         process_stream(np.zeros(rate), "mmse-lsa", cfg)  # first-call imports
 
@@ -990,7 +990,7 @@ class TestStreamMemory:
 
     def test_peak_does_not_grow_with_gain_file_length(self, tmp_path):
         """A gain file is read a block at a time, not loaded whole."""
-        cfg = Config().validate()
+        cfg = Config()
         rate, bins = cfg.sample_rate_hz, cfg.frame_size // 2 + 1
 
         def gain_file(seconds):

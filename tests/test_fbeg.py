@@ -353,7 +353,7 @@ class TestBlockReading:
     def run(path, num_frames=6):
         with patch.object(filterbank, "BLOCK_FRAMES", 4):
             return process_stream(np.ones(4 * num_frames), path,
-                                  Config(**SMALL).validate())
+                                  Config(**SMALL))
 
     @staticmethod
     def unity_file(tmp_path, num_frames=10, record_type=TYPE_SUBBAND_GAINS):

@@ -262,8 +262,9 @@ class TestAnalysisHistory:
         assert np.array_equal(np.concatenate([first, rest]), whole)
 
     def test_history_must_hold_l_samples(self, small_spec, small_proto):
-        with pytest.raises(DataError, match="must hold the 16 samples .* got 15"):
-            analyze_polyphase(np.ones(8), small_proto, small_spec, np.zeros(15))
+        for size in (8, 3):  # two frames, and none
+            with pytest.raises(DataError, match="must hold the 16 samples .* got 15"):
+                analyze_polyphase(np.ones(size), small_proto, small_spec, np.zeros(15))
 
 
 class TestPolyphaseAnalyzer:
