@@ -32,7 +32,6 @@ from .filterbank import (
     AnalysisFrameSeq,
     FilterbankSpec,
     PolyphaseAnalyzer,
-    PrototypeFilter,
     analyze_polyphase,
     design_prototype,
     expand_hermitian,
@@ -76,7 +75,6 @@ __all__ = [
     "NoiseTrackerState",
     "NumericError",
     "PolyphaseAnalyzer",
-    "PrototypeFilter",
     "StreamHeader",
     "TYPE_DFT_RESPONSES",
     "TYPE_SUBBAND_GAINS",

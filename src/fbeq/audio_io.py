@@ -8,6 +8,7 @@ for loading it.
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -133,7 +134,16 @@ def mix_at_snr(clean, noise, snr_db: float, seed: int) -> tuple[np.ndarray, np.n
     ``sqrt(P_clean / (P_noise * 10^(snr_db/10)))`` with powers measured over
     the full utterance, and returns ``(clean + scaled, scaled)`` so callers
     keep the ground-truth noise.  Same seed, same mixture, bit for bit.
+
+    Raises
+    ------
+    DataError
+        A non-finite ``snr_db``, a noise shorter than the clean signal, an
+        empty clean signal, a negative seed, or a zero-power clean signal or
+        noise crop.
     """
+    if not math.isfinite(snr_db):
+        raise DataError(f"snr_db must be finite, got {snr_db}")
     clean = np.asarray(clean, dtype=np.float64).ravel()
     noise = np.asarray(noise, dtype=np.float64).ravel()
     if noise.size < clean.size:

@@ -143,15 +143,15 @@ def _open_text_out(path: str):
 def cmd_design(args: argparse.Namespace, cfg: Config) -> int:
     spec = cfg.filterbank_spec()
     proto = design_prototype(spec)
-    response = np.fft.rfft(proto.taps, n=RESPONSE_DFT_SIZE)
+    response = np.fft.rfft(proto, n=RESPONSE_DFT_SIZE)
     with np.errstate(divide="ignore"):
         mag_db = 20.0 * np.log10(np.abs(response))
     freqs = np.arange(response.size) * spec.sample_rate_hz / RESPONSE_DFT_SIZE
     with _open_text_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "tap", "freq_hz", "mag_db"])
-        for i in range(max(proto.taps.size, response.size)):
-            tap = format(proto.taps[i], ".17g") if i < proto.taps.size else ""
+        for i in range(max(proto.size, response.size)):
+            tap = format(proto[i], ".17g") if i < proto.size else ""
             if i < response.size:
                 freq, mag = format(freqs[i], ".17g"), format(mag_db[i], ".6f")
             else:
@@ -216,8 +216,8 @@ def cmd_evaluate(args: argparse.Namespace, cfg: Config) -> int:
     reports = []
     for path in args.processed:
         processed = read_wav(path, expected_rate=spec.sample_rate_hz)
-        report = compute_report(clean.samples, processed.samples,
-                                noise=noise, spec=spec, delay=delay)
+        report = compute_report(clean.samples, processed.samples, spec,
+                                noise=noise, delay=delay)
         reports.append(report)
         if report.seg_na_clamped_frames:
             print(

@@ -27,12 +27,12 @@ from .audio_io import _check_finite
 from .errors import ConfigError, DataError, NumericError
 from .filterbank import (
     HERMITIAN_IMAG_TOL,
-    PrototypeFilter,
     analyze_polyphase,
     check_shorten_len,
     design_prototype,
     slide_history,
     _check_hermitian_edges,
+    _check_hop_finite,
     _first_flagged,
     _frame_blocks,
     _hop_windows,
@@ -75,7 +75,11 @@ class EngineState:
 
     def push(self, block, hops: int | None = None) -> np.ndarray:
         """Shift in one hop and return the new history; or shift in ``hops``
-        hops and return the ``hops x 2P`` histories after each of them."""
+        hops and return the ``hops x 2P`` histories after each of them.
+
+        A block of the wrong size or with a NaN or infinite sample is a
+        ``DataError``, raised before the history changes.
+        """
         if hops is None:
             self.history = slide_history(self.history, block, self.hop)
             return self.history
@@ -83,12 +87,13 @@ class EngineState:
         if block.size != hops * self.hop:
             raise DataError(f"expected a block of {hops * self.hop} samples, "
                             f"got {block.size}")
+        _check_hop_finite(block)
         extended = np.concatenate([self.history, block])  # zero hops: unchanged
         self.history = extended[-self.history.size :].copy()  # a view would keep the block
         return _hop_windows(extended[self.hop :], self.history.size, self.hop, hops)
 
 
-def gains_to_taps(half, proto: PrototypeFilter, shorten_len: int,
+def gains_to_taps(half, proto, shorten_len: int,
                   first_frame: int = 0) -> np.ndarray:
     """Map half-spectrum gains straight to their central ``shorten_len`` taps.
 
@@ -104,7 +109,8 @@ def gains_to_taps(half, proto: PrototypeFilter, shorten_len: int,
     ----------
     half : array_like
         ``M/2+1`` complex gains, or a ``K x (M/2+1)`` matrix of frames.
-    proto : PrototypeFilter
+    proto : numpy.ndarray
+        The ``L+1`` prototype taps, centred at ``tau = L/2``.
     shorten_len : int
         ``P``, even, with the central window inside the prototype's taps.
     first_frame : int
@@ -127,15 +133,16 @@ def gains_to_taps(half, proto: PrototypeFilter, shorten_len: int,
     """
     half = _check_hermitian_edges(half, first_frame)
     m = 2 * (half.shape[-1] - 1)
-    check_shorten_len(shorten_len, num_taps=proto.taps.size)
-    lags = np.arange(proto.tau - shorten_len // 2, proto.tau + shorten_len // 2)
+    check_shorten_len(shorten_len, num_taps=proto.size)
+    tau = (proto.size - 1) // 2
+    lags = np.arange(tau - shorten_len // 2, tau + shorten_len // 2)
     kernel = np.fft.irfft(half, n=m, axis=-1, norm="forward")
-    short = kernel[..., (proto.tau - lags) % m]
-    short *= proto.taps[lags]
+    short = kernel[..., (tau - lags) % m]
+    short *= proto[lags]
     return short
 
 
-def subband_to_time(gains_full, proto: PrototypeFilter) -> np.ndarray:
+def subband_to_time(gains_full, proto) -> np.ndarray:
     """Map full-band (Hermitian) gain vectors to their time-domain filters.
 
     All ``L+1`` taps; :func:`gains_to_taps` computes only the central ``P``
@@ -150,7 +157,8 @@ def subband_to_time(gains_full, proto: PrototypeFilter) -> np.ndarray:
         ``M`` complex gains, Hermitian-symmetric (e.g. from
         :func:`fbeq.filterbank.expand_hermitian`), or a ``K x M`` matrix of
         such frames.
-    proto : PrototypeFilter
+    proto : array_like
+        The ``L+1`` prototype taps, centred at ``tau = L/2``.
 
     Returns
     -------
@@ -167,8 +175,8 @@ def subband_to_time(gains_full, proto: PrototypeFilter) -> np.ndarray:
         frame.
     """
     gains_full = np.asarray(gains_full, dtype=np.complex128)
-    taps = np.asarray(proto.taps, dtype=np.float64)
-    lag_bins = (np.arange(taps.size) - proto.tau) % gains_full.shape[-1]
+    taps = np.asarray(proto, dtype=np.float64)
+    lag_bins = (np.arange(taps.size) - (taps.size - 1) // 2) % gains_full.shape[-1]
     complex_taps = np.fft.fft(gains_full, axis=-1)[..., lag_bins]
     np.multiply(taps, complex_taps, out=complex_taps)
     magnitude = np.abs(complex_taps.imag)
@@ -360,9 +368,11 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
             samples = slice(frames.start * hop, frames.stop * hop)
             block = x[samples]
             if estimator:
+                # Complex now, as gains_to_taps needs them: the real gains die
+                # before the mapping's kernel is formed.
                 rows = estimate_gains(
                     analyze_polyphase(block, proto, spec, history).frames,
-                    params, tracker)
+                    params, tracker).astype(np.complex128)
                 history = np.concatenate([history, block])[-history.size:].copy()
             elif responses:
                 out[samples] = ols_filter_frame(engine, read(frames), block)

@@ -14,11 +14,13 @@ sample time, frame ``k`` (``k = 1..floor(T/r)``) becomes available once
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .audio_io import _check_finite
 from .errors import ConfigError, DataError, NumericError
 
 HERMITIAN_IMAG_TOL = 1e-9
@@ -72,25 +74,13 @@ class FilterbankSpec:
         return max(0, int(num_samples) // self.hop)
 
 
-@dataclass(frozen=True)
-class PrototypeFilter:
-    """Linear-phase low-pass prototype: ``taps`` over lags 0..L, centered at ``tau``."""
-
-    taps: np.ndarray
-
-    @property
-    def tau(self) -> int:
-        return (self.taps.size - 1) // 2
-
-
 class AnalysisFrameSeq(NamedTuple):
-    """Subband analysis result: a ``K x (M/2+1)`` complex matrix plus its geometry."""
+    """Subband analysis result: a ``K x (M/2+1)`` complex matrix."""
 
     frames: np.ndarray
-    spec: FilterbankSpec
 
 
-def design_prototype(spec: FilterbankSpec) -> PrototypeFilter:
+def design_prototype(spec: FilterbankSpec) -> np.ndarray:
     """Design the windowed-sinc prototype low-pass filter.
 
     The impulse response over lags ``l = 0..L`` is
@@ -108,9 +98,11 @@ def design_prototype(spec: FilterbankSpec) -> PrototypeFilter:
 
     Returns
     -------
-    PrototypeFilter
-        Taps of length ``L+1``; symmetric about ``tau`` bit-exactly (the
+    numpy.ndarray
+        The ``L+1`` float64 taps; symmetric about ``tau`` bit-exactly (the
         second half is mirrored from the first rather than recomputed).
+        Every function that takes a prototype takes this array and reads its
+        centre, ``(taps.size - 1) // 2``, from its length.
     """
     m, big_l, tau = spec.frame_size, spec.proto_len, spec.tau
     lags = np.arange(tau + 1, dtype=np.float64)
@@ -118,13 +110,12 @@ def design_prototype(spec: FilterbankSpec) -> PrototypeFilter:
     # np.sinc(u) = sin(pi u)/(pi u); u = 2(l - tau)/M gives sin(z)/z above.
     core = np.sinc(2.0 * (lags - tau) / m) / m
     half = window * core
-    taps = np.concatenate([half, half[-2::-1]])
-    return PrototypeFilter(taps=taps)
+    return np.concatenate([half, half[-2::-1]])
 
 
-def _prototype_taps(proto: PrototypeFilter, spec: FilterbankSpec) -> np.ndarray:
+def _prototype_taps(proto, spec: FilterbankSpec) -> np.ndarray:
     """The prototype's taps as float64, checked to be the ``L+1`` of ``spec``."""
-    taps = np.asarray(proto.taps, dtype=np.float64)
+    taps = np.asarray(proto, dtype=np.float64)
     if taps.size != spec.proto_len + 1:
         raise ConfigError(f"prototype has {taps.size} taps, geometry expects "
                           f"{spec.proto_len + 1}")
@@ -175,7 +166,7 @@ def _fold_and_transform(windowed: np.ndarray, spec: FilterbankSpec,
     return spectra
 
 
-def analyze_polyphase(x, proto: PrototypeFilter, spec: FilterbankSpec,
+def analyze_polyphase(x, proto, spec: FilterbankSpec,
                       history=None) -> AnalysisFrameSeq:
     """Subband analysis via the polyphase realization.
 
@@ -198,16 +189,16 @@ def analyze_polyphase(x, proto: PrototypeFilter, spec: FilterbankSpec,
     num_frames = spec.num_frames(x.size)
     segments = _analysis_segments(x, spec, history)
     if num_frames == 0:
-        return AnalysisFrameSeq(np.empty((0, spec.num_bins), np.complex128), spec)
+        return AnalysisFrameSeq(np.empty((0, spec.num_bins), np.complex128))
     correction = _phase_correction(spec)
     if num_frames <= BLOCK_FRAMES:
         spectra = _fold_and_transform(segments[:, ::-1] * taps, spec, correction)
-        return AnalysisFrameSeq(spectra, spec)
+        return AnalysisFrameSeq(spectra)
     frames = np.empty((num_frames, spec.num_bins), dtype=np.complex128)
     for block in _frame_blocks(num_frames):
         windowed = segments[block, ::-1] * taps
         frames[block] = _fold_and_transform(windowed, spec, correction)
-    return AnalysisFrameSeq(frames, spec)
+    return AnalysisFrameSeq(frames)
 
 
 def _frame_blocks(num_frames: int, first: int = 0):
@@ -290,12 +281,26 @@ def slide_history(history: np.ndarray, block, hop: int) -> np.ndarray:
     Raises
     ------
     DataError
-        If ``block`` does not hold exactly ``hop`` samples.
+        If ``block`` does not hold exactly ``hop`` samples, or holds a
+        non-finite one.
     """
     block = np.asarray(block, dtype=np.float64).ravel()
     if block.size != hop:
         raise DataError(f"expected a block of {hop} samples, got {block.size}")
+    _check_hop_finite(block)
     return np.concatenate([history[hop:], block])
+
+
+def _check_hop_finite(block: np.ndarray) -> None:
+    """Raise ``DataError`` "input sample N is non-finite (V)" for a hop's first
+    NaN or infinite sample, ``N`` counted within the hop.
+
+    A finite sum proves every sample finite, so only a hop whose sum is not
+    finite pays to locate the sample.  A hop of finite samples whose sum
+    overflows passes, after NumPy's overflow warning.
+    """
+    if not math.isfinite(np.add.reduce(block)):
+        _check_finite(block, "input ")
 
 
 def _hop_windows(samples: np.ndarray, size: int, hop: int, count: int) -> np.ndarray:
@@ -339,7 +344,7 @@ class PolyphaseAnalyzer:
     concurrent use by multiple streams.
     """
 
-    def __init__(self, proto: PrototypeFilter, spec: FilterbankSpec) -> None:
+    def __init__(self, proto, spec: FilterbankSpec) -> None:
         self.spec = spec
         self._taps = _prototype_taps(proto, spec)
         self._correction = _phase_correction(spec)

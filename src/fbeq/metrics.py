@@ -2,8 +2,10 @@
 
 Segmental noise attenuation over noise-only frames, segmental SNR over all
 frames, and a real/imaginary-plus-magnitude spectral distance, with
-noise-only frame labeling from the clean reference and delay compensation
-(the processed signal is advanced by the filter group delay before framing).
+noise-only frame labeling from the clean reference.  The metrics take
+signals that are already aligned; :func:`compute_report` alone compensates
+the delay (it advances the processed signal by the filter group delay before
+framing) and picks the framing.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .filterbank import AnalysisFrameSeq, FilterbankSpec, analyze_polyphase, design_prototype
+from .filterbank import FilterbankSpec, analyze_polyphase, design_prototype
 
 NOISE_ONLY_THRESHOLD_DB = -40.0
 SEG_NA_CLAMP_DB = 100.0
@@ -38,24 +40,10 @@ class MetricReport:
 
     seg_na_db: float | None
     seg_snr_db: float | None
-    ri_mag_loss: float | None
+    ri_mag_loss: float
     frames_noise_only: int
     frames_total: int
     seg_na_clamped_frames: int
-    delay_compensation_samples: int
-
-
-def _advance(processed, delay: int) -> np.ndarray:
-    """The processed signal advanced by ``delay`` samples (delay compensation).
-
-    Raises
-    ------
-    DataError
-        If ``delay`` is negative: slicing would keep the signal's tail instead.
-    """
-    if delay < 0:
-        raise DataError(f"delay must be >= 0, got {delay}")
-    return np.asarray(processed, dtype=np.float64).ravel()[delay:]
 
 
 def _frame_energies(x: np.ndarray, frame_len: int, num_frames: int) -> np.ndarray:
@@ -63,13 +51,12 @@ def _frame_energies(x: np.ndarray, frame_len: int, num_frames: int) -> np.ndarra
     return np.sum(trimmed * trimmed, axis=1)
 
 
-def label_noise_only(clean, frame_len: int,
-                     threshold_db: float = NOISE_ONLY_THRESHOLD_DB) -> FrameLabeling:
+def label_noise_only(clean, frame_len: int) -> FrameLabeling:
     """Label frames of the clean reference whose energy sits below the peak.
 
     Frame ``m`` is noise-only iff its energy in dB is below the peak frame
-    energy plus ``threshold_db`` (default -40 dB); zero-energy frames always
-    qualify.
+    energy plus ``NOISE_ONLY_THRESHOLD_DB`` (-40 dB); zero-energy frames
+    always qualify.
     """
     clean = np.asarray(clean, dtype=np.float64).ravel()
     if frame_len <= 0:
@@ -85,7 +72,7 @@ def label_noise_only(clean, frame_len: int,
         mask = np.ones(num_frames, dtype=bool)
     else:
         # energy < peak * 10^(threshold/10), zero energies included.
-        mask = energies < peak * 10.0 ** (threshold_db / 10.0)
+        mask = energies < peak * 10.0 ** (NOISE_ONLY_THRESHOLD_DB / 10.0)
     return FrameLabeling(
         noise_only=frozenset(int(m) for m in np.flatnonzero(mask)),
         num_frames=num_frames,
@@ -93,18 +80,18 @@ def label_noise_only(clean, frame_len: int,
     )
 
 
-def _seg_na_detail(noise, processed, labeling: FrameLabeling,
-                   delay: int = 0) -> tuple[float | None, int, int]:
+def _seg_na_detail(noise, processed,
+                   labeling: FrameLabeling) -> tuple[float | None, int, int]:
     noise = np.asarray(noise, dtype=np.float64).ravel()
-    shifted = _advance(processed, delay)
+    processed = np.asarray(processed, dtype=np.float64).ravel()
     r = labeling.frame_len
-    num_frames = min(labeling.num_frames, noise.size // r, shifted.size // r)
+    num_frames = min(labeling.num_frames, noise.size // r, processed.size // r)
     indices = np.array(sorted(m for m in labeling.noise_only if m < num_frames),
                        dtype=int)
     if indices.size == 0:
         return None, 0, 0
     noise_e = _frame_energies(noise, r, num_frames)[indices]
-    proc_e = _frame_energies(shifted, r, num_frames)[indices]
+    proc_e = _frame_energies(processed, r, num_frames)[indices]
     clamp = 10.0 ** (SEG_NA_CLAMP_DB / 10.0)
     zero_den = proc_e == 0.0
     ratios = np.where(zero_den, clamp, noise_e / np.where(zero_den, 1.0, proc_e))
@@ -118,37 +105,39 @@ def _seg_na_detail(noise, processed, labeling: FrameLabeling,
     )
 
 
-def seg_na(noise, processed, labeling: FrameLabeling, delay: int = 0) -> float | None:
+def seg_na(noise, processed, labeling: FrameLabeling) -> float | None:
     """Segmental noise attenuation in dB over the labeled noise-only frames.
 
     ``10*log10`` of the mean, over noise-only frames, of the per-frame ratio
     of reference-noise energy to processed energy (within those frames the
-    processed signal is residual noise).  The processed signal is advanced
-    by ``delay`` samples before framing.  Zero-denominator frames clamp at
-    +100 dB; an empty label set yields ``None`` (not applicable).
+    processed signal is residual noise).  ``processed`` must already be
+    aligned with ``noise`` (slice off its delay first).  Zero-denominator
+    frames clamp at +100 dB; an empty label set yields ``None`` (not
+    applicable).
     """
-    value, _, _ = _seg_na_detail(noise, processed, labeling, delay)
+    value, _, _ = _seg_na_detail(noise, processed, labeling)
     return value
 
 
-def seg_snr(clean, processed, frame_len: int, delay: int = 0) -> float | None:
+def seg_snr(clean, processed, frame_len: int) -> float | None:
     """Segmental SNR in dB: mean over frames of ``10*log10`` signal-to-error.
 
-    Frames with zero clean energy are excluded; a zero-error frame makes the
-    metric not applicable (infinite SNR) and returns ``None``.
+    ``processed`` must already be aligned with ``clean``.  Frames with zero
+    clean energy are excluded; a zero-error frame makes the metric not
+    applicable (infinite SNR) and returns ``None``.
     """
     clean = np.asarray(clean, dtype=np.float64).ravel()
-    shifted = _advance(processed, delay)
+    processed = np.asarray(processed, dtype=np.float64).ravel()
     if frame_len <= 0:
         raise DataError(f"frame length must be positive, got {frame_len}")
-    num_frames = min(clean.size, shifted.size) // frame_len
+    num_frames = min(clean.size, processed.size) // frame_len
     if num_frames == 0:
         raise DataError(
             "no full frames remain after delay compensation "
-            f"(clean {clean.size}, processed {shifted.size}, frame {frame_len})"
+            f"(clean {clean.size}, processed {processed.size}, frame {frame_len})"
         )
     clean_e = _frame_energies(clean, frame_len, num_frames)
-    diff = shifted[: num_frames * frame_len].reshape(num_frames, frame_len) - \
+    diff = processed[: num_frames * frame_len].reshape(num_frames, frame_len) - \
         clean[: num_frames * frame_len].reshape(num_frames, frame_len)
     err_e = np.sum(diff * diff, axis=1)
     include = clean_e > 0.0
@@ -160,54 +149,55 @@ def seg_snr(clean, processed, frame_len: int, delay: int = 0) -> float | None:
     return 10.0 * float(np.mean(terms))
 
 
-def ri_mag_loss(ref: AnalysisFrameSeq, est: AnalysisFrameSeq) -> float:
+def ri_mag_loss(ref, est) -> float:
     """Squared Frobenius distance of real, imaginary, and magnitude parts.
 
     ``sum (Re ref - Re est)^2 + sum (Im ref - Im est)^2 +
-    sum (|ref| - |est|)^2`` over the half-spectrum frame matrices.
+    sum (|ref| - |est|)^2`` over two ``K x (M/2+1)`` half-spectrum frame
+    matrices, such as :func:`fbeq.filterbank.analyze_polyphase` returns.
     """
-    if ref.spec != est.spec:
-        raise DataError("frame sequences come from different geometries")
-    if ref.frames.shape != est.frames.shape:
-        raise DataError(
-            f"frame shapes differ: {ref.frames.shape} vs {est.frames.shape}"
-        )
-    diff = ref.frames - est.frames
-    mag_diff = np.abs(ref.frames) - np.abs(est.frames)
+    ref, est = np.asarray(ref), np.asarray(est)
+    if ref.shape != est.shape:
+        raise DataError(f"frame shapes differ: {ref.shape} vs {est.shape}")
+    diff = ref - est
+    mag_diff = np.abs(ref) - np.abs(est)
     return float(
         np.sum(diff.real**2) + np.sum(diff.imag**2) + np.sum(mag_diff**2)
     )
 
 
-def compute_report(clean, processed, noise=None, spec: FilterbankSpec | None = None,
+def compute_report(clean, processed, spec: FilterbankSpec, noise=None,
                    delay: int = 0) -> MetricReport:
     """Assemble the full metric set for one processed signal.
 
-    ``noise`` (the ground-truth additive noise) enables the attenuation
-    metric; ``spec`` enables the spectral distance (both signals are
-    re-analyzed).  ``delay`` advances the processed signal first.
+    The processed signal is advanced by ``delay`` samples first; frames are
+    ``spec.hop`` samples, and the spectral distance re-analyzes both signals
+    with ``spec``.  ``noise`` (the ground-truth additive noise) enables the
+    attenuation metric.
+
+    Raises
+    ------
+    DataError
+        If ``delay`` is negative: slicing would keep the signal's tail instead.
     """
+    if delay < 0:
+        raise DataError(f"delay must be >= 0, got {delay}")
     clean = np.asarray(clean, dtype=np.float64).ravel()
-    shifted = _advance(processed, delay)
-    frame_len = spec.hop if spec is not None else 64
-    labeling = label_noise_only(clean, frame_len)
+    shifted = np.asarray(processed, dtype=np.float64).ravel()[delay:]
+    labeling = label_noise_only(clean, spec.hop)
     na_value, _, na_clamped = (None, 0, 0) if noise is None else _seg_na_detail(
         noise, shifted, labeling
     )
-    snr_value = seg_snr(clean, shifted, frame_len)
-    loss = None
-    if spec is not None:
-        proto = design_prototype(spec)
-        common = min(clean.size, shifted.size)
-        ref = analyze_polyphase(clean[:common], proto, spec)
-        est = analyze_polyphase(shifted[:common], proto, spec)
-        loss = ri_mag_loss(ref, est)
+    snr_value = seg_snr(clean, shifted, spec.hop)
+    proto = design_prototype(spec)
+    common = min(clean.size, shifted.size)
+    ref = analyze_polyphase(clean[:common], proto, spec).frames
+    est = analyze_polyphase(shifted[:common], proto, spec).frames
     return MetricReport(
         seg_na_db=na_value,
         seg_snr_db=snr_value,
-        ri_mag_loss=loss,
+        ri_mag_loss=ri_mag_loss(ref, est),
         frames_noise_only=labeling.num_noise_only,
         frames_total=labeling.num_frames,
         seg_na_clamped_frames=na_clamped,
-        delay_compensation_samples=delay,
     )

@@ -10,7 +10,6 @@ from fbeq.fbeg import TYPE_SUBBAND_GAINS, write_gain_stream
 from fbeq.filterbank import (
     AnalysisFrameSeq,
     FilterbankSpec,
-    PrototypeFilter,
     _analysis_segments,
     design_prototype,
 )
@@ -81,7 +80,7 @@ def modulation(spec: FilterbankSpec, i: int, l: int) -> complex:
     )
 
 
-def analyze_direct(x, proto: PrototypeFilter, spec: FilterbankSpec) -> AnalysisFrameSeq:
+def analyze_direct(x, proto, spec: FilterbankSpec) -> AnalysisFrameSeq:
     """Subband analysis as an explicit inner product per bin.
 
     The reference oracle that ``fbeq.filterbank.analyze_polyphase`` is
@@ -94,8 +93,8 @@ def analyze_direct(x, proto: PrototypeFilter, spec: FilterbankSpec) -> AnalysisF
     ----------
     x : array_like
         Real input signal.
-    proto : PrototypeFilter
-        Prototype from :func:`fbeq.filterbank.design_prototype`.
+    proto : numpy.ndarray
+        Prototype taps from :func:`fbeq.filterbank.design_prototype`.
     spec : FilterbankSpec
         Matching geometry.
 
@@ -107,16 +106,16 @@ def analyze_direct(x, proto: PrototypeFilter, spec: FilterbankSpec) -> AnalysisF
     x = np.asarray(x, dtype=np.float64).ravel()
     bins = spec.num_bins
     if spec.num_frames(x.size) == 0:
-        return AnalysisFrameSeq(np.zeros((0, bins), dtype=np.complex128), spec)
+        return AnalysisFrameSeq(np.zeros((0, bins), dtype=np.complex128))
     segments = _analysis_segments(x, spec)
     # Segment column m holds lag l = L - m; fold taps and modulation together.
     lags = np.arange(spec.proto_len, -1, -1, dtype=np.float64)
     i = np.arange(bins, dtype=np.float64)[:, None]
-    weights = proto.taps[::-1] * np.exp(
+    weights = proto[::-1] * np.exp(
         -2j * np.pi * i * (lags[None, :] - spec.tau) / spec.frame_size
     )
     frames = segments @ weights.T
-    return AnalysisFrameSeq(frames, spec)
+    return AnalysisFrameSeq(frames)
 
 
 def make_speech(duration_s: float = 4.0, rate: int = 16000,

@@ -226,6 +226,11 @@ class TestMixAtSnr:
         with pytest.raises(DataError, match="seed must be non-negative, got -1"):
             mix_at_snr(np.ones(100), np.ones(200), 0.0, seed=-1)
 
+    @pytest.mark.parametrize("snr_db", [np.nan, np.inf, -np.inf])
+    def test_non_finite_snr_rejected(self, snr_db):
+        with pytest.raises(DataError, match=f"^snr_db must be finite, got {snr_db}$"):
+            mix_at_snr(np.ones(100), np.ones(200), snr_db, seed=0)
+
     def test_empty_clean_rejected(self):
         with pytest.raises(DataError, match="empty"):
             mix_at_snr(np.array([]), np.ones(100), 0.0, seed=0)

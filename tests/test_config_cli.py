@@ -173,7 +173,7 @@ class TestCliDesign:
         body = rows[1:]
         assert len(body) == 1025  # 2048-point spectrum, one-sided
         taps = np.array([float(row[1]) for row in body[:513]])
-        np.testing.assert_array_equal(taps, default_proto.taps)
+        np.testing.assert_array_equal(taps, default_proto)
         assert body[513][1] == ""  # taps column exhausted
         assert float(body[256][1]) == 1.0 / 512.0
 
@@ -444,6 +444,20 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err.strip() == (
             "fbeq: error: seed must be non-negative, got -1")
+
+    @pytest.mark.parametrize("snr_db", ["nan", "inf", "-inf"])
+    def test_non_finite_mix_snr_is_three(self, tmp_path, capsys, snr_db):
+        cw, nw = tmp_path / "c.wav", tmp_path / "n.wav"
+        write_test_wav(cw, 0.3 * np.sin(np.arange(400) / 5.0))
+        write_test_wav(nw, 0.1 * np.random.default_rng(9).standard_normal(900))
+        out_mix, out_noise = tmp_path / "m.wav", tmp_path / "s.wav"
+        code = main(["mix", "--clean", str(cw), "--noise", str(nw),
+                     f"--snr-db={snr_db}", "--out-mix", str(out_mix),
+                     "--out-noise", str(out_noise)])
+        assert code == 3
+        assert capsys.readouterr().err.strip() == (
+            f"fbeq: error: snr_db must be finite, got {snr_db}")
+        assert not out_mix.exists() and not out_noise.exists()
 
     @pytest.mark.parametrize("cut", [30, 50], ids=["in-fmt", "in-data"])
     def test_truncated_wav_is_three(self, tmp_path, capsys, cut):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from unittest.mock import patch
@@ -50,12 +51,12 @@ def random_hermitian_gains(rng, num_bins):
 
 def brute_force_taps(gains_full, proto):
     """Synthesis sum evaluated term by term, one exp call per (i, l)."""
-    m = gains_full.size
-    out = np.zeros(proto.taps.size, dtype=np.complex128)
-    for l in range(proto.taps.size):
+    m, tau = gains_full.size, (proto.size - 1) // 2
+    out = np.zeros(proto.size, dtype=np.complex128)
+    for l in range(proto.size):
         for i in range(m):
-            out[l] += gains_full[i] * np.exp(-2j * np.pi * i * (l - proto.tau) / m)
-        out[l] *= proto.taps[l]
+            out[l] += gains_full[i] * np.exp(-2j * np.pi * i * (l - tau) / m)
+        out[l] *= proto[l]
     return out
 
 
@@ -287,10 +288,10 @@ class TestHermitianChecksProperty:
 
         half[:, [0, -1]] = half[:, [0, -1]].real
         full = expand_hermitian(half)
-        lag_bins = (np.arange(proto.taps.size) - proto.tau) % m
+        lag_bins = (np.arange(proto.size) - (proto.size - 1) // 2) % m
 
         def synthesis(gains):
-            return proto.taps * np.fft.fft(gains, axis=-1)[..., lag_bins]
+            return proto * np.fft.fft(gains, axis=-1)[..., lag_bins]
 
         scale = np.abs(synthesis(full)).max(axis=1)
         for k in range(num_frames):  # an unmirrored imaginary part breaks symmetry
@@ -457,6 +458,53 @@ class TestMultiHopFiltering:
         filters = np.ones((3, 9)) if step is ols_filter_frame else np.ones((3, 8))
         with pytest.raises(DataError, match="block of 12 samples, got 8"):
             step(state, filters, np.ones(8))
+
+
+def _per_hop_entries():
+    """Each per-hop entry point as ``(fresh state, step(state, samples), samples
+    per call)`` on the 16/16/4 geometry with ``P = 8``; the filters are fixed."""
+    spec = FilterbankSpec(frame_size=16, proto_len=16, hop=4)
+    taps = np.random.default_rng(113).standard_normal((3, 8))
+    bins = filter_to_freq(taps)
+    return {
+        "analyzer-push": (lambda: PolyphaseAnalyzer(design_prototype(spec), spec),
+                          lambda state, x: state.push(x), 4),
+        "ols-one-hop": (lambda: EngineState.create(8, 4),
+                        lambda state, x: ols_filter_frame(state, bins[0], x), 4),
+        "direct-one-hop": (lambda: EngineState.create(8, 4),
+                           lambda state, x: direct_filter_block(state, taps[0], x), 4),
+        "ols-three-hops": (lambda: EngineState.create(8, 4),
+                           lambda state, x: ols_filter_frame(state, bins, x), 12),
+        "direct-three-hops": (lambda: EngineState.create(8, 4),
+                              lambda state, x: direct_filter_block(state, taps, x), 12),
+    }
+
+
+PER_HOP_ENTRIES = _per_hop_entries()
+
+
+class TestPerHopNonFiniteInput:
+    """A NaN or infinite sample is rejected where its hop enters, before any
+    state changes, so the stream goes on as if the bad hop never came."""
+
+    @pytest.mark.parametrize("entry", PER_HOP_ENTRIES)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_rejected_and_state_kept(self, entry, value, where):
+        fresh, step, size = PER_HOP_ENTRIES[entry]
+        x = np.random.default_rng(127).standard_normal(3 * size)
+        bad = x[size : 2 * size].copy()
+        index = {"first": 0, "middle": size // 2, "last": size - 1}[where]
+        bad[index] = value
+        clean_run, faulty_run = fresh(), fresh()
+        step(clean_run, x[:size])
+        step(faulty_run, x[:size])
+        message = f"input sample {index} is non-finite ({value})"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            step(faulty_run, bad)
+        want = step(clean_run, x[size : 2 * size])
+        got = step(faulty_run, x[size : 2 * size])
+        assert np.array_equal(got, want)
 
 
 def clamp_oracle(frames, g_max):
@@ -966,7 +1014,7 @@ class TestStreamMemory:
     """Beyond its output, ``process_stream`` holds one block's arrays at a time:
     its peak does not grow with the signal or the gain file, and on a 4 s
     signal the working set past the output stays within a few block frame
-    matrices (3.1 from the estimator, 2.6 from a type-A file), since no
+    matrices (2.7 from the estimator, 2.6 from a type-A file), since no
     array of one block outlives its consumer."""
 
     def test_peak_does_not_grow_with_signal_length(self):

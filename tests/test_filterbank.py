@@ -31,7 +31,7 @@ def brute_force_frames(x, proto, spec):
                 if t < 0:
                     continue
                 phase = np.exp(-2j * np.pi * i * (l - spec.tau) / spec.frame_size)
-                acc += x[t] * proto.taps[l] * phase
+                acc += x[t] * proto[l] * phase
             out[k - 1, i] = acc
     return out
 
@@ -73,30 +73,31 @@ class TestFilterbankSpec:
 
 class TestDesignPrototype:
     def test_center_tap_is_inverse_frame_size(self, default_proto):
-        assert default_proto.taps[256] == 1.0 / 512.0
+        assert default_proto[256] == 1.0 / 512.0
 
     def test_endpoints_are_zero(self, default_proto):
-        assert default_proto.taps[0] == 0.0
-        assert default_proto.taps[512] == 0.0
+        assert default_proto[0] == 0.0
+        assert default_proto[512] == 0.0
 
     def test_golden_quarter_band_tap(self, default_proto):
         # Independent high-precision evaluation of the tap formula at l=192.
-        assert default_proto.taps[192] == pytest.approx(
+        assert default_proto[192] == pytest.approx(
             0.00150091414894989, rel=1e-13
         )
-        assert default_proto.taps[192] == default_proto.taps[320]
+        assert default_proto[192] == default_proto[320]
 
     def test_symmetry_is_bit_exact(self, default_proto):
-        np.testing.assert_array_equal(default_proto.taps,
-                                      default_proto.taps[::-1])
+        np.testing.assert_array_equal(default_proto,
+                                      default_proto[::-1])
 
     def test_all_finite(self, default_proto):
-        assert np.all(np.isfinite(default_proto.taps))
-        assert default_proto.tau == 256
+        assert np.all(np.isfinite(default_proto))
+        assert default_proto.dtype == np.float64
+        assert default_proto.shape == (513,)
 
     def test_small_geometry_center(self, small_proto):
-        assert small_proto.taps.size == 17
-        assert small_proto.taps[8] == 1.0 / 16.0
+        assert small_proto.size == 17
+        assert small_proto[8] == 1.0 / 16.0
 
 
 class TestModulation:
@@ -125,7 +126,7 @@ class TestAnalyzeDirect:
         x[0] = 1.0
         frames = analyze_direct(x, default_proto, default_spec).frames
         lag = default_spec.hop - 1
-        expected = default_proto.taps[lag] * np.array(
+        expected = default_proto[lag] * np.array(
             [modulation(default_spec, i, lag) for i in range(257)]
         )
         np.testing.assert_allclose(frames[0], expected, rtol=0, atol=1e-18)
@@ -325,7 +326,7 @@ class TestExpandHermitian:
             for l in range(big_l + 1):
                 t = k * small_spec.hop - 1 - l
                 if t >= 0:
-                    want[i] += x[t] * small_proto.taps[l] * np.exp(
+                    want[i] += x[t] * small_proto[l] * np.exp(
                         -2j * np.pi * i * (l - tau) / m
                     )
         np.testing.assert_allclose(full, want, atol=1e-12 * np.max(np.abs(want)))

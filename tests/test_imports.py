@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -50,3 +51,22 @@ def test_every_exported_name_resolves():
     missing = [name for name in fbeq.__all__ if not hasattr(fbeq, name)]
     assert missing == []
     assert len(set(fbeq.__all__)) == len(fbeq.__all__)
+
+
+def test_exports_are_sorted():
+    assert fbeq.__all__ == sorted(fbeq.__all__)
+
+
+def _written_docstring(obj) -> str:
+    """``obj``'s own docstring; the ``Name(fields)`` text that dataclasses and
+    named tuples get when they have none does not count."""
+    doc = (obj.__doc__ or "").strip()
+    return "" if doc.startswith(obj.__name__ + "(") else doc
+
+
+def test_every_exported_function_and_class_has_a_docstring():
+    objects = [getattr(fbeq, name) for name in fbeq.__all__]
+    undocumented = [obj.__name__ for obj in objects
+                    if (inspect.isfunction(obj) or inspect.isclass(obj))
+                    and not _written_docstring(obj)]
+    assert undocumented == []
