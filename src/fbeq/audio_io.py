@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, DataError, FormatError
 
 PCM16_SCALE = 32768.0
+PCM16_CHUNK = 1 << 14  # samples rounded at a time when encoding PCM16
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,9 @@ class AudioBuffer:
 def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
     """Read a mono WAV file.
 
-    PCM16 samples are scaled by ``1/32768``; float32 passes through.
+    The samples come back as float32, which holds either format exactly:
+    PCM16 is scaled by ``1/32768`` in place, and float32 passes through
+    uncopied.  Widened to float64 they are the file's exact values.
 
     Raises
     ------
@@ -59,9 +62,10 @@ def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
             f"{path}: only mono is supported, file has {data.shape[1]} channels"
         )
     if data.dtype == np.int16:
-        samples = data.astype(np.float64) / PCM16_SCALE
+        samples = data.astype(np.float32)
+        samples *= 1.0 / PCM16_SCALE  # exact: 16 significant bits times 2**-15
     elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
+        samples = data
     else:
         raise DataError(
             f"{path}: unsupported sample format {data.dtype}; "
@@ -76,12 +80,35 @@ def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
     return AudioBuffer(samples=samples, sample_rate_hz=int(rate))
 
 
-def _check_finite(samples: np.ndarray, context: str) -> None:
-    """Raise ``DataError`` "<context>sample N is non-finite (V)" for the first bad sample."""
+def _check_finite(samples: np.ndarray, context: str, first: int = 0) -> None:
+    """Raise ``DataError`` "<context>sample N is non-finite (V)" for the first bad
+    sample, ``N`` counted from ``first``."""
     finite = np.isfinite(samples)
     if not finite.all():
         bad = int(np.argmin(finite))
-        raise DataError(f"{context}sample {bad} is non-finite ({samples[bad]})")
+        raise DataError(f"{context}sample {first + bad} is non-finite ({samples[bad]})")
+
+
+def _encode_pcm16(samples: np.ndarray, context: str) -> tuple[np.ndarray, int]:
+    """The int16 codes of ``samples`` and the number saturated, encoded
+    ``PCM16_CHUNK`` samples at a time so no whole-signal float buffer is made."""
+    codes = np.empty(samples.size, dtype=np.int16)
+    clipped = 0
+    for start in range(0, samples.size, PCM16_CHUNK):
+        chunk = samples[start : start + PCM16_CHUNK]
+        _check_finite(chunk, context, start)
+        # One buffer: |x| * 32768 equals |x * 32768| exactly (a power of two).
+        rounded = np.abs(chunk)
+        with np.errstate(over="ignore"):  # |x| near 1e308 saturates as inf
+            rounded *= PCM16_SCALE
+        rounded += 0.5
+        np.floor(rounded, out=rounded)
+        np.copysign(rounded, chunk, out=rounded)
+        clipped += (int(np.count_nonzero(rounded > 32767.0))
+                    + int(np.count_nonzero(rounded < -32768.0)))
+        np.clip(rounded, -32768.0, 32767.0, out=rounded)
+        codes[start : start + chunk.size] = rounded
+    return codes, clipped
 
 
 def write_wav(path, buf: AudioBuffer, fmt: str = "pcm16") -> int:
@@ -101,26 +128,18 @@ def write_wav(path, buf: AudioBuffer, fmt: str = "pcm16") -> int:
     from scipy.io import wavfile
 
     samples = np.asarray(buf.samples, dtype=np.float64).ravel()
-    _check_finite(samples, f"refusing to write {path}: ")
+    context = f"refusing to write {path}: "
     if fmt == "pcm16":
-        # One buffer: |x| * 32768 equals |x * 32768| exactly (a power of two).
-        rounded = np.abs(samples)
-        with np.errstate(over="ignore"):  # |x| near 1e308 saturates as inf
-            rounded *= PCM16_SCALE
-        rounded += 0.5
-        np.floor(rounded, out=rounded)
-        np.copysign(rounded, samples, out=rounded)
-        clipped = (int(np.count_nonzero(rounded > 32767.0))
-                   + int(np.count_nonzero(rounded < -32768.0)))
-        np.clip(rounded, -32768.0, 32767.0, out=rounded)
-        wavfile.write(path, buf.sample_rate_hz, rounded.astype(np.int16))
+        codes, clipped = _encode_pcm16(samples, context)
+        wavfile.write(path, buf.sample_rate_hz, codes)
         return clipped
+    _check_finite(samples, context)
     if fmt == "float32":
         with np.errstate(over="ignore"):  # an overflowing sample is reported below
             single = samples.astype(np.float32)
         if not np.isfinite(single).all():
             bad = int(np.argmin(np.isfinite(single)))
-            raise DataError(f"refusing to write {path}: sample {bad} ({samples[bad]}) "
+            raise DataError(f"{context}sample {bad} ({samples[bad]}) "
                             "is beyond the float32 range")
         wavfile.write(path, buf.sample_rate_hz, single)
         return 0

@@ -172,9 +172,10 @@ def cmd_analyze(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_enhance(args: argparse.Namespace, cfg: Config) -> int:
-    buf = read_wav(args.in_wav, expected_rate=cfg.sample_rate_hz)
     source = args.gains or ESTIMATOR_MMSE_LSA
-    enhanced, report = process_stream(buf.samples, source, cfg)
+    # No name holds the input, so it is freed before the output is encoded.
+    enhanced, report = process_stream(
+        read_wav(args.in_wav, expected_rate=cfg.sample_rate_hz).samples, source, cfg)
     clipped = write_wav(
         args.out, AudioBuffer(enhanced, cfg.sample_rate_hz), fmt=args.format
     )

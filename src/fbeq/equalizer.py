@@ -296,7 +296,9 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     Parameters
     ----------
     x : array_like
-        Input signal.
+        Input signal.  A float32 one is widened to float64 a block at a time,
+        with the same output as its whole widening; any other is converted
+        once.
     gain_source : str or path-like
         ``"mmse-lsa"`` for the built-in estimator, or the path of an FBEG file.
     cfg : fbeq.config.Config
@@ -327,7 +329,9 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     if not isinstance(gain_source, (str, os.PathLike)):
         raise ConfigError(f"gain source must be {ESTIMATOR_MMSE_LSA!r} or the path "
                           f"of an FBEG file, got {type(gain_source).__name__}")
-    x = np.asarray(x, dtype=np.float64).ravel()
+    x = np.ravel(x)
+    if x.dtype != np.float32:  # float32 is widened a block at a time
+        x = x.astype(np.float64, copy=False)
     _check_finite(x, "input ")
     spec = cfg.filterbank_spec()
     proto = design_prototype(spec)
@@ -366,7 +370,7 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
         # block is alive while the next is analysed.
         for frames in _frame_blocks(num_frames):
             samples = slice(frames.start * hop, frames.stop * hop)
-            block = x[samples]
+            block = np.asarray(x[samples], dtype=np.float64)
             if estimator:
                 # Complex now, as gains_to_taps needs them: the real gains die
                 # before the mapping's kernel is formed.

@@ -132,10 +132,8 @@ def seg_snr(clean, processed, frame_len: int) -> float | None:
         raise DataError(f"frame length must be positive, got {frame_len}")
     num_frames = min(clean.size, processed.size) // frame_len
     if num_frames == 0:
-        raise DataError(
-            "no full frames remain after delay compensation "
-            f"(clean {clean.size}, processed {processed.size}, frame {frame_len})"
-        )
+        raise DataError(f"no full frames (clean {clean.size}, processed "
+                        f"{processed.size}, frame {frame_len})")
     clean_e = _frame_energies(clean, frame_len, num_frames)
     diff = processed[: num_frames * frame_len].reshape(num_frames, frame_len) - \
         clean[: num_frames * frame_len].reshape(num_frames, frame_len)
@@ -178,13 +176,20 @@ def compute_report(clean, processed, spec: FilterbankSpec, noise=None,
     Raises
     ------
     DataError
-        If ``delay`` is negative: slicing would keep the signal's tail instead.
+        If ``delay`` is negative: slicing would keep the signal's tail instead;
+        or if no full frame of the processed signal remains after the delay.
     """
     if delay < 0:
         raise DataError(f"delay must be >= 0, got {delay}")
     clean = np.asarray(clean, dtype=np.float64).ravel()
-    shifted = np.asarray(processed, dtype=np.float64).ravel()[delay:]
+    processed = np.asarray(processed, dtype=np.float64).ravel()
+    shifted = processed[delay:]
     labeling = label_noise_only(clean, spec.hop)
+    if shifted.size < spec.hop:
+        raise DataError(
+            f"no full frames remain after delay compensation by {delay} samples "
+            f"(processed {processed.size}, frame {spec.hop})"
+        )
     na_value, _, na_clamped = (None, 0, 0) if noise is None else _seg_na_detail(
         noise, shifted, labeling
     )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from fbeq import audio_io
 from fbeq.audio_io import AudioBuffer, mix_at_snr, read_wav, write_wav
 from fbeq.errors import ConfigError, DataError, FormatError
 
@@ -19,7 +20,7 @@ class TestWavRoundTrip:
         assert clipped == 0
         back = read_wav(path)
         assert back.sample_rate_hz == 16000
-        assert back.samples.dtype == np.float64
+        assert back.samples.dtype == np.float32
         np.testing.assert_array_equal(back.samples,
                                       samples.astype(np.float64))
 
@@ -75,6 +76,81 @@ class TestPcm16Rounding:
         # 2.0 -> 65536 clips, -2.0 -> -65536 clips, 1.0 -> 32768 clips,
         # -1.0 -> -32768 is exactly representable
         assert write_wav(path, AudioBuffer(samples, 16000)) == 3
+
+
+class TestReadContract:
+    """``read_wav`` returns float32 samples whose float64 widening is the file's
+    exact value, bit for bit: ``code / 32768`` for PCM16, the stored float for
+    float32."""
+
+    def test_pcm16_codes(self, tmp_path):
+        codes = np.array([-32768, -32767, -1, 0, 1, 12345, 32767], dtype=np.int16)
+        path = tmp_path / "p.wav"
+        wavfile.write(path, 16000, codes)
+        samples = read_wav(path).samples
+        assert samples.dtype == np.float32
+        want = codes.astype(np.float64) / 32768.0
+        assert samples.astype(np.float64).tobytes() == want.tobytes()
+
+    def test_float32_values(self, tmp_path):
+        info = np.finfo(np.float32)
+        values = np.array([-0.0, 0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                           info.smallest_normal * (1 - info.eps), info.smallest_normal,
+                           info.max, -info.max, 1.0, -1.0], dtype=np.float32)
+        path = tmp_path / "f.wav"
+        wavfile.write(path, 16000, values)
+        samples = read_wav(path).samples
+        assert samples.dtype == np.float32
+        assert samples.tobytes() == values.tobytes()
+        assert (samples.astype(np.float64).tobytes()
+                == values.astype(np.float64).tobytes())
+
+
+def pcm16_oracle(samples):
+    """Single-pass PCM16 encoding: the int16 codes and the saturated count."""
+    samples = np.asarray(samples, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        rounded = np.copysign(np.floor(np.abs(samples * 32768.0) + 0.5), samples)
+    saturated = int(np.count_nonzero((rounded > 32767.0) | (rounded < -32768.0)))
+    return np.clip(rounded, -32768.0, 32767.0).astype(np.int16), saturated
+
+
+class TestPcm16Chunks:
+    """PCM16 is encoded ``PCM16_CHUNK`` samples at a time, with the bytes, the
+    saturated count and the error of one pass over the whole signal."""
+
+    @staticmethod
+    def signal(chunk):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-1.1, 1.1, 2 * chunk + 7)
+        for edge in (chunk, 2 * chunk):  # saturate and round halves on both sides
+            x[edge - 2 : edge + 2] = [1.0, -1.5, 2.5 / 32768.0, -2.0]
+        return x
+
+    @pytest.mark.parametrize("chunk", [None, 5], ids=["module-chunk", "chunk-5"])
+    def test_matches_single_pass(self, tmp_path, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(audio_io, "PCM16_CHUNK", chunk)
+        x = self.signal(audio_io.PCM16_CHUNK)
+        codes, saturated = pcm16_oracle(x)
+        assert saturated >= 6
+        path, want = tmp_path / "chunked.wav", tmp_path / "oracle.wav"
+        assert write_wav(path, AudioBuffer(x, 16000)) == saturated
+        wavfile.write(want, 16000, codes)
+        assert path.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("chunk", [None, 5], ids=["module-chunk", "chunk-5"])
+    def test_non_finite_named_by_signal_index(self, tmp_path, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(audio_io, "PCM16_CHUNK", chunk)
+        x = self.signal(audio_io.PCM16_CHUNK)
+        bad = audio_io.PCM16_CHUNK + 3
+        x[bad], x[bad + 1] = np.inf, np.nan
+        path = tmp_path / "x.wav"
+        message = f"refusing to write {path}: sample {bad} is non-finite (inf)"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            write_wav(path, AudioBuffer(x, 16000))
+        assert not path.exists()
 
 
 class TestReadValidation:

@@ -50,3 +50,8 @@ def test_workload_runs_untraced_and_traced(name, tmp_path):
         assert failed == 0
         assert quality.ok, quality
     assert tracer.spans
+    if name != "stream":  # a CLI call crosses each patched layer once
+        names = [span[0] for span in tracer.spans]
+        for layer in ("audio_io.read", "equalizer.process_stream", "audio_io.write"):
+            assert names.count(layer) == 1, (layer, names)
+

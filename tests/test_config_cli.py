@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,30 @@ class TestCliEnhance:
         assert "symmetry error in frame 55:" in capsys.readouterr().err
 
 
+class TestEnhanceMemory:
+    def test_peak_grows_by_at_most_15_bytes_per_input_sample(self, tmp_path):
+        """The input stays float32 until each block is widened, and it is freed
+        before the float64 output is encoded a chunk at a time: 4 input bytes,
+        8 output bytes and no whole-signal temporaries per sample."""
+        rate = 16000
+        rng = np.random.default_rng(139)
+
+        def peak_bytes(seconds):
+            wav = tmp_path / f"{seconds}s.wav"
+            write_test_wav(wav, 0.1 * rng.standard_normal(seconds * rate))
+            argv = ["enhance", "--in", str(wav), "--out", str(tmp_path / "out.wav")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(1)  # first-call imports
+        short, long = peak_bytes(4), peak_bytes(60)
+        assert long - short <= 15 * 56 * rate, (short, long)
+
+
 class TestCliMix:
     def test_mix_hits_target_snr(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -405,6 +430,16 @@ class TestExitCodes:
                      "--delay", "-3200"])
         assert code == 3
         assert "delay must be >= 0, got -3200" in capsys.readouterr().err
+
+    def test_delay_past_the_clip_is_three(self, tmp_path, capsys):
+        cw = tmp_path / "clean.wav"
+        write_test_wav(cw, 0.3 * np.sin(np.linspace(0, 300, 4000)))
+        code = main(["evaluate", "--clean", str(cw), "--processed", str(cw),
+                     "--delay", "4000"])
+        assert code == 3
+        assert capsys.readouterr().err.strip() == (
+            "fbeq: error: no full frames remain after delay compensation by 4000 "
+            "samples (processed 4000, frame 64)")
 
     @pytest.mark.parametrize("failure", ["negative-delay", "unreadable-wav"])
     @pytest.mark.parametrize("to_file", [True, False], ids=["out-file", "stdout"])

@@ -1064,3 +1064,52 @@ class TestStreamMemory:
         extra_output = 56 * rate * 8
         assert long <= short + extra_output + 2**20, (short, long)
         assert block_frame_matrices(cfg, short - 4 * rate * 8) <= 3.0
+
+
+class TestFloat32Input:
+    """A float32 signal, as ``read_wav`` returns, is widened a block at a time:
+    the output is that of its float64 widening, bit for bit, and no float64
+    copy of the whole input is made."""
+
+    @pytest.mark.parametrize("source, mode", [
+        ("mmse-lsa", "ols"), ("mmse-lsa", "direct"), (TYPE_SUBBAND_GAINS, "ols"),
+        (TYPE_SUBBAND_GAINS, "direct"), (TYPE_DFT_RESPONSES, "ols")])
+    def test_equals_float64_widening(self, tmp_path, source, mode):
+        cfg = Config(mode=mode)
+        rng = np.random.default_rng(131)
+        frames = 150  # three blocks, the last one partial, plus a partial hop
+        x = make_speech(frames * cfg.hop / cfg.sample_rate_hz)
+        x = np.concatenate([x + 0.05 * rng.standard_normal(x.size),
+                            rng.standard_normal(17)]).astype(np.float32)
+        if source == TYPE_SUBBAND_GAINS:
+            rows = random_hermitian_gains(rng, 257 * frames).reshape(frames, 257)
+            rows[:, [0, -1]] = rows[:, [0, -1]].real
+            source = gain_file(tmp_path, rows, 512, 64)
+        elif source == TYPE_DFT_RESPONSES:
+            responses = np.fft.rfft(rng.standard_normal((frames, 128)), n=256, axis=1)
+            source = gain_file(tmp_path, responses, 512, 64, TYPE_DFT_RESPONSES)
+        narrow, _ = process_stream(x, source, cfg)
+        wide, _ = process_stream(x.astype(np.float64), source, cfg)
+        assert narrow.dtype == np.float64
+        assert np.array_equal(narrow, wide)
+
+    def test_no_whole_input_float64_copy(self):
+        cfg = Config()
+        rate = cfg.sample_rate_hz
+        x = (0.1 * np.random.default_rng(137).standard_normal(4 * rate)).astype(np.float32)
+        process_stream(x[:rate], "mmse-lsa", cfg)  # first-call imports
+
+        def peak_bytes(signal):
+            tracemalloc.start()
+            try:
+                process_stream(signal, "mmse-lsa", cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        wide = x.astype(np.float64)
+        narrow_peak, wide_peak = peak_bytes(x), peak_bytes(wide)
+        # One widened block (32 KB) past a float64 input's run, and 1 KB for
+        # objects; a float64 copy of the whole 4 s input would add 512 KB.
+        one_block = filterbank.BLOCK_FRAMES * cfg.hop * 8
+        assert narrow_peak <= wide_peak + one_block + 2**10, (narrow_peak, wide_peak)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,12 @@ class TestSegSnr:
         with pytest.raises(DataError, match="no full frames"):
             seg_snr(np.ones(100), np.ones(100)[90:], 64)
 
+    def test_short_signal_message_names_sizes_only(self):
+        """``seg_snr`` compensates no delay, so its message blames none."""
+        with pytest.raises(DataError, match=r"^no full frames \(clean 100, "
+                                            r"processed 10, frame 64\)$"):
+            seg_snr(np.ones(100), np.ones(10), 64)
+
 
 class TestRiMagLoss:
     def test_identical_frames_zero_loss(self, small_spec, small_proto):
@@ -250,6 +258,14 @@ class TestComputeReport:
         assert report.ri_mag_loss > 0.0
         assert report.seg_snr_db is not None
         assert report.frames_total == 10
+
+    @pytest.mark.parametrize("delay", [4000, 3937, 10**6])
+    def test_delay_past_the_last_frame_named(self, default_spec, delay):
+        clean = np.sin(np.linspace(0, 300, 4000))
+        message = (f"no full frames remain after delay compensation by {delay} "
+                   "samples (processed 4000, frame 64)")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            compute_report(clean, clean, default_spec, delay=delay)
 
     def test_clamped_frames_counted(self, default_spec):
         clean = np.concatenate([np.ones(64), np.zeros(64)])
