@@ -157,9 +157,9 @@ def mix_at_snr(clean, noise, snr_db: float, seed: int) -> tuple[np.ndarray, np.n
     Raises
     ------
     DataError
-        A non-finite ``snr_db``, a noise shorter than the clean signal, an
-        empty clean signal, a negative seed, or a zero-power clean signal or
-        noise crop.
+        A non-finite ``snr_db`` or one that gives no finite positive noise
+        scale, a noise shorter than the clean signal, an empty clean signal,
+        a negative seed, or a zero-power clean signal or noise crop.
     """
     if not math.isfinite(snr_db):
         raise DataError(f"snr_db must be finite, got {snr_db}")
@@ -183,6 +183,11 @@ def mix_at_snr(clean, noise, snr_db: float, seed: int) -> tuple[np.ndarray, np.n
         raise DataError("clean signal has zero power")
     if noise_power == 0.0:
         raise DataError("noise crop has zero power")
-    gain = np.sqrt(clean_power / (noise_power * 10.0 ** (snr_db / 10.0)))
+    try:
+        gain = np.sqrt(clean_power / (noise_power * 10.0 ** (snr_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):  # 10^(snr/10) past the float range
+        gain = math.nan
+    if not 0.0 < gain < math.inf:
+        raise DataError(f"snr_db {snr_db} gives no finite positive noise scale")
     scaled = gain * crop
     return clean + scaled, scaled

@@ -164,10 +164,8 @@ def cmd_analyze(args: argparse.Namespace, cfg: Config) -> int:
     spec = cfg.filterbank_spec()
     buf = read_wav(args.in_wav, expected_rate=spec.sample_rate_hz)
     seq = analyze_polyphase(buf.samples, design_prototype(spec), spec)
-    fbeg.write_gain_stream(
-        args.out, seq.frames.astype(np.complex64),
-        fbeg.TYPE_SUBBAND_GAINS, spec.frame_size, spec.hop,
-    )
+    fbeg.write_gain_stream(args.out, seq.frames, fbeg.TYPE_SUBBAND_GAINS,
+                           spec.frame_size, spec.hop)
     return 0
 
 
@@ -254,10 +252,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"fbeq: error: {exc}", file=sys.stderr)
         return 4
-    except FbeqError as exc:
-        print(f"fbeq: error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (FbeqError, OSError) as exc:
         print(f"fbeq: error: {exc}", file=sys.stderr)
         return 3
 

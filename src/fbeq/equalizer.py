@@ -32,9 +32,9 @@ from .filterbank import (
     design_prototype,
     slide_history,
     _check_hermitian_edges,
-    _check_hop_finite,
     _first_flagged,
     _frame_blocks,
+    _hop_block,
     _hop_windows,
 )
 from .gains import NoiseTrackerState, estimate_gains
@@ -83,11 +83,7 @@ class EngineState:
         if hops is None:
             self.history = slide_history(self.history, block, self.hop)
             return self.history
-        block = np.asarray(block, dtype=np.float64).ravel()
-        if block.size != hops * self.hop:
-            raise DataError(f"expected a block of {hops * self.hop} samples, "
-                            f"got {block.size}")
-        _check_hop_finite(block)
+        block = _hop_block(block, hops * self.hop)
         extended = np.concatenate([self.history, block])  # zero hops: unchanged
         self.history = extended[-self.history.size :].copy()  # a view would keep the block
         return _hop_windows(extended[self.hop :], self.history.size, self.hop, hops)
@@ -243,15 +239,13 @@ def ols_filter_frame(state: EngineState, bins, new_samples) -> np.ndarray:
 def direct_filter_block(state: EngineState, taps, new_samples) -> np.ndarray:
     """Filter one hop, or ``n`` hops by ``n x P`` taps, in direct FIR form;
     otherwise as :func:`ols_filter_frame`."""
-    taps = np.asarray(taps, dtype=np.float64)
+    taps = np.atleast_2d(np.asarray(taps, dtype=np.float64))
     if 2 * taps.shape[-1] != state.history.size:
         raise ConfigError(
             f"filter of {taps.shape[-1]} taps does not match a history of "
             f"{state.history.size} samples"
         )
     tail = slice(state.history.size - state.hop, state.history.size)
-    if taps.ndim == 1:
-        return np.convolve(state.push(new_samples), taps)[tail]
     windows = state.push(new_samples, len(taps))
     filtered = [np.convolve(w, row)[tail] for w, row in zip(windows, taps)]
     return np.concatenate(filtered) if filtered else np.empty(0)
@@ -296,9 +290,9 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     Parameters
     ----------
     x : array_like
-        Input signal.  A float32 one is widened to float64 a block at a time,
-        with the same output as its whole widening; any other is converted
-        once.
+        Input signal of any real numeric dtype, widened to float64 a block at
+        a time, with the same output as its whole widening.  An object-dtype
+        array is not converted: the finite check raises ``TypeError``.
     gain_source : str or path-like
         ``"mmse-lsa"`` for the built-in estimator, or the path of an FBEG file.
     cfg : fbeq.config.Config
@@ -330,8 +324,6 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
         raise ConfigError(f"gain source must be {ESTIMATOR_MMSE_LSA!r} or the path "
                           f"of an FBEG file, got {type(gain_source).__name__}")
     x = np.ravel(x)
-    if x.dtype != np.float32:  # float32 is widened a block at a time
-        x = x.astype(np.float64, copy=False)
     _check_finite(x, "input ")
     spec = cfg.filterbank_spec()
     proto = design_prototype(spec)

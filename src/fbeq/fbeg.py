@@ -90,7 +90,7 @@ def write_gain_stream(path, frames, record_type: int, frame_size: int,
                           f"the header's u32 fields: {exc}") from exc
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(frames, dtype="<c8").tobytes())
+        fh.write(np.ascontiguousarray(frames, dtype="<c8"))
 
 
 def _check_alias_tail(frames: np.ndarray, hop: int, first: int) -> bool:

@@ -179,17 +179,15 @@ def analyze_polyphase(x, proto, spec: FilterbankSpec,
     hold that sum as a reference oracle.  Frames are computed in blocks of
     ``BLOCK_FRAMES``, so the temporaries stay cache-sized; each frame is
     computed on its own, so the output does not depend on the block size.
-    An input of one block returns that block's transform; a longer one fills
-    a preallocated ``K``-row matrix.  ``history``, the ``L`` samples before
-    ``x`` (zeros when omitted), lets a signal cut at hop boundaries be
-    analysed piece by piece to the same bits.
+    An input of at most one block, zero frames included, returns that block's
+    transform; a longer one fills a preallocated ``K``-row matrix.
+    ``history``, the ``L`` samples before ``x`` (zeros when omitted), lets a
+    signal cut at hop boundaries be analysed piece by piece to the same bits.
     """
     taps = _prototype_taps(proto, spec)
     x = np.asarray(x, dtype=np.float64).ravel()
     num_frames = spec.num_frames(x.size)
     segments = _analysis_segments(x, spec, history)
-    if num_frames == 0:
-        return AnalysisFrameSeq(np.empty((0, spec.num_bins), np.complex128))
     correction = _phase_correction(spec)
     if num_frames <= BLOCK_FRAMES:
         spectra = _fold_and_transform(segments[:, ::-1] * taps, spec, correction)
@@ -284,23 +282,25 @@ def slide_history(history: np.ndarray, block, hop: int) -> np.ndarray:
         If ``block`` does not hold exactly ``hop`` samples, or holds a
         non-finite one.
     """
-    block = np.asarray(block, dtype=np.float64).ravel()
-    if block.size != hop:
-        raise DataError(f"expected a block of {hop} samples, got {block.size}")
-    _check_hop_finite(block)
-    return np.concatenate([history[hop:], block])
+    return np.concatenate([history[hop:], _hop_block(block, hop)])
 
 
-def _check_hop_finite(block: np.ndarray) -> None:
-    """Raise ``DataError`` "input sample N is non-finite (V)" for a hop's first
-    NaN or infinite sample, ``N`` counted within the hop.
+def _hop_block(block, size: int) -> np.ndarray:
+    """``block`` as a flat float64 array of exactly ``size`` samples, all finite.
 
-    A finite sum proves every sample finite, so only a hop whose sum is not
-    finite pays to locate the sample.  A hop of finite samples whose sum
-    overflows passes, after NumPy's overflow warning.
+    Raises ``DataError`` "expected a block of S samples, got N" for a block of
+    another size, and "input sample N is non-finite (V)" for its first NaN or
+    infinite sample, ``N`` counted within the block.  A finite sum proves
+    every sample finite, so only a block whose sum is not finite pays to
+    locate the sample.  A block of finite samples whose sum overflows passes,
+    after NumPy's overflow warning.
     """
+    block = np.asarray(block, dtype=np.float64).ravel()
+    if block.size != size:
+        raise DataError(f"expected a block of {size} samples, got {block.size}")
     if not math.isfinite(np.add.reduce(block)):
         _check_finite(block, "input ")
+    return block
 
 
 def _hop_windows(samples: np.ndarray, size: int, hop: int, count: int) -> np.ndarray:

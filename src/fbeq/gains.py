@@ -29,8 +29,9 @@ _NU_FLOOR = 1e-12
 class EstimatorParams:
     """Suppressor constants; defaults are the normative values for this package.
 
-    The derived linear values are computed on first use and kept, since the
-    gain loop reads them on every frame.
+    The derived linear values are computed when the parameters are built,
+    where each must come out finite, and kept, since the gain loop reads
+    them on every frame.
     """
 
     alpha_dd: float = 0.98
@@ -61,6 +62,15 @@ class EstimatorParams:
             raise ConfigError(f"init_frames must be >= 1, got {self.init_frames}")
         if self.lambda_floor <= 0.0:
             raise ConfigError(f"lambda_floor must be positive, got {self.lambda_floor}")
+        for derived, name in _DERIVED_FROM.items():
+            try:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    value = getattr(self, derived)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} = {getattr(self, name)} makes {derived} "
+                                  f"non-finite ({value})")
 
     @cached_property
     def xi_min(self) -> float:
@@ -91,6 +101,9 @@ class EstimatorParams:
 
 
 _FLOAT_PARAMS = tuple(f.name for f in fields(EstimatorParams) if f.type == "float")
+# Each derived constant and the setting it is computed from.
+_DERIVED_FROM = {"xi_min": "xi_min_db", "gate_bias_factor": "gamma_threshold",
+                 "gain_floor": "gain_floor_db"}
 
 
 class GainFrame(NamedTuple):

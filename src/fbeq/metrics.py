@@ -81,7 +81,8 @@ def label_noise_only(clean, frame_len: int) -> FrameLabeling:
 
 
 def _seg_na_detail(noise, processed,
-                   labeling: FrameLabeling) -> tuple[float | None, int, int]:
+                   labeling: FrameLabeling) -> tuple[float | None, int]:
+    """seg_na and the number of frames clamped for a zero denominator."""
     noise = np.asarray(noise, dtype=np.float64).ravel()
     processed = np.asarray(processed, dtype=np.float64).ravel()
     r = labeling.frame_len
@@ -89,20 +90,17 @@ def _seg_na_detail(noise, processed,
     indices = np.array(sorted(m for m in labeling.noise_only if m < num_frames),
                        dtype=int)
     if indices.size == 0:
-        return None, 0, 0
+        return None, 0
     noise_e = _frame_energies(noise, r, num_frames)[indices]
     proc_e = _frame_energies(processed, r, num_frames)[indices]
     clamp = 10.0 ** (SEG_NA_CLAMP_DB / 10.0)
     zero_den = proc_e == 0.0
     ratios = np.where(zero_den, clamp, noise_e / np.where(zero_den, 1.0, proc_e))
     mean_ratio = float(np.mean(ratios))
+    clamped = int(np.count_nonzero(zero_den))
     if mean_ratio <= 0.0:
-        return None, int(indices.size), int(np.count_nonzero(zero_den))
-    return (
-        10.0 * float(np.log10(mean_ratio)),
-        int(indices.size),
-        int(np.count_nonzero(zero_den)),
-    )
+        return None, clamped
+    return 10.0 * float(np.log10(mean_ratio)), clamped
 
 
 def seg_na(noise, processed, labeling: FrameLabeling) -> float | None:
@@ -115,7 +113,7 @@ def seg_na(noise, processed, labeling: FrameLabeling) -> float | None:
     frames clamp at +100 dB; an empty label set yields ``None`` (not
     applicable).
     """
-    value, _, _ = _seg_na_detail(noise, processed, labeling)
+    value, _ = _seg_na_detail(noise, processed, labeling)
     return value
 
 
@@ -158,10 +156,11 @@ def ri_mag_loss(ref, est) -> float:
     if ref.shape != est.shape:
         raise DataError(f"frame shapes differ: {ref.shape} vs {est.shape}")
     diff = ref - est
+    parts = np.sum(diff.real**2) + np.sum(diff.imag**2)
+    del diff  # freed before the magnitudes are formed
     mag_diff = np.abs(ref) - np.abs(est)
-    return float(
-        np.sum(diff.real**2) + np.sum(diff.imag**2) + np.sum(mag_diff**2)
-    )
+    mag_diff *= mag_diff
+    return float(parts + np.sum(mag_diff))
 
 
 def compute_report(clean, processed, spec: FilterbankSpec, noise=None,
@@ -190,7 +189,7 @@ def compute_report(clean, processed, spec: FilterbankSpec, noise=None,
             f"no full frames remain after delay compensation by {delay} samples "
             f"(processed {processed.size}, frame {spec.hop})"
         )
-    na_value, _, na_clamped = (None, 0, 0) if noise is None else _seg_na_detail(
+    na_value, na_clamped = (None, 0) if noise is None else _seg_na_detail(
         noise, shifted, labeling
     )
     snr_value = seg_snr(clean, shifted, spec.hop)

@@ -307,6 +307,13 @@ class TestMixAtSnr:
         with pytest.raises(DataError, match=f"^snr_db must be finite, got {snr_db}$"):
             mix_at_snr(np.ones(100), np.ones(200), snr_db, seed=0)
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+    def test_snr_past_the_float_range_rejected(self, snr_db):
+        """10^(snr_db/10) overflows, or underflows to a zero noise power."""
+        with pytest.raises(DataError, match=re.escape(
+                f"snr_db {snr_db} gives no finite positive noise scale")):
+            mix_at_snr(np.ones(100), np.ones(200), snr_db, seed=0)
+
     def test_empty_clean_rejected(self):
         with pytest.raises(DataError, match="empty"):
             mix_at_snr(np.array([]), np.ones(100), 0.0, seed=0)

@@ -3,10 +3,12 @@ import csv
 import dataclasses
 import io
 import os
+import re
 import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,10 @@ def write_with_nan(path, num_frames, offset):
 
 
 FLOAT_SETTINGS = [f.name for f in dataclasses.fields(Config) if f.type == "float"]
+# Finite settings whose derived constant is not: 10^400 overflows, and the gate
+# bias factor divides by a zero (inf) or takes 0/0 (nan).
+NON_FINITE_DERIVED = [("xi_min_db", 4000.0), ("gamma_threshold", 1e-9),
+                      ("gamma_threshold", 1e-300)]
 
 
 class TestConfigValidation:
@@ -79,6 +85,15 @@ class TestConfigValidation:
     def test_non_finite_setting(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be .*finite"):
             Config(**{name: value})
+
+    @pytest.mark.parametrize("name, value", NON_FINITE_DERIVED)
+    def test_non_finite_derived_constant(self, name, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (EstimatorParams, Config):
+                with pytest.raises(ConfigError, match="^" + re.escape(
+                        f"{name} = {value} makes ") + r"\w+ non-finite"):
+                    build(**{name: value})
 
     def test_shorten_len_must_fit_prototype(self):
         with pytest.raises(ConfigError, match="does not fit"):
@@ -312,6 +327,52 @@ class TestEnhanceMemory:
         assert long - short <= 15 * 56 * rate, (short, long)
 
 
+class TestAnalyzeEvaluateMemory:
+    """Peak growth of ``fbeq analyze`` and ``fbeq evaluate`` per added input
+    sample, on float32 WAVs (the wider of the two formats)."""
+
+    @staticmethod
+    def growth_per_sample(tmp_path, argv_for):
+        rate = 16000
+        rng = np.random.default_rng(163)
+
+        def peak_bytes(seconds):
+            t = np.arange(seconds * rate)
+            clean = 0.3 * np.sin(t / 7.0) * (t % 8000 < 4000)
+            paths = {}
+            for name, x in (("clean", clean),
+                            ("noisy", clean + 0.1 * rng.standard_normal(t.size))):
+                paths[name] = tmp_path / f"{name}{seconds}.wav"
+                write_test_wav(paths[name], x)
+            argv = argv_for(paths)
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(1)  # first-call imports
+        short, long = peak_bytes(2), peak_bytes(10)
+        return (long - short) / (8 * rate)
+
+    def test_analyze_within_110_bytes_per_sample(self, tmp_path):
+        """The float32 input, the complex128 frames and their complex64
+        narrowing, ~100 bytes per sample: no further copy for the file."""
+        growth = self.growth_per_sample(tmp_path, lambda paths: [
+            "analyze", "--in", str(paths["noisy"]), "--out", str(tmp_path / "f.fbeg")])
+        assert growth <= 110, growth
+
+    def test_evaluate_within_255_bytes_per_sample(self, tmp_path):
+        """Two whole complex128 frame matrices (128 bytes per sample), the
+        float64 signals, and the complex difference, freed before the
+        magnitudes are formed."""
+        growth = self.growth_per_sample(tmp_path, lambda paths: [
+            "evaluate", "--clean", str(paths["clean"]), "--processed",
+            str(paths["noisy"]), "--out", str(tmp_path / "m.csv")])
+        assert growth <= 255, growth
+
+
 class TestCliMix:
     def test_mix_hits_target_snr(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -493,6 +554,35 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip() == (
             f"fbeq: error: snr_db must be finite, got {snr_db}")
         assert not out_mix.exists() and not out_noise.exists()
+
+    @pytest.mark.parametrize("snr_db", ["4000", "-4000"])
+    def test_mix_snr_past_the_float_range_is_three(self, tmp_path, capsys, snr_db):
+        cw, nw = tmp_path / "c.wav", tmp_path / "n.wav"
+        write_test_wav(cw, 0.3 * np.sin(np.arange(400) / 5.0))
+        write_test_wav(nw, 0.1 * np.random.default_rng(9).standard_normal(900))
+        out_mix, out_noise = tmp_path / "m.wav", tmp_path / "s.wav"
+        code = main(["mix", "--clean", str(cw), "--noise", str(nw),
+                     f"--snr-db={snr_db}", "--out-mix", str(out_mix),
+                     "--out-noise", str(out_noise)])
+        assert code == 3
+        assert capsys.readouterr().err.strip() == (
+            f"fbeq: error: snr_db {float(snr_db)} gives no finite positive noise scale")
+        assert not out_mix.exists() and not out_noise.exists()
+
+    @pytest.mark.parametrize("name, value", NON_FINITE_DERIVED)
+    def test_non_finite_derived_constant_is_three(self, tmp_path, capsys, name, value):
+        """Reported as the setting's fault, not as a traceback or an input
+        overflow once digital silence reaches the gate."""
+        wav, out = tmp_path / "in.wav", tmp_path / "out.wav"
+        write_test_wav(wav, np.concatenate([
+            np.zeros(1600), 0.1 * np.random.default_rng(10).standard_normal(1600)]))
+        code = main(["enhance", "--" + name.replace("_", "-"), str(value),
+                     "--in", str(wav), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"fbeq: error: {name} = {value} makes "), err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("cut", [30, 50], ids=["in-fmt", "in-data"])
     def test_truncated_wav_is_three(self, tmp_path, capsys, cut):

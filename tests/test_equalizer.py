@@ -1113,3 +1113,43 @@ class TestFloat32Input:
         # objects; a float64 copy of the whole 4 s input would add 512 KB.
         one_block = filterbank.BLOCK_FRAMES * cfg.hop * 8
         assert narrow_peak <= wide_peak + one_block + 2**10, (narrow_peak, wide_peak)
+
+
+class TestOtherInputDtypes:
+    """Any other real numeric input is widened a block at a time too: the
+    output is that of its float64 widening, bit for bit, and an int16 input
+    adds no whole-signal float64 copy to the output's 8 bytes per sample."""
+
+    @pytest.mark.parametrize("mode", ["ols", "direct"])
+    @pytest.mark.parametrize("kind", ["int16", "float16", "list"])
+    def test_equals_float64_widening(self, kind, mode):
+        cfg = Config(mode=mode)
+        rng = np.random.default_rng(151)
+        frames = 150  # three blocks, the last one partial, plus a partial hop
+        x = make_speech(frames * cfg.hop / cfg.sample_rate_hz)
+        x = np.concatenate([x + 0.05 * rng.standard_normal(x.size),
+                            rng.standard_normal(17)])
+        signal = {"int16": np.round(8000 * x).astype(np.int16),
+                  "float16": x.astype(np.float16), "list": x.tolist()}[kind]
+        got, _ = process_stream(signal, "mmse-lsa", cfg)
+        want, _ = process_stream(np.asarray(signal, dtype=np.float64), "mmse-lsa", cfg)
+        assert np.array_equal(got, want)
+
+    def test_int16_peak_grows_by_the_output_alone(self):
+        cfg = Config()
+        rate = cfg.sample_rate_hz
+        codes = (3000 * np.random.default_rng(157).standard_normal(20 * rate)
+                 ).astype(np.int16)
+        process_stream(codes[:rate], "mmse-lsa", cfg)  # first-call imports
+
+        def peak_bytes(signal):
+            tracemalloc.start()
+            try:
+                process_stream(signal, "mmse-lsa", cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak_bytes(codes[: 4 * rate]), peak_bytes(codes)
+        # 8 output bytes per added sample; a float64 copy of the input adds 8 more.
+        assert long - short <= 8.5 * 16 * rate, (short, long)

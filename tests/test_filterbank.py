@@ -212,6 +212,11 @@ class TestAnalyzePolyphase:
         assert frames.shape == (4, 257)
         assert np.all(frames == 0)
 
+    @pytest.mark.parametrize("size", [0, 63])
+    def test_no_whole_hop_gives_empty_frames(self, default_spec, default_proto, size):
+        frames = analyze_polyphase(np.ones(size), default_proto, default_spec).frames
+        assert frames.shape == (0, 257) and frames.dtype == np.complex128
+
     def test_linearity(self, small_spec, small_proto):
         rng = np.random.default_rng(41)
         x1 = rng.standard_normal(200)
