@@ -24,7 +24,6 @@ from .fbeg import (
     TYPE_DFT_RESPONSES,
     TYPE_SUBBAND_GAINS,
     StreamHeader,
-    check_stream_geometry,
     load_gain_stream,
     write_gain_stream,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "TYPE_SUBBAND_GAINS",
     "analyze_polyphase",
     "build_config",
-    "check_stream_geometry",
     "compute_report",
     "design_prototype",
     "direct_filter_block",

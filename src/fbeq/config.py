@@ -6,10 +6,9 @@ over file values, which win over defaults.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .filterbank import FilterbankSpec, check_shorten_len
 from .gains import EstimatorParams
 
@@ -40,13 +39,14 @@ class Config:
     lambda_floor: float = EstimatorParams.lambda_floor
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         self.filterbank_spec()
         self.estimator_params()
         check_shorten_len(self.shorten_len, num_taps=self.proto_len + 1,
                           hop=self.hop)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got '{self.mode}'")
-        if not 0.0 < self.g_max < math.inf:
+        if not self.g_max > 0.0:
             raise ConfigError(f"g_max must be positive and finite, got {self.g_max}")
 
     def filterbank_spec(self) -> FilterbankSpec:

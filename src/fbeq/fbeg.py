@@ -35,7 +35,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
-from .filterbank import FilterbankSpec
 
 MAGIC = b"FBEG"
 VERSION = 1
@@ -231,25 +230,3 @@ def load_gain_stream(path) -> tuple[StreamHeader, np.ndarray]:
     with open_gain_stream(path) as (header, read):
         return header, read(slice(0, header.num_frames))
 
-
-def check_stream_geometry(header: StreamHeader, spec: FilterbankSpec,
-                          shorten_len: int) -> None:
-    """Reject a stream whose geometry does not match the active configuration."""
-    if header.frame_size != spec.frame_size or header.hop != spec.hop:
-        raise ConfigError(
-            f"gain stream was written for frame size {header.frame_size}, "
-            f"hop {header.hop}; active configuration is {spec.frame_size}, "
-            f"{spec.hop}"
-        )
-    if header.record_type == TYPE_SUBBAND_GAINS:
-        if header.num_bins != spec.num_bins:
-            raise ConfigError(
-                f"subband-gain stream has {header.num_bins} bins, "
-                f"configuration expects {spec.num_bins}"
-            )
-    else:
-        if header.num_bins != shorten_len + 1:
-            raise ConfigError(
-                f"DFT-response stream has {header.num_bins} bins, "
-                f"configuration expects {shorten_len + 1}"
-            )

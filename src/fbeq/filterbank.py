@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .audio_io import _check_finite
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_field_types
 
 HERMITIAN_IMAG_TOL = 1e-9
 # Frames per block in analyze_polyphase and process_stream.  At the default
@@ -41,6 +41,7 @@ class FilterbankSpec:
     sample_rate_hz: int = 16000
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         m, big_l, r = self.frame_size, self.proto_len, self.hop
         if m <= 0 or big_l <= 0 or r <= 0 or self.sample_rate_hz <= 0:
             raise ConfigError("filterbank geometry values must be positive")
@@ -324,7 +325,7 @@ def check_shorten_len(shorten_len: int, num_taps: int | None = None,
         raise ConfigError(f"shorten_len must be a positive even number, got {p}")
     if num_taps is not None:
         start = (num_taps - 1) // 2 - p // 2
-        if start < 0 or start + p > num_taps:
+        if start < 0:  # P is even, so the window's end fits when its start does
             raise ConfigError(
                 f"shorten_len {p} does not fit inside a {num_taps}-tap filter: "
                 f"its central window [{start}, {start + p - 1}] falls outside "
@@ -349,9 +350,6 @@ class PolyphaseAnalyzer:
         self._taps = _prototype_taps(proto, spec)
         self._correction = _phase_correction(spec)
         self._history = np.zeros(spec.proto_len + 1, dtype=np.float64)
-
-    def reset(self) -> None:
-        self._history[:] = 0.0
 
     def push(self, block) -> np.ndarray:
         """Consume ``hop`` new samples and return the resulting frame."""

@@ -12,13 +12,13 @@ complex per-bin responses enter the pipeline only through gain-stream files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_field_types
 from .special import exp_integral_e1
 
 # Below this, nu is treated as its continuity limit (the gain clamps to 1).
@@ -43,9 +43,7 @@ class EstimatorParams:
     lambda_floor: float = 1e-20
 
     def __post_init__(self) -> None:
-        for name in _FLOAT_PARAMS:
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        check_field_types(self)
         if not 0.0 < self.alpha_dd < 1.0:
             raise ConfigError(f"alpha_dd must be in (0, 1), got {self.alpha_dd}")
         if not 0.0 < self.alpha_noise < 1.0:
@@ -100,7 +98,6 @@ class EstimatorParams:
         return 10.0 ** (self.gain_floor_db / 20.0)
 
 
-_FLOAT_PARAMS = tuple(f.name for f in fields(EstimatorParams) if f.type == "float")
 # Each derived constant and the setting it is computed from.
 _DERIVED_FROM = {"xi_min": "xi_min_db", "gate_bias_factor": "gamma_threshold",
                  "gain_floor": "gain_floor_db"}

@@ -110,8 +110,8 @@ def seg_na(noise, processed, labeling: FrameLabeling) -> float | None:
     of reference-noise energy to processed energy (within those frames the
     processed signal is residual noise).  ``processed`` must already be
     aligned with ``noise`` (slice off its delay first).  Zero-denominator
-    frames clamp at +100 dB; an empty label set yields ``None`` (not
-    applicable).
+    frames clamp at +100 dB; an empty label set, or reference noise with no
+    energy in the labeled frames, yields ``None`` (not applicable).
     """
     value, _ = _seg_na_detail(noise, processed, labeling)
     return value
@@ -133,9 +133,8 @@ def seg_snr(clean, processed, frame_len: int) -> float | None:
         raise DataError(f"no full frames (clean {clean.size}, processed "
                         f"{processed.size}, frame {frame_len})")
     clean_e = _frame_energies(clean, frame_len, num_frames)
-    diff = processed[: num_frames * frame_len].reshape(num_frames, frame_len) - \
-        clean[: num_frames * frame_len].reshape(num_frames, frame_len)
-    err_e = np.sum(diff * diff, axis=1)
+    common = num_frames * frame_len
+    err_e = _frame_energies(processed[:common] - clean[:common], frame_len, num_frames)
     include = clean_e > 0.0
     if not np.any(include):
         return None

@@ -1,5 +1,7 @@
 import os
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,17 @@ from fbeq.filterbank import (
     design_prototype,
 )
 from fbeq.gains import NoiseTrackerState, update_noise_psd
+
+# The quality gate's speech is the benchmark's: one copy, in perfbench/,
+# read without writing bytecode there.
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+try:
+    from perfbench.inputs import make_speech  # noqa: F401  (imported by tests)
+finally:
+    sys.dont_write_bytecode = _write_bytecode
 
 
 @pytest.fixture(scope="session")
@@ -116,41 +129,6 @@ def analyze_direct(x, proto, spec: FilterbankSpec) -> AnalysisFrameSeq:
     )
     frames = segments @ weights.T
     return AnalysisFrameSeq(frames)
-
-
-def make_speech(duration_s: float = 4.0, rate: int = 16000,
-                amplitude: float = 0.25) -> np.ndarray:
-    """Synthetic harmonic "speech": voiced segments separated by exact-zero pauses.
-
-    Each segment is a handful of harmonics with a short cosine onset/offset
-    ramp; the pauses make noise-only frames for the attenuation metric.
-    """
-    t = np.arange(int(duration_s * rate)) / rate
-    x = np.zeros(t.size)
-    segments = [
-        (0.00, 0.70, 120.0),
-        (1.20, 2.00, 180.0),
-        (2.50, 3.30, 140.0),
-    ]
-    ramp = int(0.02 * rate)
-    for start_s, stop_s, f0 in segments:
-        a = int(start_s * rate)
-        b = min(int(stop_s * rate), t.size)
-        if b <= a:
-            continue
-        seg_t = t[a:b]
-        tone = np.zeros(b - a)
-        for h in range(1, 11):
-            tone += np.sin(2.0 * np.pi * h * f0 * seg_t) / h
-        env = np.ones(b - a)
-        n = min(ramp, (b - a) // 2)
-        if n:
-            fade = 0.5 - 0.5 * np.cos(np.pi * np.arange(n) / n)
-            env[:n] = fade
-            env[-n:] = fade[::-1]
-        x[a:b] = tone * env
-    peak = np.max(np.abs(x))
-    return amplitude * x / peak
 
 
 @pytest.fixture(scope="session")

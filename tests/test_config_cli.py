@@ -42,6 +42,8 @@ def write_with_nan(path, num_frames, offset):
 
 
 FLOAT_SETTINGS = [f.name for f in dataclasses.fields(Config) if f.type == "float"]
+NUMERIC_SETTINGS = [(build, f.name) for build in (FilterbankSpec, EstimatorParams, Config)
+                    for f in dataclasses.fields(build) if f.type in ("int", "float")]
 # Finite settings whose derived constant is not: 10^400 overflows, and the gate
 # bias factor divides by a zero (inf) or takes 0/0 (nan).
 NON_FINITE_DERIVED = [("xi_min_db", 4000.0), ("gamma_threshold", 1e-9),
@@ -114,6 +116,28 @@ class TestConfigValidation:
         for g_max in (0.0, -1.0):  # silence, and inverted polarity
             with pytest.raises(ConfigError, match="g_max"):
                 Config(g_max=g_max)
+
+    @pytest.mark.parametrize("build, name, value", [
+        (Config, "frame_size", 512.0),
+        (FilterbankSpec, "hop", 64.0),
+        (Config, "init_frames", 6.5),
+        (Config, "sample_rate_hz", 16000.5),
+        (EstimatorParams, "alpha_dd", "0.9"),
+        (Config, "shorten_len", None),
+    ] + [(build, name, True) for build, name in NUMERIC_SETTINGS])
+    def test_wrong_type_rejected_when_built(self, build, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be an? .*, "
+                                              f"got {re.escape(repr(value))}$"):
+            build(**{name: value})
+
+    def test_int_beyond_float_range_is_not_finite(self):
+        with pytest.raises(ConfigError, match="^g_max must be finite, got 1000"):
+            Config(g_max=10**400)
+
+    def test_numpy_scalars_accepted(self):
+        assert Config(hop=np.int64(32)).filterbank_spec().hop == 32
+        params = Config(alpha_dd=np.float32(0.9)).estimator_params()
+        assert params.alpha_dd == np.float32(0.9)
 
 
 class TestConfigFile:
@@ -213,6 +237,18 @@ class TestCliDesign:
         assert lines[0].startswith("index,tap,freq_hz,mag_db")
         assert len(lines) == 1026
 
+    def test_more_taps_than_response_bins(self, tmp_path):
+        """L + 1 = 2049 taps outrun the 1025 bins of the 2048-point response."""
+        out = tmp_path / "design.csv"
+        assert main(["design", "-M", "2048", "-L", "2048", "-r", "64", "-P", "128",
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            body = list(csv.reader(fh))[1:]
+        assert len(body) == 2049
+        assert all(row[1] != "" for row in body)
+        assert all(row[2] != "" and row[3] != "" for row in body[:1025])
+        assert all(row[2:] == ["", ""] for row in body[1025:])
+
 
 class TestCliAnalyze:
     def test_writes_subband_frames(self, tmp_path, small_spec, small_proto):
@@ -274,6 +310,24 @@ class TestCliEnhance:
         # an all-ones response is the zero-phase identity filter
         np.testing.assert_allclose(enhanced, read_wav(wav).samples,
                                    rtol=0, atol=1e-6)
+
+    def test_saturation_warning(self, tmp_path, capsys):
+        """Gains of 4 on a half-scale square wave push the output past full
+        scale; pcm16 saturates it and says how many samples it clipped."""
+        wav, stream, out = tmp_path / "in.wav", tmp_path / "loud.fbeg", tmp_path / "out.wav"
+        write_test_wav(wav, 0.5 * np.sign(np.sin(2 * np.pi * np.arange(1600) / 80) + 0.5))
+        fbeg.write_gain_stream(stream, np.full((400, 9), 4.0, dtype=np.complex64),
+                               fbeg.TYPE_SUBBAND_GAINS, 16, 4)
+        args = ["enhance", *SMALL_FLAGS, "--in", str(wav), "--gains", str(stream)]
+        assert main([*args, "--out", str(tmp_path / "ref.wav"), "--format", "float32"]) == 0
+        over = np.count_nonzero(np.abs(read_wav(tmp_path / "ref.wav").samples) > 1.0)
+        capsys.readouterr()
+        assert main([*args, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert over > 0
+        assert captured.err == f"warning: {over} samples saturated in {out}\n"
+        assert captured.out == "group_delay_ms=0.250 block_ms=0.250\n"
+        assert np.abs(read_wav(out).samples).max() <= 1.0
 
     def test_non_finite_record_past_input_end(self, tmp_path, capsys):
         wav = tmp_path / "in.wav"
@@ -408,6 +462,27 @@ class TestCliMix:
                          *seed_flag]) == 0
             mixes.append(read_wav(out_mix).samples)
         np.testing.assert_array_equal(mixes[0], mixes[1])
+
+    def test_pcm16_saturation_warning(self, tmp_path, capsys):
+        """At -10 dB the scaled noise and the mixture pass full scale; each
+        pcm16 file says how many of its samples were clipped."""
+        rng = np.random.default_rng(6)
+        cw, nw = tmp_path / "c.wav", tmp_path / "n.wav"
+        write_test_wav(cw, 0.5 * np.sin(np.arange(4000) / 5.0))
+        write_test_wav(nw, 0.1 * rng.standard_normal(9000))
+        outs = {}
+        for fmt in ("float32", "pcm16"):
+            outs[fmt] = tmp_path / f"mix_{fmt}.wav", tmp_path / f"noise_{fmt}.wav"
+            capsys.readouterr()
+            assert main(["mix", "--clean", str(cw), "--noise", str(nw),
+                         "--snr-db", "-10", "--out-mix", str(outs[fmt][0]),
+                         "--out-noise", str(outs[fmt][1]), "--format", fmt]) == 0
+        over = [np.count_nonzero(np.abs(read_wav(path).samples) > 1.0)
+                for path in outs["float32"]]
+        assert min(over) > 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: {n} samples saturated in {path}\n"
+            for n, path in zip(over, outs["pcm16"]))
 
 
 class TestCliEvaluate:

@@ -22,11 +22,9 @@ from fbeq.fbeg import (
     TYPE_DFT_RESPONSES,
     TYPE_SUBBAND_GAINS,
     StreamHeader,
-    check_stream_geometry,
     load_gain_stream,
     write_gain_stream,
 )
-from fbeq.filterbank import FilterbankSpec
 
 
 def random_gains(rng, num_frames, num_bins):
@@ -150,6 +148,13 @@ class TestWriteValidation:
                               np.ones((1, 8), dtype=np.complex64),
                               TYPE_SUBBAND_GAINS, 16, 4)
 
+    def test_one_bin_responses(self, tmp_path):
+        path = tmp_path / "x.fbeg"
+        with pytest.raises(ConfigError, match=r"^records need at least 2 bins, got 1$"):
+            write_gain_stream(path, np.ones((3, 1), dtype=np.complex64),
+                              TYPE_DFT_RESPONSES, 16, 4)
+        assert not path.exists()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, 1e39j])
     def test_value_the_loader_would_reject(self, tmp_path, value):
         """1e39 is finite as complex128 and inf once stored as float32."""
@@ -208,6 +213,17 @@ class TestLoadValidation:
         bad = tmp_path / "bad.fbeg"
         bad.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="offset 16"):
+            load_gain_stream(bad)
+
+    @pytest.mark.parametrize("bins", [0, 1])
+    def test_fewer_than_two_bins(self, tmp_path, bins):
+        raw = bytearray(self.make_valid(tmp_path))
+        raw[6] = TYPE_DFT_RESPONSES
+        struct.pack_into("<I", raw, 16, bins)
+        bad = tmp_path / "bad.fbeg"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=rf"^bin count {bins} at offset 16 "
+                                              r"must be >= 2$"):
             load_gain_stream(bad)
 
     def test_truncated_header(self, tmp_path):
@@ -442,24 +458,45 @@ class TestBlockReading:
 
 
 class TestGeometryCheck:
-    def test_matching_type_a(self):
-        spec = FilterbankSpec(frame_size=16, proto_len=16, hop=4)
-        check_stream_geometry(StreamHeader(TYPE_SUBBAND_GAINS, 16, 4, 9, 5),
-                              spec, shorten_len=8)
+    """``process_stream`` checks a gain file's frame size, hop and, for type
+    B, bin count against the configuration before it reads a record."""
 
-    def test_matching_type_b(self):
-        spec = FilterbankSpec(frame_size=16, proto_len=16, hop=4)
-        check_stream_geometry(StreamHeader(TYPE_DFT_RESPONSES, 16, 4, 9, 5),
-                              spec, shorten_len=8)
+    @staticmethod
+    def run(path, **overrides):
+        return process_stream(np.ones(24), path, Config(**{**SMALL, **overrides}))
 
-    def test_frame_size_mismatch(self):
-        spec = FilterbankSpec()
+    def test_matching_type_a(self, tmp_path):
+        out, _ = self.run(TestBlockReading.unity_file(tmp_path))
+        assert out.shape == (24,)
+
+    def test_matching_type_b(self, tmp_path):
+        path = TestBlockReading.unity_file(tmp_path, record_type=TYPE_DFT_RESPONSES)
+        out, _ = self.run(path)
+        assert out.shape == (24,)
+
+    def test_frame_size_mismatch(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^gain stream was written for frame "
+                                              r"size 16, hop 4; active configuration "
+                                              r"is 32, 4$"):
+            self.run(TestBlockReading.unity_file(tmp_path), frame_size=32,
+                     proto_len=32)
+
+    def test_hop_mismatch(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^gain stream was written for frame "
+                                              r"size 16, hop 4; active configuration "
+                                              r"is 16, 8$"):
+            self.run(TestBlockReading.unity_file(tmp_path), hop=8)
+
+    def test_type_b_bins_mismatch(self, tmp_path):
+        path = tmp_path / "wide.fbeg"
+        write_gain_stream(path, np.ones((10, 17), dtype=np.complex64),
+                          TYPE_DFT_RESPONSES, 16, 4)
+        with pytest.raises(ConfigError, match=r"^DFT-response stream has 17 bins, "
+                                              r"configuration expects 9$"):
+            self.run(path)
+
+    def test_geometry_checked_before_record_count(self, tmp_path):
+        """A short file of the wrong geometry names the geometry."""
+        path = TestBlockReading.unity_file(tmp_path, num_frames=1)
         with pytest.raises(ConfigError, match="written for frame size 16"):
-            check_stream_geometry(StreamHeader(TYPE_SUBBAND_GAINS, 16, 4, 9, 5),
-                                  spec, shorten_len=128)
-
-    def test_type_b_bins_mismatch(self):
-        spec = FilterbankSpec(frame_size=16, proto_len=16, hop=4)
-        with pytest.raises(ConfigError, match="expects 9"):
-            check_stream_geometry(StreamHeader(TYPE_DFT_RESPONSES, 16, 4, 17, 5),
-                                  spec, shorten_len=8)
+            self.run(path, hop=8)

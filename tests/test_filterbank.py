@@ -284,14 +284,6 @@ class TestPolyphaseAnalyzer:
         )
         np.testing.assert_array_equal(streamed, batch)
 
-    def test_reset_restores_zero_state(self, small_spec, small_proto):
-        analyzer = PolyphaseAnalyzer(small_proto, small_spec)
-        first = analyzer.push(np.ones(4))
-        analyzer.push(np.ones(4))
-        analyzer.reset()
-        again = analyzer.push(np.ones(4))
-        np.testing.assert_array_equal(first, again)
-
     def test_wrong_block_length(self, small_spec, small_proto):
         analyzer = PolyphaseAnalyzer(small_proto, small_spec)
         with pytest.raises(DataError, match="block of 4 samples"):

@@ -133,6 +133,14 @@ class TestSegNa:
         lab = FrameLabeling(noise_only=frozenset(), num_frames=4, frame_len=64)
         assert seg_na(np.ones(256), np.ones(256), lab) is None
 
+    def test_silent_reference_noise_not_applicable(self):
+        """No reference-noise energy in the noise-only frames: there is no
+        attenuation to measure, whatever the processed signal holds."""
+        lab = FrameLabeling(noise_only=frozenset({0, 2}), num_frames=4, frame_len=64)
+        noise = np.zeros(256)
+        noise[64:128] = 1.0  # only in a frame that is not noise-only
+        assert seg_na(noise, np.ones(256), lab) is None
+
 
 class TestSegSnr:
     def test_matches_reference_on_random_data(self):
