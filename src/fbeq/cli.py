@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import pathlib
 import sys
 
 import numpy as np
@@ -86,7 +87,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser("enhance", help="run the enhancement pipeline")
         _add_shared_flags(p)
         p.add_argument("--mode", choices=MODES)  # the engine flags: enhance only
-        p.add_argument("--gains", metavar="FBEG",
+        p.add_argument("--gains", type=pathlib.Path, metavar="FBEG",
                        help="gain-stream file replacing the estimator")
         est = p.add_argument_group("estimator constants")
         est.add_argument("--g-max", type=float, dest="g_max")
@@ -141,12 +142,11 @@ def _open_text_out(path: str):
 
 
 def cmd_design(args: argparse.Namespace, cfg: Config) -> int:
-    spec = cfg.filterbank_spec()
-    proto = design_prototype(spec)
+    proto = design_prototype(cfg)
     response = np.fft.rfft(proto, n=RESPONSE_DFT_SIZE)
     with np.errstate(divide="ignore"):
         mag_db = 20.0 * np.log10(np.abs(response))
-    freqs = np.arange(response.size) * spec.sample_rate_hz / RESPONSE_DFT_SIZE
+    freqs = np.arange(response.size) * cfg.sample_rate_hz / RESPONSE_DFT_SIZE
     with _open_text_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "tap", "freq_hz", "mag_db"])
@@ -161,16 +161,15 @@ def cmd_design(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace, cfg: Config) -> int:
-    spec = cfg.filterbank_spec()
-    buf = read_wav(args.in_wav, expected_rate=spec.sample_rate_hz)
-    seq = analyze_polyphase(buf.samples, design_prototype(spec), spec)
+    buf = read_wav(args.in_wav, expected_rate=cfg.sample_rate_hz)
+    seq = analyze_polyphase(buf.samples, design_prototype(cfg), cfg)
     fbeg.write_gain_stream(args.out, seq.frames, fbeg.TYPE_SUBBAND_GAINS,
-                           spec.frame_size, spec.hop)
+                           cfg.frame_size, cfg.hop)
     return 0
 
 
 def cmd_enhance(args: argparse.Namespace, cfg: Config) -> int:
-    source = args.gains or ESTIMATOR_MMSE_LSA
+    source = ESTIMATOR_MMSE_LSA if args.gains is None else args.gains
     # No name holds the input, so it is freed before the output is encoded.
     enhanced, report = process_stream(
         read_wav(args.in_wav, expected_rate=cfg.sample_rate_hz).samples, source, cfg)
@@ -205,17 +204,16 @@ def _metric_cell(value, fmt: str) -> str:
 
 
 def cmd_evaluate(args: argparse.Namespace, cfg: Config) -> int:
-    spec = cfg.filterbank_spec()
-    clean = read_wav(args.clean, expected_rate=spec.sample_rate_hz)
+    clean = read_wav(args.clean, expected_rate=cfg.sample_rate_hz)
     noise = None
     if args.noise:
-        noise = read_wav(args.noise, expected_rate=spec.sample_rate_hz).samples
+        noise = read_wav(args.noise, expected_rate=cfg.sample_rate_hz).samples
     delay = args.delay if args.delay is not None else cfg.shorten_len // 2
     # Score every file before writing, so a failing file leaves no partial CSV.
     reports = []
     for path in args.processed:
-        processed = read_wav(path, expected_rate=spec.sample_rate_hz)
-        report = compute_report(clean.samples, processed.samples, spec,
+        processed = read_wav(path, expected_rate=cfg.sample_rate_hz)
+        report = compute_report(clean.samples, processed.samples, cfg,
                                 noise=noise, delay=delay)
         reports.append(report)
         if report.seg_na_clamped_frames:

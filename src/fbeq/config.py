@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError
 from .filterbank import FilterbankSpec, check_shorten_len
 from .gains import EstimatorParams
 
@@ -16,32 +16,21 @@ MODES = ("ols", "direct")
 
 
 @dataclass(frozen=True)
-class Config:
+class Config(EstimatorParams, FilterbankSpec):
     """Full engine configuration; defaults give the 16 kHz low-latency setup.
 
-    Checked when built, and immutable.  Geometry and estimator defaults are
-    those of :class:`FilterbankSpec` and :class:`EstimatorParams`.
+    Checked when built, and immutable.  A :class:`FilterbankSpec` and an
+    :class:`EstimatorParams` itself, with their fields (geometry first) and
+    defaults, so it goes wherever either part is taken.
     """
 
-    frame_size: int = FilterbankSpec.frame_size
-    proto_len: int = FilterbankSpec.proto_len
-    hop: int = FilterbankSpec.hop
-    sample_rate_hz: int = FilterbankSpec.sample_rate_hz
     shorten_len: int = 128
     mode: str = "ols"
     g_max: float = 4.0
-    alpha_dd: float = EstimatorParams.alpha_dd
-    xi_min_db: float = EstimatorParams.xi_min_db
-    gain_floor_db: float = EstimatorParams.gain_floor_db
-    alpha_noise: float = EstimatorParams.alpha_noise
-    gamma_threshold: float = EstimatorParams.gamma_threshold
-    init_frames: int = EstimatorParams.init_frames
-    lambda_floor: float = EstimatorParams.lambda_floor
 
     def __post_init__(self) -> None:
-        check_field_types(self)
-        self.filterbank_spec()
-        self.estimator_params()
+        FilterbankSpec.__post_init__(self)
+        EstimatorParams.__post_init__(self)
         check_shorten_len(self.shorten_len, num_taps=self.proto_len + 1,
                           hop=self.hop)
         if self.mode not in MODES:
@@ -49,15 +38,14 @@ class Config:
         if not self.g_max > 0.0:
             raise ConfigError(f"g_max must be positive and finite, got {self.g_max}")
 
+    # A Config is both parts; these return it to callers that still ask for one.
     def filterbank_spec(self) -> FilterbankSpec:
-        return FilterbankSpec(**{name: getattr(self, name) for name in _SPEC_FIELDS})
+        return self
 
     def estimator_params(self) -> EstimatorParams:
-        return EstimatorParams(**{name: getattr(self, name) for name in _PARAM_FIELDS})
+        return self
 
 
-_SPEC_FIELDS = tuple(f.name for f in fields(FilterbankSpec))
-_PARAM_FIELDS = tuple(f.name for f in fields(EstimatorParams))
 _FIELDS = {f.name: f.type for f in fields(Config)}
 # Parses a flag or config-file value by its field's type; text stays text.
 _PARSERS = {"int": int, "float": float}

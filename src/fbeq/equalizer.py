@@ -321,28 +321,26 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
                           f"of an FBEG file, got {type(gain_source).__name__}")
     x = np.ravel(x)
     _check_finite(x, "input ")
-    spec = cfg.filterbank_spec()
-    proto = design_prototype(spec)
-    p, hop = cfg.shorten_len, spec.hop
+    proto = design_prototype(cfg)
+    p, hop = cfg.shorten_len, cfg.hop
     report = LatencyReport(
         filter_group_delay_samples=p // 2,
         block_buffer_samples=hop,
-        sample_rate_hz=spec.sample_rate_hz,
+        sample_rate_hz=cfg.sample_rate_hz,
     )
-    num_frames = spec.num_frames(x.size)
+    num_frames = cfg.num_frames(x.size)
     estimator = gain_source == ESTIMATOR_MMSE_LSA
     with (nullcontext((None, None)) if estimator
           else fbeg.open_gain_stream(gain_source)) as (header, read):
         if estimator:
-            params = cfg.estimator_params()
-            tracker = NoiseTrackerState.initial(spec.num_bins, params)
-            history = np.zeros(spec.proto_len)
+            tracker = NoiseTrackerState.initial(cfg.num_bins, cfg)
+            history = np.zeros(cfg.proto_len)
         else:
             # The reader ties a type-A file's bin count to its frame size.
-            if header.frame_size != spec.frame_size or header.hop != hop:
+            if header.frame_size != cfg.frame_size or header.hop != hop:
                 raise ConfigError(
                     f"gain stream was written for frame size {header.frame_size}, "
-                    f"hop {header.hop}; active configuration is {spec.frame_size}, "
+                    f"hop {header.hop}; active configuration is {cfg.frame_size}, "
                     f"{hop}"
                 )
             responses = header.record_type == fbeg.TYPE_DFT_RESPONSES
@@ -372,8 +370,8 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
                 # Complex now, as gains_to_taps needs them: the real gains die
                 # before the mapping's kernel is formed.
                 rows = estimate_gains(
-                    analyze_polyphase(block, proto, spec, history).frames,
-                    params, tracker).astype(np.complex128)
+                    analyze_polyphase(block, proto, cfg, history).frames,
+                    cfg, tracker).astype(np.complex128)
                 history = np.concatenate([history, block])[-history.size:].copy()
             elif responses:
                 out[samples] = ols_filter_frame(engine, read(frames), block)

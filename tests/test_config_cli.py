@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import inspect
 import io
 import os
 import re
@@ -21,7 +22,7 @@ from fbeq.cli import _build_parser, main
 from fbeq.config import Config, build_config, load_config_file
 from fbeq.errors import ConfigError
 from fbeq.filterbank import FilterbankSpec, analyze_polyphase, design_prototype
-from fbeq.gains import EstimatorParams
+from fbeq.gains import EstimatorParams, estimate_gains
 
 SMALL_FLAGS = ["-M", "16", "-L", "16", "-r", "4", "-P", "8"]
 
@@ -61,8 +62,10 @@ class TestConfigValidation:
         assert "gains" not in {f.name for f in dataclasses.fields(Config)}
 
     def test_defaults_are_those_of_the_parts(self):
-        assert Config().filterbank_spec() == FilterbankSpec()
-        assert Config().estimator_params() == EstimatorParams()
+        cfg = Config()
+        for part in (FilterbankSpec(), EstimatorParams()):
+            for field in dataclasses.fields(part):
+                assert getattr(cfg, field.name) == getattr(part, field.name), field.name
 
     def test_immutable(self):
         cfg = Config()
@@ -138,6 +141,43 @@ class TestConfigValidation:
         assert Config(hop=np.int64(32)).filterbank_spec().hop == 32
         params = Config(alpha_dd=np.float32(0.9)).estimator_params()
         assert params.alpha_dd == np.float32(0.9)
+
+
+class TestConfigIsItsParts:
+    """A ``Config`` is a ``FilterbankSpec`` and an ``EstimatorParams`` itself:
+    it declares only the engine's own fields and goes wherever a part does."""
+
+    def test_is_both_parts(self):
+        cfg = Config()
+        assert isinstance(cfg, FilterbankSpec)
+        assert isinstance(cfg, EstimatorParams)
+        assert cfg.filterbank_spec() is cfg
+        assert cfg.estimator_params() is cfg
+
+    def test_declares_only_the_engine_fields(self):
+        geometry = [f.name for f in dataclasses.fields(FilterbankSpec)]
+        estimator = [f.name for f in dataclasses.fields(EstimatorParams)]
+        names = [f.name for f in dataclasses.fields(Config)]
+        own = {"shorten_len", "mode", "g_max"}
+        assert set(names) - set(geometry) - set(estimator) == own
+        assert set(inspect.get_annotations(Config)) == own  # declared once
+        assert names[: len(geometry)] == geometry
+
+    def test_two_wrong_types_name_the_estimator_field_first(self):
+        with pytest.raises(ConfigError, match="^alpha_dd must be a real number"):
+            Config(shorten_len=None, alpha_dd="x")
+
+    def test_same_bits_as_the_parts(self):
+        cfg = Config(frame_size=32, proto_len=64, hop=8, shorten_len=16,
+                     alpha_dd=0.9, xi_min_db=-20.0, init_frames=3)
+        spec = FilterbankSpec(frame_size=32, proto_len=64, hop=8)
+        params = EstimatorParams(alpha_dd=0.9, xi_min_db=-20.0, init_frames=3)
+        x = 0.1 * np.random.default_rng(191).standard_normal(8 * 100)
+        frames = analyze_polyphase(x, design_prototype(cfg), cfg).frames
+        want = analyze_polyphase(x, design_prototype(spec), spec).frames
+        assert np.array_equal(frames, want)
+        assert np.array_equal(estimate_gains(frames, cfg),
+                              estimate_gains(want, params))
 
 
 class TestConfigFile:
@@ -310,6 +350,30 @@ class TestCliEnhance:
         # an all-ones response is the zero-phase identity filter
         np.testing.assert_allclose(enhanced, read_wav(wav).samples,
                                    rtol=0, atol=1e-6)
+
+    def test_gains_named_like_the_estimator_is_a_file(self, tmp_path, monkeypatch):
+        """``--gains`` always names a file, even one called ``mmse-lsa``."""
+        monkeypatch.chdir(tmp_path)
+        write_test_wav("in.wav", 0.2 * np.random.default_rng(5).standard_normal(160))
+        ones = np.ones((40, 9), dtype=np.complex64)
+        for name in ("mmse-lsa", "unity.fbeg"):
+            fbeg.write_gain_stream(name, ones, fbeg.TYPE_SUBBAND_GAINS, 16, 4)
+        args = ["enhance", *SMALL_FLAGS, "--in", "in.wav", "--format", "float32"]
+        assert main([*args, "--out", "named.wav", "--gains", "mmse-lsa"]) == 0
+        assert main([*args, "--out", "file.wav", "--gains", "unity.fbeg"]) == 0
+        assert main([*args, "--out", "estimator.wav"]) == 0
+        named = Path("named.wav").read_bytes()
+        assert named == Path("file.wav").read_bytes()
+        assert named != Path("estimator.wav").read_bytes()
+
+    def test_empty_gains_is_an_error(self, tmp_path, capsys):
+        wav, out = tmp_path / "in.wav", tmp_path / "out.wav"
+        write_test_wav(wav, np.zeros(160))
+        code = main(["enhance", *SMALL_FLAGS, "--in", str(wav), "--out", str(out),
+                     "--gains", ""])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("fbeq: error: ")
+        assert not out.exists()
 
     def test_saturation_warning(self, tmp_path, capsys):
         """Gains of 4 on a half-scale square wave push the output past full

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -271,6 +272,23 @@ class TestAnalysisHistory:
         for size in (8, 3):  # two frames, and none
             with pytest.raises(DataError, match="must hold the 16 samples .* got 15"):
                 analyze_polyphase(np.ones(size), small_proto, small_spec, np.zeros(15))
+
+    def test_one_block_peak(self, default_spec, default_proto):
+        """One block with its history, the call ``process_stream`` makes per
+        block, returns that block's transform: 2.65 block frame matrices at
+        peak, where filling a preallocated ``K``-row matrix takes 3.65."""
+        rng = np.random.default_rng(197)
+        block = rng.standard_normal(filterbank.BLOCK_FRAMES * default_spec.hop)
+        history = rng.standard_normal(default_spec.proto_len)
+        analyze_polyphase(block, default_proto, default_spec, history)  # first-call imports
+        tracemalloc.start()
+        try:
+            analyze_polyphase(block, default_proto, default_spec, history)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = filterbank.BLOCK_FRAMES * default_spec.num_bins * 16
+        assert peak / matrix <= 3.0, peak / matrix
 
 
 class TestPolyphaseAnalyzer:
