@@ -44,10 +44,8 @@ from .gains import (
     update_noise_psd,
 )
 from .metrics import (
-    FrameLabeling,
     MetricReport,
     compute_report,
-    label_noise_only,
     ri_mag_loss,
     seg_na,
     seg_snr,
@@ -67,7 +65,6 @@ __all__ = [
     "FbeqError",
     "FilterbankSpec",
     "FormatError",
-    "FrameLabeling",
     "GainFrame",
     "LatencyReport",
     "MetricReport",
@@ -87,7 +84,6 @@ __all__ = [
     "expand_hermitian",
     "filter_to_freq",
     "gains_to_taps",
-    "label_noise_only",
     "load_config_file",
     "load_gain_stream",
     "mix_at_snr",

@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import pathlib
 import sys
+import warnings
 
 import numpy as np
 
@@ -246,7 +247,11 @@ def main(argv=None) -> int:
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         cfg = build_config(args.config, _overrides(args))
-        return args.func(args, cfg)
+        # A library warning prints as the CLI's own lines do; the filters stay.
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            return args.func(args, cfg)
     except NumericError as exc:
         print(f"fbeq: error: {exc}", file=sys.stderr)
         return 4

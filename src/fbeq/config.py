@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .filterbank import FilterbankSpec, check_shorten_len
 from .gains import EstimatorParams
 
@@ -29,8 +29,9 @@ class Config(EstimatorParams, FilterbankSpec):
     g_max: float = 4.0
 
     def __post_init__(self) -> None:
-        FilterbankSpec.__post_init__(self)
-        EstimatorParams.__post_init__(self)
+        check_field_types(self)  # every field, before any value check
+        self._check_geometry()
+        self._check_constants()
         check_shorten_len(self.shorten_len, num_taps=self.proto_len + 1,
                           hop=self.hop)
         if self.mode not in MODES:

@@ -105,8 +105,6 @@ def _check_alias_tail(frames: np.ndarray, hop: int, first: int) -> bool:
     whether it warned, so a stream warns once.
     """
     fft_size = 2 * (frames.shape[1] - 1)
-    if hop <= 0 or fft_size - hop + 1 >= fft_size:
-        return False
     taps = np.fft.irfft(frames, n=fft_size, axis=1)
     total = np.sum(taps * taps, axis=1)
     tail = np.sum(taps[:, fft_size - hop + 1 :] ** 2, axis=1)

@@ -42,6 +42,9 @@ class FilterbankSpec:
 
     def __post_init__(self) -> None:
         check_field_types(self)
+        self._check_geometry()
+
+    def _check_geometry(self) -> None:
         m, big_l, r = self.frame_size, self.proto_len, self.hop
         if m <= 0 or big_l <= 0 or r <= 0 or self.sample_rate_hz <= 0:
             raise ConfigError("filterbank geometry values must be positive")

@@ -44,6 +44,9 @@ class EstimatorParams:
 
     def __post_init__(self) -> None:
         check_field_types(self)
+        self._check_constants()
+
+    def _check_constants(self) -> None:
         if not 0.0 < self.alpha_dd < 1.0:
             raise ConfigError(f"alpha_dd must be in (0, 1), got {self.alpha_dd}")
         if not 0.0 < self.alpha_noise < 1.0:

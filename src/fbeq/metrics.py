@@ -1,11 +1,10 @@
 """Objective evaluation.
 
-Segmental noise attenuation over noise-only frames, segmental SNR over all
-frames, and a real/imaginary-plus-magnitude spectral distance, with
-noise-only frame labeling from the clean reference.  The metrics take
-signals that are already aligned; :func:`compute_report` alone compensates
-the delay (it advances the processed signal by the filter group delay before
-framing) and picks the framing.
+Segmental noise attenuation over the frames that are noise-only in the clean
+reference, segmental SNR over all frames, and a real/imaginary-plus-magnitude
+spectral distance.  The metrics take signals that are already aligned;
+:func:`compute_report` alone compensates the delay (it advances the processed
+signal by the filter group delay before framing) and picks the framing.
 """
 
 from __future__ import annotations
@@ -19,19 +18,6 @@ from .filterbank import FilterbankSpec, analyze_polyphase, design_prototype
 
 NOISE_ONLY_THRESHOLD_DB = -40.0
 SEG_NA_CLAMP_DB = 100.0
-
-
-@dataclass(frozen=True)
-class FrameLabeling:
-    """Noise-only frame index set over a framing of the clean reference."""
-
-    noise_only: frozenset
-    num_frames: int
-    frame_len: int
-
-    @property
-    def num_noise_only(self) -> int:
-        return len(self.noise_only)
 
 
 @dataclass(frozen=True)
@@ -51,8 +37,8 @@ def _frame_energies(x: np.ndarray, frame_len: int, num_frames: int) -> np.ndarra
     return np.sum(trimmed * trimmed, axis=1)
 
 
-def label_noise_only(clean, frame_len: int) -> FrameLabeling:
-    """Label frames of the clean reference whose energy sits below the peak.
+def _noise_only(clean, frame_len: int) -> np.ndarray:
+    """Mask of the frames of the clean reference whose energy sits below the peak.
 
     Frame ``m`` is noise-only iff its energy in dB is below the peak frame
     energy plus ``NOISE_ONLY_THRESHOLD_DB`` (-40 dB); zero-energy frames
@@ -69,26 +55,20 @@ def label_noise_only(clean, frame_len: int) -> FrameLabeling:
     energies = _frame_energies(clean, frame_len, num_frames)
     peak = float(np.max(energies))
     if peak == 0.0:
-        mask = np.ones(num_frames, dtype=bool)
-    else:
-        # energy < peak * 10^(threshold/10), zero energies included.
-        mask = energies < peak * 10.0 ** (NOISE_ONLY_THRESHOLD_DB / 10.0)
-    return FrameLabeling(
-        noise_only=frozenset(int(m) for m in np.flatnonzero(mask)),
-        num_frames=num_frames,
-        frame_len=frame_len,
-    )
+        return np.ones(num_frames, dtype=bool)
+    # energy < peak * 10^(threshold/10), zero energies included.
+    return energies < peak * 10.0 ** (NOISE_ONLY_THRESHOLD_DB / 10.0)
 
 
-def _seg_na_detail(noise, processed,
-                   labeling: FrameLabeling) -> tuple[float | None, int]:
-    """seg_na and the number of frames clamped for a zero denominator."""
+def _seg_na_detail(noise, processed, noise_only: np.ndarray,
+                   frame_len: int) -> tuple[float | None, int]:
+    """seg_na over the frames ``noise_only`` marks, and the number of frames
+    clamped for a zero denominator."""
     noise = np.asarray(noise, dtype=np.float64).ravel()
     processed = np.asarray(processed, dtype=np.float64).ravel()
-    r = labeling.frame_len
-    num_frames = min(labeling.num_frames, noise.size // r, processed.size // r)
-    indices = np.array(sorted(m for m in labeling.noise_only if m < num_frames),
-                       dtype=int)
+    r = frame_len
+    num_frames = min(noise_only.size, noise.size // r, processed.size // r)
+    indices = np.flatnonzero(noise_only[:num_frames])
     if indices.size == 0:
         return None, 0
     noise_e = _frame_energies(noise, r, num_frames)[indices]
@@ -103,17 +83,21 @@ def _seg_na_detail(noise, processed,
     return 10.0 * float(np.log10(mean_ratio)), clamped
 
 
-def seg_na(noise, processed, labeling: FrameLabeling) -> float | None:
-    """Segmental noise attenuation in dB over the labeled noise-only frames.
+def seg_na(clean, noise, processed, frame_len: int) -> float | None:
+    """Segmental noise attenuation in dB over the noise-only frames of ``clean``.
 
     ``10*log10`` of the mean, over noise-only frames, of the per-frame ratio
     of reference-noise energy to processed energy (within those frames the
-    processed signal is residual noise).  ``processed`` must already be
-    aligned with ``noise`` (slice off its delay first).  Zero-denominator
-    frames clamp at +100 dB; an empty label set, or reference noise with no
-    energy in the labeled frames, yields ``None`` (not applicable).
+    processed signal is residual noise).  A ``frame_len``-sample frame is
+    noise-only when its clean energy is below the loudest frame's by
+    ``NOISE_ONLY_THRESHOLD_DB`` (-40 dB); every frame is when ``clean`` is
+    silent.  ``processed`` must already be aligned with ``noise`` (slice off
+    its delay first).  Zero-denominator frames clamp at +100 dB; no
+    noise-only frame, or reference noise with no energy in them, yields
+    ``None`` (not applicable).
     """
-    value, _ = _seg_na_detail(noise, processed, labeling)
+    value, _ = _seg_na_detail(noise, processed, _noise_only(clean, frame_len),
+                              frame_len)
     return value
 
 
@@ -182,14 +166,14 @@ def compute_report(clean, processed, spec: FilterbankSpec, noise=None,
     clean = np.asarray(clean, dtype=np.float64).ravel()
     processed = np.asarray(processed, dtype=np.float64).ravel()
     shifted = processed[delay:]
-    labeling = label_noise_only(clean, spec.hop)
+    noise_only = _noise_only(clean, spec.hop)
     if shifted.size < spec.hop:
         raise DataError(
             f"no full frames remain after delay compensation by {delay} samples "
             f"(processed {processed.size}, frame {spec.hop})"
         )
     na_value, na_clamped = (None, 0) if noise is None else _seg_na_detail(
-        noise, shifted, labeling
+        noise, shifted, noise_only, spec.hop
     )
     snr_value = seg_snr(clean, shifted, spec.hop)
     proto = design_prototype(spec)
@@ -200,7 +184,7 @@ def compute_report(clean, processed, spec: FilterbankSpec, noise=None,
         seg_na_db=na_value,
         seg_snr_db=snr_value,
         ri_mag_loss=ri_mag_loss(ref, est),
-        frames_noise_only=labeling.num_noise_only,
-        frames_total=labeling.num_frames,
+        frames_noise_only=int(np.count_nonzero(noise_only)),
+        frames_total=noise_only.size,
         seg_na_clamped_frames=na_clamped,
     )

@@ -20,7 +20,7 @@ from fbeq import fbeg
 from fbeq.audio_io import AudioBuffer, read_wav, write_wav
 from fbeq.cli import _build_parser, main
 from fbeq.config import Config, build_config, load_config_file
-from fbeq.errors import ConfigError
+from fbeq.errors import ConfigError, check_field_types
 from fbeq.filterbank import FilterbankSpec, analyze_polyphase, design_prototype
 from fbeq.gains import EstimatorParams, estimate_gains
 
@@ -166,6 +166,30 @@ class TestConfigIsItsParts:
     def test_two_wrong_types_name_the_estimator_field_first(self):
         with pytest.raises(ConfigError, match="^alpha_dd must be a real number"):
             Config(shorten_len=None, alpha_dd="x")
+
+    def test_one_type_walk_per_build(self, monkeypatch):
+        calls = []
+
+        def counting(settings):
+            calls.append(type(settings).__name__)
+            check_field_types(settings)
+
+        for module in (fbeq.config, fbeq.filterbank, fbeq.gains):
+            monkeypatch.setattr(module, "check_field_types", counting, raising=False)
+        Config()
+        FilterbankSpec()
+        EstimatorParams()
+        assert calls == ["Config", "FilterbankSpec", "EstimatorParams"]
+
+    def test_types_then_geometry_then_estimator_then_engine(self):
+        with pytest.raises(ConfigError, match="^alpha_dd must be a real number"):
+            Config(hop=3, alpha_dd="x", mode="x")
+        with pytest.raises(ConfigError, match="^hop 3 must divide"):
+            Config(hop=3, alpha_dd=2.0, mode="x")
+        with pytest.raises(ConfigError, match="^alpha_dd must be in"):
+            Config(alpha_dd=2.0, mode="x")
+        with pytest.raises(ConfigError, match="^mode must be one of"):
+            Config(mode="x")
 
     def test_same_bits_as_the_parts(self):
         cfg = Config(frame_size=32, proto_len=64, hop=8, shorten_len=16,
@@ -350,6 +374,32 @@ class TestCliEnhance:
         # an all-ones response is the zero-phase identity filter
         np.testing.assert_allclose(enhanced, read_wav(wav).samples,
                                    rtol=0, atol=1e-6)
+
+    def leaky_run(self, tmp_path):
+        """``fbeq enhance`` on a type-B file whose responses alias: a unit
+        delay of ``2P - r + 1`` taps lies wholly past the safe support."""
+        wav = tmp_path / "in.wav"
+        write_test_wav(wav, 0.2 * np.random.default_rng(4).standard_normal(160))
+        stream = tmp_path / "leaky.fbeg"
+        leaky = np.exp(-2j * np.pi * np.arange(9) * 13 / 16)
+        fbeg.write_gain_stream(stream, np.tile(leaky, (40, 1)).astype(np.complex64),
+                               fbeg.TYPE_DFT_RESPONSES, 16, 4)
+        return main(["enhance", *SMALL_FLAGS, "--in", str(wav), "--gains",
+                     str(stream), "--out", str(tmp_path / "out.wav")])
+
+    def test_library_warning_is_a_warning_line(self, tmp_path, capsys):
+        assert self.leaky_run(tmp_path) == 0
+        out, err = capsys.readouterr()
+        assert out == "group_delay_ms=0.250 block_ms=0.250\n"
+        assert err == ("warning: DFT-response stream implies time-aliasing: "
+                       "frame 0 has relative tail energy 1.000e+00 beyond tap 12 "
+                       "(tolerance 1e-04)\n")
+
+    def test_warning_filters_still_apply(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            with pytest.raises(UserWarning, match="time-aliasing"):
+                self.leaky_run(tmp_path)
 
     def test_gains_named_like_the_estimator_is_a_file(self, tmp_path, monkeypatch):
         """``--gains`` always names a file, even one called ``mmse-lsa``."""

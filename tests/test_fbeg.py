@@ -353,6 +353,21 @@ class TestAliasTailWarning:
             warnings.simplefilter("error")
             load_gain_stream(path)
 
+    @pytest.mark.parametrize("hop, warns", [(0, False), (1, False), (2, True)])
+    def test_hop_below_two_has_no_tail(self, tmp_path, hop, warns):
+        """The tail past tap ``2P - hop`` is empty for a hop of 0 or 1, so
+        even a response wholly on the last tap gives no warning there."""
+        taps = np.zeros(16)
+        taps[-1] = 1.0
+        path = tmp_path / "last-tap.fbeg"
+        write_gain_stream(path, np.fft.rfft(taps)[None, :], TYPE_DFT_RESPONSES,
+                          16, hop)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_gain_stream(path)
+        assert [str(w.message).split(":")[0] for w in caught] == (
+            ["DFT-response stream implies time-aliasing"] if warns else [])
+
 
 SMALL = dict(frame_size=16, proto_len=16, hop=4, shorten_len=8)
 

@@ -6,24 +6,17 @@ import pytest
 from fbeq import metrics
 from fbeq.errors import DataError
 from fbeq.filterbank import FilterbankSpec, analyze_polyphase
-from fbeq.metrics import (
-    FrameLabeling,
-    compute_report,
-    label_noise_only,
-    ri_mag_loss,
-    seg_na,
-    seg_snr,
-)
+from fbeq.metrics import _noise_only, compute_report, ri_mag_loss, seg_na, seg_snr
 
 
-def reference_seg_na(noise, processed, labeling, delay=0):
-    """Direct per-frame loop over the attenuation formula."""
+def reference_seg_na(noise, processed, noise_only, r, delay=0):
+    """Direct per-frame loop over the attenuation formula, over the frames
+    the boolean mask ``noise_only`` marks."""
     shifted = processed[delay:]
-    r = labeling.frame_len
-    limit = min(labeling.num_frames, len(noise) // r, len(shifted) // r)
+    limit = min(len(noise_only), len(noise) // r, len(shifted) // r)
     ratios = []
-    for m in sorted(labeling.noise_only):
-        if m >= limit:
+    for m in range(limit):
+        if not noise_only[m]:
             continue
         n = noise[m * r : (m + 1) * r]
         p = shifted[m * r : (m + 1) * r]
@@ -49,55 +42,65 @@ def reference_seg_snr(clean, processed, r, delay=0):
     return float(np.mean(terms)) if terms else None
 
 
+def silent_in(frames, num_frames, r=64):
+    """A clean reference of ``num_frames`` frames that is silent exactly in
+    ``frames``: those, and only those, are noise-only."""
+    clean = np.ones(num_frames * r)
+    for m in frames:
+        clean[m * r : (m + 1) * r] = 0.0
+    return clean
+
+
 class TestLabelNoiseOnly:
     def test_pause_frames_are_labeled(self):
         clean = np.zeros(640)
         clean[0:256] = 1.0  # loud frames 0..3 at frame length 64
-        lab = label_noise_only(clean, 64)
-        assert lab.num_frames == 10
-        assert lab.noise_only == frozenset(range(4, 10))
-        assert lab.num_noise_only == 6
-        assert lab.frame_len == 64
+        mask = _noise_only(clean, 64)
+        assert mask.dtype == bool
+        assert mask.size == 10
+        assert np.flatnonzero(mask).tolist() == list(range(4, 10))
 
     def test_threshold_is_relative_to_peak(self):
         clean = np.concatenate([np.full(64, 1.0), np.full(64, 0.011),
                                 np.full(64, 0.009)])
-        lab = label_noise_only(clean, 64)  # -40 dB of peak: amplitude 0.01
-        assert lab.noise_only == frozenset({2})
+        mask = _noise_only(clean, 64)  # -40 dB of peak: amplitude 0.01
+        assert mask.tolist() == [False, False, True]
 
     def test_all_zero_signal_labels_everything(self):
-        lab = label_noise_only(np.zeros(320), 64)
-        assert lab.noise_only == frozenset(range(5))
+        mask = _noise_only(np.zeros(320), 64)
+        assert mask.tolist() == [True] * 5
 
     def test_custom_threshold(self, monkeypatch):
         """The threshold is the module constant, read at each call."""
         clean = np.concatenate([np.full(64, 1.0), np.full(64, 0.2)])
         monkeypatch.setattr(metrics, "NOISE_ONLY_THRESHOLD_DB", -10.0)
-        assert label_noise_only(clean, 64).noise_only == frozenset({1})
+        assert _noise_only(clean, 64).tolist() == [False, True]
         monkeypatch.setattr(metrics, "NOISE_ONLY_THRESHOLD_DB", -20.0)
-        assert label_noise_only(clean, 64).noise_only == frozenset()
+        assert _noise_only(clean, 64).tolist() == [False, False]
 
     def test_bad_frame_length(self):
         with pytest.raises(DataError, match="positive"):
-            label_noise_only(np.ones(100), 0)
+            _noise_only(np.ones(100), 0)
         with pytest.raises(DataError, match="exceeds"):
-            label_noise_only(np.ones(100), 128)
+            _noise_only(np.ones(100), 128)
+        with pytest.raises(DataError, match="positive"):
+            seg_na(np.ones(100), np.ones(100), np.ones(100), 0)
+        with pytest.raises(DataError, match="exceeds"):
+            seg_na(np.ones(100), np.ones(100), np.ones(100), 128)
 
 
 class TestSegNa:
     def test_unprocessed_noise_gives_zero(self):
         rng = np.random.default_rng(3)
         noise = rng.standard_normal(640)
-        lab = FrameLabeling(noise_only=frozenset(range(10)), num_frames=10,
-                            frame_len=64)
-        assert seg_na(noise, noise, lab) == pytest.approx(0.0, abs=1e-12)
+        clean = silent_in(range(10), 10)
+        assert seg_na(clean, noise, noise, 64) == pytest.approx(0.0, abs=1e-12)
 
     def test_half_amplitude_gives_six_db(self):
         rng = np.random.default_rng(5)
         noise = rng.standard_normal(640)
-        lab = FrameLabeling(noise_only=frozenset(range(10)), num_frames=10,
-                            frame_len=64)
-        value = seg_na(noise, noise / 2.0, lab)
+        clean = silent_in(range(10), 10)
+        value = seg_na(clean, noise, noise / 2.0, 64)
         assert value == pytest.approx(20.0 * np.log10(2.0), rel=1e-12)
 
     def test_matches_reference_on_random_data(self):
@@ -105,41 +108,39 @@ class TestSegNa:
         for _ in range(10):
             noise = rng.standard_normal(64 * 12)
             processed = rng.standard_normal(64 * 12) * 0.3
-            labeled = frozenset(int(i) for i in rng.choice(12, size=5,
-                                                           replace=False))
-            lab = FrameLabeling(noise_only=labeled, num_frames=12, frame_len=64)
-            got = seg_na(noise, processed, lab)
-            want = reference_seg_na(noise, processed, lab)
+            labeled = rng.choice(12, size=5, replace=False)
+            mask = np.zeros(12, dtype=bool)
+            mask[labeled] = True
+            got = seg_na(silent_in(labeled, 12), noise, processed, 64)
+            want = reference_seg_na(noise, processed, mask, 64)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_delay_compensation(self):
         rng = np.random.default_rng(9)
         noise = rng.standard_normal(640)
         processed = np.concatenate([np.zeros(64), noise / 2.0])
-        lab = FrameLabeling(noise_only=frozenset(range(10)), num_frames=10,
-                            frame_len=64)
-        assert seg_na(noise, processed[64:], lab) == pytest.approx(
+        clean = silent_in(range(10), 10)
+        assert seg_na(clean, noise, processed[64:], 64) == pytest.approx(
             20.0 * np.log10(2.0), rel=1e-12
         )
 
     def test_zero_denominator_clamps(self):
         noise = np.ones(128)
         processed = np.zeros(128)
-        lab = FrameLabeling(noise_only=frozenset({0, 1}), num_frames=2,
-                            frame_len=64)
-        assert seg_na(noise, processed, lab) == pytest.approx(100.0, abs=1e-9)
+        clean = silent_in({0, 1}, 2)
+        assert seg_na(clean, noise, processed, 64) == pytest.approx(100.0, abs=1e-9)
 
     def test_empty_label_set_not_applicable(self):
-        lab = FrameLabeling(noise_only=frozenset(), num_frames=4, frame_len=64)
-        assert seg_na(np.ones(256), np.ones(256), lab) is None
+        clean = silent_in((), 4)
+        assert seg_na(clean, np.ones(256), np.ones(256), 64) is None
 
     def test_silent_reference_noise_not_applicable(self):
         """No reference-noise energy in the noise-only frames: there is no
         attenuation to measure, whatever the processed signal holds."""
-        lab = FrameLabeling(noise_only=frozenset({0, 2}), num_frames=4, frame_len=64)
+        clean = silent_in({0, 2}, 4)
         noise = np.zeros(256)
         noise[64:128] = 1.0  # only in a frame that is not noise-only
-        assert seg_na(noise, np.ones(256), lab) is None
+        assert seg_na(clean, noise, np.ones(256), 64) is None
 
 
 class TestSegSnr:
@@ -245,12 +246,13 @@ class TestComputeReport:
         noise = 0.05 * rng.standard_normal(512)
         processed = clean + 0.5 * noise
         report = compute_report(clean, processed, small_spec, noise=noise, delay=0)
-        lab = label_noise_only(clean, small_spec.hop)
-        assert report.frames_total == lab.num_frames
-        assert report.frames_noise_only == lab.num_noise_only
+        mask = _noise_only(clean, small_spec.hop)
+        assert report.frames_total == mask.size
+        assert report.frames_noise_only == np.count_nonzero(mask)
         assert report.seg_na_db == pytest.approx(
-            reference_seg_na(noise, processed, lab), rel=1e-12
+            reference_seg_na(noise, processed, mask, small_spec.hop), rel=1e-12
         )
+        assert report.seg_na_db == seg_na(clean, noise, processed, small_spec.hop)
         assert report.seg_snr_db == pytest.approx(
             reference_seg_snr(clean, processed, small_spec.hop), rel=1e-12
         )
