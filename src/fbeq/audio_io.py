@@ -1,16 +1,16 @@
 """WAV ingestion/emission and SNR-controlled mixing for test material.
 
 Mono PCM16 or IEEE-float32 only; mismatched sample rates are errors — the
-DSP chain never resamples.  ``scipy.io.wavfile`` is imported on the first
-read or write rather than at module import, so ``import fbeq`` does not pay
-for loading it.
+DSP chain never resamples.  ``read_wav`` parses the RIFF chunks itself;
+``scipy.io.wavfile`` is imported on the first write rather than at module
+import, so ``import fbeq`` and a read do not pay for loading it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +19,11 @@ from .errors import ConfigError, DataError, FormatError
 
 PCM16_SCALE = 32768.0
 PCM16_CHUNK = 1 << 14  # samples rounded at a time when encoding PCM16
+_CHUNK = struct.Struct("<4sI")  # chunk id and size
+_FMT = struct.Struct("<HHIIHH")  # tag, channels, rate, byte rate, block align, bits
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"  # after the tag
+_SAMPLE_TYPES = {1: np.dtype("<i2"), 3: np.dtype("<f4")}  # PCM16, IEEE float32
 
 
 @dataclass(frozen=True)
@@ -32,52 +37,94 @@ class AudioBuffer:
 def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
     """Read a mono WAV file.
 
-    The samples come back as float32, which holds either format exactly:
-    PCM16 is scaled by ``1/32768`` in place, and float32 passes through
-    uncopied.  Widened to float64 they are the file's exact values.
+    The RIFF chunks are walked here: mono PCM16 (format tag 1) or IEEE
+    float32 (tag 3), plain or ``WAVE_FORMAT_EXTENSIBLE``, with unknown chunks
+    such as ``fact`` skipped.  The samples come back as float32, which holds
+    either format exactly: PCM16 is scaled by ``1/32768`` in place, and
+    float32 passes through uncopied.  Widened to float64 they are the file's
+    exact values.
 
     Raises
     ------
     FormatError
-        Unparseable or compressed files, and files cut short of the size
-        their header declares.
+        A file that is not RIFF/WAVE, one shorter than its RIFF header
+        declares, a chunk that runs past the RIFF end, or a missing ``fmt ``
+        or ``data`` chunk; the message names the byte offset.
     DataError
-        Stereo files, unsupported sample formats, a non-finite sample (its
-        index is reported), or a rate different from ``expected_rate`` (no
-        silent resampling).
+        Stereo files, unsupported sample formats (compressed ones included),
+        or a rate different from ``expected_rate`` (no silent resampling),
+        each with the byte offset of its field; or a non-finite sample (its
+        index is reported).
     """
-    from scipy.io import wavfile
-
-    try:
-        with warnings.catch_warnings():
-            # A data chunk cut short only warns, and the samples before the cut
-            # come back.
-            warnings.filterwarnings("error", "Reached EOF prematurely",
-                                    wavfile.WavFileWarning)
-            rate, data = wavfile.read(path)
-    except (ValueError, struct.error, wavfile.WavFileWarning) as exc:
-        raise FormatError(f"{path}: not a readable WAV file ({exc})") from exc
-    if data.ndim != 1:
-        raise DataError(
-            f"{path}: only mono is supported, file has {data.shape[1]} channels"
-        )
+    with open(path, "rb") as fh:
+        head = fh.read(12)
+        if head[:4] != b"RIFF":
+            raise _unreadable(path, "no RIFF id at byte 0")
+        if head[8:12] != b"WAVE":
+            raise _unreadable(path, "no WAVE id at byte 8")
+        end = 8 + int.from_bytes(head[4:8], "little")
+        file_size = os.fstat(fh.fileno()).st_size
+        if end > file_size:
+            raise _unreadable(path, f"RIFF size at byte 4 declares a {end}-byte file, "
+                                    f"the file has {file_size} bytes")
+        pos, fmt = 12, None
+        while pos + 8 <= end:
+            fh.seek(pos)
+            chunk, size = _CHUNK.unpack(fh.read(8))
+            if pos + 8 + size > end:
+                raise _unreadable(path, f"{chunk!r} chunk size at byte {pos + 4} runs "
+                                        f"past the RIFF end at byte {end}")
+            if chunk == b"fmt ":
+                fmt = _read_fmt(fh, path, pos + 8, size, expected_rate)
+            elif chunk == b"data":
+                break
+            pos += 8 + size + size % 2  # an odd-sized chunk is padded
+        else:
+            raise _unreadable(path, f"no data chunk before the RIFF end at byte {end}")
+        if fmt is None:
+            raise _unreadable(path, f"data chunk at byte {pos} precedes the fmt chunk")
+        dtype, rate = fmt
+        data = np.fromfile(fh, dtype, size // dtype.itemsize)
     if data.dtype == np.int16:
         samples = data.astype(np.float32)
         samples *= 1.0 / PCM16_SCALE  # exact: 16 significant bits times 2**-15
-    elif data.dtype == np.float32:
-        samples = data
     else:
-        raise DataError(
-            f"{path}: unsupported sample format {data.dtype}; "
-            "use PCM 16-bit or IEEE float 32-bit"
-        )
+        samples = data
+    _check_finite(samples, f"{path}: ")
+    return AudioBuffer(samples=samples, sample_rate_hz=rate)
+
+
+def _read_fmt(fh, path, body: int, size: int,
+              expected_rate: int | None) -> tuple[np.dtype, int]:
+    """The sample type and rate of the ``fmt `` chunk whose ``size`` bytes
+    start at byte ``body``, where ``fh`` is positioned; the rate is checked
+    against ``expected_rate``."""
+    if size < 16:
+        raise _unreadable(path, f"fmt chunk size {size} at byte {body - 4} is under 16")
+    tag, channels, rate, _, align, bits = _FMT.unpack(fh.read(16))
+    tag_at = body
+    if tag == _WAVE_FORMAT_EXTENSIBLE and size >= 40:
+        guid = fh.read(24)[8:]  # past the extension size, valid bits, channel mask
+        if guid[4:] == _GUID_TAIL:
+            tag, tag_at = int.from_bytes(guid[:4], "little"), body + 24
+    if channels != 1:
+        raise DataError(f"{path}: only mono is supported, file has {channels} "
+                        f"channels (byte {body + 2})")
+    dtype = _SAMPLE_TYPES.get(tag)
+    if dtype is None or bits != 8 * dtype.itemsize or align != dtype.itemsize:
+        raise DataError(f"{path}: unsupported sample format (format tag {tag} at byte "
+                        f"{tag_at}, {bits}-bit samples in {align}-byte blocks at byte "
+                        f"{body + 12}); use PCM 16-bit or IEEE float 32-bit")
     if expected_rate is not None and rate != expected_rate:
         raise DataError(
-            f"{path}: sample rate {rate} Hz does not match the configured "
-            f"{expected_rate} Hz (resampling is not performed)"
+            f"{path}: sample rate {rate} Hz at byte {body + 4} does not match the "
+            f"configured {expected_rate} Hz (resampling is not performed)"
         )
-    _check_finite(samples, f"{path}: ")
-    return AudioBuffer(samples=samples, sample_rate_hz=int(rate))
+    return dtype, rate
+
+
+def _unreadable(path, what: str) -> FormatError:
+    return FormatError(f"{path}: not a readable WAV file ({what})")
 
 
 def _check_finite(samples: np.ndarray, context: str, first: int = 0) -> None:

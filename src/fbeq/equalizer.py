@@ -133,7 +133,9 @@ def gains_to_taps(half, proto, shorten_len: int,
     tau = (proto.size - 1) // 2
     lags = np.arange(tau - shorten_len // 2, tau + shorten_len // 2)
     kernel = np.fft.irfft(half, n=m, axis=-1, norm="forward")
+    del half  # the caller's last reference when it passed the gains inline
     short = kernel[..., (tau - lags) % m]
+    del kernel  # before the broadcast multiply allocates its buffer
     short *= proto[lags]
     return short
 
@@ -362,24 +364,27 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
         out = np.empty(num_frames * hop, dtype=np.float64)
         # A block's frames, gains and taps each go once their consumer has
         # run, and the histories carried on are copies, so no array of one
-        # block is alive while the next is analysed.
+        # block is alive while the next is analysed.  The gains are passed
+        # with no name left on them here, so they die inside gains_to_taps
+        # after its inverse FFT (CPython 3.11 and later move a call's
+        # arguments into the callee's frame; 3.10 frees them on return).
         for frames in _frame_blocks(num_frames):
             samples = slice(frames.start * hop, frames.stop * hop)
             block = np.asarray(x[samples], dtype=np.float64)
             if estimator:
                 # Complex now, as gains_to_taps needs them: the real gains die
                 # before the mapping's kernel is formed.
-                rows = estimate_gains(
+                taps = gains_to_taps(estimate_gains(
                     analyze_polyphase(block, proto, cfg, history).frames,
-                    cfg, tracker).astype(np.complex128)
+                    cfg, tracker).astype(np.complex128),
+                    proto, p, first_frame=frames.start)
                 history = np.concatenate([history, block])[-history.size:].copy()
             elif responses:
                 out[samples] = ols_filter_frame(engine, read(frames), block)
                 continue
             else:
-                rows = _clamp_magnitude(read(frames), cfg.g_max)
-            taps = gains_to_taps(rows, proto, p, first_frame=frames.start)
-            del rows
+                taps = gains_to_taps(_clamp_magnitude(read(frames), cfg.g_max),
+                                     proto, p, first_frame=frames.start)
             if cfg.mode == "direct":
                 out[samples] = direct_filter_block(engine, taps, block)
             else:

@@ -151,21 +151,25 @@ def _phase_correction(spec: FilterbankSpec) -> np.ndarray:
     return np.exp(1j * angles)
 
 
-def _fold_and_transform(windowed: np.ndarray, spec: FilterbankSpec,
-                        correction: np.ndarray) -> np.ndarray:
-    """Fold lag-indexed products into M bins, DFT, and phase-correct.
+def _fold_and_transform(segments: np.ndarray, taps: np.ndarray,
+                        spec: FilterbankSpec, correction: np.ndarray) -> np.ndarray:
+    """Window, fold the lag-indexed products into M bins, DFT, and phase-correct.
 
-    ``windowed[..., l]`` holds ``x[k*r - 1 - l] * taps[l]`` and is folded in
-    place; the result is the half-spectrum frame(s) ``x_i(k)``.
+    ``segments[..., :]`` are time-ascending windows ``x[k*r - 1 - L .. k*r -
+    1]``; their product with ``taps``, ``x[k*r - 1 - l] * taps[l]`` at lag
+    ``l``, is formed here and folded in place, so it dies before the phase
+    correction's broadcast buffer is allocated.  The result is the
+    half-spectrum frame(s) ``x_i(k)``.
     """
     m = spec.frame_size
+    windowed = segments[..., ::-1] * taps
     length = windowed.shape[-1]
     folded = windowed[..., :m]
     folded += 0.0  # as a NumPy sum starts, so all-(-0.0) columns fold to +0.0
     for start in range(m, length, m):
-        part = windowed[..., start : start + m]
-        folded[..., : part.shape[-1]] += part
+        folded[..., : length - start] += windowed[..., start : start + m]
     spectra = np.fft.rfft(folded, axis=-1)
+    del windowed, folded
     spectra *= correction
     return spectra
 
@@ -194,12 +198,10 @@ def analyze_polyphase(x, proto, spec: FilterbankSpec,
     segments = _analysis_segments(x, spec, history)
     correction = _phase_correction(spec)
     if num_frames <= BLOCK_FRAMES:
-        spectra = _fold_and_transform(segments[:, ::-1] * taps, spec, correction)
-        return AnalysisFrameSeq(spectra)
+        return AnalysisFrameSeq(_fold_and_transform(segments, taps, spec, correction))
     frames = np.empty((num_frames, spec.num_bins), dtype=np.complex128)
     for block in _frame_blocks(num_frames):
-        windowed = segments[block, ::-1] * taps
-        frames[block] = _fold_and_transform(windowed, spec, correction)
+        frames[block] = _fold_and_transform(segments[block], taps, spec, correction)
     return AnalysisFrameSeq(frames)
 
 
@@ -357,5 +359,5 @@ class PolyphaseAnalyzer:
     def push(self, block) -> np.ndarray:
         """Consume ``hop`` new samples and return the resulting frame."""
         self._history = slide_history(self._history, block, self.spec.hop)
-        windowed = self._history[::-1] * self._taps
-        return _fold_and_transform(windowed, self.spec, self._correction)
+        return _fold_and_transform(self._history, self._taps, self.spec,
+                                   self._correction)

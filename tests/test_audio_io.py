@@ -1,4 +1,5 @@
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.io import wavfile
 
 from fbeq import audio_io
 from fbeq.audio_io import AudioBuffer, mix_at_snr, read_wav, write_wav
+from fbeq.cli import main
 from fbeq.errors import ConfigError, DataError, FormatError
 
 
@@ -106,6 +108,43 @@ class TestReadContract:
                 == values.astype(np.float64).tobytes())
 
 
+KSDATAFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def extensible_wav(path, data, tag, guid_tail=KSDATAFORMAT_TAIL):
+    """Write mono ``data`` as a ``WAVE_FORMAT_EXTENSIBLE`` file whose subformat
+    GUID starts with ``tag``, with a ``fact`` chunk as float files carry."""
+    size = data.itemsize
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, 16000, 16000 * size, size, 8 * size,
+                      22, 8 * size, 4) + struct.pack("<I", tag) + guid_tail
+    chunks = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
+              + b"fact" + struct.pack("<II", 4, data.size)
+              + b"data" + struct.pack("<I", data.nbytes) + data.tobytes())
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+
+
+class TestExtensibleFormat:
+    """``WAVE_FORMAT_EXTENSIBLE`` files read as their subformat, as scipy reads
+    them; an unknown subformat GUID is an unsupported format."""
+
+    @pytest.mark.parametrize("dtype, tag", [(np.int16, 1), (np.float32, 3)])
+    def test_reads_as_subformat(self, tmp_path, dtype, tag):
+        data = (np.arange(-50, 50) * 300).astype(dtype)
+        path = tmp_path / "x.wav"
+        extensible_wav(path, data, tag)
+        want = wavfile.read(path)[1]
+        assert want.dtype == dtype
+        got = read_wav(path, expected_rate=16000).samples
+        scale = 1.0 / 32768.0 if dtype == np.int16 else 1.0
+        assert got.tobytes() == (want.astype(np.float32) * np.float32(scale)).tobytes()
+
+    def test_unknown_subformat_rejected(self, tmp_path):
+        path = tmp_path / "x.wav"
+        extensible_wav(path, np.zeros(10, dtype=np.int16), 1, guid_tail=bytes(12))
+        with pytest.raises(DataError, match="format tag 65534 at byte 20"):
+            read_wav(path)
+
+
 def pcm16_oracle(samples):
     """Single-pass PCM16 encoding: the int16 codes and the saturated count."""
     samples = np.asarray(samples, dtype=np.float64)
@@ -198,6 +237,61 @@ class TestReadValidation:
             with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not a "
                                                   "readable WAV"):
                 read_wav(path)
+
+
+def scipy_samples(path, rate):
+    """``scipy.io.wavfile``'s reading of ``path`` as ``read_wav`` returns it, or
+    None when scipy raises, stops short of the size the RIFF header declares,
+    or reads no finite mono PCM16 or float32 samples at ``rate``."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            warnings.filterwarnings("error", "Reached EOF prematurely")
+            file_rate, data = wavfile.read(path)
+    except Exception:
+        return None
+    if file_rate != rate or data.ndim != 1 or data.dtype not in (np.int16, np.float32):
+        return None
+    if not np.isfinite(data).all():
+        return None
+    if data.dtype == np.int16:
+        data = data.astype(np.float32) / np.float32(32768.0)
+    return data
+
+
+class TestHeaderSweep:
+    """Each of bytes 0-59 of a ``write_wav`` file, set in turn to each of seven
+    values: ``read_wav`` either loads the samples that scipy reads (the file's
+    own where scipy cannot read it) or raises ``FormatError``/``DataError``,
+    and ``fbeq enhance`` on it exits 0 or 3, never with a traceback."""
+
+    @pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+    def test_one_byte_edits(self, tmp_path, capsys, fmt):
+        path, edited, out = tmp_path / "in.wav", tmp_path / "edit.wav", tmp_path / "o.wav"
+        x = 0.5 * np.sin(np.arange(200) / 7.0)
+        write_wav(path, AudioBuffer(x, 16000), fmt=fmt)
+        original, valid = path.read_bytes(), read_wav(path).samples
+        kinds = set()
+        for offset in range(60):
+            for value in (0, 1, 2, 3, 0x7F, 0x80, 0xFF):
+                data = bytearray(original)
+                data[offset] = value
+                edited.write_bytes(bytes(data))
+                try:
+                    got = read_wav(edited, expected_rate=16000).samples
+                except (FormatError, DataError) as exc:
+                    got, kind = None, type(exc).__name__
+                else:
+                    want = scipy_samples(edited, 16000)
+                    want = valid if want is None else want
+                    assert got.tobytes() == want.tobytes(), (offset, value)
+                    kind = "loaded"
+                kinds.add(kind)
+                code = main(["enhance", "--in", str(edited), "--out", str(out)])
+                err = capsys.readouterr().err
+                assert code == (0 if got is not None else 3), (offset, value, err)
+                assert "Traceback" not in err
+        assert kinds == {"loaded", "FormatError", "DataError"}, kinds
 
 
 class TestWriteValidation:

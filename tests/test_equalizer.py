@@ -177,6 +177,24 @@ class TestGainsToTaps:
         with pytest.raises(ConfigError, match="outside"):
             gains_to_taps(np.ones(9), small_proto, 18)
 
+    def test_kernel_dies_before_the_prototype_weighting(self, default_proto):
+        """The inverse-FFT kernel is freed once its central lags are gathered,
+        before the broadcast multiply by the prototype allocates its buffer:
+        with the gains held by the caller, one 64-row block peaks at 1.27
+        block frame matrices, 1.51 while the kernel outlived the gather."""
+        cfg = Config()
+        rng = np.random.default_rng(201)
+        gains = np.stack([random_hermitian_gains(rng, cfg.num_bins)
+                          for _ in range(filterbank.BLOCK_FRAMES)])
+        gains_to_taps(gains, default_proto, cfg.shorten_len)  # first-call imports
+        tracemalloc.start()
+        try:
+            gains_to_taps(gains, default_proto, cfg.shorten_len)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block_frame_matrices(cfg, peak) <= 1.35, block_frame_matrices(cfg, peak)
+
     @pytest.mark.parametrize("mode", ["ols", "direct"])
     def test_edge_imaginary_parts_under_tolerance_are_dropped(self, tmp_path, mode):
         """DC/Nyquist imaginary parts the check lets through change no output bit."""

@@ -47,6 +47,21 @@ def test_import_leaves_scipy_io_wavfile_unloaded(tmp_path):
     assert _run(code) == ["False", "True"]
 
 
+def test_read_wav_leaves_scipy_io_unloaded(tmp_path):
+    """``read_wav`` walks the RIFF chunks itself: reading a WAV file of either
+    format must not load scipy.io, whose import pulls in scipy.sparse."""
+    paths = [tmp_path / f"{fmt}.wav" for fmt in ("pcm16", "float32")]
+    for path in paths:
+        fbeq.write_wav(path, fbeq.AudioBuffer([0.0, 0.5], 16000), fmt=path.stem)
+    code = (
+        "import sys, fbeq\n"
+        f"for path in {[str(p) for p in paths]!r}:\n"
+        "    fbeq.read_wav(path, expected_rate=16000)\n"
+        "print('scipy.io' in sys.modules)\n"
+    )
+    assert _run(code) == ["False"]
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in fbeq.__all__ if not hasattr(fbeq, name)]
     assert missing == []
