@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,15 +26,13 @@ from .audio_io import _check_finite
 from .errors import ConfigError, DataError, NumericError
 from .filterbank import (
     HERMITIAN_IMAG_TOL,
+    EngineState,
     analyze_polyphase,
     check_shorten_len,
     design_prototype,
-    slide_history,
     _check_hermitian_edges,
     _first_flagged,
     _frame_blocks,
-    _hop_block,
-    _hop_windows,
 )
 from .gains import NoiseTrackerState, estimate_gains
 
@@ -56,37 +53,6 @@ class LatencyReport(NamedTuple):
     @property
     def block_ms(self) -> float:
         return 1000.0 * self.block_buffer_samples / self.sample_rate_hz
-
-
-@dataclass
-class EngineState:
-    """Filtering state for one stream: the last 2P input samples.
-
-    Single-owner, strictly sequential; zero-initialized history.
-    """
-
-    history: np.ndarray
-    hop: int
-
-    @classmethod
-    def create(cls, shorten_len: int, hop: int) -> "EngineState":
-        check_shorten_len(shorten_len, hop=hop)
-        return cls(history=np.zeros(2 * shorten_len, dtype=np.float64), hop=hop)
-
-    def push(self, block, hops: int | None = None) -> np.ndarray:
-        """Shift in one hop and return the new history; or shift in ``hops``
-        hops and return the ``hops x 2P`` histories after each of them.
-
-        A block of the wrong size or with a NaN or infinite sample is a
-        ``DataError``, raised before the history changes.
-        """
-        if hops is None:
-            self.history = slide_history(self.history, block, self.hop)
-            return self.history
-        block = _hop_block(block, hops * self.hop)
-        extended = np.concatenate([self.history, block])  # zero hops: unchanged
-        self.history = extended[-self.history.size :].copy()  # a view would keep the block
-        return _hop_windows(extended[self.hop :], self.history.size, self.hop, hops)
 
 
 def gains_to_taps(half, proto, shorten_len: int,
@@ -277,13 +243,13 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     of the hop (or direct FIR in ``direct`` mode).
     DFT-response streams (type B) skip the mapping stages and drive the
     overlap-save engine directly.  The signal goes through the public per-hop
-    functions in blocks of at most ``BLOCK_FRAMES`` hops, carrying the analysis
-    history, noise tracker and overlap-save history between blocks: the output
-    equals the per-hop chain exactly.  A gain file is read and checked a block
-    of records at a time, in the same loop and then, for the records past the
-    input's last frame, in a second one, so memory does not grow with the
-    signal or the file; it is opened and checked even for an input shorter
-    than one hop.
+    functions in blocks of at most ``BLOCK_FRAMES`` hops, carrying the
+    analysis and overlap-save :class:`EngineState` and the noise tracker
+    between blocks: the output equals the per-hop chain exactly.  A gain file
+    is read and checked a block of records at a time, in the same loop and
+    then, for the records past the input's last frame, in a second one, so
+    memory does not grow with the signal or the file; it is opened and
+    checked even for an input shorter than one hop.
 
     Parameters
     ----------
@@ -336,7 +302,7 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
           else fbeg.open_gain_stream(gain_source)) as (header, read):
         if estimator:
             tracker = NoiseTrackerState.initial(cfg.num_bins, cfg)
-            history = np.zeros(cfg.proto_len)
+            analysis = EngineState(np.zeros(cfg.proto_len + 1), hop)
         else:
             # The reader ties a type-A file's bin count to its frame size.
             if header.frame_size != cfg.frame_size or header.hop != hop:
@@ -375,10 +341,9 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
                 # Complex now, as gains_to_taps needs them: the real gains die
                 # before the mapping's kernel is formed.
                 taps = gains_to_taps(estimate_gains(
-                    analyze_polyphase(block, proto, cfg, history).frames,
+                    analyze_polyphase(block, proto, cfg, analysis).frames,
                     cfg, tracker).astype(np.complex128),
                     proto, p, first_frame=frames.start)
-                history = np.concatenate([history, block])[-history.size:].copy()
             elif responses:
                 out[samples] = ols_filter_frame(engine, read(frames), block)
                 continue

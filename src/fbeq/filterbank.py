@@ -4,7 +4,8 @@ Prototype low-pass design (windowed sinc, Hann taper) plus causal subband
 analysis with downsampling in polyphase form (windowed time-fold, M-point
 DFT, per-bin phase correction), batched over a signal or streamed one hop
 at a time.  Only the lower half-spectrum is computed; real inputs make the
-upper half redundant.
+upper half redundant.  :class:`EngineState` slides a stream's past input
+for the analysis and for the short filter alike.
 
 Frame indexing convention, used consistently package-wide: with 0-based
 sample time, frame ``k`` (``k = 1..floor(T/r)``) becomes available once
@@ -126,19 +127,6 @@ def _prototype_taps(proto, spec: FilterbankSpec) -> np.ndarray:
     return taps
 
 
-def _analysis_segments(x: np.ndarray, spec: FilterbankSpec, history=None) -> np.ndarray:
-    """Time-ascending windows ``x[k*r - 1 - L .. k*r - 1]`` for each frame k;
-    ``history`` holds the ``L`` samples before ``x[0]`` (zeros when omitted)."""
-    big_l, r = spec.proto_len, spec.hop
-    num_frames = spec.num_frames(x.size)
-    history = np.zeros(big_l) if history is None else np.asarray(history, dtype=np.float64)
-    if history.shape != (big_l,):
-        raise DataError(f"analysis history must hold the {big_l} samples before "
-                        f"the input, got {history.size}")
-    padded = np.concatenate([history, x])
-    return _hop_windows(padded[r - 1 :], big_l + 1, r, num_frames)
-
-
 def _phase_correction(spec: FilterbankSpec) -> np.ndarray:
     """Per-bin factor ``exp(+j*(2*pi/M)*i*tau)`` undoing the lag shift of the fold."""
     i = np.arange(spec.num_bins)
@@ -175,7 +163,7 @@ def _fold_and_transform(segments: np.ndarray, taps: np.ndarray,
 
 
 def analyze_polyphase(x, proto, spec: FilterbankSpec,
-                      history=None) -> AnalysisFrameSeq:
+                      state: EngineState | None = None) -> AnalysisFrameSeq:
     """Subband analysis via the polyphase realization.
 
     Windows the ``L+1`` most recent samples with the prototype, folds the
@@ -189,13 +177,23 @@ def analyze_polyphase(x, proto, spec: FilterbankSpec,
     computed on its own, so the output does not depend on the block size.
     An input of at most one block, zero frames included, returns that block's
     transform; a longer one fills a preallocated ``K``-row matrix.
-    ``history``, the ``L`` samples before ``x`` (zeros when omitted), lets a
-    signal cut at hop boundaries be analysed piece by piece to the same bits.
+    ``state``, an :class:`EngineState` of the ``L+1`` samples before ``x``
+    (zeros when omitted), is advanced past the ``K*r`` samples analysed, so a
+    signal cut at hop boundaries can be analysed piece by piece to the same
+    bits.  Any other ``state``, or a NaN or infinite sample among those
+    analysed (counted within ``x``), is a ``DataError`` that leaves it as it was.
     """
     taps = _prototype_taps(proto, spec)
-    x = np.asarray(x, dtype=np.float64).ravel()
+    x = np.ravel(x)
     num_frames = spec.num_frames(x.size)
-    segments = _analysis_segments(x, spec, history)
+    size = spec.proto_len + 1
+    if state is None:
+        state = EngineState(np.zeros(size), spec.hop)
+    elif not (isinstance(state, EngineState) and np.shape(state.history) == (size,)
+              and state.hop == spec.hop):
+        raise DataError(f"analysis state must be an EngineState of the L+1 = {size} "
+                        f"samples before the input, at hop {spec.hop}")
+    segments = state.push(x[: num_frames * spec.hop], num_frames)
     correction = _phase_correction(spec)
     if num_frames <= BLOCK_FRAMES:
         return AnalysisFrameSeq(_fold_and_transform(segments, taps, spec, correction))
@@ -277,20 +275,6 @@ def _first_flagged(flags: np.ndarray, first_frame: int = 0) -> tuple[int, str] |
     return k, f" in frame {first_frame + k}"
 
 
-def slide_history(history: np.ndarray, block, hop: int) -> np.ndarray:
-    """Shift ``hop`` new samples into a sliding history, dropping the oldest.
-
-    Returns a new array of ``history.size`` samples ending with ``block``.
-
-    Raises
-    ------
-    DataError
-        If ``block`` does not hold exactly ``hop`` samples, or holds a
-        non-finite one.
-    """
-    return np.concatenate([history[hop:], _hop_block(block, hop)])
-
-
 def _hop_block(block, size: int) -> np.ndarray:
     """``block`` as a flat float64 array of exactly ``size`` samples, all finite.
 
@@ -343,21 +327,54 @@ def check_shorten_len(shorten_len: int, num_taps: int | None = None,
         )
 
 
+@dataclass
+class EngineState:
+    """A stream's last ``n`` input samples: ``L+1`` for the analysis, ``2P``
+    for the filter.
+
+    Single-owner, strictly sequential; :meth:`create` makes the filter's,
+    zero-initialized.
+    """
+
+    history: np.ndarray
+    hop: int
+
+    @classmethod
+    def create(cls, shorten_len: int, hop: int) -> "EngineState":
+        check_shorten_len(shorten_len, hop=hop)
+        return cls(history=np.zeros(2 * shorten_len, dtype=np.float64), hop=hop)
+
+    def push(self, block, hops: int | None = None) -> np.ndarray:
+        """Shift in one hop and return the new history; or shift in ``hops``
+        hops and return the ``hops x n`` histories after each of them.
+
+        A block of the wrong size or with a NaN or infinite sample is a
+        ``DataError``, raised before the history changes.
+        """
+        if hops is None:
+            self.history = np.concatenate([self.history[self.hop :],
+                                           _hop_block(block, self.hop)])
+            return self.history
+        block = _hop_block(block, hops * self.hop)
+        extended = np.concatenate([self.history, block])  # zero hops: unchanged
+        self.history = extended[-self.history.size :].copy()  # a view would keep the block
+        return _hop_windows(extended[self.hop :], self.history.size, self.hop, hops)
+
+
 class PolyphaseAnalyzer:
     """Streaming polyphase analysis: one subband frame per pushed hop.
 
-    Owns the ``L+1``-sample history (zero-initialized); not safe for
-    concurrent use by multiple streams.
+    Owns an :class:`EngineState` of the last ``L+1`` samples
+    (zero-initialized); not safe for concurrent use by multiple streams.
     """
 
     def __init__(self, proto, spec: FilterbankSpec) -> None:
         self.spec = spec
         self._taps = _prototype_taps(proto, spec)
         self._correction = _phase_correction(spec)
-        self._history = np.zeros(spec.proto_len + 1, dtype=np.float64)
+        self._state = EngineState(np.zeros(spec.proto_len + 1), spec.hop)
 
     def push(self, block) -> np.ndarray:
         """Consume ``hop`` new samples and return the resulting frame."""
-        self._history = slide_history(self._history, block, self.spec.hop)
-        return _fold_and_transform(self._history, self._taps, self.spec,
+        return _fold_and_transform(self._state.push(block), self._taps, self.spec,
                                    self._correction)

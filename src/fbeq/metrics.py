@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio_io import _check_finite
 from .errors import DataError
 from .filterbank import FilterbankSpec, analyze_polyphase, design_prototype
 
@@ -159,12 +160,18 @@ def compute_report(clean, processed, spec: FilterbankSpec, noise=None,
     ------
     DataError
         If ``delay`` is negative: slicing would keep the signal's tail instead;
-        or if no full frame of the processed signal remains after the delay.
+        if no full frame of the processed signal remains after the delay; or
+        for a NaN or infinite sample, named as "noise sample N" by its array
+        and its index there.
     """
     if delay < 0:
         raise DataError(f"delay must be >= 0, got {delay}")
     clean = np.asarray(clean, dtype=np.float64).ravel()
     processed = np.asarray(processed, dtype=np.float64).ravel()
+    _check_finite(clean, "clean ")
+    _check_finite(processed, "processed ")
+    if noise is not None:  # not widened here, so no float64 copy outlives seg_na
+        _check_finite(np.ravel(noise), "noise ")
     shifted = processed[delay:]
     noise_only = _noise_only(clean, spec.hop)
     if shifted.size < spec.hop:

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from fbeq.errors import ConfigError
 from fbeq.fbeg import TYPE_SUBBAND_GAINS, write_gain_stream
-from fbeq.filterbank import (
-    AnalysisFrameSeq,
-    FilterbankSpec,
-    _analysis_segments,
-    design_prototype,
-)
+from fbeq.filterbank import AnalysisFrameSeq, FilterbankSpec, design_prototype
 from fbeq.gains import NoiseTrackerState, update_noise_psd
 
 # The quality gate's speech is the benchmark's: one copy, in perfbench/,
@@ -120,7 +115,10 @@ def analyze_direct(x, proto, spec: FilterbankSpec) -> AnalysisFrameSeq:
     bins = spec.num_bins
     if spec.num_frames(x.size) == 0:
         return AnalysisFrameSeq(np.zeros((0, bins), dtype=np.complex128))
-    segments = _analysis_segments(x, spec)
+    # Window k ends at x[k*r - 1]: zero-pad L samples in front, slide L+1.
+    padded = np.concatenate([np.zeros(spec.proto_len), x])
+    segments = np.lib.stride_tricks.sliding_window_view(padded, spec.proto_len + 1)
+    segments = segments[spec.hop - 1 :: spec.hop][: spec.num_frames(x.size)]
     # Segment column m holds lag l = L - m; fold taps and modulation together.
     lags = np.arange(spec.proto_len, -1, -1, dtype=np.float64)
     i = np.arange(bins, dtype=np.float64)[:, None]

@@ -362,6 +362,12 @@ class TestHermitianChainProperty:
 
 
 class TestEngineState:
+    def test_one_class_for_analysis_and_filter(self):
+        """The analysis and the filter slide one kind of state; the package
+        root and ``fbeq.equalizer`` name the class ``fbeq.filterbank`` owns."""
+        import fbeq
+        assert fbeq.EngineState is EngineState is filterbank.EngineState
+
     def test_create_rejects_odd_shorten_len(self):
         with pytest.raises(ConfigError, match="positive even"):
             EngineState.create(7, 4)

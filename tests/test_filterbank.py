@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest.mock import patch
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from fbeq import filterbank
 from fbeq.errors import ConfigError, DataError, NumericError
 from fbeq.filterbank import (
+    EngineState,
     FilterbankSpec,
     PolyphaseAnalyzer,
     analyze_polyphase,
@@ -261,29 +263,60 @@ class TestAnalyzePolyphaseBlocksProperty:
 class TestAnalysisHistory:
     @pytest.mark.parametrize("cut", [1, 3, 40])
     def test_pieces_with_their_history_equal_one_call(self, small_spec, small_proto, cut):
+        """One state carried across three pieces gives the one call's bits."""
         x = np.random.default_rng(109).standard_normal(4 * 50)
         whole = analyze_polyphase(x, small_proto, small_spec).frames
-        first = analyze_polyphase(x[: 4 * cut], small_proto, small_spec).frames
-        before = np.concatenate([np.zeros(16), x])[4 * cut : 4 * cut + 16]
-        rest = analyze_polyphase(x[4 * cut :], small_proto, small_spec, before).frames
-        assert np.array_equal(np.concatenate([first, rest]), whole)
+        state = EngineState(np.zeros(17), 4)
+        pieces = [analyze_polyphase(piece, small_proto, small_spec, state).frames
+                  for piece in (x[: 4 * cut], x[4 * cut : 4 * (cut + 2)],
+                                x[4 * (cut + 2) :])]
+        assert np.array_equal(np.concatenate(pieces), whole)
 
     def test_history_must_hold_l_samples(self, small_spec, small_proto):
-        for size in (8, 3):  # two frames, and none
-            with pytest.raises(DataError, match="must hold the 16 samples .* got 15"):
-                analyze_polyphase(np.ones(size), small_proto, small_spec, np.zeros(15))
+        """The state is an EngineState of L+1 samples at the spec's hop: a
+        bare array of L or L+1 samples, the filter's 2P-sample state or
+        another hop is a DataError naming L+1, not NumPy's or an attribute
+        error."""
+        message = ("analysis state must be an EngineState of the L+1 = 17 "
+                   "samples before the input, at hop 4")
+        for state in [np.zeros(16), np.zeros(17), EngineState.create(8, 4),
+                      EngineState(np.zeros(17), 2)]:
+            for size in (8, 3):  # two frames, and none
+                with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                    analyze_polyphase(np.ones(size), small_proto, small_spec, state)
+
+    @pytest.mark.parametrize("size", [3, 8, 40, 42])
+    def test_state_holds_the_last_l_plus_1_samples(self, small_spec, small_proto, size):
+        """After a call the state ends at the last whole hop analysed, zeros
+        before the signal; a trailing part-hop is not read."""
+        x = np.random.default_rng(113).standard_normal(size)
+        state = EngineState(np.zeros(17), 4)
+        analyze_polyphase(x, small_proto, small_spec, state)
+        used = np.concatenate([np.zeros(17), x[: size // 4 * 4]])
+        assert np.array_equal(state.history, used[-17:])
+
+    def test_non_finite_sample_rejected_before_the_state_moves(
+            self, default_spec, default_proto):
+        """A NaN used to come out as 8 NaN frames."""
+        x = np.random.default_rng(127).standard_normal(64 * 100)
+        x[3000] = np.nan
+        state = EngineState(np.arange(513.0), 64)
+        with pytest.raises(DataError, match=r"^input sample 3000 is non-finite \(nan\)$"):
+            analyze_polyphase(x, default_proto, default_spec, state)
+        assert np.array_equal(state.history, np.arange(513.0))
 
     def test_one_block_peak(self, default_spec, default_proto):
-        """One block with its history, the call ``process_stream`` makes per
-        block, returns that block's transform: 2.65 block frame matrices at
-        peak, where filling a preallocated ``K``-row matrix takes 3.65."""
+        """One block with its state, the call ``process_stream`` makes per
+        block, returns that block's transform: 2.18 block frame matrices at
+        peak, where filling a preallocated ``K``-row matrix takes 3.18."""
         rng = np.random.default_rng(197)
         block = rng.standard_normal(filterbank.BLOCK_FRAMES * default_spec.hop)
-        history = rng.standard_normal(default_spec.proto_len)
-        analyze_polyphase(block, default_proto, default_spec, history)  # first-call imports
+        state = EngineState(rng.standard_normal(default_spec.proto_len + 1),
+                            default_spec.hop)
+        analyze_polyphase(block, default_proto, default_spec, state)  # first-call imports
         tracemalloc.start()
         try:
-            analyze_polyphase(block, default_proto, default_spec, history)
+            analyze_polyphase(block, default_proto, default_spec, state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -294,15 +327,16 @@ class TestAnalysisHistory:
             self, default_spec, default_proto):
         """The block's windowed product (1.0 block frame matrices) is freed
         after the DFT, before the phase correction's broadcast multiply
-        allocates its buffer: 2.16 block frame matrices at peak, 2.65 while
+        allocates its buffer: 2.18 block frame matrices at peak, 2.65 while
         the product outlived the fold."""
         rng = np.random.default_rng(199)
         block = rng.standard_normal(filterbank.BLOCK_FRAMES * default_spec.hop)
-        history = rng.standard_normal(default_spec.proto_len)
-        analyze_polyphase(block, default_proto, default_spec, history)  # first-call imports
+        state = EngineState(rng.standard_normal(default_spec.proto_len + 1),
+                            default_spec.hop)
+        analyze_polyphase(block, default_proto, default_spec, state)  # first-call imports
         tracemalloc.start()
         try:
-            analyze_polyphase(block, default_proto, default_spec, history)
+            analyze_polyphase(block, default_proto, default_spec, state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -277,6 +277,20 @@ class TestComputeReport:
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             compute_report(clean, clean, default_spec, delay=delay)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["clean", "processed", "noise"])
+    def test_non_finite_sample_named_in_its_own_array(self, default_spec, name, bad):
+        """A NaN used to pass into the metrics unreported (as ``nan`` or
+        ``None``); the index counts within the named array, not the
+        delay-shifted one."""
+        signals = {key: np.sin(np.linspace(0, 300 + i, 4000))
+                   for i, key in enumerate(["clean", "processed", "noise"])}
+        signals[name][3000] = bad
+        message = f"{name} sample 3000 is non-finite ({bad})"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            compute_report(signals["clean"], signals["processed"], default_spec,
+                           noise=signals["noise"], delay=32)
+
     def test_clamped_frames_counted(self, default_spec):
         clean = np.concatenate([np.ones(64), np.zeros(64)])
         noise = np.ones(128)
