@@ -1,9 +1,8 @@
 """WAV ingestion/emission and SNR-controlled mixing for test material.
 
 Mono PCM16 or IEEE-float32 only; mismatched sample rates are errors — the
-DSP chain never resamples.  ``read_wav`` parses the RIFF chunks itself;
-``scipy.io.wavfile`` is imported on the first write rather than at module
-import, so ``import fbeq`` and a read do not pay for loading it.
+DSP chain never resamples.  ``read_wav`` parses the RIFF chunks and
+``write_wav`` packs them itself, so neither loads ``scipy.io``.
 """
 
 from __future__ import annotations
@@ -137,9 +136,10 @@ def _check_finite(samples: np.ndarray, context: str, first: int = 0) -> None:
 
 
 def _encode_pcm16(samples: np.ndarray, context: str) -> tuple[np.ndarray, int]:
-    """The int16 codes of ``samples`` and the number saturated, encoded
-    ``PCM16_CHUNK`` samples at a time so no whole-signal float buffer is made."""
-    codes = np.empty(samples.size, dtype=np.int16)
+    """The little-endian int16 codes of ``samples`` and the number saturated,
+    encoded ``PCM16_CHUNK`` samples at a time so no whole-signal float buffer
+    is made."""
+    codes = np.empty(samples.size, dtype="<i2")
     clipped = 0
     for start in range(0, samples.size, PCM16_CHUNK):
         chunk = samples[start : start + PCM16_CHUNK]
@@ -158,37 +158,60 @@ def _encode_pcm16(samples: np.ndarray, context: str) -> tuple[np.ndarray, int]:
     return codes, clipped
 
 
+def _write_samples(path, data: np.ndarray, rate: int, context: str) -> None:
+    """Write ``data``, little-endian ``int16`` or ``float32`` samples, as a mono
+    WAV file laid out as ``scipy.io.wavfile.write`` lays it out: a float
+    file's ``fmt `` chunk carries a zero ``cbSize`` and is followed by a
+    ``fact`` chunk.  A file past the 4 GiB a RIFF size field can declare is
+    a ``DataError``, raised before the file is opened."""
+    tag = 3 if data.dtype.kind == "f" else 1
+    width = data.dtype.itemsize
+    fmt = _FMT.pack(tag, 1, rate, rate * width, width, 8 * width)
+    fact = b""
+    if tag == 3:
+        fmt += b"\x00\x00"
+        fact = struct.pack("<4sII", b"fact", 4, data.size)
+    riff_size = 20 + len(fmt) + len(fact) + data.nbytes  # "WAVE", two chunk heads
+    if riff_size > 0xFFFFFFFF:  # RF64 is not written
+        raise DataError(f"{context}{data.size} samples make a {riff_size + 8}-byte "
+                        "file, past the 4 GiB a RIFF header can declare")
+    with open(path, "wb") as fh:
+        fh.write(_CHUNK.pack(b"RIFF", riff_size) + b"WAVE"
+                 + _CHUNK.pack(b"fmt ", len(fmt)) + fmt + fact
+                 + _CHUNK.pack(b"data", data.nbytes))
+        data.tofile(fh)
+
+
 def write_wav(path, buf: AudioBuffer, fmt: str = "pcm16") -> int:
     """Write a mono WAV file; returns the number of saturated samples.
 
     ``pcm16`` scales by 32768, rounds half away from zero, and saturates to
     ``[-32768, 32767]`` (so +1.0 lands on 32767 and -1.0 on -32768 exactly).
-    ``float32`` writes IEEE floats untouched.
+    ``float32`` writes IEEE floats untouched.  The bytes are those
+    ``scipy.io.wavfile.write`` gives for the same samples, little-endian.
 
     Raises
     ------
     DataError
         A non-finite sample, or for ``float32`` a finite one beyond the
-        float32 range; the message names the first one, and no file is
-        written.
+        float32 range, the message naming the first one; or a file past the
+        4 GiB a RIFF header can declare.  No file is written.
     """
-    from scipy.io import wavfile
-
     samples = np.asarray(buf.samples, dtype=np.float64).ravel()
     context = f"refusing to write {path}: "
     if fmt == "pcm16":
         codes, clipped = _encode_pcm16(samples, context)
-        wavfile.write(path, buf.sample_rate_hz, codes)
+        _write_samples(path, codes, buf.sample_rate_hz, context)
         return clipped
     _check_finite(samples, context)
     if fmt == "float32":
         with np.errstate(over="ignore"):  # an overflowing sample is reported below
-            single = samples.astype(np.float32)
+            single = samples.astype("<f4")
         if not np.isfinite(single).all():
             bad = int(np.argmin(np.isfinite(single)))
             raise DataError(f"{context}sample {bad} ({samples[bad]}) "
                             "is beyond the float32 range")
-        wavfile.write(path, buf.sample_rate_hz, single)
+        _write_samples(path, single, buf.sample_rate_hz, context)
         return 0
     raise ConfigError(f"unknown WAV format '{fmt}' (use pcm16 or float32)")
 

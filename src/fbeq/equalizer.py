@@ -255,8 +255,9 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
     ----------
     x : array_like
         Input signal of any real numeric dtype, widened to float64 a block at
-        a time, with the same output as its whole widening.  An object-dtype
-        array is not converted: the finite check raises ``TypeError``.
+        a time by each stage that reads it, with the same output as its whole
+        widening.  An object-dtype array is not converted: the finite check
+        raises ``TypeError``.
     gain_source : str or path-like
         ``"mmse-lsa"`` for the built-in estimator, or the path of an FBEG file.
     cfg : fbeq.config.Config
@@ -330,13 +331,16 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
         out = np.empty(num_frames * hop, dtype=np.float64)
         # A block's frames, gains and taps each go once their consumer has
         # run, and the histories carried on are copies, so no array of one
-        # block is alive while the next is analysed.  The gains are passed
-        # with no name left on them here, so they die inside gains_to_taps
-        # after its inverse FFT (CPython 3.11 and later move a call's
-        # arguments into the callee's frame; 3.10 frees them on return).
+        # block is alive while the next is analysed.  The block is the
+        # input's own slice: each EngineState.push widens it for its call
+        # alone, so no float64 copy is held through the mapping.  The gains
+        # are passed with no name left on them here, so they die inside
+        # gains_to_taps after its inverse FFT (CPython 3.11 and later move a
+        # call's arguments into the callee's frame; 3.10 frees them on
+        # return).
         for frames in _frame_blocks(num_frames):
             samples = slice(frames.start * hop, frames.stop * hop)
-            block = np.asarray(x[samples], dtype=np.float64)
+            block = x[samples]
             if estimator:
                 # Complex now, as gains_to_taps needs them: the real gains die
                 # before the mapping's kernel is formed.

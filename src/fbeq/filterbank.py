@@ -146,11 +146,13 @@ def _fold_and_transform(segments: np.ndarray, taps: np.ndarray,
     ``segments[..., :]`` are time-ascending windows ``x[k*r - 1 - L .. k*r -
     1]``; their product with ``taps``, ``x[k*r - 1 - l] * taps[l]`` at lag
     ``l``, is formed here and folded in place, so it dies before the phase
-    correction's broadcast buffer is allocated.  The result is the
-    half-spectrum frame(s) ``x_i(k)``.
+    correction's broadcast buffer is allocated.  ``segments`` is released
+    once the product exists, so windows passed with no other reference die
+    before the DFT.  The result is the half-spectrum frame(s) ``x_i(k)``.
     """
     m = spec.frame_size
     windowed = segments[..., ::-1] * taps
+    del segments
     length = windowed.shape[-1]
     folded = windowed[..., :m]
     folded += 0.0  # as a NumPy sum starts, so all-(-0.0) columns fold to +0.0
@@ -193,10 +195,12 @@ def analyze_polyphase(x, proto, spec: FilterbankSpec,
               and state.hop == spec.hop):
         raise DataError(f"analysis state must be an EngineState of the L+1 = {size} "
                         f"samples before the input, at hop {spec.hop}")
-    segments = state.push(x[: num_frames * spec.hop], num_frames)
+    x = x[: num_frames * spec.hop]
     correction = _phase_correction(spec)
-    if num_frames <= BLOCK_FRAMES:
-        return AnalysisFrameSeq(_fold_and_transform(segments, taps, spec, correction))
+    if num_frames <= BLOCK_FRAMES:  # the windows die inside the fold
+        return AnalysisFrameSeq(_fold_and_transform(state.push(x, num_frames), taps,
+                                                    spec, correction))
+    segments = state.push(x, num_frames)
     frames = np.empty((num_frames, spec.num_bins), dtype=np.complex128)
     for block in _frame_blocks(num_frames):
         frames[block] = _fold_and_transform(segments[block], taps, spec, correction)

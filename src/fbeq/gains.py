@@ -118,8 +118,10 @@ class NoiseTrackerState:
 
     ``noise_psd`` has the shape of the last :func:`update_noise_psd` input:
     the estimate after one frame, or after each frame of an ``n x bins``
-    block, for :func:`mmse_lsa_gain` to read.  The next update continues from
-    its last row.
+    block, for :func:`mmse_lsa_gain` to read, which cuts a block to its last
+    row once it has formed the block's SNR.  So between blocks the state
+    holds one frame's estimate.  The next update continues from the last row
+    either way.
     """
 
     noise_psd: np.ndarray
@@ -216,9 +218,12 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
     :func:`update_noise_psd`, the same ``n x bins`` block after a block
     update.  ``gamma`` and the decision-directed increment are formed for
     the whole block; the rest runs frame by frame, since each frame's ``xi``
-    reads the previous frame's gain.  A block of zero frames gives zero rows
-    of gains and leaves the state as it was.  As in :func:`update_noise_psd`,
-    NumPy's floating-point error state is left to the caller.
+    reads the previous frame's gain.  Once ``gamma`` is formed, a block's
+    ``noise_psd`` is cut to its last row, the estimate the next update
+    continues from, so the block's estimates are freed before the frame loop.
+    A block of zero frames gives zero rows of gains and leaves the state as it
+    was.  As in :func:`update_noise_psd`, NumPy's floating-point error state
+    is left to the caller.
 
     Returns
     -------
@@ -229,7 +234,10 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
     ------
     NumericError
         A frame so loud that ``gamma`` overflows, which makes ``nu`` NaN;
-        the frame is counted from the start of the stream.
+        the frame is counted from the start of the stream.  The tracker is
+        left with the estimate after the input's last frame (one row), the
+        frame count past the input and ``xi_prev`` from the frame before the
+        overflowing one, so the stream cannot be continued.
     """
     frame = np.asarray(frame, dtype=np.complex128)
     if frame.shape != state.noise_psd.shape:
@@ -241,6 +249,8 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
     gamma = np.abs(frame)
     gamma *= gamma
     gamma /= state.noise_psd
+    if state.noise_psd.ndim == 2:  # hold one row, so the block dies here
+        state.noise_psd = state.noise_psd[-1].copy()
     # Each frame's decision-directed increment, overwritten by its gains.
     gains = np.subtract(gamma, 1.0)
     np.maximum(gains, 0.0, out=gains)
@@ -287,7 +297,7 @@ def estimate_gains(frames: np.ndarray, params: EstimatorParams,
 
     One :func:`update_noise_psd` call over the block, then one
     :func:`mmse_lsa_gain` call, so the gain always sees the current frame's
-    estimate.  The state keeps only the last frame's PSD.  Gains and state
+    estimate; the gain call leaves only the last frame's PSD.  Gains and state
     equal the per-frame chain's bit for bit, for any split of the frames into
     blocks.  NumPy's overflow and invalid-value warnings are silenced for the
     block, so an input loud enough to overflow the a posteriori SNR raises
@@ -315,6 +325,4 @@ def estimate_gains(frames: np.ndarray, params: EstimatorParams,
         return np.empty(frames.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         state = update_noise_psd(state, frames, params)
-        gains = mmse_lsa_gain(frames, state, params).values
-    state.noise_psd = state.noise_psd[-1].copy()  # hold one row between calls
-    return gains
+        return mmse_lsa_gain(frames, state, params).values

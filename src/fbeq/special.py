@@ -38,7 +38,9 @@ def exp_integral_e1(x):
         from scipy.special import exp1 as _exp1
 
     arr = np.asarray(x, dtype=float)
-    if not (arr > 0.0).all():  # also fails on NaN
+    # A NaN minimum fails too.  The ufunc reduce skips ndarray.all's Python
+    # wrapper; its initial value lets an empty input pass.
+    if not np.minimum.reduce(arr, axis=None, initial=np.inf) > 0.0:
         raise ValueError("exp_integral_e1 requires x > 0")
     out = _exp1(arr)
     if arr.ndim == 0:

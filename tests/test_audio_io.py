@@ -326,6 +326,34 @@ class TestWriteValidation:
             write_wav(tmp_path / "x.wav", AudioBuffer(np.zeros(4), 16000),
                       fmt="pcm24")
 
+    def test_rejects_a_file_past_4_gib(self, tmp_path):
+        """The 2**31 codes are a broadcast view, so no 4 GiB buffer is made."""
+        path = tmp_path / "x.wav"
+        codes = np.broadcast_to(np.zeros(1, dtype="<i2"), (2**31,))
+        message = (f"refusing to write {path}: 2147483648 samples make a "
+                   "4294967340-byte file, past the 4 GiB a RIFF header can declare")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            audio_io._write_samples(path, codes, 16000, f"refusing to write {path}: ")
+        assert not path.exists()
+
+
+class TestWriteMatchesScipy:
+    """``write_wav`` packs the RIFF chunks itself, byte for byte as
+    ``scipy.io.wavfile.write`` writes the same samples."""
+
+    @pytest.mark.parametrize("size", [0, 1, 1001])
+    @pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+    def test_same_bytes(self, tmp_path, fmt, size):
+        samples = 0.5 * np.random.default_rng(size).standard_normal(size)
+        ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
+        write_wav(ours, AudioBuffer(samples, 22050), fmt=fmt)
+        if fmt == "pcm16":
+            values = audio_io._encode_pcm16(samples, "")[0]
+        else:
+            values = samples.astype(np.float32)
+        wavfile.write(theirs, 22050, values)
+        assert ours.read_bytes() == theirs.read_bytes()
+
 
 class TestMixAtSnr:
     def test_zero_db_equalizes_power(self):

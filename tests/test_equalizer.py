@@ -1038,7 +1038,7 @@ class TestStreamMemory:
     """Beyond its output, ``process_stream`` holds one block's arrays at a time:
     its peak does not grow with the signal or the gain file, and on a 4 s
     signal the working set past the output stays within a few block frame
-    matrices (2.7 from the estimator, 2.6 from a type-A file), since no
+    matrices (2.09 from the estimator, 2.06 from a type-A file), since no
     array of one block outlives its consumer."""
 
     def test_peak_does_not_grow_with_signal_length(self):
@@ -1137,6 +1137,24 @@ class TestFloat32Input:
         # objects; a float64 copy of the whole 4 s input would add 512 KB.
         one_block = filterbank.BLOCK_FRAMES * cfg.hop * 8
         assert narrow_peak <= wide_peak + one_block + 2**10, (narrow_peak, wide_peak)
+
+    def test_no_widened_block_held_through_the_mapping(self):
+        """Each stage widens the float32 block for its own call, so the working
+        set past the output is 2.09 block frame matrices, 2.71 while one
+        float64 copy of the block lived through the analysis and mapping."""
+        cfg = Config()
+        rate = cfg.sample_rate_hz
+        x = (0.1 * np.random.default_rng(139).standard_normal(4 * rate)
+             ).astype(np.float32)
+        process_stream(x[:rate], "mmse-lsa", cfg)  # first-call imports
+        tracemalloc.start()
+        try:
+            process_stream(x, "mmse-lsa", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        past_output = block_frame_matrices(cfg, peak - 4 * rate * 8)
+        assert past_output <= 2.3, past_output
 
 
 class TestOtherInputDtypes:

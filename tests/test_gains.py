@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,12 @@ from hypothesis import strategies as st
 from scipy.special import exp1
 
 from fbeq.errors import ConfigError, DataError, NumericError
-from fbeq.filterbank import FilterbankSpec, design_prototype, analyze_polyphase
+from fbeq.filterbank import (
+    BLOCK_FRAMES,
+    FilterbankSpec,
+    analyze_polyphase,
+    design_prototype,
+)
 from fbeq.gains import (
     EstimatorParams,
     GainFrame,
@@ -290,6 +297,37 @@ class TestMmseLsaGain:
         with pytest.raises(DataError, match="bins"):
             mmse_lsa_gain(np.ones(3), state, p)
 
+    def test_block_keeps_its_last_estimate(self):
+        """After a block update and its gains the tracker holds one row, the
+        block's last estimate, and the next calls continue the per-frame
+        chain bit for bit."""
+        p = EstimatorParams(init_frames=2)
+        rng = np.random.default_rng(223)
+        scale = 10.0 ** rng.uniform(-1.0, 1.0, size=(9, 1))
+        frames = scale * (rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5)))
+        chain = NoiseTrackerState.initial(5, p)
+        chain_gains = [mmse_lsa_gain(frame, update_noise_psd(chain, frame, p), p).values
+                       for frame in frames[:4]]
+        state = update_noise_psd(NoiseTrackerState.initial(5, p), frames[:4], p)
+        estimates = state.noise_psd.copy()
+        gains = mmse_lsa_gain(frames[:4], state, p).values
+        assert np.array_equal(gains, np.array(chain_gains))
+        assert state.noise_psd.shape == (5,)
+        assert np.array_equal(state.noise_psd, estimates[-1])
+        assert np.array_equal(state.noise_psd, chain.noise_psd)
+        for frame in frames[4:6]:
+            assert np.array_equal(
+                mmse_lsa_gain(frame, update_noise_psd(state, frame, p), p).values,
+                mmse_lsa_gain(frame, update_noise_psd(chain, frame, p), p).values)
+        block = mmse_lsa_gain(frames[6:], update_noise_psd(state, frames[6:], p), p)
+        for k, frame in enumerate(frames[6:]):
+            assert np.array_equal(
+                block.values[k],
+                mmse_lsa_gain(frame, update_noise_psd(chain, frame, p), p).values)
+        assert np.array_equal(state.noise_psd, chain.noise_psd)
+        assert np.array_equal(state.xi_prev, chain.xi_prev)
+        assert state.frame_count == chain.frame_count == 9
+
 
 class TestEstimateGains:
     def test_matches_reference_implementation(self, small_spec, small_proto):
@@ -342,6 +380,26 @@ class TestEstimateGains:
         np.testing.assert_array_equal(state.noise_psd, np.full(5, p.lambda_floor))
         assert state.frame_count == 0
 
+    def test_block_estimates_die_before_the_frame_loop(self, default_spec,
+                                                       default_proto):
+        """On a block the caller holds, the tracker's per-frame estimates are
+        cut to their last row once the a posteriori SNR is formed: 1.05 block
+        frame matrices at peak, 1.54 while all rows lived through the loop."""
+        rng = np.random.default_rng(227)
+        x = rng.standard_normal((BLOCK_FRAMES + 8) * default_spec.hop)
+        frames = analyze_polyphase(x, default_proto, default_spec).frames[8:].copy()
+        p = EstimatorParams()
+        state = NoiseTrackerState.initial(default_spec.num_bins, p)
+        estimate_gains(frames, p, state)  # first-call imports, past init_frames
+        tracemalloc.start()
+        try:
+            estimate_gains(frames, p, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = BLOCK_FRAMES * default_spec.num_bins * 16
+        assert peak / matrix <= 1.2, peak / matrix
+
 
 class TestInputPowerOverflow:
     """An overflowing a posteriori SNR is a ``NumericError`` naming its frame
@@ -370,6 +428,27 @@ class TestInputPowerOverflow:
                 np.errstate(over="ignore", invalid="ignore"):
             for frame in frames:
                 mmse_lsa_gain(frame, update_noise_psd(state, frame, p), p)
+
+    def test_what_the_error_leaves_in_the_tracker(self, default_spec,
+                                                  default_proto):
+        """The block's last estimate, the frame count past the block, and the
+        DD memory of the frame before the overflowing one."""
+        x = np.random.default_rng(73).standard_normal(100 * default_spec.hop)
+        x[30 * default_spec.hop:] *= 1e200
+        frames = analyze_polyphase(x, default_proto, default_spec).frames
+        p, bins = EstimatorParams(), frames.shape[1]
+        first = first_overflowing_frame(frames, p)
+        chain = NoiseTrackerState.initial(bins, p)
+        estimate_gains(frames[:first], p, chain)
+        state = NoiseTrackerState.initial(bins, p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            update_noise_psd(state, frames, p)
+            estimates = state.noise_psd.copy()
+            with pytest.raises(NumericError, match=f"at frame {first}: "):
+                mmse_lsa_gain(frames, state, p)
+        assert np.array_equal(state.noise_psd, estimates[-1])
+        assert state.frame_count == len(frames)
+        assert np.array_equal(state.xi_prev, chain.xi_prev)
 
     def test_finite_just_below_overflow(self, default_spec, default_proto):
         x = 1e155 * np.random.default_rng(73).standard_normal(100 * default_spec.hop)

@@ -34,17 +34,20 @@ def test_import_leaves_scipy_special_unloaded():
 
 
 def test_import_leaves_scipy_io_wavfile_unloaded(tmp_path):
-    """``import fbeq``, a config and a prototype must not load
-    scipy.io.wavfile; the first WAV write does."""
+    """``import fbeq``, a config, a prototype and a WAV write of either format
+    must not load scipy.io, whose import pulls in scipy.sparse: ``write_wav``
+    packs the RIFF chunks itself."""
     code = (
         "import sys, fbeq\n"
         "cfg = fbeq.build_config()\n"
         "fbeq.design_prototype(cfg.filterbank_spec())\n"
-        "print('scipy.io.wavfile' in sys.modules)\n"
-        f"fbeq.write_wav({str(tmp_path / 'x.wav')!r}, fbeq.AudioBuffer([0.0], 16000))\n"
-        "print('scipy.io.wavfile' in sys.modules)\n"
+        "print('scipy.io' in sys.modules)\n"
+        "for fmt in ('pcm16', 'float32'):\n"
+        f"    fbeq.write_wav({str(tmp_path)!r} + '/' + fmt + '.wav',\n"
+        "                   fbeq.AudioBuffer([0.0], 16000), fmt=fmt)\n"
+        "print('scipy.io' in sys.modules)\n"
     )
-    assert _run(code) == ["False", "True"]
+    assert _run(code) == ["False", "False"]
 
 
 def test_read_wav_leaves_scipy_io_unloaded(tmp_path):

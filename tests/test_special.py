@@ -46,19 +46,28 @@ class TestExpIntegralE1:
         assert abs(below - above) <= 1e-11 * below
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="x > 0"):
-            exp_integral_e1(0.0)
-        with pytest.raises(ValueError, match="x > 0"):
-            exp_integral_e1(-3.0)
-        with pytest.raises(ValueError, match="x > 0"):
-            exp_integral_e1(np.array([1.0, -1.0]))
+        for x in (0.0, -3.0, np.array([1.0, -1.0]), -0.0, np.array([1.0, -0.0]),
+                  np.array(-0.0)):
+            with pytest.raises(ValueError, match="x > 0"):
+                exp_integral_e1(x)
 
     @pytest.mark.parametrize("x", [float("nan"), np.array([1.0, np.nan]),
-                                   np.array([[np.nan, 2.0], [3.0, 4.0]])],
-                             ids=["scalar", "array", "2d-array"])
+                                   np.array([[np.nan, 2.0], [3.0, 4.0]]),
+                                   np.append(np.full(256, 2.0), np.nan)],
+                             ids=["scalar", "array", "2d-array", "last-of-257"])
     def test_rejects_nan(self, x):
         with pytest.raises(ValueError, match="x > 0"):
             exp_integral_e1(x)
+
+    def test_zero_d_input_gives_a_float(self):
+        value = exp_integral_e1(np.array(1.0))
+        assert isinstance(value, float)
+        assert value == exp_integral_e1(1.0)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_input_passes(self, shape):
+        out = exp_integral_e1(np.empty(shape))
+        assert out.shape == shape
 
     def test_array_matches_scalar(self):
         xs = np.array([1e-3, 0.3, 1.0, 2.5, 9.0, 42.0])
