@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from contextlib import nullcontext
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +34,7 @@ from .filterbank import (
     _check_hermitian_edges,
     _first_flagged,
     _frame_blocks,
+    _read_only,
 )
 from .gains import NoiseTrackerState, estimate_gains
 
@@ -96,14 +98,26 @@ def gains_to_taps(half, proto, shorten_len: int,
     half = _check_hermitian_edges(half, first_frame)
     m = 2 * (half.shape[-1] - 1)
     check_shorten_len(shorten_len, num_taps=proto.size)
-    tau = (proto.size - 1) // 2
-    lags = np.arange(tau - shorten_len // 2, tau + shorten_len // 2)
+    start = (proto.size - 1) // 2 - shorten_len // 2
     kernel = np.fft.irfft(half, n=m, axis=-1, norm="forward")
     del half  # the caller's last reference when it passed the gains inline
-    short = kernel[..., (tau - lags) % m]
+    short = kernel[..., _central_bins(shorten_len, m)]
     del kernel  # before the broadcast multiply allocates its buffer
-    short *= proto[lags]
+    short *= proto[start : start + shorten_len]
     return short
+
+
+@lru_cache(maxsize=64)
+def _central_bins(shorten_len: int, m: int) -> np.ndarray:
+    """Kernel bins ``(tau - l) mod M`` of the central lags ``l = tau - P/2 ..
+    tau + P/2 - 1``, which do not depend on ``tau``; read-only."""
+    return _read_only((shorten_len // 2 - np.arange(shorten_len)) % m)
+
+
+@lru_cache(maxsize=64)
+def _lag_bins(num_taps: int, m: int) -> np.ndarray:
+    """DFT bins ``(l - tau) mod M`` of the lags ``l = 0..L``; read-only."""
+    return _read_only((np.arange(num_taps) - (num_taps - 1) // 2) % m)
 
 
 def subband_to_time(gains_full, proto) -> np.ndarray:
@@ -140,7 +154,7 @@ def subband_to_time(gains_full, proto) -> np.ndarray:
     """
     gains_full = np.asarray(gains_full, dtype=np.complex128)
     taps = np.asarray(proto, dtype=np.float64)
-    lag_bins = (np.arange(taps.size) - (taps.size - 1) // 2) % gains_full.shape[-1]
+    lag_bins = _lag_bins(taps.size, gains_full.shape[-1])
     complex_taps = np.fft.fft(gains_full, axis=-1)[..., lag_bins]
     np.multiply(taps, complex_taps, out=complex_taps)
     residue = np.abs(complex_taps.imag).max(axis=-1, initial=0.0)

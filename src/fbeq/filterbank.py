@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -127,16 +128,23 @@ def _prototype_taps(proto, spec: FilterbankSpec) -> np.ndarray:
     return taps
 
 
-def _phase_correction(spec: FilterbankSpec) -> np.ndarray:
-    """Per-bin factor ``exp(+j*(2*pi/M)*i*tau)`` undoing the lag shift of the fold."""
-    i = np.arange(spec.num_bins)
-    twice_tau = 2 * spec.tau
-    if twice_tau % spec.frame_size == 0:
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """``table`` made read-only, as every cached geometry table is shared."""
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=64)
+def _phase_correction(frame_size: int, tau: int) -> np.ndarray:
+    """Per-bin factor ``exp(+j*(2*pi/M)*i*tau)`` undoing the lag shift of the
+    fold; built once per ``(M, tau)`` and read-only."""
+    i = np.arange(frame_size // 2 + 1)
+    if 2 * tau % frame_size == 0:
         # exp(j*pi*i*(2*tau/M)) is exactly +/-1; avoids trig roundoff.
-        parity = (i * (twice_tau // spec.frame_size)) % 2
-        return np.where(parity == 0, 1.0 + 0.0j, -1.0 + 0.0j)
-    angles = 2.0 * np.pi * ((i * spec.tau) % spec.frame_size) / spec.frame_size
-    return np.exp(1j * angles)
+        parity = (i * (2 * tau // frame_size)) % 2
+        return _read_only(np.where(parity == 0, 1.0 + 0.0j, -1.0 + 0.0j))
+    angles = 2.0 * np.pi * ((i * tau) % frame_size) / frame_size
+    return _read_only(np.exp(1j * angles))
 
 
 def _fold_and_transform(segments: np.ndarray, taps: np.ndarray,
@@ -196,7 +204,7 @@ def analyze_polyphase(x, proto, spec: FilterbankSpec,
         raise DataError(f"analysis state must be an EngineState of the L+1 = {size} "
                         f"samples before the input, at hop {spec.hop}")
     x = x[: num_frames * spec.hop]
-    correction = _phase_correction(spec)
+    correction = _phase_correction(spec.frame_size, spec.tau)
     if num_frames <= BLOCK_FRAMES:  # the windows die inside the fold
         return AnalysisFrameSeq(_fold_and_transform(state.push(x, num_frames), taps,
                                                     spec, correction))
@@ -250,8 +258,11 @@ def _check_hermitian_edges(half, first_frame: int) -> np.ndarray:
     n = half.shape[-1] if half.ndim else 1
     if n < 2:
         raise DataError(f"half-spectrum needs at least 2 bins, got {n}")
-    edge_imag = np.abs(half[..., :: n - 1].imag).max(axis=-1)  # bins 0 and M/2
-    if edge_imag.any():  # an all-zero edge passes whatever the scale
+    edges = half[..., :: n - 1].imag  # bins 0 and M/2
+    # An all-zero edge passes whatever the scale; one count screens it, as
+    # the reductions below cost several µs per call on a single frame.
+    if np.count_nonzero(edges):
+        edge_imag = np.abs(edges).max(axis=-1)
         scale = np.abs(half).max(axis=-1)
         bad = _first_flagged(edge_imag > HERMITIAN_IMAG_TOL * scale, first_frame)
         if bad is not None:
@@ -375,7 +386,7 @@ class PolyphaseAnalyzer:
     def __init__(self, proto, spec: FilterbankSpec) -> None:
         self.spec = spec
         self._taps = _prototype_taps(proto, spec)
-        self._correction = _phase_correction(spec)
+        self._correction = _phase_correction(spec.frame_size, spec.tau)
         self._state = EngineState(np.zeros(spec.proto_len + 1), spec.hop)
 
     def push(self, block) -> np.ndarray:

@@ -5,7 +5,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fbeq import equalizer, filterbank
@@ -359,6 +359,136 @@ class TestHermitianChainProperty:
             taps = gains_to_taps(half, proto, p)
             got = shorten_filter(chain(half), p)
             assert np.max(np.abs(got - taps)) <= 1e-12 * np.max(np.abs(taps))
+
+
+def _geometry_outputs(geometry, seed):
+    """Every output that reads a cached geometry table, for one geometry:
+    one-hop analysis through a state and through a ``PolyphaseAnalyzer``,
+    then both mappings of the analysed frames' magnitudes."""
+    spec = FilterbankSpec(frame_size=geometry["frame_size"],
+                          proto_len=geometry["proto_len"], hop=geometry["hop"])
+    proto = design_prototype(spec)
+    x = np.random.default_rng(seed).standard_normal(3 * spec.hop)
+    state = EngineState(np.zeros(spec.proto_len + 1), spec.hop)
+    analyzer = PolyphaseAnalyzer(proto, spec)
+    hops = [x[k * spec.hop : (k + 1) * spec.hop] for k in range(3)]
+    frames = np.concatenate([analyze_polyphase(hop, proto, spec, state).frames
+                             for hop in hops])
+    pushed = np.stack([analyzer.push(hop) for hop in hops])
+    gains = np.abs(frames)
+    return (frames, pushed, subband_to_time(expand_hermitian(gains), proto),
+            gains_to_taps(gains, proto, geometry["shorten_len"]))
+
+
+def _clear_geometry_tables():
+    for table in (filterbank._phase_correction, equalizer._lag_bins,
+                  equalizer._central_bins):
+        table.cache_clear()
+
+
+class TestGeometryTables:
+    """The index and phase tables built once per geometry and shared."""
+
+    @pytest.mark.parametrize("table, args", [
+        (filterbank._phase_correction, (16, 8)),
+        (filterbank._phase_correction, (8, 11)),
+        (equalizer._lag_bins, (17, 16)),
+        (equalizer._central_bins, (8, 16)),
+    ], ids=["phase-sign", "phase-exp", "lag-bins", "central-bins"])
+    def test_one_read_only_array_per_geometry(self, table, args):
+        first = table(*args)
+        assert table(*args) is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = first[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry=geometries(), seed=st.integers(0, 2**32 - 1))
+    def test_mappings_equal_an_arange_oracle(self, geometry, seed):
+        """The cached bins give the bits of index arrays built afresh."""
+        m, p = geometry["frame_size"], geometry["shorten_len"]
+        proto = design_prototype(FilterbankSpec(
+            frame_size=m, proto_len=geometry["proto_len"], hop=geometry["hop"]))
+        tau = (proto.size - 1) // 2
+        rng = np.random.default_rng(seed)
+        half = np.stack([random_hermitian_gains(rng, m // 2 + 1) for _ in range(3)])
+        full = expand_hermitian(half)
+        lag_bins = (np.arange(proto.size) - tau) % m
+        want = (proto * np.fft.fft(full, axis=-1)[..., lag_bins]).real
+        assert np.array_equal(subband_to_time(full, proto), want)
+        lags = np.arange(tau - p // 2, tau + p // 2)
+        kernel = np.fft.irfft(half, n=m, axis=-1, norm="forward")
+        want = kernel[..., (tau - lags) % m] * proto[lags]
+        assert np.array_equal(gains_to_taps(half, proto, p), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(first=geometries(), second=geometries(), seed=st.integers(0, 2**32 - 1))
+    @example(first=dict(frame_size=16, proto_len=16, hop=4, shorten_len=8),
+             second=dict(frame_size=16, proto_len=22, hop=4, shorten_len=8), seed=1)
+    @example(first=dict(frame_size=16, proto_len=22, hop=4, shorten_len=8),
+             second=dict(frame_size=16, proto_len=22, hop=4, shorten_len=12), seed=2)
+    @example(first=dict(frame_size=16, proto_len=22, hop=4, shorten_len=8),
+             second=dict(frame_size=8, proto_len=22, hop=4, shorten_len=8), seed=3)
+    def test_alternating_geometries_give_each_ones_bits(self, first, second, seed):
+        """Calls that alternate between two geometries in one process give
+        each geometry's bits from a fresh process (tables cleared).  The
+        explicit pairs share M and P, M and L, or L and P, so a table keyed on too
+        few of them fails here."""
+        alone = []
+        for geometry in (first, second):
+            _clear_geometry_tables()
+            alone.append(_geometry_outputs(geometry, seed))
+        for _ in range(2):
+            for geometry, want in zip((first, second), alone):
+                got = _geometry_outputs(geometry, seed)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestOneFrameEdgeScreen:
+    """A single 1-D frame through the DC/Nyquist check, whose all-zero edges
+    skip the reductions: both sides of the tolerance, the zero signs, and a
+    real input."""
+
+    @staticmethod
+    def _mappings(small_proto):
+        return {"expand_hermitian": expand_hermitian,
+                "gains_to_taps": lambda half: gains_to_taps(half, small_proto, 8)}
+
+    @pytest.mark.parametrize("name", ["expand_hermitian", "gains_to_taps"])
+    @pytest.mark.parametrize("edge", [0, -1], ids=["dc", "nyquist"])
+    def test_tolerance_on_each_side(self, small_proto, name, edge):
+        mapping = self._mappings(small_proto)[name]
+        half = random_hermitian_gains(np.random.default_rng(131), 9)
+        limit = HERMITIAN_IMAG_TOL * np.abs(half).max()
+        accepted = half.copy()
+        accepted[edge] += 0.999j * limit
+        assert np.array_equal(mapping(accepted), mapping(half))
+        rejected = half.copy()
+        rejected[edge] += 1.001j * limit
+        with pytest.raises(NumericError) as info:
+            mapping(rejected)
+        assert str(info.value).startswith(
+            "Hermitian symmetry error: DC/Nyquist bins are not real (|imag| = ")
+        assert "in frame" not in str(info.value)
+
+    @pytest.mark.parametrize("name", ["expand_hermitian", "gains_to_taps"])
+    def test_negative_zero_edges_and_real_input_pass_unchanged(self, small_proto, name):
+        mapping = self._mappings(small_proto)[name]
+        real = np.random.default_rng(137).uniform(0.1, 1.0, 9)
+        want = mapping(real.astype(np.complex128)).tobytes()
+        assert mapping(real).tobytes() == want
+        signed = real.astype(np.complex128)
+        signed.imag[[0, -1]] = -0.0
+        assert np.signbit(signed.imag[[0, -1]]).all()
+        assert mapping(signed).tobytes() == want
+
+    def test_matrix_message_names_the_first_bad_frame(self, small_proto):
+        """Counted from ``first_frame``; ``expand_hermitian``'s matrix message
+        is pinned in ``TestMatrixMapping``."""
+        half = np.ones((6, 9), dtype=np.complex128)
+        half[2, -1] = 1.0 + 1j
+        half[4, 0] = 5j
+        with pytest.raises(NumericError, match="^Hermitian symmetry error in frame 12: "):
+            gains_to_taps(half, small_proto, 8, first_frame=10)
 
 
 class TestEngineState:

@@ -1,0 +1,132 @@
+"""Median cost of each public per-hop call of the benchmark's stream loop.
+
+    python3 tools/hop_costs.py              # 20 rounds
+    python3 tools/hop_costs.py --rounds 5
+
+Run it from anywhere inside a source checkout; it imports ``fbeq`` from
+``src/``.  The input is the ``stream`` workload's seed-41 clip (4 s, 16 kHz,
+0 dB mixture of the benchmark's synthetic speech and white noise).  Each
+hop runs the calls of ``perfbench``'s stream loop (``PolyphaseAnalyzer.push
+→ update_noise_psd → mmse_lsa_gain → expand_hermitian → subband_to_time →
+shorten_filter → filter_to_freq → ols_filter_frame``), then ``gains_to_taps``
+on the same gains and a one-hop ``analyze_polyphase(…, state)`` on the same
+block, each timed on its own with ``perf_counter``; two more rows time the
+reference mapping chain and ``filter_to_freq(gains_to_taps(…))`` as one
+call each.  A round is one pass over the clip, so every call is timed in
+every hop and host drift reaches all rows alike.  The figure printed is the
+median over all hops of all rounds, in µs of wall time per call, and last
+the ratio of the one-hop ``analyze_polyphase`` to ``push``.
+
+To compare two trees, run this script from each, alternately.  Besides
+``fbeq`` and the benchmark's input generator, only the standard library and
+numpy are used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+import numpy as np  # noqa: E402
+
+import fbeq  # noqa: E402
+
+_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+try:  # the benchmark's tree is only read
+    from perfbench.inputs import (NOISE_MARGIN_SECONDS, SAMPLE_RATE_HZ, SNR_DB,
+                                  make_speech)
+finally:
+    sys.dont_write_bytecode = _write_bytecode
+
+SEED = 41
+CALLS = ("PolyphaseAnalyzer.push", "update_noise_psd", "mmse_lsa_gain",
+         "expand_hermitian", "subband_to_time", "shorten_filter", "filter_to_freq",
+         "ols_filter_frame", "gains_to_taps", "analyze_polyphase one hop",
+         "reference mapping chain", "filter_to_freq(gains_to_taps)")
+
+
+def mixture(seed: int = SEED) -> np.ndarray:
+    """The stream workload's input for ``seed``, as float32 like its WAV file."""
+    clean = make_speech()
+    margin = int(NOISE_MARGIN_SECONDS * SAMPLE_RATE_HZ)
+    noise = np.random.default_rng(seed).standard_normal(clean.size + margin)
+    return fbeq.mix_at_snr(clean, noise, SNR_DB, seed)[0].astype(np.float32)
+
+
+def one_round(x: np.ndarray, cfg) -> dict[str, list[float]]:
+    """Time every call once per hop over ``x``; seconds per call, by name."""
+    p, hop = cfg.shorten_len, cfg.hop
+    proto = fbeq.design_prototype(cfg)
+    analyzer = fbeq.PolyphaseAnalyzer(proto, cfg)
+    tracker = fbeq.NoiseTrackerState.initial(cfg.num_bins, cfg)
+    engine = fbeq.EngineState.create(p, hop)
+    analysis = fbeq.EngineState(np.zeros(cfg.proto_len + 1), hop)
+    times = {name: [] for name in CALLS}
+
+    def timed(name, call, *args):
+        start = perf_counter()
+        result = call(*args)
+        times[name].append(perf_counter() - start)
+        return result
+
+    def chain(gains):
+        full = fbeq.expand_hermitian(gains)
+        return fbeq.filter_to_freq(fbeq.shorten_filter(
+            fbeq.subband_to_time(full, proto), p))
+
+    for k in range(x.size // hop):
+        block = x[k * hop : (k + 1) * hop]
+        frame = timed("PolyphaseAnalyzer.push", analyzer.push, block)
+        tracker = timed("update_noise_psd", fbeq.update_noise_psd, tracker, frame,
+                        cfg)
+        gains = timed("mmse_lsa_gain", fbeq.mmse_lsa_gain, frame, tracker, cfg).values
+        full = timed("expand_hermitian", fbeq.expand_hermitian, gains)
+        taps = timed("subband_to_time", fbeq.subband_to_time, full, proto)
+        short = timed("shorten_filter", fbeq.shorten_filter, taps, p)
+        response = timed("filter_to_freq", fbeq.filter_to_freq, short)
+        timed("ols_filter_frame", fbeq.ols_filter_frame, engine, response, block)
+        timed("gains_to_taps", fbeq.gains_to_taps, gains, proto, p)
+        timed("analyze_polyphase one hop", fbeq.analyze_polyphase, block, proto,
+              cfg, analysis)
+        timed("reference mapping chain", chain, gains)
+        timed("filter_to_freq(gains_to_taps)",
+              lambda g: fbeq.filter_to_freq(fbeq.gains_to_taps(g, proto, p)), gains)
+    return times
+
+
+def measure(rounds: int, seed: int = SEED) -> dict[str, float]:
+    """Median µs per call of each name in ``CALLS`` over ``rounds`` rounds."""
+    x, cfg = mixture(seed), fbeq.Config()
+    one_round(x[: 8 * cfg.hop], cfg)  # warm-up: imports and first-call set-up
+    times = {name: [] for name in CALLS}
+    for _ in range(rounds):
+        for name, seconds in one_round(x, cfg).items():
+            times[name].extend(seconds)
+    return {name: 1e6 * statistics.median(seconds) for name, seconds in times.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rounds", type=int, default=20,
+                        help="passes over the clip (default 20)")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    costs = measure(args.rounds)
+    width = max(map(len, CALLS))
+    print(f"{'call':<{width}}  median µs")
+    for name in CALLS:
+        print(f"{name:<{width}}  {costs[name]:9.2f}")
+    ratio = costs["analyze_polyphase one hop"] / costs["PolyphaseAnalyzer.push"]
+    print(f"{'analyze_polyphase one hop / push':<{width}}  {ratio:9.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
