@@ -36,7 +36,6 @@ from .filterbank import (
     expand_hermitian,
 )
 from .gains import (
-    EstimatorParams,
     GainFrame,
     NoiseTrackerState,
     estimate_gains,
@@ -61,7 +60,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "EngineState",
-    "EstimatorParams",
     "FbeqError",
     "FilterbankSpec",
     "FormatError",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
+import inspect
 import pathlib
 import sys
 import warnings
@@ -28,15 +28,16 @@ from .config import _FIELDS, _PARSERS, MODES, Config, build_config
 from .equalizer import ESTIMATOR_MMSE_LSA, process_stream
 from .errors import FbeqError, NumericError
 from .filterbank import analyze_polyphase, design_prototype
-from .gains import EstimatorParams
 from .metrics import compute_report
 
 RESPONSE_DFT_SIZE = 2048
 NOT_APPLICABLE = "n/a"
 
 # Built once, with explicit dests: derived ones are new strings on every call.
-_ESTIMATOR_FLAGS = tuple(("--" + f.name.replace("_", "-"), f.name, _PARSERS[f.type])
-                         for f in dataclasses.fields(EstimatorParams))
+# The estimator's flags: Config's own fields, less the three with flags of their own.
+_ESTIMATOR_FLAGS = tuple(("--" + name.replace("_", "-"), name, _PARSERS[kind])
+                         for name, kind in inspect.get_annotations(Config).items()
+                         if name not in ("shorten_len", "mode", "g_max"))
 _COMMANDS = ("design", "analyze", "enhance", "mix", "evaluate")
 
 

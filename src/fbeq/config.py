@@ -6,24 +6,35 @@ over file values, which win over defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ConfigError, check_field_types
 from .filterbank import FilterbankSpec, check_shorten_len
-from .gains import EstimatorParams
 
 MODES = ("ols", "direct")
 
 
 @dataclass(frozen=True)
-class Config(EstimatorParams, FilterbankSpec):
+class Config(FilterbankSpec):
     """Full engine configuration; defaults give the 16 kHz low-latency setup.
 
-    Checked when built, and immutable.  A :class:`FilterbankSpec` and an
-    :class:`EstimatorParams` itself, with their fields (geometry first) and
-    defaults, so it goes wherever either part is taken.
+    Checked when built, and immutable.  A :class:`FilterbankSpec` itself,
+    geometry first, then the estimator's constants and the engine's settings.
+    The estimator's derived linear values are computed when the config is
+    built, where each must come out finite, and kept for the gain loop.
     """
 
+    alpha_dd: float = 0.98
+    xi_min_db: float = -15.0
+    gain_floor_db: float = -25.0
+    alpha_noise: float = 0.8
+    gamma_threshold: float = 2.5
+    init_frames: int = 6
+    lambda_floor: float = 1e-20
     shorten_len: int = 128
     mode: str = "ols"
     g_max: float = 4.0
@@ -31,7 +42,31 @@ class Config(EstimatorParams, FilterbankSpec):
     def __post_init__(self) -> None:
         check_field_types(self)  # every field, before any value check
         self._check_geometry()
-        self._check_constants()
+        if not 0.0 < self.alpha_dd < 1.0:
+            raise ConfigError(f"alpha_dd must be in (0, 1), got {self.alpha_dd}")
+        if not 0.0 < self.alpha_noise < 1.0:
+            raise ConfigError(f"alpha_noise must be in (0, 1), got {self.alpha_noise}")
+        if self.gain_floor_db >= 0.0:
+            raise ConfigError(
+                f"gain_floor_db must be negative, got {self.gain_floor_db}"
+            )
+        if self.gamma_threshold <= 0.0:
+            raise ConfigError(
+                f"gamma_threshold must be positive, got {self.gamma_threshold}"
+            )
+        if self.init_frames < 1:
+            raise ConfigError(f"init_frames must be >= 1, got {self.init_frames}")
+        if self.lambda_floor <= 0.0:
+            raise ConfigError(f"lambda_floor must be positive, got {self.lambda_floor}")
+        for derived, name in _DERIVED_FROM.items():
+            try:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    value = getattr(self, derived)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} = {getattr(self, name)} makes {derived} "
+                                  f"non-finite ({value})")
         check_shorten_len(self.shorten_len, num_taps=self.proto_len + 1,
                           hop=self.hop)
         if self.mode not in MODES:
@@ -39,13 +74,44 @@ class Config(EstimatorParams, FilterbankSpec):
         if not self.g_max > 0.0:
             raise ConfigError(f"g_max must be positive and finite, got {self.g_max}")
 
-    # A Config is both parts; these return it to callers that still ask for one.
+    @cached_property
+    def xi_min(self) -> float:
+        """A priori SNR floor as a linear power ratio."""
+        return 10.0 ** (self.xi_min_db / 10.0)
+
+    @cached_property
+    def gate_bias_factor(self) -> float:
+        """Correction for the gate's truncation of the power distribution.
+
+        Updating the noise PSD only from frames below ``gamma_threshold``
+        discards the upper tail of the per-bin power distribution, so the
+        plain conditional mean settles below the true noise power.  For a
+        complex-Gaussian bin the power is exponentially distributed and the
+        shrinkage under the gate is
+        ``B(T) = (1 - (1 + T) e^-T) / (1 - e^-T)`` with ``T`` the threshold;
+        scaling gated updates by ``1/B`` makes the true PSD the tracker's
+        fixed point.  Tends to 1 as the gate opens up (``T`` large).
+        """
+        t = self.gamma_threshold
+        et = np.exp(-t)
+        return (1.0 - et) / (1.0 - (1.0 + t) * et)
+
+    @cached_property
+    def gain_floor(self) -> float:
+        """Gain floor as a linear amplitude."""
+        return 10.0 ** (self.gain_floor_db / 20.0)
+
+    # Callers that ask for either part get the config itself.
     def filterbank_spec(self) -> FilterbankSpec:
         return self
 
-    def estimator_params(self) -> EstimatorParams:
+    def estimator_params(self) -> Config:
         return self
 
+
+# Each derived constant and the setting it is computed from.
+_DERIVED_FROM = {"xi_min": "xi_min_db", "gate_bias_factor": "gamma_threshold",
+                 "gain_floor": "gain_floor_db"}
 
 _FIELDS = {f.name: f.type for f in fields(Config)}
 # Parses a flag or config-file value by its field's type; text stays text.
@@ -62,10 +128,14 @@ def _coerce(key: str, raw: str):
 
 
 def load_config_file(path) -> dict:
-    """Parse a ``key = value`` config file into an override dict."""
+    """Parse a ``key = value`` UTF-8 config file into an override dict."""
     overrides: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")  # bytes that were not UTF-8 are surrogates now
+            except UnicodeEncodeError:
+                raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from None
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue

@@ -120,6 +120,13 @@ def _lag_bins(num_taps: int, m: int) -> np.ndarray:
     return _read_only((np.arange(num_taps) - (num_taps - 1) // 2) % m)
 
 
+def _check_last_axis(array: np.ndarray, what: str) -> np.ndarray:
+    """``array`` if its last axis has a value, else a ``DataError`` naming its shape."""
+    if not array.ndim or not array.shape[-1]:
+        raise DataError(f"{what} need a non-empty last axis, got shape {array.shape}")
+    return array
+
+
 def subband_to_time(gains_full, proto) -> np.ndarray:
     """Map full-band (Hermitian) gain vectors to their time-domain filters.
 
@@ -146,13 +153,15 @@ def subband_to_time(gains_full, proto) -> np.ndarray:
 
     Raises
     ------
+    DataError
+        Gains that are 0-d or have no bins.
     NumericError
         If the synthesis sum's imaginary residue exceeds
         ``HERMITIAN_IMAG_TOL`` relative to the frame's largest ``|tap|``
         (non-Hermitian input); for a matrix the message names the first such
         frame.
     """
-    gains_full = np.asarray(gains_full, dtype=np.complex128)
+    gains_full = _check_last_axis(np.asarray(gains_full, dtype=np.complex128), "gains")
     taps = np.asarray(proto, dtype=np.float64)
     lag_bins = _lag_bins(taps.size, gains_full.shape[-1])
     complex_taps = np.fft.fft(gains_full, axis=-1)[..., lag_bins]
@@ -178,7 +187,7 @@ def shorten_filter(taps, shorten_len: int) -> np.ndarray:
     Works along the last axis: ``(..., L+1)`` taps in, ``(..., P)`` out.  The
     result is a copy, so the high-order taps can be freed.
     """
-    taps = np.asarray(taps, dtype=np.float64)
+    taps = _check_last_axis(np.asarray(taps, dtype=np.float64), "taps")
     p = int(shorten_len)
     check_shorten_len(p, num_taps=taps.shape[-1])
     start = (taps.shape[-1] - 1) // 2 - p // 2
@@ -187,7 +196,7 @@ def shorten_filter(taps, shorten_len: int) -> np.ndarray:
 
 def filter_to_freq(taps) -> np.ndarray:
     """2P-point DFT of ``(..., P)`` shortened taps: the ``(..., P+1)`` lower bins."""
-    taps = np.asarray(taps, dtype=np.float64)
+    taps = _check_last_axis(np.asarray(taps, dtype=np.float64), "taps")
     return np.fft.rfft(taps, n=2 * taps.shape[-1], axis=-1)
 
 
@@ -201,7 +210,7 @@ def ols_filter_frame(state: EngineState, bins, new_samples) -> np.ndarray:
     Hops are transformed one by one: ``n`` hops give ``n`` one-hop calls' bits,
     and zero hops give no samples and leave the state as it was.
     """
-    bins = np.asarray(bins)
+    bins = _check_last_axis(np.asarray(bins), "bins")
     fft_size = 2 * (bins.shape[-1] - 1)
     if fft_size != state.history.size:
         raise ConfigError(

@@ -61,12 +61,14 @@ def write_gain_stream(path, frames, record_type: int, frame_size: int,
 
     Values are stored as IEEE-754 32-bit (real, imag) pairs; pass
     ``complex64`` data for a bit-exact round-trip.  Before the file is
-    opened, a value that is NaN, infinite or past the float32 range raises
-    :class:`DataError` naming its frame and bin, and a bad record type, bin
-    count, frame size or hop raises :class:`ConfigError`.
+    opened, a 3-D or deeper array or a value that is NaN, infinite or past
+    the float32 range raises :class:`DataError` naming its shape or place,
+    and a bad record type, bin count, frame size or hop :class:`ConfigError`.
     """
     with np.errstate(over="ignore"):  # an overflowing value is reported below
         frames = np.atleast_2d(np.asarray(frames, dtype=np.complex64))
+    if frames.ndim != 2:
+        raise DataError(f"expected a 2-D frame matrix, got shape {frames.shape}")
     num_frames, num_bins = frames.shape
     if record_type not in (TYPE_SUBBAND_GAINS, TYPE_DFT_RESPONSES):
         raise ConfigError(f"unknown record type {record_type}")

@@ -11,99 +11,17 @@ complex per-bin responses enter the pipeline only through gain-stream files.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, check_field_types
+from .config import Config
+from .errors import DataError, NumericError
 from .special import exp_integral_e1
 
 # Below this, nu is treated as its continuity limit (the gain clamps to 1).
 _NU_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class EstimatorParams:
-    """Suppressor constants; defaults are the normative values for this package.
-
-    The derived linear values are computed when the parameters are built,
-    where each must come out finite, and kept, since the gain loop reads
-    them on every frame.
-    """
-
-    alpha_dd: float = 0.98
-    xi_min_db: float = -15.0
-    gain_floor_db: float = -25.0
-    alpha_noise: float = 0.8
-    gamma_threshold: float = 2.5
-    init_frames: int = 6
-    lambda_floor: float = 1e-20
-
-    def __post_init__(self) -> None:
-        check_field_types(self)
-        self._check_constants()
-
-    def _check_constants(self) -> None:
-        if not 0.0 < self.alpha_dd < 1.0:
-            raise ConfigError(f"alpha_dd must be in (0, 1), got {self.alpha_dd}")
-        if not 0.0 < self.alpha_noise < 1.0:
-            raise ConfigError(f"alpha_noise must be in (0, 1), got {self.alpha_noise}")
-        if self.gain_floor_db >= 0.0:
-            raise ConfigError(
-                f"gain_floor_db must be negative, got {self.gain_floor_db}"
-            )
-        if self.gamma_threshold <= 0.0:
-            raise ConfigError(
-                f"gamma_threshold must be positive, got {self.gamma_threshold}"
-            )
-        if self.init_frames < 1:
-            raise ConfigError(f"init_frames must be >= 1, got {self.init_frames}")
-        if self.lambda_floor <= 0.0:
-            raise ConfigError(f"lambda_floor must be positive, got {self.lambda_floor}")
-        for derived, name in _DERIVED_FROM.items():
-            try:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    value = getattr(self, derived)
-            except OverflowError:
-                value = math.inf
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} = {getattr(self, name)} makes {derived} "
-                                  f"non-finite ({value})")
-
-    @cached_property
-    def xi_min(self) -> float:
-        """A priori SNR floor as a linear power ratio."""
-        return 10.0 ** (self.xi_min_db / 10.0)
-
-    @cached_property
-    def gate_bias_factor(self) -> float:
-        """Correction for the gate's truncation of the power distribution.
-
-        Updating the noise PSD only from frames below ``gamma_threshold``
-        discards the upper tail of the per-bin power distribution, so the
-        plain conditional mean settles below the true noise power.  For a
-        complex-Gaussian bin the power is exponentially distributed and the
-        shrinkage under the gate is
-        ``B(T) = (1 - (1 + T) e^-T) / (1 - e^-T)`` with ``T`` the threshold;
-        scaling gated updates by ``1/B`` makes the true PSD the tracker's
-        fixed point.  Tends to 1 as the gate opens up (``T`` large).
-        """
-        t = self.gamma_threshold
-        et = np.exp(-t)
-        return (1.0 - et) / (1.0 - (1.0 + t) * et)
-
-    @cached_property
-    def gain_floor(self) -> float:
-        """Gain floor as a linear amplitude."""
-        return 10.0 ** (self.gain_floor_db / 20.0)
-
-
-# Each derived constant and the setting it is computed from.
-_DERIVED_FROM = {"xi_min": "xi_min_db", "gate_bias_factor": "gamma_threshold",
-                 "gain_floor": "gain_floor_db"}
 
 
 class GainFrame(NamedTuple):
@@ -129,7 +47,7 @@ class NoiseTrackerState:
     frame_count: int = 0
 
     @classmethod
-    def initial(cls, num_bins: int, params: EstimatorParams) -> "NoiseTrackerState":
+    def initial(cls, num_bins: int, params: Config) -> "NoiseTrackerState":
         # xi_prev seeds the decision-directed recursion at unity, matching the
         # common reference initialization of this estimator family.
         return cls(
@@ -140,7 +58,7 @@ class NoiseTrackerState:
 
 
 def update_noise_psd(state: NoiseTrackerState, frame,
-                     params: EstimatorParams) -> NoiseTrackerState:
+                     params: Config) -> NoiseTrackerState:
     """Advance the noise-PSD estimate with one analysis frame or a block.
 
     During the first ``init_frames`` frames the PSD is the running mean of
@@ -184,7 +102,7 @@ def update_noise_psd(state: NoiseTrackerState, frame,
     return state
 
 
-def _track_frame(psd, power, n, params: EstimatorParams) -> np.ndarray:
+def _track_frame(psd, power, n, params: Config) -> np.ndarray:
     """Advance the estimate ``psd`` in place by frame ``n`` of the stream and
     return it.  A gated update scales ``power`` in place."""
     if n >= params.init_frames:
@@ -204,7 +122,7 @@ def _track_frame(psd, power, n, params: EstimatorParams) -> np.ndarray:
 
 
 def mmse_lsa_gain(frame, state: NoiseTrackerState,
-                  params: EstimatorParams) -> GainFrame:
+                  params: Config) -> GainFrame:
     """Compute per-bin suppression gains for one frame or a block.
 
     Per bin: a posteriori SNR ``gamma = |x|^2 / noise_psd``; decision-directed
@@ -271,7 +189,7 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
     return GainFrame(values=gains)
 
 
-def _lsa_frame(xi_prev, gamma, gain, params: EstimatorParams) -> np.ndarray:
+def _lsa_frame(xi_prev, gamma, gain, params: Config) -> np.ndarray:
     """Replace one frame's decision-directed increment ``gain`` by its gains;
     return its DD memory."""
     xi = params.alpha_dd * xi_prev
@@ -291,7 +209,7 @@ def _lsa_frame(xi_prev, gamma, gain, params: EstimatorParams) -> np.ndarray:
     return np.maximum(memory, params.xi_min, out=memory)
 
 
-def estimate_gains(frames: np.ndarray, params: EstimatorParams,
+def estimate_gains(frames: np.ndarray, params: Config,
                    state: NoiseTrackerState | None = None) -> np.ndarray:
     """Run the tracker + gain rule over a matrix of consecutive frames.
 
@@ -307,7 +225,7 @@ def estimate_gains(frames: np.ndarray, params: EstimatorParams,
     ----------
     frames : numpy.ndarray
         ``K x bins`` complex analysis frames.
-    params : EstimatorParams
+    params : Config
     state : NoiseTrackerState, optional
         The tracker to continue (advanced in place); a fresh one when omitted.
 

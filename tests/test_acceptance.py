@@ -24,7 +24,7 @@ from fbeq.filterbank import (
     design_prototype,
     expand_hermitian,
 )
-from fbeq.gains import EstimatorParams, NoiseTrackerState, mmse_lsa_gain
+from fbeq.gains import NoiseTrackerState, mmse_lsa_gain
 from fbeq.metrics import ri_mag_loss, seg_na, seg_snr
 from fbeq.special import exp_integral_e1
 
@@ -286,7 +286,7 @@ class TestAcceptance:
                            epsabs=0.0, epsrel=1e-12, limit=200)
             worst = max(worst, abs(got - want) / abs(want))
 
-        params = EstimatorParams()
+        params = Config()
         state = NoiseTrackerState(noise_psd=np.ones(4),
                                   xi_prev=np.ones(4), frame_count=10)
         frame = np.full(4, 1.0 + 1.0j)  # |x|^2 = 2, so nu = 1 exactly

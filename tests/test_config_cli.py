@@ -22,7 +22,7 @@ from fbeq.cli import _build_parser, main
 from fbeq.config import Config, build_config, load_config_file
 from fbeq.errors import ConfigError, check_field_types
 from fbeq.filterbank import FilterbankSpec, analyze_polyphase, design_prototype
-from fbeq.gains import EstimatorParams, estimate_gains
+from fbeq.gains import estimate_gains
 
 SMALL_FLAGS = ["-M", "16", "-L", "16", "-r", "4", "-P", "8"]
 
@@ -43,7 +43,7 @@ def write_with_nan(path, num_frames, offset):
 
 
 FLOAT_SETTINGS = [f.name for f in dataclasses.fields(Config) if f.type == "float"]
-NUMERIC_SETTINGS = [(build, f.name) for build in (FilterbankSpec, EstimatorParams, Config)
+NUMERIC_SETTINGS = [(build, f.name) for build in (FilterbankSpec, Config)
                     for f in dataclasses.fields(build) if f.type in ("int", "float")]
 # Finite settings whose derived constant is not: 10^400 overflows, and the gate
 # bias factor divides by a zero (inf) or takes 0/0 (nan).
@@ -62,10 +62,9 @@ class TestConfigValidation:
         assert "gains" not in {f.name for f in dataclasses.fields(Config)}
 
     def test_defaults_are_those_of_the_parts(self):
-        cfg = Config()
-        for part in (FilterbankSpec(), EstimatorParams()):
-            for field in dataclasses.fields(part):
-                assert getattr(cfg, field.name) == getattr(part, field.name), field.name
+        cfg, part = Config(), FilterbankSpec()
+        for field in dataclasses.fields(part):
+            assert getattr(cfg, field.name) == getattr(part, field.name), field.name
 
     def test_immutable(self):
         cfg = Config()
@@ -95,10 +94,9 @@ class TestConfigValidation:
     def test_non_finite_derived_constant(self, name, value):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for build in (EstimatorParams, Config):
-                with pytest.raises(ConfigError, match="^" + re.escape(
-                        f"{name} = {value} makes ") + r"\w+ non-finite"):
-                    build(**{name: value})
+            with pytest.raises(ConfigError, match="^" + re.escape(
+                    f"{name} = {value} makes ") + r"\w+ non-finite"):
+                Config(**{name: value})
 
     def test_shorten_len_must_fit_prototype(self):
         with pytest.raises(ConfigError, match="does not fit"):
@@ -125,7 +123,7 @@ class TestConfigValidation:
         (FilterbankSpec, "hop", 64.0),
         (Config, "init_frames", 6.5),
         (Config, "sample_rate_hz", 16000.5),
-        (EstimatorParams, "alpha_dd", "0.9"),
+        (Config, "alpha_dd", "0.9"),
         (Config, "shorten_len", None),
     ] + [(build, name, True) for build, name in NUMERIC_SETTINGS])
     def test_wrong_type_rejected_when_built(self, build, name, value):
@@ -144,24 +142,28 @@ class TestConfigValidation:
 
 
 class TestConfigIsItsParts:
-    """A ``Config`` is a ``FilterbankSpec`` and an ``EstimatorParams`` itself:
-    it declares only the engine's own fields and goes wherever a part does."""
+    """A ``Config`` is a ``FilterbankSpec`` itself and holds the estimator's
+    constants: it goes wherever a geometry or the estimator's settings are
+    taken."""
 
-    def test_is_both_parts(self):
+    def test_is_a_filterbank_spec_only(self):
         cfg = Config()
-        assert isinstance(cfg, FilterbankSpec)
-        assert isinstance(cfg, EstimatorParams)
+        assert Config.__bases__ == (FilterbankSpec,)
+        assert not hasattr(fbeq, "EstimatorParams")
         assert cfg.filterbank_spec() is cfg
         assert cfg.estimator_params() is cfg
 
-    def test_declares_only_the_engine_fields(self):
+    def test_fields_defaults_and_order(self):
+        defaults = {"frame_size": 512, "proto_len": 512, "hop": 64,
+                    "sample_rate_hz": 16000, "alpha_dd": 0.98, "xi_min_db": -15.0,
+                    "gain_floor_db": -25.0, "alpha_noise": 0.8,
+                    "gamma_threshold": 2.5, "init_frames": 6, "lambda_floor": 1e-20,
+                    "shorten_len": 128, "mode": "ols", "g_max": 4.0}
+        fields = dataclasses.fields(Config)
+        assert [f.name for f in fields] == list(defaults)
+        assert {f.name: f.default for f in fields} == defaults
         geometry = [f.name for f in dataclasses.fields(FilterbankSpec)]
-        estimator = [f.name for f in dataclasses.fields(EstimatorParams)]
-        names = [f.name for f in dataclasses.fields(Config)]
-        own = {"shorten_len", "mode", "g_max"}
-        assert set(names) - set(geometry) - set(estimator) == own
-        assert set(inspect.get_annotations(Config)) == own  # declared once
-        assert names[: len(geometry)] == geometry
+        assert list(inspect.get_annotations(Config)) == list(defaults)[len(geometry):]
 
     def test_two_wrong_types_name_the_estimator_field_first(self):
         with pytest.raises(ConfigError, match="^alpha_dd must be a real number"):
@@ -174,12 +176,11 @@ class TestConfigIsItsParts:
             calls.append(type(settings).__name__)
             check_field_types(settings)
 
-        for module in (fbeq.config, fbeq.filterbank, fbeq.gains):
-            monkeypatch.setattr(module, "check_field_types", counting, raising=False)
+        for module in (fbeq.config, fbeq.filterbank):
+            monkeypatch.setattr(module, "check_field_types", counting)
         Config()
         FilterbankSpec()
-        EstimatorParams()
-        assert calls == ["Config", "FilterbankSpec", "EstimatorParams"]
+        assert calls == ["Config", "FilterbankSpec"]
 
     def test_types_then_geometry_then_estimator_then_engine(self):
         with pytest.raises(ConfigError, match="^alpha_dd must be a real number"):
@@ -195,7 +196,7 @@ class TestConfigIsItsParts:
         cfg = Config(frame_size=32, proto_len=64, hop=8, shorten_len=16,
                      alpha_dd=0.9, xi_min_db=-20.0, init_frames=3)
         spec = FilterbankSpec(frame_size=32, proto_len=64, hop=8)
-        params = EstimatorParams(alpha_dd=0.9, xi_min_db=-20.0, init_frames=3)
+        params = Config(alpha_dd=0.9, xi_min_db=-20.0, init_frames=3)
         x = 0.1 * np.random.default_rng(191).standard_normal(8 * 100)
         frames = analyze_polyphase(x, design_prototype(cfg), cfg).frames
         want = analyze_polyphase(x, design_prototype(spec), spec).frames
@@ -241,6 +242,16 @@ class TestConfigFile:
         path.write_text("frame_size = many\n")
         with pytest.raises(ConfigError, match="frame_size"):
             load_config_file(path)
+
+    def test_non_utf8_names_path_and_line(self, tmp_path, capsys):
+        path, out = tmp_path / "bad.cfg", tmp_path / "design.csv"
+        path.write_bytes(b"hop = 64\n\xff\xfe = 3\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}:2: not UTF-8 text")):
+            load_config_file(path)
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 3
+        assert f"{path}:2: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flags_win_over_file(self, tmp_path):
         path = tmp_path / "fbeq.conf"
@@ -901,6 +912,17 @@ class TestParserPerCommand:
                                         capsys)
         assert code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+    def test_enhance_help_lists_its_flags(self, capsys):
+        code, out, _ = _exit_and_output(main, ["enhance", "--help"], capsys)
+        options = out.split("\n\n", 1)[1]  # past the usage lines
+        assert code == 0
+        assert re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", options) == [
+            "-h", "--help", "--config", "--mode", "--gains", "--in", "--out",
+            "--format", "-M", "--frame-size", "-L", "--proto-len", "-r", "--hop",
+            "-P", "--shorten-len", "--sample-rate", "--g-max", "--alpha-dd",
+            "--xi-min-db", "--gain-floor-db", "--alpha-noise", "--gamma-threshold",
+            "--init-frames", "--lambda-floor"]
 
     @pytest.mark.parametrize("argv, code", [
         (["--help"], 0), ([], 2), (["enhanc"], 2),

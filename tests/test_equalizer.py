@@ -150,6 +150,29 @@ class TestFilterToFreq:
             assert abs(bins[k] - want) <= 1e-12
 
 
+class TestEmptyLastAxis:
+    """A 0-d input, or one of no values along its last axis, is a
+    ``DataError`` naming its shape, with no NumPy warning on the way."""
+
+    PROTO = design_prototype(FilterbankSpec(frame_size=16, proto_len=16, hop=4))
+    CALLS = {
+        "subband_to_time": lambda a: subband_to_time(a, TestEmptyLastAxis.PROTO),
+        "shorten_filter": lambda a: shorten_filter(a, 8),
+        "filter_to_freq": filter_to_freq,
+        "ols_filter_frame": lambda a: ols_filter_frame(EngineState.create(8, 4), a,
+                                                       np.ones(4)),
+    }
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0)],
+                             ids=["0-d", "no-bins", "rows-of-no-bins"])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_rejected_with_its_shape(self, name, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=re.escape(f"got shape {shape}")):
+                self.CALLS[name](np.ones(shape))
+
+
 class TestGainsToTaps:
     """The one-inverse-FFT mapping against the three-step chain it replaces."""
 

@@ -155,6 +155,14 @@ class TestWriteValidation:
                               TYPE_DFT_RESPONSES, 16, 4)
         assert not path.exists()
 
+    def test_three_dimensional_frames(self, tmp_path):
+        path = tmp_path / "x.fbeg"
+        with pytest.raises(DataError, match=re.escape(
+                "expected a 2-D frame matrix, got shape (2, 3, 9)")):
+            write_gain_stream(path, np.ones((2, 3, 9), dtype=np.complex64),
+                              TYPE_SUBBAND_GAINS, 16, 4)
+        assert not path.exists()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, 1e39j])
     def test_value_the_loader_would_reject(self, tmp_path, value):
         """1e39 is finite as complex128 and inf once stored as float32."""

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import exp1
 
+from fbeq.config import Config
 from fbeq.errors import ConfigError, DataError, NumericError
 from fbeq.filterbank import (
     BLOCK_FRAMES,
@@ -14,7 +15,6 @@ from fbeq.filterbank import (
     design_prototype,
 )
 from fbeq.gains import (
-    EstimatorParams,
     GainFrame,
     NoiseTrackerState,
     estimate_gains,
@@ -57,8 +57,10 @@ def reference_gains(frames, p):
 
 
 class TestEstimatorParams:
+    """The estimator's constants and derived values, on a ``Config``."""
+
     def test_default_values(self):
-        p = EstimatorParams()
+        p = Config()
         assert p.alpha_dd == 0.98
         assert p.xi_min_db == -15.0
         assert p.gain_floor_db == -25.0
@@ -67,42 +69,42 @@ class TestEstimatorParams:
         assert p.init_frames == 6
 
     def test_derived_linear_values(self):
-        p = EstimatorParams()
+        p = Config()
         assert p.xi_min == pytest.approx(10.0 ** -1.5, rel=1e-15)
         assert p.gain_floor == pytest.approx(10.0 ** -1.25, rel=1e-15)
 
     def test_gate_bias_factor_value(self):
         # (1 - e^-T) / (1 - (1+T) e^-T) at T = 2.5, 30-digit reference.
-        assert EstimatorParams().gate_bias_factor == pytest.approx(
+        assert Config().gate_bias_factor == pytest.approx(
             1.2879357027272202, rel=1e-14
         )
 
     def test_gate_bias_factor_opens_to_unity(self):
-        assert EstimatorParams(gamma_threshold=50.0).gate_bias_factor == (
+        assert Config(gamma_threshold=50.0).gate_bias_factor == (
             pytest.approx(1.0, abs=1e-12)
         )
-        f = [EstimatorParams(gamma_threshold=t).gate_bias_factor
+        f = [Config(gamma_threshold=t).gate_bias_factor
              for t in (2.0, 2.5, 3.0)]
         assert f[0] > f[1] > f[2] > 1.0
 
     def test_validation(self):
         with pytest.raises(ConfigError, match="alpha_dd"):
-            EstimatorParams(alpha_dd=1.0)
+            Config(alpha_dd=1.0)
         with pytest.raises(ConfigError, match="alpha_noise"):
-            EstimatorParams(alpha_noise=0.0)
+            Config(alpha_noise=0.0)
         with pytest.raises(ConfigError, match="gain_floor_db"):
-            EstimatorParams(gain_floor_db=0.0)
+            Config(gain_floor_db=0.0)
         with pytest.raises(ConfigError, match="gamma_threshold"):
-            EstimatorParams(gamma_threshold=-2.0)
+            Config(gamma_threshold=-2.0)
         with pytest.raises(ConfigError, match="init_frames"):
-            EstimatorParams(init_frames=0)
+            Config(init_frames=0)
         with pytest.raises(ConfigError, match="lambda_floor"):
-            EstimatorParams(lambda_floor=0.0)
+            Config(lambda_floor=0.0)
 
 
 class TestNoiseTrackerState:
     def test_initial_state(self):
-        p = EstimatorParams()
+        p = Config()
         state = NoiseTrackerState.initial(5, p)
         np.testing.assert_array_equal(state.noise_psd, np.full(5, p.lambda_floor))
         np.testing.assert_array_equal(state.xi_prev, np.ones(5))
@@ -111,7 +113,7 @@ class TestNoiseTrackerState:
 
 class TestUpdateNoisePsd:
     def test_running_mean_during_init(self):
-        p = EstimatorParams()
+        p = Config()
         state = NoiseTrackerState.initial(4, p)
         rng = np.random.default_rng(2)
         frames = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
@@ -124,7 +126,7 @@ class TestUpdateNoisePsd:
         assert state.frame_count == 5
 
     def test_gate_closed_leaves_psd_alone(self):
-        p = EstimatorParams()
+        p = Config()
         state = NoiseTrackerState(noise_psd=np.ones(3), xi_prev=np.ones(3),
                                   frame_count=10)
         update_noise_psd(state, np.sqrt(9.0) * np.ones(3), p)
@@ -132,14 +134,14 @@ class TestUpdateNoisePsd:
 
     def test_gate_boundary_is_exclusive(self):
         # power exactly at gamma_threshold*psd must not update
-        p = EstimatorParams()
+        p = Config()
         state = NoiseTrackerState(noise_psd=np.ones(2), xi_prev=np.ones(2),
                                   frame_count=10)
         update_noise_psd(state, np.sqrt(2.5) * np.ones(2), p)
         np.testing.assert_array_equal(state.noise_psd, np.ones(2))
 
     def test_gated_update_arithmetic(self):
-        p = EstimatorParams()
+        p = Config()
         state = NoiseTrackerState(noise_psd=np.ones(1), xi_prev=np.ones(1),
                                   frame_count=10)
         update_noise_psd(state, np.array([np.sqrt(0.5)]), p)
@@ -147,7 +149,7 @@ class TestUpdateNoisePsd:
         assert state.noise_psd[0] == pytest.approx(expected, rel=1e-15)
 
     def test_mixed_gate(self):
-        p = EstimatorParams()
+        p = Config()
         state = NoiseTrackerState(noise_psd=np.ones(2), xi_prev=np.ones(2),
                                   frame_count=10)
         update_noise_psd(state, np.array([0.0, 10.0]), p)
@@ -155,7 +157,7 @@ class TestUpdateNoisePsd:
         assert state.noise_psd[1] == 1.0
 
     def test_zero_frames_decay_geometrically_to_floor(self):
-        p = EstimatorParams()
+        p = Config()
         state = NoiseTrackerState(noise_psd=np.ones(2), xi_prev=np.ones(2),
                                   frame_count=10)
         for n in range(1, 8):
@@ -166,13 +168,13 @@ class TestUpdateNoisePsd:
         np.testing.assert_array_equal(state.noise_psd, np.full(2, p.lambda_floor))
 
     def test_dimension_mismatch(self):
-        p = EstimatorParams()
+        p = Config()
         state = NoiseTrackerState.initial(4, p)
         with pytest.raises(DataError, match="bins"):
             update_noise_psd(state, np.ones(5), p)
 
     def test_frame_after_block_leaves_block_rows(self):
-        p = EstimatorParams(init_frames=2)
+        p = Config(init_frames=2)
         frames = np.arange(1.0, 13.0).reshape(4, 3)
         frames[3] = 1.0  # under the gate: the last frame moves the estimate
         chain = NoiseTrackerState.initial(3, p)
@@ -206,7 +208,7 @@ class TestUpdateNoisePsd:
         ).frames
         true_power = np.mean(np.abs(oracle_frames) ** 2, axis=0)
 
-        p = EstimatorParams(alpha_noise=0.98, init_frames=40)
+        p = Config(alpha_noise=0.98, init_frames=40)
         rng = np.random.default_rng(0)
         frames = analyze_polyphase(
             rng.normal(0.0, 0.1, size=spec.hop * 110), proto, spec
@@ -220,7 +222,7 @@ class TestUpdateNoisePsd:
 
 class TestMmseLsaGain:
     def test_zero_frames_leave_state(self):
-        p = EstimatorParams()
+        p = Config()
         state = update_noise_psd(NoiseTrackerState.initial(5, p), np.ones((3, 5)), p)
         mmse_lsa_gain(np.ones((3, 5)), state, p)
         psd, xi_prev = state.noise_psd.copy(), state.xi_prev.copy()
@@ -234,7 +236,7 @@ class TestMmseLsaGain:
     def test_unit_xi_gamma_two(self):
         # gamma=2 with DD memory at 1 gives xi=1, nu=1; 30-digit reference
         # for 0.5*exp(0.5*E1(1)).
-        p = EstimatorParams()
+        p = Config()
         state = NoiseTrackerState(noise_psd=np.ones(3), xi_prev=np.ones(3),
                                   frame_count=10)
         result = mmse_lsa_gain(np.full(3, np.sqrt(2.0)), state, p)
@@ -245,7 +247,7 @@ class TestMmseLsaGain:
     def test_zero_power_frame_passes_through(self):
         # gamma -> 0 sends exp(0.5*E1(nu)) -> infinity; the clamp lands at 1,
         # i.e. near-silent frames are not suppressed.
-        p = EstimatorParams()
+        p = Config()
         state = NoiseTrackerState(noise_psd=np.ones(4), xi_prev=np.ones(4),
                                   frame_count=10)
         result = mmse_lsa_gain(np.zeros(4), state, p)
@@ -253,21 +255,21 @@ class TestMmseLsaGain:
 
     def test_vanishing_noise_estimate_passes_through(self):
         # lambda -> 0+ with fixed frame power: xi, gamma -> inf, G -> 1.
-        p = EstimatorParams()
+        p = Config()
         state = NoiseTrackerState(noise_psd=np.full(4, p.lambda_floor),
                                   xi_prev=np.ones(4), frame_count=10)
         result = mmse_lsa_gain(np.ones(4), state, p)
         np.testing.assert_array_equal(result.values, np.ones(4))
 
     def test_floor_clamp_with_raised_floor(self):
-        p = EstimatorParams(gain_floor_db=-1.0)
+        p = Config(gain_floor_db=-1.0)
         state = NoiseTrackerState(noise_psd=np.ones(3), xi_prev=np.ones(3),
                                   frame_count=10)
         result = mmse_lsa_gain(np.ones(3), state, p)
         np.testing.assert_array_equal(result.values, np.full(3, 10.0 ** (-1.0 / 20.0)))
 
     def test_dd_memory_update(self):
-        p = EstimatorParams()
+        p = Config()
         state = NoiseTrackerState(noise_psd=np.full(5, 2.0),
                                   xi_prev=np.full(5, 0.7), frame_count=3)
         frame = np.linspace(0.5, 3.0, 5) * (1 + 1j)
@@ -280,7 +282,7 @@ class TestMmseLsaGain:
         )
 
     def test_bounds_on_random_frames(self):
-        p = EstimatorParams()
+        p = Config()
         rng = np.random.default_rng(31)
         state = NoiseTrackerState.initial(16, p)
         for k in range(200):
@@ -292,7 +294,7 @@ class TestMmseLsaGain:
             assert np.all(g <= 1.0)
 
     def test_dimension_mismatch(self):
-        p = EstimatorParams()
+        p = Config()
         state = NoiseTrackerState.initial(4, p)
         with pytest.raises(DataError, match="bins"):
             mmse_lsa_gain(np.ones(3), state, p)
@@ -301,7 +303,7 @@ class TestMmseLsaGain:
         """After a block update and its gains the tracker holds one row, the
         block's last estimate, and the next calls continue the per-frame
         chain bit for bit."""
-        p = EstimatorParams(init_frames=2)
+        p = Config(init_frames=2)
         rng = np.random.default_rng(223)
         scale = 10.0 ** rng.uniform(-1.0, 1.0, size=(9, 1))
         frames = scale * (rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5)))
@@ -336,7 +338,7 @@ class TestEstimateGains:
         t = np.arange(4 * 80) / 16.0
         x = rng.standard_normal(4 * 80) + 4.0 * np.sin(2 * np.pi * 3.0 * t)
         frames = analyze_polyphase(x, small_proto, small_spec).frames
-        p = EstimatorParams()
+        p = Config()
         got = estimate_gains(frames, p)
         want = reference_gains(frames, p)
         assert np.max(np.abs(got - want) / want) <= 1e-12
@@ -345,7 +347,7 @@ class TestEstimateGains:
         rng = np.random.default_rng(41)
         frames = analyze_polyphase(rng.standard_normal(400), small_proto,
                                    small_spec).frames
-        p = EstimatorParams()
+        p = Config()
         np.testing.assert_array_equal(estimate_gains(frames, p),
                                       estimate_gains(frames, p))
 
@@ -353,7 +355,7 @@ class TestEstimateGains:
         rng = np.random.default_rng(43)
         frames = analyze_polyphase(rng.standard_normal(400), small_proto,
                                    small_spec).frames
-        p = EstimatorParams()
+        p = Config()
         g = estimate_gains(frames, p)
         assert g.shape == frames.shape
         assert g.dtype == np.float64
@@ -365,16 +367,16 @@ class TestEstimateGains:
         rng = np.random.default_rng(1)
         x = rng.normal(0.0, 0.1, size=default_spec.hop * 600)
         frames = analyze_polyphase(x, default_proto, default_spec).frames
-        g = estimate_gains(frames, EstimatorParams())
+        g = estimate_gains(frames, Config())
         median_db = np.median(20.0 * np.log10(g[-100:]))
         assert median_db <= -15.0
 
     def test_rejects_non_matrix(self):
         with pytest.raises(DataError, match="2-D"):
-            estimate_gains(np.ones(7), EstimatorParams())
+            estimate_gains(np.ones(7), Config())
 
     def test_empty_matrix_leaves_state(self):
-        p = EstimatorParams()
+        p = Config()
         state = NoiseTrackerState.initial(5, p)
         assert estimate_gains(np.zeros((0, 5)), p, state).shape == (0, 5)
         np.testing.assert_array_equal(state.noise_psd, np.full(5, p.lambda_floor))
@@ -388,7 +390,7 @@ class TestEstimateGains:
         rng = np.random.default_rng(227)
         x = rng.standard_normal((BLOCK_FRAMES + 8) * default_spec.hop)
         frames = analyze_polyphase(x, default_proto, default_spec).frames[8:].copy()
-        p = EstimatorParams()
+        p = Config()
         state = NoiseTrackerState.initial(default_spec.num_bins, p)
         estimate_gains(frames, p, state)  # first-call imports, past init_frames
         tracemalloc.start()
@@ -412,7 +414,7 @@ class TestInputPowerOverflow:
         x = np.random.default_rng(73).standard_normal(100 * default_spec.hop)
         x[30 * default_spec.hop:] *= scale
         frames = analyze_polyphase(x, default_proto, default_spec).frames
-        p, bins = EstimatorParams(), frames.shape[1]
+        p, bins = Config(), frames.shape[1]
         first = first_overflowing_frame(frames, p)
         assert first >= 30
         message = f"input power overflowed at frame {first}: "
@@ -436,7 +438,7 @@ class TestInputPowerOverflow:
         x = np.random.default_rng(73).standard_normal(100 * default_spec.hop)
         x[30 * default_spec.hop:] *= 1e200
         frames = analyze_polyphase(x, default_proto, default_spec).frames
-        p, bins = EstimatorParams(), frames.shape[1]
+        p, bins = Config(), frames.shape[1]
         first = first_overflowing_frame(frames, p)
         chain = NoiseTrackerState.initial(bins, p)
         estimate_gains(frames[:first], p, chain)
@@ -453,7 +455,7 @@ class TestInputPowerOverflow:
     def test_finite_just_below_overflow(self, default_spec, default_proto):
         x = 1e155 * np.random.default_rng(73).standard_normal(100 * default_spec.hop)
         frames = analyze_polyphase(x, default_proto, default_spec).frames
-        gains = estimate_gains(frames, EstimatorParams())
+        gains = estimate_gains(frames, Config())
         assert np.isfinite(gains).all()
 
 
@@ -466,7 +468,7 @@ class TestBlocksEqualPerFrameProperty:
     def test_any_split(self, geometry, num_frames, seed, data):
         bins = geometry["frame_size"] // 2 + 1
         init_frames = data.draw(st.integers(1, num_frames + 1), label="init_frames")
-        params = EstimatorParams(
+        params = Config(
             alpha_dd=data.draw(st.floats(0.05, 0.99), label="alpha_dd"),
             alpha_noise=data.draw(st.floats(0.05, 0.99), label="alpha_noise"),
             gamma_threshold=data.draw(st.floats(0.5, 10.0), label="gamma_threshold"),

@@ -135,7 +135,7 @@ def run_traffic(workdir: Path) -> set[tuple[str, int]]:
         from perfbench.tracing import Tracer
 
         cfg = fbeq.build_config()
-        proto = fbeq.design_prototype(cfg.filterbank_spec())
+        proto = fbeq.design_prototype(cfg)
         inputs = make_inputs(SEED, workdir, cfg)
         for name in workloads.WORKLOADS:
             workload = workloads.build(name, inputs, cfg, workdir, proto)
