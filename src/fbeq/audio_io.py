@@ -17,12 +17,13 @@ import numpy as np
 from .errors import ConfigError, DataError, FormatError
 
 PCM16_SCALE = 32768.0
-PCM16_CHUNK = 1 << 14  # samples rounded at a time when encoding PCM16
+PCM16_CHUNK = 1 << 14  # samples encoded at a time when writing a whole signal
 _CHUNK = struct.Struct("<4sI")  # chunk id and size
 _FMT = struct.Struct("<HHIIHH")  # tag, channels, rate, byte rate, block align, bits
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"  # after the tag
 _SAMPLE_TYPES = {1: np.dtype("<i2"), 3: np.dtype("<f4")}  # PCM16, IEEE float32
+_FORMATS = {"pcm16": _SAMPLE_TYPES[1], "float32": _SAMPLE_TYPES[3]}
 
 
 @dataclass(frozen=True)
@@ -126,36 +127,68 @@ def _unreadable(path, what: str) -> FormatError:
     return FormatError(f"{path}: not a readable WAV file ({what})")
 
 
-def _check_finite(samples: np.ndarray, context: str, first: int = 0) -> None:
-    """Raise ``DataError`` "<context>sample N is non-finite (V)" for the first bad
-    sample, ``N`` counted from ``first``."""
+def _first_non_finite(samples: np.ndarray) -> int | None:
+    """The flat index of the first NaN or infinite sample, or ``None``.  A
+    finite maximum and minimum prove there is none: most calls build no mask."""
+    kind = samples.dtype.kind  # np.isfinite raises TypeError for objects
+    if kind in "biu" or (kind == "f" and math.isfinite(samples.max(initial=0.0))
+                         and math.isfinite(samples.min(initial=0.0))):
+        return None
     finite = np.isfinite(samples)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise DataError(f"{context}sample {first + bad} is non-finite ({samples[bad]})")
+    return None if finite.all() else int(np.argmin(finite))
 
 
-def _encode_pcm16(samples: np.ndarray, context: str) -> tuple[np.ndarray, int]:
-    """The little-endian int16 codes of ``samples`` and the number saturated,
-    encoded ``PCM16_CHUNK`` samples at a time so no whole-signal float buffer
-    is made."""
-    codes = np.empty(samples.size, dtype="<i2")
-    clipped = 0
-    for start in range(0, samples.size, PCM16_CHUNK):
-        chunk = samples[start : start + PCM16_CHUNK]
-        _check_finite(chunk, context, start)
+def _check_finite(samples: np.ndarray, context: str) -> None:
+    """Raise ``DataError`` "<context>sample N is non-finite (V)" for the first one."""
+    if (bad := _first_non_finite(samples)) is not None:
+        raise DataError(f"{context}sample {bad} is non-finite ({samples[bad]})")
+
+
+class BlockEncoder:
+    """A WAV file's samples in its own sample type, encoded a block at a time.
+
+    ``encoder[a:b] = block`` encodes in stream order by :func:`write_wav`'s
+    rules, counting PCM16 saturations in ``clipped``.  The first non-finite
+    sample, and for float32 the first past its range, are kept as text naming
+    their index in the whole signal, for ``write_wav`` to raise.
+    """
+
+    def __init__(self, size: int, fmt: str) -> None:
+        if fmt not in _FORMATS:
+            raise ConfigError(f"unknown WAV format '{fmt}' (use pcm16 or float32)")
+        self.fmt, self.data, self.clipped = fmt, np.empty(size, _FORMATS[fmt]), 0
+        self.non_finite = self.beyond_range = None
+
+    def __len__(self) -> int:
+        return self.data.size
+
+    def __setitem__(self, where: slice, block) -> None:
+        start = where.indices(self.data.size)[0]
+        block = np.asarray(block, dtype=np.float64)
+        if self.non_finite is None and (bad := _first_non_finite(block)) is not None:
+            self.non_finite = f"sample {start + bad} is non-finite ({block[bad]})"
+        if self.non_finite or self.beyond_range:  # only a non-finite one can follow
+            return
+        if self.fmt == "float32":
+            codes = self.data[where]
+            with np.errstate(over="ignore"):  # an overflowing sample is reported
+                codes[...] = block
+            if (bad := _first_non_finite(codes)) is not None:
+                self.beyond_range = (f"sample {start + bad} ({block[bad]}) "
+                                     "is beyond the float32 range")
+            return
         # One buffer: |x| * 32768 equals |x * 32768| exactly (a power of two).
-        rounded = np.abs(chunk)
+        rounded = np.abs(block)
         with np.errstate(over="ignore"):  # |x| near 1e308 saturates as inf
             rounded *= PCM16_SCALE
         rounded += 0.5
         np.floor(rounded, out=rounded)
-        np.copysign(rounded, chunk, out=rounded)
-        clipped += (int(np.count_nonzero(rounded > 32767.0))
-                    + int(np.count_nonzero(rounded < -32768.0)))
-        np.clip(rounded, -32768.0, 32767.0, out=rounded)
-        codes[start : start + chunk.size] = rounded
-    return codes, clipped
+        np.copysign(rounded, block, out=rounded)
+        if rounded.max(initial=0.0) > 32767.0 or rounded.min(initial=0.0) < -32768.0:
+            self.clipped += (int(np.count_nonzero(rounded > 32767.0))
+                             + int(np.count_nonzero(rounded < -32768.0)))
+            np.clip(rounded, -32768.0, 32767.0, out=rounded)
+        self.data[where] = rounded
 
 
 def _write_samples(path, data: np.ndarray, rate: int, context: str) -> None:
@@ -189,31 +222,31 @@ def write_wav(path, buf: AudioBuffer, fmt: str = "pcm16") -> int:
     ``[-32768, 32767]`` (so +1.0 lands on 32767 and -1.0 on -32768 exactly).
     ``float32`` writes IEEE floats untouched.  The bytes are those
     ``scipy.io.wavfile.write`` gives for the same samples, little-endian.
+    ``buf.samples`` may be a :class:`BlockEncoder` filled in ``fmt``, whose
+    samples are written as they are; others are encoded ``PCM16_CHUNK`` at a time.
 
     Raises
     ------
+    ConfigError
+        An unknown ``fmt``, before any sample is read, or an encoder's other one.
     DataError
         A non-finite sample, or for ``float32`` a finite one beyond the
         float32 range, the message naming the first one; or a file past the
         4 GiB a RIFF header can declare.  No file is written.
     """
-    samples = np.asarray(buf.samples, dtype=np.float64).ravel()
+    encoder = buf.samples
+    if not isinstance(encoder, BlockEncoder):
+        samples = np.ravel(encoder)
+        encoder = BlockEncoder(samples.size, fmt)
+        for start in range(0, samples.size, PCM16_CHUNK):
+            encoder[start : start + PCM16_CHUNK] = samples[start : start + PCM16_CHUNK]
+    elif encoder.fmt != fmt:
+        raise ConfigError(f"samples encoded as {encoder.fmt}, not {fmt}")
     context = f"refusing to write {path}: "
-    if fmt == "pcm16":
-        codes, clipped = _encode_pcm16(samples, context)
-        _write_samples(path, codes, buf.sample_rate_hz, context)
-        return clipped
-    _check_finite(samples, context)
-    if fmt == "float32":
-        with np.errstate(over="ignore"):  # an overflowing sample is reported below
-            single = samples.astype("<f4")
-        if not np.isfinite(single).all():
-            bad = int(np.argmin(np.isfinite(single)))
-            raise DataError(f"{context}sample {bad} ({samples[bad]}) "
-                            "is beyond the float32 range")
-        _write_samples(path, single, buf.sample_rate_hz, context)
-        return 0
-    raise ConfigError(f"unknown WAV format '{fmt}' (use pcm16 or float32)")
+    if encoder.non_finite or encoder.beyond_range:
+        raise DataError(context + (encoder.non_finite or encoder.beyond_range))
+    _write_samples(path, encoder.data, buf.sample_rate_hz, context)
+    return encoder.clipped
 
 
 def mix_at_snr(clean, noise, snr_db: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

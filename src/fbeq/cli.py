@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from . import fbeg
-from .audio_io import AudioBuffer, mix_at_snr, read_wav, write_wav
+from .audio_io import AudioBuffer, BlockEncoder, mix_at_snr, read_wav, write_wav
 from .config import _FIELDS, _PARSERS, MODES, Config, build_config
 from .equalizer import ESTIMATOR_MMSE_LSA, process_stream
 from .errors import FbeqError, NumericError
@@ -172,11 +172,12 @@ def cmd_analyze(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_enhance(args: argparse.Namespace, cfg: Config) -> int:
     source = ESTIMATOR_MMSE_LSA if args.gains is None else args.gains
-    # No name holds the input, so it is freed before the output is encoded.
-    enhanced, report = process_stream(
-        read_wav(args.in_wav, expected_rate=cfg.sample_rate_hz).samples, source, cfg)
+    samples = read_wav(args.in_wav, expected_rate=cfg.sample_rate_hz).samples
+    # ``out`` encodes each filtered block at once: no whole-signal float64 output.
+    encoded, report = process_stream(samples, source, cfg, out=BlockEncoder(
+        cfg.num_frames(samples.size) * cfg.hop, args.format))
     clipped = write_wav(
-        args.out, AudioBuffer(enhanced, cfg.sample_rate_hz), fmt=args.format
+        args.out, AudioBuffer(encoded, cfg.sample_rate_hz), fmt=args.format
     )
     if clipped:
         print(f"warning: {clipped} samples saturated in {args.out}",

@@ -258,7 +258,7 @@ def _clamp_magnitude(frames: np.ndarray, g_max: float) -> np.ndarray:
     return out
 
 
-def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
+def process_stream(x, gain_source, cfg, out=None) -> tuple[np.ndarray, LatencyReport]:
     """Run the full enhancement pipeline over a signal.
 
     Per frame: polyphase analysis -> per-bin gains -> central-P taps
@@ -285,11 +285,14 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
         ``"mmse-lsa"`` for the built-in estimator, or the path of an FBEG file.
     cfg : fbeq.config.Config
         Validated configuration.
+    out : optional
+        Filled by ``out[a:b] = block``, once per block in stream order, in place
+        of a new float64 array: such an array, or a ``fbeq.audio_io.BlockEncoder``.
 
     Returns
     -------
     (numpy.ndarray, LatencyReport)
-        ``floor(T/r) * r`` output samples and the latency accounting.
+        ``floor(T/r) * r`` output samples, ``out`` if given, and the latency report.
 
     Raises
     ------
@@ -298,8 +301,8 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
         with fewer frames than the input needs.
     ConfigError
         A ``gain_source`` that is neither a string nor path-like, a gain file
-        whose geometry does not fit the configuration, or a DFT-response file
-        in ``direct`` mode.
+        whose geometry does not fit the configuration, a DFT-response file
+        in ``direct`` mode, or an ``out`` of another length.
     NumericError
         A subband-gain frame whose DC or Nyquist bin is not real, past the
         input's last frame too, or an input loud enough to overflow the
@@ -351,7 +354,10 @@ def process_stream(x, gain_source, cfg) -> tuple[np.ndarray, LatencyReport]:
                 )
 
         engine = EngineState.create(p, hop)
-        out = np.empty(num_frames * hop, dtype=np.float64)
+        if out is None:
+            out = np.empty(num_frames * hop, dtype=np.float64)
+        elif len(out) != num_frames * hop:
+            raise ConfigError(f"out holds {len(out)} samples, not {num_frames * hop}")
         # A block's frames, gains and taps each go once their consumer has
         # run, and the histories carried on are copies, so no array of one
         # block is alive while the next is analysed.  The block is the

@@ -7,7 +7,7 @@ import pytest
 from scipy.io import wavfile
 
 from fbeq import audio_io
-from fbeq.audio_io import AudioBuffer, mix_at_snr, read_wav, write_wav
+from fbeq.audio_io import AudioBuffer, BlockEncoder, mix_at_snr, read_wav, write_wav
 from fbeq.cli import main
 from fbeq.errors import ConfigError, DataError, FormatError
 
@@ -192,6 +192,63 @@ class TestPcm16Chunks:
         assert not path.exists()
 
 
+class TestBlockEncoder:
+    """Blocks encoded as they come give the bytes, the saturated count and the
+    errors of ``write_wav`` over the whole signal."""
+
+    BLOCK = 5
+
+    @classmethod
+    def signal(cls):
+        x = np.random.default_rng(13).uniform(-1.1, 1.1, 4 * cls.BLOCK + 3)
+        for edge in range(cls.BLOCK, x.size - 1, cls.BLOCK):
+            # saturated samples and exact half-steps of both formats on each edge
+            x[edge - 2 : edge + 2] = [1.0 + 2.0**-24, -1.5, 2.5 / 32768.0, -2.0]
+        return x
+
+    @classmethod
+    def encoded(cls, x, fmt):
+        encoder = BlockEncoder(x.size, fmt)
+        for start in range(0, x.size, cls.BLOCK):
+            encoder[start : start + cls.BLOCK] = x[start : start + cls.BLOCK]
+        return encoder
+
+    @pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+    def test_matches_whole_signal(self, tmp_path, fmt):
+        x = self.signal()
+        blocks, whole = tmp_path / "blocks.wav", tmp_path / "whole.wav"
+        clipped = write_wav(blocks, AudioBuffer(self.encoded(x, fmt), 16000), fmt=fmt)
+        assert clipped == write_wav(whole, AudioBuffer(x, 16000), fmt=fmt)
+        assert clipped == (pcm16_oracle(x)[1] if fmt == "pcm16" else 0)
+        assert fmt == "float32" or clipped >= 8
+        assert blocks.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("fmt, bad, message", [
+        ("pcm16", {13: np.inf, 17: np.nan}, "sample 13 is non-finite (inf)"),
+        ("float32", {7: 1e39, 17: np.nan}, "sample 17 is non-finite (nan)"),
+        ("float32", {7: 1e39, 13: -1e39}, "sample 7 (1e+39) is beyond the float32 range"),
+    ])
+    def test_errors_name_the_signal_index(self, tmp_path, fmt, bad, message):
+        """A non-finite sample is reported before an earlier one beyond the
+        float32 range, as the whole-signal checks report them."""
+        x = self.signal()
+        for index, value in bad.items():
+            x[index] = value
+        path = tmp_path / "x.wav"
+        want = f"^{re.escape(f'refusing to write {path}: {message}')}$"
+        for samples in (self.encoded(x, fmt), x):
+            with pytest.raises(DataError, match=want):
+                write_wav(path, AudioBuffer(samples, 16000), fmt=fmt)
+        assert not path.exists()
+
+    def test_rejects_an_encoder_of_another_format(self, tmp_path):
+        encoder = BlockEncoder(4, "float32")
+        encoder[0:4] = np.zeros(4)
+        with pytest.raises(ConfigError, match="^samples encoded as float32, not pcm16$"):
+            write_wav(tmp_path / "x.wav", AudioBuffer(encoder, 16000))
+        assert not (tmp_path / "x.wav").exists()
+
+
 class TestReadValidation:
     def test_rejects_stereo(self, tmp_path):
         path = tmp_path / "st.wav"
@@ -326,6 +383,12 @@ class TestWriteValidation:
             write_wav(tmp_path / "x.wav", AudioBuffer(np.zeros(4), 16000),
                       fmt="pcm24")
 
+    def test_format_checked_before_samples(self, tmp_path):
+        path = tmp_path / "x.wav"
+        with pytest.raises(ConfigError, match="^unknown WAV format 'bogus'"):
+            write_wav(path, AudioBuffer([0.1, np.nan], 16000), fmt="bogus")
+        assert not path.exists()
+
     def test_rejects_a_file_past_4_gib(self, tmp_path):
         """The 2**31 codes are a broadcast view, so no 4 GiB buffer is made."""
         path = tmp_path / "x.wav"
@@ -348,7 +411,7 @@ class TestWriteMatchesScipy:
         ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
         write_wav(ours, AudioBuffer(samples, 22050), fmt=fmt)
         if fmt == "pcm16":
-            values = audio_io._encode_pcm16(samples, "")[0]
+            values = pcm16_oracle(samples)[0]
         else:
             values = samples.astype(np.float32)
         wavfile.write(theirs, 22050, values)

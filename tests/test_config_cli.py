@@ -454,6 +454,39 @@ class TestCliEnhance:
         assert captured.out == "group_delay_ms=0.250 block_ms=0.250\n"
         assert np.abs(read_wav(out).samples).max() <= 1.0
 
+    @staticmethod
+    def loud_gain_run(tmp_path, frames):
+        """``fbeq enhance --format float32`` with gains of 4 on a float32 input
+        of 3e38 from sample 6000 on: past the first 4096-sample block, the
+        output leaves the float32 range."""
+        wav, stream, out = tmp_path / "in.wav", tmp_path / "loud.fbeg", tmp_path / "out.wav"
+        x = np.zeros(8192)
+        x[6000:] = 3e38
+        write_test_wav(wav, x)
+        fbeg.write_gain_stream(stream, frames, fbeg.TYPE_SUBBAND_GAINS, 512, 64)
+        code = main(["enhance", "--format", "float32", "--in", str(wav),
+                     "--gains", str(stream), "--out", str(out)])
+        return code, out
+
+    def test_float32_range_error_names_the_signal_index(self, tmp_path, capsys):
+        code, out = self.loud_gain_run(
+            tmp_path, np.full((128, 257), 4.0, dtype=np.complex64))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"fbeq: error: refusing to write {out}: sample 6064 "
+            "(1.2000000021991023e+39) is beyond the float32 range\n")
+        assert not out.exists()
+
+    def test_gain_file_error_reported_before_the_output_error(self, tmp_path, capsys):
+        """The output is encoded as it is filtered, but its errors wait for
+        write_wav: a gain-file error found later still wins."""
+        frames = np.full((140, 257), 4.0, dtype=np.complex64)
+        frames[135, 0] = 4.0 + 0.5j  # past the input's 128 frames
+        code, out = self.loud_gain_run(tmp_path, frames)
+        assert code == 4
+        assert "symmetry error in frame 135:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_record_past_input_end(self, tmp_path, capsys):
         wav = tmp_path / "in.wav"
         write_test_wav(wav, np.zeros(160))  # 40 frames
@@ -483,17 +516,21 @@ class TestCliEnhance:
 
 
 class TestEnhanceMemory:
-    def test_peak_grows_by_at_most_15_bytes_per_input_sample(self, tmp_path):
-        """The input stays float32 until each block is widened, and it is freed
-        before the float64 output is encoded a chunk at a time: 4 input bytes,
-        8 output bytes and no whole-signal temporaries per sample."""
+    """Peak growth of ``fbeq enhance`` per added input sample, on a float32
+    WAV: the 4-byte input, kept float32 until each block is widened, and the
+    file's own samples, encoded a block at a time as they are filtered (2
+    bytes for PCM16, 4 for float32), with no whole-signal temporaries."""
+
+    @staticmethod
+    def growth_per_sample(tmp_path, fmt):
         rate = 16000
         rng = np.random.default_rng(139)
 
         def peak_bytes(seconds):
             wav = tmp_path / f"{seconds}s.wav"
             write_test_wav(wav, 0.1 * rng.standard_normal(seconds * rate))
-            argv = ["enhance", "--in", str(wav), "--out", str(tmp_path / "out.wav")]
+            argv = ["enhance", "--in", str(wav), "--out", str(tmp_path / "out.wav"),
+                    "--format", fmt]
             tracemalloc.start()
             try:
                 assert main(argv) == 0
@@ -503,7 +540,15 @@ class TestEnhanceMemory:
 
         peak_bytes(1)  # first-call imports
         short, long = peak_bytes(4), peak_bytes(60)
-        assert long - short <= 15 * 56 * rate, (short, long)
+        return (long - short) / (56 * rate)
+
+    def test_pcm16_peak_grows_by_at_most_7_bytes_per_input_sample(self, tmp_path):
+        growth = self.growth_per_sample(tmp_path, "pcm16")
+        assert growth <= 7, growth
+
+    def test_float32_peak_grows_by_at_most_9_bytes_per_input_sample(self, tmp_path):
+        growth = self.growth_per_sample(tmp_path, "float32")
+        assert growth <= 9, growth
 
 
 class TestAnalyzeEvaluateMemory:

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fbeq import equalizer, filterbank
+from fbeq.audio_io import AudioBuffer, BlockEncoder, write_wav
 from fbeq.config import Config
 from fbeq.equalizer import (
     EngineState,
@@ -1308,6 +1309,60 @@ class TestFloat32Input:
             tracemalloc.stop()
         past_output = block_frame_matrices(cfg, peak - 4 * rate * 8)
         assert past_output <= 2.3, past_output
+
+
+class TestOutParameter:
+    """``out`` takes the output a block at a time in place of a new array."""
+
+    @staticmethod
+    def run(tmp_path, source, cfg, scale=1.0, **kwargs):
+        rng = np.random.default_rng(149)
+        frames = 150  # three blocks, the last one partial, plus a partial hop
+        x = make_speech(frames * cfg.hop / cfg.sample_rate_hz)
+        x = scale * np.concatenate([x + 0.05 * rng.standard_normal(x.size),
+                                    rng.standard_normal(17)])
+        if source == TYPE_SUBBAND_GAINS:
+            rows = random_hermitian_gains(rng, 257 * frames).reshape(frames, 257)
+            rows[:, [0, -1]] = rows[:, [0, -1]].real
+            source = gain_file(tmp_path, rows, 512, 64)
+        elif source == TYPE_DFT_RESPONSES:
+            responses = np.fft.rfft(rng.standard_normal((frames, 128)), n=256, axis=1)
+            source = gain_file(tmp_path, responses, 512, 64, TYPE_DFT_RESPONSES)
+        return process_stream(x, source, cfg, **kwargs)[0]
+
+    @pytest.mark.parametrize("source, mode", [
+        ("mmse-lsa", "ols"), ("mmse-lsa", "direct"), (TYPE_SUBBAND_GAINS, "ols"),
+        (TYPE_SUBBAND_GAINS, "direct"), (TYPE_DFT_RESPONSES, "ols")])
+    def test_fills_out_and_returns_it(self, tmp_path, source, mode):
+        cfg = Config(mode=mode)
+        out = np.empty(150 * cfg.hop)
+        assert self.run(tmp_path, source, cfg, out=out) is out
+        assert np.array_equal(out, self.run(tmp_path, source, cfg))
+
+    def test_type_b_in_direct_mode_still_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="use the ols mode"):
+            self.run(tmp_path, TYPE_DFT_RESPONSES, Config(mode="direct"),
+                     out=np.empty(150 * 64))
+
+    @pytest.mark.parametrize("size", [150 * 64 - 1, 150 * 64 + 1])
+    def test_out_of_another_length_rejected(self, size):
+        with pytest.raises(ConfigError, match=f"^out holds {size} samples, not 9600$"):
+            self.run(None, "mmse-lsa", Config(), out=np.empty(size))
+
+    @pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+    def test_encoder_gives_the_whole_signal_file(self, tmp_path, fmt):
+        """Blocks of 3 hops encoded as they come, on an input loud enough that
+        PCM16 saturates, give the file and count of the whole-signal write."""
+        cfg = Config()
+        with patch.object(filterbank, "BLOCK_FRAMES", 3):
+            encoder = self.run(tmp_path, "mmse-lsa", cfg, scale=8.0,
+                               out=BlockEncoder(150 * cfg.hop, fmt))
+        output = self.run(tmp_path, "mmse-lsa", cfg, scale=8.0)
+        blocks, whole = tmp_path / "blocks.wav", tmp_path / "whole.wav"
+        clipped = write_wav(blocks, AudioBuffer(encoder, 16000), fmt=fmt)
+        assert clipped == write_wav(whole, AudioBuffer(output, 16000), fmt=fmt)
+        assert fmt == "float32" or clipped > 0
+        assert blocks.read_bytes() == whole.read_bytes()
 
 
 class TestOtherInputDtypes:
