@@ -2,13 +2,17 @@
 
 Mono PCM16 or IEEE-float32 only; mismatched sample rates are errors — the
 DSP chain never resamples.  ``read_wav`` parses the RIFF chunks and
-``write_wav`` packs them itself, so neither loads ``scipy.io``.
+``write_wav`` packs them itself, so neither loads ``scipy.io``.  Both can
+stream: :class:`WavReader` reads a file a slice at a time, and
+:class:`BlockEncoder` writes one a block at a time into a temporary file
+that ``write_wav`` renames into place.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -24,25 +28,32 @@ _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"  # after the tag
 _SAMPLE_TYPES = {1: np.dtype("<i2"), 3: np.dtype("<f4")}  # PCM16, IEEE float32
 _FORMATS = {"pcm16": _SAMPLE_TYPES[1], "float32": _SAMPLE_TYPES[3]}
+_PCM16_SAFE_MAX = 32767.0 / PCM16_SCALE  # the largest sample that cannot saturate
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
 class AudioBuffer:
-    """Mono audio: float samples (nominally in [-1, 1]) plus sample rate."""
+    """Mono audio: float samples (nominally in [-1, 1]) plus sample rate.
+
+    ``samples`` may also be a streamed file's :class:`WavReader`, or a
+    :class:`BlockEncoder` for :func:`write_wav` to publish."""
 
     samples: np.ndarray
     sample_rate_hz: int
 
 
-def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
-    """Read a mono WAV file.
+def read_wav(path, expected_rate: int | None = None, stream: bool = False) -> AudioBuffer:
+    """Read a mono WAV file, whole or (``stream=True``) a slice at a time.
 
     The RIFF chunks are walked here: mono PCM16 (format tag 1) or IEEE
     float32 (tag 3), plain or ``WAVE_FORMAT_EXTENSIBLE``, with unknown chunks
-    such as ``fact`` skipped.  The samples come back as float32, which holds
+    such as ``fact`` skipped.  The samples come as float32, which holds
     either format exactly: PCM16 is scaled by ``1/32768`` in place, and
-    float32 passes through uncopied.  Widened to float64 they are the file's
-    exact values.
+    float32 is the file's own bytes.  Widened to float64 they are the file's
+    exact values.  With ``stream`` the header alone is read here, and
+    ``samples`` is an open :class:`WavReader` for the caller to close;
+    otherwise it is that reader's whole-range read, a writable array.
 
     Raises
     ------
@@ -54,9 +65,11 @@ def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
         Stereo files, unsupported sample formats (compressed ones included),
         or a rate different from ``expected_rate`` (no silent resampling),
         each with the byte offset of its field; or a non-finite sample (its
-        index is reported).
+        index is reported).  A streamed file raises the sample errors, and a
+        ``FormatError`` for data that ends early, from the read that meets them.
     """
-    with open(path, "rb") as fh:
+    fh = open(path, "rb")
+    try:
         head = fh.read(12)
         if head[:4] != b"RIFF":
             raise _unreadable(path, "no RIFF id at byte 0")
@@ -83,15 +96,61 @@ def read_wav(path, expected_rate: int | None = None) -> AudioBuffer:
             raise _unreadable(path, f"no data chunk before the RIFF end at byte {end}")
         if fmt is None:
             raise _unreadable(path, f"data chunk at byte {pos} precedes the fmt chunk")
-        dtype, rate = fmt
-        data = np.fromfile(fh, dtype, size // dtype.itemsize)
-    if data.dtype == np.int16:
-        samples = data.astype(np.float32)
-        samples *= 1.0 / PCM16_SCALE  # exact: 16 significant bits times 2**-15
-    else:
-        samples = data
-    _check_finite(samples, f"{path}: ")
-    return AudioBuffer(samples=samples, sample_rate_hz=rate)
+    except BaseException:
+        fh.close()
+        raise
+    dtype, rate = fmt
+    reader = WavReader(fh, path, dtype, pos + 8, size // dtype.itemsize)
+    if stream:
+        return AudioBuffer(samples=reader, sample_rate_hz=rate)
+    with reader:
+        return AudioBuffer(samples=reader[:], sample_rate_hz=rate)
+
+
+class WavReader:
+    """The samples of an open WAV file, read a slice at a time.
+
+    ``reader[a:b]`` reads samples ``a..b-1`` as float32 by :func:`read_wav`'s
+    rules and checks them, naming a non-finite sample by its index in the
+    whole signal; reads in stream order do not seek.  A context manager that
+    closes the file.
+    """
+
+    def __init__(self, fh, path, dtype: np.dtype, offset: int, size: int) -> None:
+        self._fh, self.path, self.dtype, self.size = fh, path, dtype, size
+        self._offset = self._pos = offset  # where the samples start; fh's position
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, where: slice) -> np.ndarray:
+        start, stop, step = where.indices(self.size)
+        if step != 1:
+            raise ConfigError("a WAV file is read in contiguous slices")
+        data = np.empty(max(stop - start, 0), self.dtype)
+        at = self._offset + start * self.dtype.itemsize
+        if at != self._pos:
+            self._fh.seek(at)
+        got = self._fh.readinto(data)
+        self._pos = at + got
+        if got < data.nbytes:
+            raise _unreadable(self.path, f"data runs out at byte {self._pos}, short of "
+                                         f"the {self.size} samples its chunk declares")
+        if data.dtype == np.int16:
+            samples = data.astype(np.float32)
+            samples *= 1.0 / PCM16_SCALE  # exact: 16 significant bits times 2**-15
+        else:
+            samples = data
+        if (bad := _first_non_finite(samples)) is not None:
+            raise DataError(f"{self.path}: sample {start + bad} is non-finite "
+                            f"({samples[bad]})")
+        return samples
+
+    def __enter__(self) -> "WavReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
 
 
 def _read_fmt(fh, path, body: int, size: int,
@@ -145,74 +204,167 @@ def _check_finite(samples: np.ndarray, context: str) -> None:
 
 
 class BlockEncoder:
-    """A WAV file's samples in its own sample type, encoded a block at a time.
+    """A WAV file written a block at a time, for :func:`write_wav` to publish.
 
-    ``encoder[a:b] = block`` encodes in stream order by :func:`write_wav`'s
-    rules, counting PCM16 saturations in ``clipped``.  The first non-finite
-    sample, and for float32 the first past its range, are kept as text naming
-    their index in the whole signal, for ``write_wav`` to raise.
+    The header goes first, for ``size`` samples at ``rate`` Hz in ``fmt``,
+    into a temporary file beside the resolved ``path``; ``encoder[a:b] =
+    block`` then encodes each block in stream order by :func:`write_wav`'s
+    rules and appends it, counting PCM16 saturations in ``clipped``.  The
+    first non-finite sample, and for float32 the first past its range, are
+    kept as text naming their index in the whole signal, for ``write_wav``
+    to raise.  An existing ``path`` that is not a regular file (a device, a
+    pipe) is written in place.  As a context manager, it removes its
+    temporary file if it was not published.
+
+    Raises
+    ------
+    ConfigError
+        An unknown ``fmt``, before anything else.
+    DataError
+        A file past the 4 GiB a RIFF header can declare, before any file is
+        touched.
+    OSError
+        The errors ``open(path, "wb")`` would raise, naming ``path``.
     """
 
-    def __init__(self, size: int, fmt: str) -> None:
+    def __init__(self, path, size: int, rate: int, fmt: str = "pcm16") -> None:
         if fmt not in _FORMATS:
             raise ConfigError(f"unknown WAV format '{fmt}' (use pcm16 or float32)")
-        self.fmt, self.data, self.clipped = fmt, np.empty(size, _FORMATS[fmt]), 0
-        self.non_finite = self.beyond_range = None
+        self.path, self.size, self.rate, self.fmt = path, size, rate, fmt
+        self.clipped, self.non_finite, self.beyond_range = 0, None, None
+        self._written = 0
+        header = _wav_header(size, rate, _FORMATS[fmt], f"refusing to write {path}: ")
+        self._fh, self._temp, self._target = _open_output(path)
+        try:
+            self._fh.write(header)
+        except BaseException:
+            self.close()
+            raise
 
     def __len__(self) -> int:
-        return self.data.size
+        return self.size
 
     def __setitem__(self, where: slice, block) -> None:
-        start = where.indices(self.data.size)[0]
+        start, stop, _ = where.indices(self.size)
         block = np.asarray(block, dtype=np.float64)
+        if start != self._written or block.shape != (stop - start,):
+            raise ConfigError(f"expected the block of samples {self._written} on, "
+                              f"got {block.shape} samples for {start}..{stop - 1}")
+        self._written = stop
+        # One screen: extremes inside the format's range prove every sample
+        # finite and encodable without overflow or saturation.
+        low, high = block.min(initial=0.0), block.max(initial=0.0)
+        if self.fmt == "float32" and -_FLOAT32_MAX <= low and high <= _FLOAT32_MAX:
+            codes = block.astype(_FORMATS["float32"])
+        elif self.fmt == "pcm16" and -1.0 <= low and high <= _PCM16_SAFE_MAX:
+            # Round half away from zero: sign(t) * floor(|t| + 0.5), by a cast
+            # that truncates; t = 32768 x is exact (a power of two).
+            codes = block * PCM16_SCALE
+            codes += np.copysign(0.5, codes)
+            codes = codes.astype(_FORMATS["pcm16"])
+        else:
+            codes = self._screened(block, start)
+        if codes is not None and not (self.non_finite or self.beyond_range):
+            self._fh.write(codes)
+
+    def _screened(self, block: np.ndarray, start: int) -> np.ndarray | None:
+        """``block``'s codes when some sample is non-finite, saturates or is
+        past the float32 range; ``None`` once an error is recorded."""
         if self.non_finite is None and (bad := _first_non_finite(block)) is not None:
             self.non_finite = f"sample {start + bad} is non-finite ({block[bad]})"
         if self.non_finite or self.beyond_range:  # only a non-finite one can follow
-            return
+            return None
         if self.fmt == "float32":
-            codes = self.data[where]
             with np.errstate(over="ignore"):  # an overflowing sample is reported
-                codes[...] = block
+                codes = block.astype(_FORMATS["float32"])
             if (bad := _first_non_finite(codes)) is not None:
                 self.beyond_range = (f"sample {start + bad} ({block[bad]}) "
                                      "is beyond the float32 range")
-            return
-        # One buffer: |x| * 32768 equals |x * 32768| exactly (a power of two).
-        rounded = np.abs(block)
+                return None
+            return codes
         with np.errstate(over="ignore"):  # |x| near 1e308 saturates as inf
-            rounded *= PCM16_SCALE
-        rounded += 0.5
-        np.floor(rounded, out=rounded)
-        np.copysign(rounded, block, out=rounded)
-        if rounded.max(initial=0.0) > 32767.0 or rounded.min(initial=0.0) < -32768.0:
-            self.clipped += (int(np.count_nonzero(rounded > 32767.0))
-                             + int(np.count_nonzero(rounded < -32768.0)))
-            np.clip(rounded, -32768.0, 32767.0, out=rounded)
-        self.data[where] = rounded
+            rounded = block * PCM16_SCALE
+        rounded += np.copysign(0.5, rounded)
+        np.trunc(rounded, out=rounded)
+        self.clipped += (int(np.count_nonzero(rounded > 32767.0))
+                         + int(np.count_nonzero(rounded < -32768.0)))
+        np.clip(rounded, -32768.0, 32767.0, out=rounded)
+        return rounded.astype(_FORMATS["pcm16"])
+
+    def publish(self) -> int:
+        """Move the file to ``path``; returns ``clipped``.  A recorded error is
+        raised as a ``DataError``, and the temporary file removed, instead."""
+        error = self.non_finite or self.beyond_range
+        if not error and self._written != self.size:
+            raise ConfigError(f"encoder holds {self._written} of its {self.size} samples")
+        self._fh.close()
+        if error:
+            self.close()
+            raise DataError(f"refusing to write {self.path}: {error}")
+        if self._temp is not None:
+            os.replace(self._temp, self._target)
+            self._temp = None
+        return self.clipped
+
+    def close(self) -> None:
+        """Close the file and remove it if it was not published."""
+        self._fh.close()
+        if self._temp is not None:
+            os.unlink(self._temp)
+            self._temp = None
+
+    def __enter__(self) -> "BlockEncoder":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
-def _write_samples(path, data: np.ndarray, rate: int, context: str) -> None:
-    """Write ``data``, little-endian ``int16`` or ``float32`` samples, as a mono
-    WAV file laid out as ``scipy.io.wavfile.write`` lays it out: a float
-    file's ``fmt `` chunk carries a zero ``cbSize`` and is followed by a
-    ``fact`` chunk.  A file past the 4 GiB a RIFF size field can declare is
-    a ``DataError``, raised before the file is opened."""
-    tag = 3 if data.dtype.kind == "f" else 1
-    width = data.dtype.itemsize
+def _open_output(path) -> tuple:
+    """``(file, temporary, target)`` for writing ``path``: a new temporary file
+    beside the resolved ``path``, with the mode of the file it will replace,
+    and that resolved path; or, for an existing file that is not a regular
+    one (a device, a pipe), that file itself, ``None`` and ``None``."""
+    try:
+        fd = os.open(path, os.O_WRONLY)  # an existing target, checked as open() checks it
+    except FileNotFoundError:
+        mode = None  # 0o666 less the umask, as open() creates a file
+    else:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            return open(fd, "wb"), None, None
+        os.close(fd)
+        mode = stat.S_IMODE(info.st_mode)
+    target = os.path.realpath(path)
+    folder, name = os.path.split(target)
+    temp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # named as open(path, "wb") names it
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    if mode is not None:
+        os.chmod(fd, mode)
+    return open(fd, "wb"), temp, target
+
+
+def _wav_header(size: int, rate: int, dtype: np.dtype, context: str) -> bytes:
+    """The header of a mono WAV file of ``size`` ``dtype`` samples, laid out
+    as ``scipy.io.wavfile.write`` lays it out: a float file's ``fmt `` chunk
+    carries a zero ``cbSize`` and is followed by a ``fact`` chunk.  A file
+    past the 4 GiB a RIFF size field can declare is a ``DataError``."""
+    tag = 3 if dtype.kind == "f" else 1
+    width = dtype.itemsize
     fmt = _FMT.pack(tag, 1, rate, rate * width, width, 8 * width)
     fact = b""
     if tag == 3:
         fmt += b"\x00\x00"
-        fact = struct.pack("<4sII", b"fact", 4, data.size)
-    riff_size = 20 + len(fmt) + len(fact) + data.nbytes  # "WAVE", two chunk heads
+        fact = struct.pack("<4sII", b"fact", 4, size)
+    riff_size = 20 + len(fmt) + len(fact) + size * width  # "WAVE", two chunk heads
     if riff_size > 0xFFFFFFFF:  # RF64 is not written
-        raise DataError(f"{context}{data.size} samples make a {riff_size + 8}-byte "
+        raise DataError(f"{context}{size} samples make a {riff_size + 8}-byte "
                         "file, past the 4 GiB a RIFF header can declare")
-    with open(path, "wb") as fh:
-        fh.write(_CHUNK.pack(b"RIFF", riff_size) + b"WAVE"
-                 + _CHUNK.pack(b"fmt ", len(fmt)) + fmt + fact
-                 + _CHUNK.pack(b"data", data.nbytes))
-        data.tofile(fh)
+    return (_CHUNK.pack(b"RIFF", riff_size) + b"WAVE" + _CHUNK.pack(b"fmt ", len(fmt))
+            + fmt + fact + _CHUNK.pack(b"data", size * width))
 
 
 def write_wav(path, buf: AudioBuffer, fmt: str = "pcm16") -> int:
@@ -222,31 +374,36 @@ def write_wav(path, buf: AudioBuffer, fmt: str = "pcm16") -> int:
     ``[-32768, 32767]`` (so +1.0 lands on 32767 and -1.0 on -32768 exactly).
     ``float32`` writes IEEE floats untouched.  The bytes are those
     ``scipy.io.wavfile.write`` gives for the same samples, little-endian.
-    ``buf.samples`` may be a :class:`BlockEncoder` filled in ``fmt``, whose
-    samples are written as they are; others are encoded ``PCM16_CHUNK`` at a time.
+    ``buf.samples`` may be a :class:`BlockEncoder` for ``path`` at
+    ``buf.sample_rate_hz`` in ``fmt``, which is published as it is; other
+    samples are fed to one ``PCM16_CHUNK`` at a time.  The file appears at
+    ``path`` whole, by a rename, so ``path`` may be the file the samples were
+    read from; a symlink at ``path`` is kept and its target replaced.
 
     Raises
     ------
     ConfigError
-        An unknown ``fmt``, before any sample is read, or an encoder's other one.
+        An unknown ``fmt``, before any sample is read, or an encoder for
+        another format, path or rate.
     DataError
         A non-finite sample, or for ``float32`` a finite one beyond the
         float32 range, the message naming the first one; or a file past the
-        4 GiB a RIFF header can declare.  No file is written.
+        4 GiB a RIFF header can declare.  Nothing is left at ``path`` or
+        beside it, and a file already there is not changed.
     """
     encoder = buf.samples
     if not isinstance(encoder, BlockEncoder):
         samples = np.ravel(encoder)
-        encoder = BlockEncoder(samples.size, fmt)
-        for start in range(0, samples.size, PCM16_CHUNK):
-            encoder[start : start + PCM16_CHUNK] = samples[start : start + PCM16_CHUNK]
-    elif encoder.fmt != fmt:
+        with BlockEncoder(path, samples.size, buf.sample_rate_hz, fmt) as encoder:
+            for start in range(0, samples.size, PCM16_CHUNK):
+                encoder[start : start + PCM16_CHUNK] = samples[start : start + PCM16_CHUNK]
+            return encoder.publish()
+    if encoder.fmt != fmt:
         raise ConfigError(f"samples encoded as {encoder.fmt}, not {fmt}")
-    context = f"refusing to write {path}: "
-    if encoder.non_finite or encoder.beyond_range:
-        raise DataError(context + (encoder.non_finite or encoder.beyond_range))
-    _write_samples(path, encoder.data, buf.sample_rate_hz, context)
-    return encoder.clipped
+    if (os.fspath(encoder.path), encoder.rate) != (os.fspath(path), buf.sample_rate_hz):
+        raise ConfigError(f"samples encoded for {encoder.path} at {encoder.rate} Hz, "
+                          f"not {path} at {buf.sample_rate_hz} Hz")
+    return encoder.publish()
 
 
 def mix_at_snr(clean, noise, snr_db: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -172,13 +172,15 @@ def cmd_analyze(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_enhance(args: argparse.Namespace, cfg: Config) -> int:
     source = ESTIMATOR_MMSE_LSA if args.gains is None else args.gains
-    samples = read_wav(args.in_wav, expected_rate=cfg.sample_rate_hz).samples
-    # ``out`` encodes each filtered block at once: no whole-signal float64 output.
-    encoded, report = process_stream(samples, source, cfg, out=BlockEncoder(
-        cfg.num_frames(samples.size) * cfg.hop, args.format))
-    clipped = write_wav(
-        args.out, AudioBuffer(encoded, cfg.sample_rate_hz), fmt=args.format
-    )
+    samples = read_wav(args.in_wav, expected_rate=cfg.sample_rate_hz, stream=True).samples
+    # The input is read and the output encoded and written a block at a time,
+    # into a file that write_wav renames to --out, or removes on an error.
+    with samples, BlockEncoder(args.out, cfg.num_frames(len(samples)) * cfg.hop,
+                               cfg.sample_rate_hz, args.format) as encoder:
+        encoded, report = process_stream(samples, source, cfg, out=encoder)
+        clipped = write_wav(
+            args.out, AudioBuffer(encoded, cfg.sample_rate_hz), fmt=args.format
+        )
     if clipped:
         print(f"warning: {clipped} samples saturated in {args.out}",
               file=sys.stderr)

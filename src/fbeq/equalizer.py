@@ -15,6 +15,7 @@ these steps a block at a time, carrying each step's state between blocks.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import nullcontext
 from functools import lru_cache
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fbeg
-from .audio_io import _check_finite
+from .audio_io import WavReader, _check_finite, _first_non_finite
 from .errors import ConfigError, DataError, NumericError
 from .filterbank import (
     HERMITIAN_IMAG_TOL,
@@ -276,11 +277,14 @@ def process_stream(x, gain_source, cfg, out=None) -> tuple[np.ndarray, LatencyRe
 
     Parameters
     ----------
-    x : array_like
+    x : array_like or fbeq.audio_io.WavReader
         Input signal of any real numeric dtype, widened to float64 a block at
         a time by each stage that reads it, with the same output as its whole
         widening.  An object-dtype array is not converted: the finite check
-        raises ``TypeError``.
+        raises ``TypeError``.  A reader (``read_wav(path, stream=True)
+        .samples``) is read a block at a time in stream order, then past the
+        last whole hop, and checks each sample as it reads it: its errors
+        come when their block is reached.
     gain_source : str or path-like
         ``"mmse-lsa"`` for the built-in estimator, or the path of an FBEG file.
     cfg : fbeq.config.Config
@@ -305,17 +309,21 @@ def process_stream(x, gain_source, cfg, out=None) -> tuple[np.ndarray, LatencyRe
         in ``direct`` mode, or an ``out`` of another length.
     NumericError
         A subband-gain frame whose DC or Nyquist bin is not real, past the
-        input's last frame too, or an input loud enough to overflow the
-        estimator's a posteriori SNR (the frame is named).
+        input's last frame too, an input loud enough to overflow the
+        estimator's a posteriori SNR, or a filtered output that is not finite
+        (a finite input loud enough to overflow the filtering); the frame is
+        named.
     FormatError
         A gain file that :func:`fbeq.fbeg.load_gain_stream` would reject,
-        with the same message.
+        with the same message, or a streamed input whose data ends early.
     """
     if not isinstance(gain_source, (str, os.PathLike)):
         raise ConfigError(f"gain source must be {ESTIMATOR_MMSE_LSA!r} or the path "
                           f"of an FBEG file, got {type(gain_source).__name__}")
-    x = np.ravel(x)
-    _check_finite(x, "input ")
+    streamed = isinstance(x, WavReader)  # it checks each slice it reads
+    if not streamed:
+        x = np.ravel(x)
+        _check_finite(x, "input ")
     proto = design_prototype(cfg)
     p, hop = cfg.shorten_len, cfg.hop
     report = LatencyReport(
@@ -323,11 +331,12 @@ def process_stream(x, gain_source, cfg, out=None) -> tuple[np.ndarray, LatencyRe
         block_buffer_samples=hop,
         sample_rate_hz=cfg.sample_rate_hz,
     )
-    num_frames = cfg.num_frames(x.size)
+    num_frames = cfg.num_frames(len(x))
     estimator = gain_source == ESTIMATOR_MMSE_LSA
     with (nullcontext((None, None)) if estimator
           else fbeg.open_gain_stream(gain_source)) as (header, read):
         if estimator:
+            responses = False
             tracker = NoiseTrackerState.initial(cfg.num_bins, cfg)
             analysis = EngineState(np.zeros(cfg.proto_len + 1), hop)
         else:
@@ -361,33 +370,47 @@ def process_stream(x, gain_source, cfg, out=None) -> tuple[np.ndarray, LatencyRe
         # A block's frames, gains and taps each go once their consumer has
         # run, and the histories carried on are copies, so no array of one
         # block is alive while the next is analysed.  The block is the
-        # input's own slice: each EngineState.push widens it for its call
-        # alone, so no float64 copy is held through the mapping.  The gains
-        # are passed with no name left on them here, so they die inside
-        # gains_to_taps after its inverse FFT (CPython 3.11 and later move a
-        # call's arguments into the callee's frame; 3.10 frees them on
-        # return).
-        for frames in _frame_blocks(num_frames):
-            samples = slice(frames.start * hop, frames.stop * hop)
-            block = x[samples]
-            if estimator:
-                # Complex now, as gains_to_taps needs them: the real gains die
-                # before the mapping's kernel is formed.
-                taps = gains_to_taps(estimate_gains(
-                    analyze_polyphase(block, proto, cfg, analysis).frames,
-                    cfg, tracker).astype(np.complex128),
-                    proto, p, first_frame=frames.start)
-            elif responses:
-                out[samples] = ols_filter_frame(engine, read(frames), block)
-                continue
-            else:
-                taps = gains_to_taps(_clamp_magnitude(read(frames), cfg.g_max),
-                                     proto, p, first_frame=frames.start)
-            if cfg.mode == "direct":
-                out[samples] = direct_filter_block(engine, taps, block)
-            else:
-                out[samples] = ols_filter_frame(engine, filter_to_freq(taps), block)
-            del taps
+        # input's own slice, or a streamed file's read: each EngineState.push
+        # widens it for its call alone, so no float64 copy is held through
+        # the mapping.  The gains are passed with no name left on them here,
+        # so they die inside gains_to_taps after its inverse FFT (CPython
+        # 3.11 and later move a call's arguments into the callee's frame;
+        # 3.10 frees them on return).  An input loud enough to overflow a
+        # stage shows as a non-finite output, screened once per block, so
+        # NumPy's overflow and invalid-value warnings are silenced here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for frames in _frame_blocks(num_frames):
+                samples = slice(frames.start * hop, frames.stop * hop)
+                block = x[samples]
+                if responses:
+                    filtered = ols_filter_frame(engine, read(frames), block)
+                else:
+                    if estimator:
+                        # Complex now, as gains_to_taps needs them: the real
+                        # gains die before the mapping's kernel is formed.
+                        taps = gains_to_taps(estimate_gains(
+                            analyze_polyphase(block, proto, cfg, analysis).frames,
+                            cfg, tracker).astype(np.complex128),
+                            proto, p, first_frame=frames.start)
+                    else:
+                        taps = gains_to_taps(_clamp_magnitude(read(frames), cfg.g_max),
+                                             proto, p, first_frame=frames.start)
+                    if cfg.mode == "direct":
+                        filtered = direct_filter_block(engine, taps, block)
+                    else:
+                        filtered = ols_filter_frame(engine, filter_to_freq(taps), block)
+                    del taps
+                # A finite sum proves every sample finite; one that overflowed
+                # is told apart by the search.
+                if (not math.isfinite(np.add.reduce(filtered))
+                        and (bad := _first_non_finite(filtered)) is not None):
+                    raise NumericError(
+                        f"filtered output overflowed at frame {frames.start + bad // hop}"
+                        f": output sample {samples.start + bad} is not finite")
+                out[samples] = filtered
+                del filtered
+        if streamed:
+            x[num_frames * hop :]  # read to check the samples past the last hop
         if not estimator:  # the records past the input's end
             for frames in _frame_blocks(header.num_frames, first=num_frames):
                 rows = read(frames)

@@ -1,5 +1,8 @@
+import os
 import re
+import stat
 import struct
+import threading
 import warnings
 
 import numpy as np
@@ -207,8 +210,8 @@ class TestBlockEncoder:
         return x
 
     @classmethod
-    def encoded(cls, x, fmt):
-        encoder = BlockEncoder(x.size, fmt)
+    def encoded(cls, path, x, fmt):
+        encoder = BlockEncoder(path, x.size, 16000, fmt)
         for start in range(0, x.size, cls.BLOCK):
             encoder[start : start + cls.BLOCK] = x[start : start + cls.BLOCK]
         return encoder
@@ -217,7 +220,8 @@ class TestBlockEncoder:
     def test_matches_whole_signal(self, tmp_path, fmt):
         x = self.signal()
         blocks, whole = tmp_path / "blocks.wav", tmp_path / "whole.wav"
-        clipped = write_wav(blocks, AudioBuffer(self.encoded(x, fmt), 16000), fmt=fmt)
+        clipped = write_wav(blocks, AudioBuffer(self.encoded(blocks, x, fmt), 16000),
+                            fmt=fmt)
         assert clipped == write_wav(whole, AudioBuffer(x, 16000), fmt=fmt)
         assert clipped == (pcm16_oracle(x)[1] if fmt == "pcm16" else 0)
         assert fmt == "float32" or clipped >= 8
@@ -236,17 +240,131 @@ class TestBlockEncoder:
             x[index] = value
         path = tmp_path / "x.wav"
         want = f"^{re.escape(f'refusing to write {path}: {message}')}$"
-        for samples in (self.encoded(x, fmt), x):
+        for samples in (self.encoded(path, x, fmt), x):
             with pytest.raises(DataError, match=want):
                 write_wav(path, AudioBuffer(samples, 16000), fmt=fmt)
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []  # no file, no temporary beside it
 
     def test_rejects_an_encoder_of_another_format(self, tmp_path):
-        encoder = BlockEncoder(4, "float32")
-        encoder[0:4] = np.zeros(4)
-        with pytest.raises(ConfigError, match="^samples encoded as float32, not pcm16$"):
-            write_wav(tmp_path / "x.wav", AudioBuffer(encoder, 16000))
-        assert not (tmp_path / "x.wav").exists()
+        with BlockEncoder(tmp_path / "x.wav", 4, 16000, "float32") as encoder:
+            encoder[0:4] = np.zeros(4)
+            with pytest.raises(ConfigError,
+                               match="^samples encoded as float32, not pcm16$"):
+                write_wav(tmp_path / "x.wav", AudioBuffer(encoder, 16000))
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestWavReader:
+    """``read_wav(path, stream=True)`` reads the header alone and returns a
+    reader whose slices are the whole read's, checked as they are read."""
+
+    FILES = {
+        "pcm16": lambda path, x: wavfile.write(path, 16000, (x * 30000).astype(np.int16)),
+        "float32": lambda path, x: write_wav(path, AudioBuffer(x, 16000), fmt="float32"),
+        "extensible": lambda path, x: extensible_wav(path, x.astype(np.float32), 3),
+    }
+
+    @pytest.mark.parametrize("kind", FILES)
+    def test_array_read_is_the_whole_range_read(self, tmp_path, kind):
+        path = tmp_path / "x.wav"
+        self.FILES[kind](path, np.random.default_rng(17).uniform(-1, 1, 1001))
+        whole = read_wav(path).samples
+        assert whole.dtype == np.float32 and whole.flags.writeable
+        with read_wav(path, expected_rate=16000, stream=True).samples as reader:
+            assert len(reader) == whole.size == 1001
+            assert reader[:].tobytes() == whole.tobytes()
+            blocks = [reader[start : start + 300] for start in range(0, 1001, 300)]
+            assert np.concatenate(blocks).tobytes() == whole.tobytes()
+            assert reader[990:2000].tobytes() == whole[990:].tobytes()  # out of order
+            assert reader[5:5].size == 0
+
+    @pytest.mark.parametrize("kind", ["pcm16", "float32"])
+    def test_data_that_ends_early_names_the_byte(self, tmp_path, kind):
+        """A file cut short after its header and first block were read."""
+        path = tmp_path / "x.wav"
+        self.FILES[kind](path, np.zeros(100_000))
+        data = path.read_bytes().index(b"data") + 8
+        end = data + 40_000 * (2 if kind == "pcm16" else 4) + 1
+        with read_wav(path, stream=True).samples as reader:
+            assert reader[0:100].size == 100
+            os.truncate(path, end)
+            message = (f"{path}: not a readable WAV file (data runs out at byte "
+                       f"{end}, short of the 100000 samples its chunk declares)")
+            with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+                reader[100:50_000]
+
+    def test_non_finite_named_by_its_index_in_the_signal(self, tmp_path):
+        x = np.zeros(1000)
+        x[700], x[800] = np.inf, np.nan
+        path = tmp_path / "x.wav"
+        wavfile.write(path, 16000, x.astype(np.float32))
+        with read_wav(path, stream=True).samples as reader:
+            assert not reader[0:700].any()
+            with pytest.raises(DataError, match=re.escape(
+                    f"{path}: sample 700 is non-finite (inf)")):
+                reader[600:900]
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: sample 700 is non-finite (inf)")):
+            read_wav(path)
+
+    def test_rejects_a_strided_slice(self, tmp_path):
+        path = tmp_path / "x.wav"
+        write_wav(path, AudioBuffer(np.zeros(10), 16000))
+        with read_wav(path, stream=True).samples as reader:
+            with pytest.raises(ConfigError, match="contiguous"):
+                reader[::2]
+
+
+class TestEncoderFile:
+    """The encoder's file appears at the path only when published, whole."""
+
+    def test_blocks_out_of_order_or_missing_are_refused(self, tmp_path):
+        with BlockEncoder(tmp_path / "x.wav", 10, 16000) as encoder:
+            with pytest.raises(ConfigError, match="samples 0 on"):
+                encoder[5:10] = np.zeros(5)
+            encoder[0:5] = np.zeros(5)
+            with pytest.raises(ConfigError, match="samples 5 on"):
+                encoder[5:10] = np.zeros(4)
+            with pytest.raises(ConfigError, match="^encoder holds 5 of its 10 samples$"):
+                write_wav(tmp_path / "x.wav", AudioBuffer(encoder, 16000))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("other", [{"path": "y.wav"}, {"rate": 8000}])
+    def test_rejects_an_encoder_for_another_path_or_rate(self, tmp_path, other):
+        path, rate = tmp_path / other.get("path", "x.wav"), other.get("rate", 16000)
+        with BlockEncoder(tmp_path / "x.wav", 0, 16000) as encoder:
+            with pytest.raises(ConfigError, match="^samples encoded for "):
+                write_wav(path, AudioBuffer(encoder, rate))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replaces_a_file_keeping_its_mode_and_a_symlink(self, tmp_path):
+        x = np.linspace(-1, 1, 100)
+        want = tmp_path / "want.wav"
+        write_wav(want, AudioBuffer(x, 16000))
+        target, link = tmp_path / "target.wav", tmp_path / "link.wav"
+        target.write_bytes(b"old")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        write_wav(link, AudioBuffer(x, 16000))
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == want.read_bytes()
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "link.wav", "target.wav", "want.wav"]
+
+    def test_a_pipe_is_written_in_place(self, tmp_path):
+        x = np.linspace(-1, 1, 5000)
+        want = tmp_path / "want.wav"
+        write_wav(want, AudioBuffer(x, 16000))
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()))
+        reader.start()
+        write_wav(pipe, AudioBuffer(x, 16000))
+        reader.join(timeout=10)
+        assert got == [want.read_bytes()]
+        assert stat.S_ISFIFO(pipe.lstat().st_mode)
 
 
 class TestReadValidation:
@@ -390,14 +508,14 @@ class TestWriteValidation:
         assert not path.exists()
 
     def test_rejects_a_file_past_4_gib(self, tmp_path):
-        """The 2**31 codes are a broadcast view, so no 4 GiB buffer is made."""
+        """The size is checked when the encoder is made, before any file is
+        opened, so no 4 GiB of samples is needed."""
         path = tmp_path / "x.wav"
-        codes = np.broadcast_to(np.zeros(1, dtype="<i2"), (2**31,))
         message = (f"refusing to write {path}: 2147483648 samples make a "
                    "4294967340-byte file, past the 4 GiB a RIFF header can declare")
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            audio_io._write_samples(path, codes, 16000, f"refusing to write {path}: ")
-        assert not path.exists()
+            BlockEncoder(path, 2**31, 16000, "pcm16")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWriteMatchesScipy:

@@ -32,6 +32,13 @@ def write_test_wav(path, samples, rate=16000):
               fmt="float32")
 
 
+def wavfile_write_float32(path, samples, rate=16000):
+    """A float32 WAV of ``samples`` as they are, NaN included, which
+    ``write_wav`` refuses."""
+    from scipy.io import wavfile
+    wavfile.write(path, rate, np.asarray(samples, dtype=np.float32))
+
+
 def write_with_nan(path, num_frames, offset):
     """A unity type-A file for ``SMALL_FLAGS`` with a NaN float at byte
     ``offset``, patched in because ``write_gain_stream`` rejects NaN."""
@@ -515,11 +522,111 @@ class TestCliEnhance:
         assert "symmetry error in frame 55:" in capsys.readouterr().err
 
 
+class TestStreamedEnhance:
+    """``fbeq enhance`` reads its input and writes its output a block at a
+    time (4096 samples at the default geometry).  An error found after blocks
+    were written keeps its exit code and message, and leaves no file at
+    ``--out`` and no temporary beside it; a file already at ``--out`` keeps
+    its bytes."""
+
+    PREVIOUS = b"an earlier output"
+
+    @staticmethod
+    def nan_input(tmp_path, index, size):
+        wav = tmp_path / "in.wav"
+        x = 0.1 * np.random.default_rng(167).standard_normal(size)
+        x[index] = np.nan
+        wavfile_write_float32(wav, x)
+        return ["--in", str(wav)], f"fbeq: error: {wav}: sample {index} is non-finite (nan)\n"
+
+    @staticmethod
+    def nan_mid(tmp_path):
+        return 3, *TestStreamedEnhance.nan_input(tmp_path, 3 * 4096 + 5, 5 * 4096)
+
+    @staticmethod
+    def nan_in_final_partial_hop(tmp_path):
+        return 3, *TestStreamedEnhance.nan_input(tmp_path, 2 * 4096 + 30, 2 * 4096 + 40)
+
+    @staticmethod
+    def numeric_mid(tmp_path):
+        wav, stream = tmp_path / "in.wav", tmp_path / "edge.fbeg"
+        write_test_wav(wav, 0.1 * np.random.default_rng(173).standard_normal(200 * 64))
+        frames = np.ones((200, 257), dtype=np.complex64)
+        frames[150, 0] = 1.0 + 0.5j
+        fbeg.write_gain_stream(stream, frames, fbeg.TYPE_SUBBAND_GAINS, 512, 64)
+        return 4, ["--in", str(wav), "--gains", str(stream)], (
+            "fbeq: error: Hermitian symmetry error in frame 150: DC/Nyquist bins are "
+            "not real (|imag| = 5.000e-01, limit 1.118e-09)\n")
+
+    @staticmethod
+    def float32_range(tmp_path):
+        wav, stream = tmp_path / "in.wav", tmp_path / "loud.fbeg"
+        x = np.zeros(8192)
+        x[6000:] = 3e38
+        write_test_wav(wav, x)
+        fbeg.write_gain_stream(stream, np.full((128, 257), 4.0, dtype=np.complex64),
+                               fbeg.TYPE_SUBBAND_GAINS, 512, 64)
+        return 3, ["--in", str(wav), "--gains", str(stream), "--format", "float32"], (
+            "fbeq: error: refusing to write {out}: sample 6064 "
+            "(1.2000000021991023e+39) is beyond the float32 range\n")
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    @pytest.mark.parametrize("case", ["nan_mid", "nan_in_final_partial_hop",
+                                      "numeric_mid", "float32_range"])
+    def test_error_leaves_out_as_it_was(self, tmp_path, capsys, case, existing):
+        code, args, err = getattr(self, case)(tmp_path)
+        folder = tmp_path / "outputs"
+        folder.mkdir()
+        out = folder / "out.wav"
+        if existing:
+            out.write_bytes(self.PREVIOUS)
+        assert main(["enhance", *args, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err.format(out=out))
+        assert [p.name for p in folder.iterdir()] == (["out.wav"] if existing else [])
+        assert not existing or out.read_bytes() == self.PREVIOUS
+
+    @pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+    def test_in_may_be_out(self, tmp_path, capsys, fmt):
+        wav, other = tmp_path / "x.wav", tmp_path / "other.wav"
+        write_test_wav(wav, 0.1 * np.random.default_rng(179).standard_normal(3 * 4096))
+        copy = tmp_path / "copy.wav"
+        copy.write_bytes(wav.read_bytes())
+        assert main(["enhance", "--in", str(copy), "--out", str(other),
+                     "--format", fmt]) == 0
+        assert main(["enhance", "--in", str(wav), "--out", str(wav),
+                     "--format", fmt]) == 0
+        assert wav.read_bytes() == other.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "copy.wav", "other.wav", "x.wav"]
+
+    def test_symlinked_out_keeps_its_link(self, tmp_path, capsys):
+        wav, want = tmp_path / "in.wav", tmp_path / "want.wav"
+        write_test_wav(wav, 0.1 * np.random.default_rng(181).standard_normal(4096))
+        assert main(["enhance", "--in", str(wav), "--out", str(want)]) == 0
+        target, link = tmp_path / "target.wav", tmp_path / "link.wav"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        assert main(["enhance", "--in", str(wav), "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == want.read_bytes()
+
+    def test_unwritable_out_named_as_open_names_it(self, tmp_path, capsys):
+        wav = tmp_path / "in.wav"
+        write_test_wav(wav, np.zeros(640))
+        for out, error in ((tmp_path / "none" / "out.wav", "No such file or directory"),
+                           (tmp_path, "Is a directory")):
+            assert main(["enhance", "--in", str(wav), "--out", str(out)]) == 3
+            with pytest.raises(OSError) as exc:
+                open(out, "wb")
+            assert capsys.readouterr().err == f"fbeq: error: {exc.value}\n"
+            assert error in str(exc.value)
+
+
 class TestEnhanceMemory:
     """Peak growth of ``fbeq enhance`` per added input sample, on a float32
-    WAV: the 4-byte input, kept float32 until each block is widened, and the
-    file's own samples, encoded a block at a time as they are filtered (2
-    bytes for PCM16, 4 for float32), with no whole-signal temporaries."""
+    WAV: none, as the input is read and the output encoded and written a
+    block at a time, so the peak does not depend on the signal's length."""
 
     @staticmethod
     def growth_per_sample(tmp_path, fmt):
@@ -542,13 +649,13 @@ class TestEnhanceMemory:
         short, long = peak_bytes(4), peak_bytes(60)
         return (long - short) / (56 * rate)
 
-    def test_pcm16_peak_grows_by_at_most_7_bytes_per_input_sample(self, tmp_path):
+    def test_pcm16_peak_grows_by_at_most_half_a_byte_per_input_sample(self, tmp_path):
         growth = self.growth_per_sample(tmp_path, "pcm16")
-        assert growth <= 7, growth
+        assert growth <= 0.5, growth
 
-    def test_float32_peak_grows_by_at_most_9_bytes_per_input_sample(self, tmp_path):
+    def test_float32_peak_grows_by_at_most_half_a_byte_per_input_sample(self, tmp_path):
         growth = self.growth_per_sample(tmp_path, "float32")
-        assert growth <= 9, growth
+        assert growth <= 0.5, growth
 
 
 class TestAnalyzeEvaluateMemory:

@@ -925,6 +925,51 @@ class TestInputPowerOverflow:
         assert np.isfinite(out).all()
 
 
+class TestOutputOverflow:
+    """A finite input loud enough that a gain file's filtering overflows
+    raises ``NumericError`` naming the first frame whose output is not
+    finite, counted from the start of the stream, with no NumPy warning
+    (the test suite turns ``RuntimeWarning`` into errors)."""
+
+    @staticmethod
+    def unity_file(tmp_path, record_type, frames):
+        bins = 257 if record_type == TYPE_SUBBAND_GAINS else 129
+        return gain_file(tmp_path, np.ones((frames, bins), dtype=np.complex64),
+                         512, 64, record_type)
+
+    @pytest.mark.parametrize("record_type", [TYPE_SUBBAND_GAINS, TYPE_DFT_RESPONSES],
+                             ids=["type-A", "type-B"])
+    def test_whole_input_overflowing(self, tmp_path, record_type):
+        source = self.unity_file(tmp_path, record_type, 10)
+        with pytest.raises(NumericError, match="^filtered output overflowed at "
+                                               "frame 0: output sample 0 is not finite$"):
+            process_stream(np.full(640, 1e307), source, Config())
+
+    @pytest.mark.parametrize("record_type", [TYPE_SUBBAND_GAINS, TYPE_DFT_RESPONSES],
+                             ids=["type-A", "type-B"])
+    def test_names_the_first_frame_of_a_later_block(self, tmp_path, record_type):
+        """The per-hop chain, run with the warnings silenced, is the oracle."""
+        cfg = Config()
+        source = self.unity_file(tmp_path, record_type, 200)
+        x = np.random.default_rng(73).standard_normal(200 * cfg.hop)
+        x[150 * cfg.hop + 9 :] = 1e307  # in the third block of 64 frames
+        rows = load_gain_stream(source)[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference = per_hop_chain(x, rows, cfg, record_type)
+        sample = int(np.argmin(np.isfinite(reference)))
+        assert sample >= 150 * cfg.hop
+        message = (f"filtered output overflowed at frame {sample // cfg.hop}: "
+                   f"output sample {sample} is not finite")
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            process_stream(x, source, cfg)
+
+    def test_finite_output_passes(self, tmp_path):
+        """Direct filtering of the same input stays finite: no error."""
+        source = self.unity_file(tmp_path, TYPE_SUBBAND_GAINS, 10)
+        out, _ = process_stream(np.full(640, 1e307), source, Config(mode="direct"))
+        assert np.isfinite(out).all()
+
+
 def per_hop_chain(x, rows, cfg, record_type=None, empty_at=None):
     """Run the public per-hop functions one hop at a time.
 
@@ -1354,11 +1399,11 @@ class TestOutParameter:
         """Blocks of 3 hops encoded as they come, on an input loud enough that
         PCM16 saturates, give the file and count of the whole-signal write."""
         cfg = Config()
+        blocks, whole = tmp_path / "blocks.wav", tmp_path / "whole.wav"
         with patch.object(filterbank, "BLOCK_FRAMES", 3):
             encoder = self.run(tmp_path, "mmse-lsa", cfg, scale=8.0,
-                               out=BlockEncoder(150 * cfg.hop, fmt))
+                               out=BlockEncoder(blocks, 150 * cfg.hop, 16000, fmt))
         output = self.run(tmp_path, "mmse-lsa", cfg, scale=8.0)
-        blocks, whole = tmp_path / "blocks.wav", tmp_path / "whole.wav"
         clipped = write_wav(blocks, AudioBuffer(encoder, 16000), fmt=fmt)
         assert clipped == write_wav(whole, AudioBuffer(output, 16000), fmt=fmt)
         assert fmt == "float32" or clipped > 0
