@@ -29,7 +29,6 @@ from .fbeg import (
 )
 from .filterbank import (
     AnalysisFrameSeq,
-    FilterbankSpec,
     PolyphaseAnalyzer,
     analyze_polyphase,
     design_prototype,
@@ -61,7 +60,6 @@ __all__ = [
     "DataError",
     "EngineState",
     "FbeqError",
-    "FilterbankSpec",
     "FormatError",
     "GainFrame",
     "LatencyReport",

@@ -252,44 +252,43 @@ class BlockEncoder:
                               f"got {block.shape} samples for {start}..{stop - 1}")
         self._written = stop
         # One screen: extremes inside the format's range prove every sample
-        # finite and encodable without overflow or saturation.
+        # finite and encodable without overflow or saturation; outside it,
+        # finite extremes prove every sample finite.
         low, high = block.min(initial=0.0), block.max(initial=0.0)
-        if self.fmt == "float32" and -_FLOAT32_MAX <= low and high <= _FLOAT32_MAX:
-            codes = block.astype(_FORMATS["float32"])
-        elif self.fmt == "pcm16" and -1.0 <= low and high <= _PCM16_SAFE_MAX:
+        if self.fmt == "pcm16":
+            outside = not (-1.0 <= low and high <= _PCM16_SAFE_MAX)
+        else:
+            outside = not (-_FLOAT32_MAX <= low and high <= _FLOAT32_MAX)
+        if (outside and self.non_finite is None
+                and not (math.isfinite(low) and math.isfinite(high))):
+            bad = int(np.argmin(np.isfinite(block)))
+            self.non_finite = f"sample {start + bad} is non-finite ({block[bad]})"
+        if self.non_finite or self.beyond_range:  # nothing more is written
+            return
+        codes = block
+        if self.fmt == "pcm16":
+            if outside and (low < -2.0 or high > 2.0):  # so that 32768 x stays finite
+                block = block.clip(-2.0, 2.0)  # past +-1, it saturates either way
             # Round half away from zero: sign(t) * floor(|t| + 0.5), by a cast
             # that truncates; t = 32768 x is exact (a power of two).
             codes = block * PCM16_SCALE
             codes += np.copysign(0.5, codes)
-            codes = codes.astype(_FORMATS["pcm16"])
-        else:
-            codes = self._screened(block, start)
-        if codes is not None and not (self.non_finite or self.beyond_range):
-            self._fh.write(codes)
-
-    def _screened(self, block: np.ndarray, start: int) -> np.ndarray | None:
-        """``block``'s codes when some sample is non-finite, saturates or is
-        past the float32 range; ``None`` once an error is recorded."""
-        if self.non_finite is None and (bad := _first_non_finite(block)) is not None:
-            self.non_finite = f"sample {start + bad} is non-finite ({block[bad]})"
-        if self.non_finite or self.beyond_range:  # only a non-finite one can follow
-            return None
-        if self.fmt == "float32":
+            if outside and high > _PCM16_SAFE_MAX:  # codes truncating past 32767 saturate
+                over = codes >= 32768.0
+                self.clipped += int(np.count_nonzero(over))
+                np.copyto(codes, 32767.0, where=over)
+            if outside and low < -1.0:  # and so do those past -32768
+                over = codes <= -32769.0
+                self.clipped += int(np.count_nonzero(over))
+                np.copyto(codes, -32768.0, where=over)
+        elif outside:
             with np.errstate(over="ignore"):  # an overflowing sample is reported
                 codes = block.astype(_FORMATS["float32"])
             if (bad := _first_non_finite(codes)) is not None:
                 self.beyond_range = (f"sample {start + bad} ({block[bad]}) "
                                      "is beyond the float32 range")
-                return None
-            return codes
-        with np.errstate(over="ignore"):  # |x| near 1e308 saturates as inf
-            rounded = block * PCM16_SCALE
-        rounded += np.copysign(0.5, rounded)
-        np.trunc(rounded, out=rounded)
-        self.clipped += (int(np.count_nonzero(rounded > 32767.0))
-                         + int(np.count_nonzero(rounded < -32768.0)))
-        np.clip(rounded, -32768.0, 32767.0, out=rounded)
-        return rounded.astype(_FORMATS["pcm16"])
+                return
+        self._fh.write(codes.astype(_FORMATS[self.fmt]))
 
     def publish(self) -> int:
         """Move the file to ``path``; returns ``clipped``.  A recorded error is

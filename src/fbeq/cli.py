@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import inspect
 import pathlib
 import sys
 import warnings
@@ -34,10 +33,15 @@ RESPONSE_DFT_SIZE = 2048
 NOT_APPLICABLE = "n/a"
 
 # Built once, with explicit dests: derived ones are new strings on every call.
-# The estimator's flags: Config's own fields, less the three with flags of their own.
+# The geometry's flags, which every command shares.
+_GEOMETRY_FLAGS = {"frame_size": ("-M", "--frame-size"),
+                   "proto_len": ("-L", "--proto-len"), "hop": ("-r", "--hop"),
+                   "shorten_len": ("-P", "--shorten-len"),
+                   "sample_rate_hz": ("--sample-rate",)}
+# The estimator's flags: the other fields, less enhance's --mode and --g-max.
 _ESTIMATOR_FLAGS = tuple(("--" + name.replace("_", "-"), name, _PARSERS[kind])
-                         for name, kind in inspect.get_annotations(Config).items()
-                         if name not in ("shorten_len", "mode", "g_max"))
+                         for name, kind in _FIELDS.items()
+                         if name not in {*_GEOMETRY_FLAGS, "mode", "g_max"})
 _COMMANDS = ("design", "analyze", "enhance", "mix", "evaluate")
 
 
@@ -45,11 +49,8 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="key = value config file; flags win over it")
     geo = parser.add_argument_group("geometry")
-    geo.add_argument("-M", "--frame-size", type=int, dest="frame_size")
-    geo.add_argument("-L", "--proto-len", type=int, dest="proto_len")
-    geo.add_argument("-r", "--hop", type=int, dest="hop")
-    geo.add_argument("-P", "--shorten-len", type=int, dest="shorten_len")
-    geo.add_argument("--sample-rate", type=int, dest="sample_rate_hz")
+    for dest, flags in _GEOMETRY_FLAGS.items():
+        geo.add_argument(*flags, type=int, dest=dest)
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:

@@ -7,27 +7,32 @@ over file values, which win over defaults.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, check_field_types
-from .filterbank import FilterbankSpec, check_shorten_len
+from .errors import ConfigError
+from .filterbank import check_shorten_len
 
 MODES = ("ols", "direct")
 
 
 @dataclass(frozen=True)
-class Config(FilterbankSpec):
+class Config:
     """Full engine configuration; defaults give the 16 kHz low-latency setup.
 
-    Checked when built, and immutable.  A :class:`FilterbankSpec` itself,
-    geometry first, then the estimator's constants and the engine's settings.
-    The estimator's derived linear values are computed when the config is
-    built, where each must come out finite, and kept for the gain loop.
+    Checked when built, and immutable: the filterbank geometry first, then
+    the estimator's constants and the engine's settings.  The estimator's
+    derived linear values are computed when the config is built, where each
+    must come out finite, and kept for the gain loop.
     """
 
+    frame_size: int = 512
+    proto_len: int = 512
+    hop: int = 64
+    sample_rate_hz: int = 16000
     alpha_dd: float = 0.98
     xi_min_db: float = -15.0
     gain_floor_db: float = -25.0
@@ -41,7 +46,21 @@ class Config(FilterbankSpec):
 
     def __post_init__(self) -> None:
         check_field_types(self)  # every field, before any value check
-        self._check_geometry()
+        m, big_l, r = self.frame_size, self.proto_len, self.hop
+        if m <= 0 or big_l <= 0 or r <= 0 or self.sample_rate_hz <= 0:
+            raise ConfigError("filterbank geometry values must be positive")
+        if m % 2 != 0:
+            raise ConfigError("frame size must be even for half-spectrum storage, "
+                              f"got {m}")
+        if big_l % 2 != 0:
+            raise ConfigError(f"prototype order must be even, got {big_l}")
+        if big_l + 1 < m:
+            raise ConfigError(f"prototype length {big_l + 1} must be at least the "
+                              f"frame size {m}")
+        if r > m:
+            raise ConfigError(f"hop {r} must not exceed frame size {m}")
+        if m % r != 0:
+            raise ConfigError(f"hop {r} must divide frame size {m}")
         if not 0.0 < self.alpha_dd < 1.0:
             raise ConfigError(f"alpha_dd must be in (0, 1), got {self.alpha_dd}")
         if not 0.0 < self.alpha_noise < 1.0:
@@ -74,6 +93,20 @@ class Config(FilterbankSpec):
         if not self.g_max > 0.0:
             raise ConfigError(f"g_max must be positive and finite, got {self.g_max}")
 
+    @property
+    def tau(self) -> int:
+        """Group-delay center of the prototype, ``proto_len / 2`` samples."""
+        return self.proto_len // 2
+
+    @property
+    def num_bins(self) -> int:
+        """Stored (half-spectrum) bin count, ``frame_size / 2 + 1``."""
+        return self.frame_size // 2 + 1
+
+    def num_frames(self, num_samples: int) -> int:
+        """Analysis frame count for a given input length."""
+        return max(0, int(num_samples) // self.hop)
+
     @cached_property
     def xi_min(self) -> float:
         """A priori SNR floor as a linear power ratio."""
@@ -102,11 +135,34 @@ class Config(FilterbankSpec):
         return 10.0 ** (self.gain_floor_db / 20.0)
 
     # Callers that ask for either part get the config itself.
-    def filterbank_spec(self) -> FilterbankSpec:
+    def filterbank_spec(self) -> Config:
         return self
 
     def estimator_params(self) -> Config:
         return self
+
+
+def check_field_types(settings) -> None:
+    """Raise :class:`ConfigError` naming the first field of the dataclass
+    ``settings`` whose value does not fit its declared type.
+
+    An ``int`` field takes an integer, NumPy's included; a ``float`` field
+    takes a finite real number.  Neither takes a ``bool``.
+    """
+    for field in fields(settings):
+        value = getattr(settings, field.name)
+        if field.type not in ("int", "float"):
+            continue
+        kind = numbers.Integral if field.type == "int" else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "an integer" if field.type == "int" else "a real number"
+            raise ConfigError(f"{field.name} must be {noun}, got {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise ConfigError(f"{field.name} must be finite, got {value}")
 
 
 # Each derived constant and the setting it is computed from.

@@ -201,7 +201,8 @@ def filter_to_freq(taps) -> np.ndarray:
     return np.fft.rfft(taps, n=2 * taps.shape[-1], axis=-1)
 
 
-def ols_filter_frame(state: EngineState, bins, new_samples) -> np.ndarray:
+def ols_filter_frame(state: EngineState, bins, new_samples,
+                     first_frame: int = 0) -> np.ndarray:
     """Filter one hop, or ``n`` hops, by overlap-save.
 
     ``bins``: one ``P+1``-bin response or ``n x (P+1)``, one per hop of
@@ -209,7 +210,9 @@ def ols_filter_frame(state: EngineState, bins, new_samples) -> np.ndarray:
     response in the DFT domain; the last ``hop`` samples back are free of
     circular wrap, so they equal linear convolution with the hop's filter.
     Hops are transformed one by one: ``n`` hops give ``n`` one-hop calls' bits,
-    and zero hops give no samples and leave the state as it was.
+    and zero hops give no samples and leave the state as it was.  A non-finite
+    output (a finite input loud enough to overflow) is a ``NumericError`` naming
+    its frame and sample, counted from ``first_frame``, with the hops taken in.
     """
     bins = _check_last_axis(np.asarray(bins), "bins")
     fft_size = 2 * (bins.shape[-1] - 1)
@@ -221,10 +224,13 @@ def ols_filter_frame(state: EngineState, bins, new_samples) -> np.ndarray:
     windows = state.push(new_samples, len(bins) if bins.ndim > 1 else None)
     spectra = np.fft.rfft(windows, axis=-1)
     spectra *= bins
-    return np.fft.irfft(spectra, n=fft_size, axis=-1)[..., -state.hop :].ravel()
+    return _finite_output(
+        np.fft.irfft(spectra, n=fft_size, axis=-1)[..., -state.hop :].ravel(),
+        state.hop, first_frame)
 
 
-def direct_filter_block(state: EngineState, taps, new_samples) -> np.ndarray:
+def direct_filter_block(state: EngineState, taps, new_samples,
+                        first_frame: int = 0) -> np.ndarray:
     """Filter one hop, or ``n`` hops by ``n x P`` taps, in direct FIR form;
     otherwise as :func:`ols_filter_frame`."""
     taps = np.atleast_2d(np.asarray(taps, dtype=np.float64))
@@ -236,7 +242,20 @@ def direct_filter_block(state: EngineState, taps, new_samples) -> np.ndarray:
     tail = slice(state.history.size - state.hop, state.history.size)
     windows = state.push(new_samples, len(taps))
     filtered = [np.convolve(w, row)[tail] for w, row in zip(windows, taps)]
-    return np.concatenate(filtered) if filtered else np.empty(0)
+    return _finite_output(np.concatenate(filtered) if filtered else np.empty(0),
+                          state.hop, first_frame)
+
+
+def _finite_output(filtered: np.ndarray, hop: int, first_frame: int) -> np.ndarray:
+    """``filtered``, the output of hops from ``first_frame`` on, once a finite
+    sum, or a search when the sum overflowed, shows every sample finite; else
+    a ``NumericError`` naming the first one."""
+    if (not math.isfinite(np.add.reduce(filtered))
+            and (bad := _first_non_finite(filtered)) is not None):
+        raise NumericError(
+            f"filtered output overflowed at frame {first_frame + bad // hop}"
+            f": output sample {first_frame * hop + bad} is not finite")
+    return filtered
 
 
 def _clamp_magnitude(frames: np.ndarray, g_max: float) -> np.ndarray:
@@ -376,14 +395,15 @@ def process_stream(x, gain_source, cfg, out=None) -> tuple[np.ndarray, LatencyRe
         # so they die inside gains_to_taps after its inverse FFT (CPython
         # 3.11 and later move a call's arguments into the callee's frame;
         # 3.10 frees them on return).  An input loud enough to overflow a
-        # stage shows as a non-finite output, screened once per block, so
+        # stage shows as a non-finite output, which the filter screens, so
         # NumPy's overflow and invalid-value warnings are silenced here.
         with np.errstate(over="ignore", invalid="ignore"):
             for frames in _frame_blocks(num_frames):
                 samples = slice(frames.start * hop, frames.stop * hop)
                 block = x[samples]
                 if responses:
-                    filtered = ols_filter_frame(engine, read(frames), block)
+                    filtered = ols_filter_frame(engine, read(frames), block,
+                                                first_frame=frames.start)
                 else:
                     if estimator:
                         # Complex now, as gains_to_taps needs them: the real
@@ -396,17 +416,12 @@ def process_stream(x, gain_source, cfg, out=None) -> tuple[np.ndarray, LatencyRe
                         taps = gains_to_taps(_clamp_magnitude(read(frames), cfg.g_max),
                                              proto, p, first_frame=frames.start)
                     if cfg.mode == "direct":
-                        filtered = direct_filter_block(engine, taps, block)
+                        filtered = direct_filter_block(engine, taps, block,
+                                                       first_frame=frames.start)
                     else:
-                        filtered = ols_filter_frame(engine, filter_to_freq(taps), block)
+                        filtered = ols_filter_frame(engine, filter_to_freq(taps), block,
+                                                    first_frame=frames.start)
                     del taps
-                # A finite sum proves every sample finite; one that overflowed
-                # is told apart by the search.
-                if (not math.isfinite(np.add.reduce(filtered))
-                        and (bad := _first_non_finite(filtered)) is not None):
-                    raise NumericError(
-                        f"filtered output overflowed at frame {frames.start + bad // hop}"
-                        f": output sample {samples.start + bad} is not finite")
                 out[samples] = filtered
                 del filtered
         if streamed:

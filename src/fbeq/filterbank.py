@@ -18,12 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .audio_io import _check_finite
-from .errors import ConfigError, DataError, NumericError, check_field_types
+from .errors import ConfigError, DataError, NumericError
+
+if TYPE_CHECKING:  # config imports check_shorten_len from here
+    from .config import Config
 
 HERMITIAN_IMAG_TOL = 1e-9
 # Frames per block in analyze_polyphase and process_stream.  At the default
@@ -33,60 +36,13 @@ HERMITIAN_IMAG_TOL = 1e-9
 BLOCK_FRAMES = 64
 
 
-@dataclass(frozen=True)
-class FilterbankSpec:
-    """Filterbank geometry: subband count, prototype order, hop, sample rate."""
-
-    frame_size: int = 512
-    proto_len: int = 512
-    hop: int = 64
-    sample_rate_hz: int = 16000
-
-    def __post_init__(self) -> None:
-        check_field_types(self)
-        self._check_geometry()
-
-    def _check_geometry(self) -> None:
-        m, big_l, r = self.frame_size, self.proto_len, self.hop
-        if m <= 0 or big_l <= 0 or r <= 0 or self.sample_rate_hz <= 0:
-            raise ConfigError("filterbank geometry values must be positive")
-        if m % 2 != 0:
-            raise ConfigError(
-                f"frame size must be even for half-spectrum storage, got {m}"
-            )
-        if big_l % 2 != 0:
-            raise ConfigError(f"prototype order must be even, got {big_l}")
-        if big_l + 1 < m:
-            raise ConfigError(
-                f"prototype length {big_l + 1} must be at least the frame size {m}"
-            )
-        if r > m:
-            raise ConfigError(f"hop {r} must not exceed frame size {m}")
-        if m % r != 0:
-            raise ConfigError(f"hop {r} must divide frame size {m}")
-
-    @property
-    def tau(self) -> int:
-        """Group-delay center of the prototype, ``proto_len / 2`` samples."""
-        return self.proto_len // 2
-
-    @property
-    def num_bins(self) -> int:
-        """Stored (half-spectrum) bin count, ``frame_size / 2 + 1``."""
-        return self.frame_size // 2 + 1
-
-    def num_frames(self, num_samples: int) -> int:
-        """Analysis frame count for a given input length."""
-        return max(0, int(num_samples) // self.hop)
-
-
 class AnalysisFrameSeq(NamedTuple):
     """Subband analysis result: a ``K x (M/2+1)`` complex matrix."""
 
     frames: np.ndarray
 
 
-def design_prototype(spec: FilterbankSpec) -> np.ndarray:
+def design_prototype(cfg: Config) -> np.ndarray:
     """Design the windowed-sinc prototype low-pass filter.
 
     The impulse response over lags ``l = 0..L`` is
@@ -99,8 +55,8 @@ def design_prototype(spec: FilterbankSpec) -> np.ndarray:
 
     Parameters
     ----------
-    spec : FilterbankSpec
-        Validated filterbank geometry.
+    cfg : fbeq.config.Config
+        Validated configuration; only its geometry is read.
 
     Returns
     -------
@@ -110,7 +66,7 @@ def design_prototype(spec: FilterbankSpec) -> np.ndarray:
         Every function that takes a prototype takes this array and reads its
         centre, ``(taps.size - 1) // 2``, from its length.
     """
-    m, big_l, tau = spec.frame_size, spec.proto_len, spec.tau
+    m, big_l, tau = cfg.frame_size, cfg.proto_len, cfg.tau
     lags = np.arange(tau + 1, dtype=np.float64)
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * lags / big_l)
     # np.sinc(u) = sin(pi u)/(pi u); u = 2(l - tau)/M gives sin(z)/z above.
@@ -119,12 +75,12 @@ def design_prototype(spec: FilterbankSpec) -> np.ndarray:
     return np.concatenate([half, half[-2::-1]])
 
 
-def _prototype_taps(proto, spec: FilterbankSpec) -> np.ndarray:
-    """The prototype's taps as float64, checked to be the ``L+1`` of ``spec``."""
+def _prototype_taps(proto, cfg: Config) -> np.ndarray:
+    """The prototype's taps as float64, checked to be the ``L+1`` of ``cfg``."""
     taps = np.asarray(proto, dtype=np.float64)
-    if taps.size != spec.proto_len + 1:
+    if taps.size != cfg.proto_len + 1:
         raise ConfigError(f"prototype has {taps.size} taps, geometry expects "
-                          f"{spec.proto_len + 1}")
+                          f"{cfg.proto_len + 1}")
     return taps
 
 
@@ -148,7 +104,7 @@ def _phase_correction(frame_size: int, tau: int) -> np.ndarray:
 
 
 def _fold_and_transform(segments: np.ndarray, taps: np.ndarray,
-                        spec: FilterbankSpec, correction: np.ndarray) -> np.ndarray:
+                        cfg: Config, correction: np.ndarray) -> np.ndarray:
     """Window, fold the lag-indexed products into M bins, DFT, and phase-correct.
 
     ``segments[..., :]`` are time-ascending windows ``x[k*r - 1 - L .. k*r -
@@ -158,7 +114,7 @@ def _fold_and_transform(segments: np.ndarray, taps: np.ndarray,
     once the product exists, so windows passed with no other reference die
     before the DFT.  The result is the half-spectrum frame(s) ``x_i(k)``.
     """
-    m = spec.frame_size
+    m = cfg.frame_size
     windowed = segments[..., ::-1] * taps
     del segments
     length = windowed.shape[-1]
@@ -172,7 +128,7 @@ def _fold_and_transform(segments: np.ndarray, taps: np.ndarray,
     return spectra
 
 
-def analyze_polyphase(x, proto, spec: FilterbankSpec,
+def analyze_polyphase(x, proto, cfg: Config,
                       state: EngineState | None = None) -> AnalysisFrameSeq:
     """Subband analysis via the polyphase realization.
 
@@ -193,25 +149,25 @@ def analyze_polyphase(x, proto, spec: FilterbankSpec,
     bits.  Any other ``state``, or a NaN or infinite sample among those
     analysed (counted within ``x``), is a ``DataError`` that leaves it as it was.
     """
-    taps = _prototype_taps(proto, spec)
+    taps = _prototype_taps(proto, cfg)
     x = np.ravel(x)
-    num_frames = spec.num_frames(x.size)
-    size = spec.proto_len + 1
+    num_frames = cfg.num_frames(x.size)
+    size = cfg.proto_len + 1
     if state is None:
-        state = EngineState(np.zeros(size), spec.hop)
+        state = EngineState(np.zeros(size), cfg.hop)
     elif not (isinstance(state, EngineState) and np.shape(state.history) == (size,)
-              and state.hop == spec.hop):
+              and state.hop == cfg.hop):
         raise DataError(f"analysis state must be an EngineState of the L+1 = {size} "
-                        f"samples before the input, at hop {spec.hop}")
-    x = x[: num_frames * spec.hop]
-    correction = _phase_correction(spec.frame_size, spec.tau)
+                        f"samples before the input, at hop {cfg.hop}")
+    x = x[: num_frames * cfg.hop]
+    correction = _phase_correction(cfg.frame_size, cfg.tau)
     if num_frames <= BLOCK_FRAMES:  # the windows die inside the fold
         return AnalysisFrameSeq(_fold_and_transform(state.push(x, num_frames), taps,
-                                                    spec, correction))
+                                                    cfg, correction))
     segments = state.push(x, num_frames)
-    frames = np.empty((num_frames, spec.num_bins), dtype=np.complex128)
+    frames = np.empty((num_frames, cfg.num_bins), dtype=np.complex128)
     for block in _frame_blocks(num_frames):
-        frames[block] = _fold_and_transform(segments[block], taps, spec, correction)
+        frames[block] = _fold_and_transform(segments[block], taps, cfg, correction)
     return AnalysisFrameSeq(frames)
 
 
@@ -383,13 +339,13 @@ class PolyphaseAnalyzer:
     (zero-initialized); not safe for concurrent use by multiple streams.
     """
 
-    def __init__(self, proto, spec: FilterbankSpec) -> None:
-        self.spec = spec
-        self._taps = _prototype_taps(proto, spec)
-        self._correction = _phase_correction(spec.frame_size, spec.tau)
-        self._state = EngineState(np.zeros(spec.proto_len + 1), spec.hop)
+    def __init__(self, proto, cfg: Config) -> None:
+        self.cfg = cfg
+        self._taps = _prototype_taps(proto, cfg)
+        self._correction = _phase_correction(cfg.frame_size, cfg.tau)
+        self._state = EngineState(np.zeros(cfg.proto_len + 1), cfg.hop)
 
     def push(self, block) -> np.ndarray:
         """Consume ``hop`` new samples and return the resulting frame."""
-        return _fold_and_transform(self._state.push(block), self._taps, self.spec,
+        return _fold_and_transform(self._state.push(block), self._taps, self.cfg,
                                    self._correction)

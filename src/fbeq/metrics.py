@@ -15,7 +15,8 @@ import numpy as np
 
 from .audio_io import _check_finite
 from .errors import DataError
-from .filterbank import FilterbankSpec, analyze_polyphase, design_prototype
+from .config import Config
+from .filterbank import analyze_polyphase, design_prototype
 
 NOISE_ONLY_THRESHOLD_DB = -40.0
 SEG_NA_CLAMP_DB = 100.0
@@ -147,13 +148,13 @@ def ri_mag_loss(ref, est) -> float:
     return float(parts + np.sum(mag_diff))
 
 
-def compute_report(clean, processed, spec: FilterbankSpec, noise=None,
+def compute_report(clean, processed, cfg: Config, noise=None,
                    delay: int = 0) -> MetricReport:
     """Assemble the full metric set for one processed signal.
 
     The processed signal is advanced by ``delay`` samples first; frames are
-    ``spec.hop`` samples, and the spectral distance re-analyzes both signals
-    with ``spec``.  ``noise`` (the ground-truth additive noise) enables the
+    ``cfg.hop`` samples, and the spectral distance re-analyzes both signals
+    with ``cfg``.  ``noise`` (the ground-truth additive noise) enables the
     attenuation metric.
 
     Raises
@@ -173,20 +174,20 @@ def compute_report(clean, processed, spec: FilterbankSpec, noise=None,
     if noise is not None:  # not widened here, so no float64 copy outlives seg_na
         _check_finite(np.ravel(noise), "noise ")
     shifted = processed[delay:]
-    noise_only = _noise_only(clean, spec.hop)
-    if shifted.size < spec.hop:
+    noise_only = _noise_only(clean, cfg.hop)
+    if shifted.size < cfg.hop:
         raise DataError(
             f"no full frames remain after delay compensation by {delay} samples "
-            f"(processed {processed.size}, frame {spec.hop})"
+            f"(processed {processed.size}, frame {cfg.hop})"
         )
     na_value, na_clamped = (None, 0) if noise is None else _seg_na_detail(
-        noise, shifted, noise_only, spec.hop
+        noise, shifted, noise_only, cfg.hop
     )
-    snr_value = seg_snr(clean, shifted, spec.hop)
-    proto = design_prototype(spec)
+    snr_value = seg_snr(clean, shifted, cfg.hop)
+    proto = design_prototype(cfg)
     common = min(clean.size, shifted.size)
-    ref = analyze_polyphase(clean[:common], proto, spec).frames
-    est = analyze_polyphase(shifted[:common], proto, spec).frames
+    ref = analyze_polyphase(clean[:common], proto, cfg).frames
+    est = analyze_polyphase(shifted[:common], proto, cfg).frames
     return MetricReport(
         seg_na_db=na_value,
         seg_snr_db=snr_value,

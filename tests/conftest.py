@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from fbeq.config import Config
 from fbeq.errors import ConfigError
 from fbeq.fbeg import TYPE_SUBBAND_GAINS, write_gain_stream
-from fbeq.filterbank import AnalysisFrameSeq, FilterbankSpec, design_prototype
+from fbeq.filterbank import AnalysisFrameSeq, design_prototype
 from fbeq.gains import NoiseTrackerState, update_noise_psd
 
 # The quality gate's speech is the benchmark's: one copy, in perfbench/,
@@ -26,7 +27,7 @@ finally:
 
 @pytest.fixture(scope="session")
 def default_spec():
-    return FilterbankSpec()
+    return Config()
 
 
 @pytest.fixture(scope="session")
@@ -36,7 +37,8 @@ def default_proto(default_spec):
 
 @pytest.fixture(scope="session")
 def small_spec():
-    return FilterbankSpec(frame_size=16, proto_len=16, hop=4, sample_rate_hz=16000)
+    return Config(frame_size=16, proto_len=16, hop=4, sample_rate_hz=16000,
+                  shorten_len=8)
 
 
 @pytest.fixture(scope="session")
@@ -79,7 +81,7 @@ def first_overflowing_frame(frames, params) -> int:
     return -1
 
 
-def modulation(spec: FilterbankSpec, i: int, l: int) -> complex:
+def modulation(spec: Config, i: int, l: int) -> complex:
     """Complex modulation factor ``exp(-j*(2*pi/M)*i*(l - tau))`` for bin ``i``, lag ``l``."""
     if not 0 <= i < spec.frame_size:
         raise ConfigError(f"bin index {i} outside 0..{spec.frame_size - 1}")
@@ -88,7 +90,7 @@ def modulation(spec: FilterbankSpec, i: int, l: int) -> complex:
     )
 
 
-def analyze_direct(x, proto, spec: FilterbankSpec) -> AnalysisFrameSeq:
+def analyze_direct(x, proto, spec: Config) -> AnalysisFrameSeq:
     """Subband analysis as an explicit inner product per bin.
 
     The reference oracle that ``fbeq.filterbank.analyze_polyphase`` is
@@ -103,7 +105,7 @@ def analyze_direct(x, proto, spec: FilterbankSpec) -> AnalysisFrameSeq:
         Real input signal.
     proto : numpy.ndarray
         Prototype taps from :func:`fbeq.filterbank.design_prototype`.
-    spec : FilterbankSpec
+    spec : Config
         Matching geometry.
 
     Returns

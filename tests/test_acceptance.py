@@ -19,7 +19,6 @@ from fbeq.config import Config
 from fbeq.equalizer import gains_to_taps, process_stream, subband_to_time
 from fbeq.errors import FormatError
 from fbeq.filterbank import (
-    FilterbankSpec,
     analyze_polyphase,
     design_prototype,
     expand_hermitian,
@@ -166,8 +165,8 @@ class TestAcceptance:
         ok = True
         detail = []
         for m, l_len in ((16, 16), (512, 512)):
-            spec = FilterbankSpec(frame_size=m, proto_len=l_len,
-                                  hop=m // 4, sample_rate_hz=16000)
+            spec = Config(frame_size=m, proto_len=l_len, hop=m // 4,
+                          sample_rate_hz=16000, shorten_len=m // 4)
             proto = design_prototype(spec)
             lags = np.arange(proto.size) - spec.tau
             phase = np.exp(-2j * np.pi * np.outer(lags, np.arange(m)) / m)

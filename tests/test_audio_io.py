@@ -245,6 +245,67 @@ class TestBlockEncoder:
                 write_wav(path, AudioBuffer(samples, 16000), fmt=fmt)
         assert list(tmp_path.iterdir()) == []  # no file, no temporary beside it
 
+    # The largest float64 samples that round to the PCM16 extremes, and the
+    # smallest past them: 32767.5 / 32768 and -32768.5 / 32768 saturate.
+    EDGES = [32767.5 / 32768.0, np.nextafter(32767.5 / 32768.0, 0.0),
+             -32768.5 / 32768.0, np.nextafter(-32768.5 / 32768.0, 0.0)]
+
+    @pytest.mark.parametrize("past", [[1.2, 2.5, 1e308], [-1.3, -7.0, -1e308],
+                                      [1.2, -1.3, 3.0, -1e300]],
+                             ids=["above", "below", "both"])
+    def test_saturating_block_bytes(self, tmp_path, past):
+        """A block with samples past either extreme, one past the overflow of
+        ``32768 x`` included, saturates them and counts them as one pass over
+        the whole signal does, with no warning."""
+        x = np.concatenate([0.3 * np.random.default_rng(17).uniform(-1, 1, 40),
+                            self.EDGES, past])
+        codes, saturated = pcm16_oracle(x)
+        path, want = tmp_path / "x.wav", tmp_path / "want.wav"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            encoder = BlockEncoder(path, x.size, 16000)
+            encoder[0 : x.size] = x
+            assert encoder.clipped == saturated == 2 + len(past)
+            assert write_wav(path, AudioBuffer(encoder, 16000)) == saturated
+        wavfile.write(want, 16000, codes)
+        assert path.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+    def test_non_finite_block_stops_the_count(self, tmp_path, fmt, value):
+        """A non-finite sample in a saturating block is the error, and no
+        later block is counted or written."""
+        path = tmp_path / "x.wav"
+        encoder = BlockEncoder(path, 12, 16000, fmt)
+        encoder[0:4] = [0.5, 1.5, -1.5, 0.0]
+        encoder[4:8] = [2.0, value, 1e39, -2.0]
+        encoder[8:12] = [1.5, 1.5, 0.1, 0.1]
+        assert encoder.clipped == (2 if fmt == "pcm16" else 0)
+        message = f"refusing to write {path}: sample 5 is non-finite ({value})"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            write_wav(path, AudioBuffer(encoder, 16000), fmt=fmt)
+        assert encoder.clipped == (2 if fmt == "pcm16" else 0)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_float32_rounds_to_its_range_within_half_an_ulp(self, tmp_path):
+        """A sample past the float32 maximum by less than half its ulp rounds
+        down to it and is written; one half an ulp past it rounds to infinity
+        (ties to even, and the maximum is odd) and is beyond the range."""
+        top = float(np.finfo(np.float32).max)
+        near = [top + 2.0**102, -(top + 2.0**102), top, 0.25]
+        path, want = tmp_path / "x.wav", tmp_path / "want.wav"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert write_wav(path, AudioBuffer(np.array(near), 16000), "float32") == 0
+        wavfile.write(want, 16000, np.array([top, -top, top, 0.25], np.float32))
+        assert path.read_bytes() == want.read_bytes()
+        message = (f"refusing to write {path}: sample 1 ({top + 2.0**103!r}) is "
+                   "beyond the float32 range")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            write_wav(path, AudioBuffer(np.array([top, top + 2.0**103]), 16000),
+                      "float32")
+        assert path.read_bytes() == want.read_bytes()  # the file there is kept
+
     def test_rejects_an_encoder_of_another_format(self, tmp_path):
         with BlockEncoder(tmp_path / "x.wav", 4, 16000, "float32") as encoder:
             encoder[0:4] = np.zeros(4)

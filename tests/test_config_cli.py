@@ -19,9 +19,9 @@ import fbeq
 from fbeq import fbeg
 from fbeq.audio_io import AudioBuffer, read_wav, write_wav
 from fbeq.cli import _build_parser, main
-from fbeq.config import Config, build_config, load_config_file
-from fbeq.errors import ConfigError, check_field_types
-from fbeq.filterbank import FilterbankSpec, analyze_polyphase, design_prototype
+from fbeq.config import Config, build_config, check_field_types, load_config_file
+from fbeq.errors import ConfigError
+from fbeq.filterbank import analyze_polyphase, design_prototype
 from fbeq.gains import estimate_gains
 
 SMALL_FLAGS = ["-M", "16", "-L", "16", "-r", "4", "-P", "8"]
@@ -50,8 +50,8 @@ def write_with_nan(path, num_frames, offset):
 
 
 FLOAT_SETTINGS = [f.name for f in dataclasses.fields(Config) if f.type == "float"]
-NUMERIC_SETTINGS = [(build, f.name) for build in (FilterbankSpec, Config)
-                    for f in dataclasses.fields(build) if f.type in ("int", "float")]
+NUMERIC_SETTINGS = [f.name for f in dataclasses.fields(Config)
+                    if f.type in ("int", "float")]
 # Finite settings whose derived constant is not: 10^400 overflows, and the gate
 # bias factor divides by a zero (inf) or takes 0/0 (nan).
 NON_FINITE_DERIVED = [("xi_min_db", 4000.0), ("gamma_threshold", 1e-9),
@@ -67,11 +67,6 @@ class TestConfigValidation:
         assert cfg.mode == "ols"
         # The gain file is an input of ``enhance``, not a setting.
         assert "gains" not in {f.name for f in dataclasses.fields(Config)}
-
-    def test_defaults_are_those_of_the_parts(self):
-        cfg, part = Config(), FilterbankSpec()
-        for field in dataclasses.fields(part):
-            assert getattr(cfg, field.name) == getattr(part, field.name), field.name
 
     def test_immutable(self):
         cfg = Config()
@@ -127,12 +122,12 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("build, name, value", [
         (Config, "frame_size", 512.0),
-        (FilterbankSpec, "hop", 64.0),
+        (Config, "hop", 64.0),
         (Config, "init_frames", 6.5),
         (Config, "sample_rate_hz", 16000.5),
         (Config, "alpha_dd", "0.9"),
         (Config, "shorten_len", None),
-    ] + [(build, name, True) for build, name in NUMERIC_SETTINGS])
+    ] + [(Config, name, True) for name in NUMERIC_SETTINGS])
     def test_wrong_type_rejected_when_built(self, build, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be an? .*, "
                                               f"got {re.escape(repr(value))}$"):
@@ -149,14 +144,18 @@ class TestConfigValidation:
 
 
 class TestConfigIsItsParts:
-    """A ``Config`` is a ``FilterbankSpec`` itself and holds the estimator's
-    constants: it goes wherever a geometry or the estimator's settings are
+    """A ``Config`` holds the filterbank geometry and the estimator's constants
+    itself: it goes wherever a geometry or the estimator's settings are
     taken."""
 
     def test_is_a_filterbank_spec_only(self):
+        """It is the filterbank spec itself, and the only settings type."""
         cfg = Config()
-        assert Config.__bases__ == (FilterbankSpec,)
-        assert not hasattr(fbeq, "EstimatorParams")
+        assert Config.__bases__ == (object,)
+        for name in ("FilterbankSpec", "EstimatorParams"):
+            assert not hasattr(fbeq, name)
+            assert name not in fbeq.__all__
+        assert not hasattr(fbeq.filterbank, "FilterbankSpec")
         assert cfg.filterbank_spec() is cfg
         assert cfg.estimator_params() is cfg
 
@@ -169,8 +168,7 @@ class TestConfigIsItsParts:
         fields = dataclasses.fields(Config)
         assert [f.name for f in fields] == list(defaults)
         assert {f.name: f.default for f in fields} == defaults
-        geometry = [f.name for f in dataclasses.fields(FilterbankSpec)]
-        assert list(inspect.get_annotations(Config)) == list(defaults)[len(geometry):]
+        assert list(inspect.get_annotations(Config)) == list(defaults)
 
     def test_two_wrong_types_name_the_estimator_field_first(self):
         with pytest.raises(ConfigError, match="^alpha_dd must be a real number"):
@@ -183,11 +181,10 @@ class TestConfigIsItsParts:
             calls.append(type(settings).__name__)
             check_field_types(settings)
 
-        for module in (fbeq.config, fbeq.filterbank):
-            monkeypatch.setattr(module, "check_field_types", counting)
-        Config()
-        FilterbankSpec()
-        assert calls == ["Config", "FilterbankSpec"]
+        monkeypatch.setattr(fbeq.config, "check_field_types", counting)
+        cfg = Config()
+        dataclasses.replace(cfg, hop=32)
+        assert calls == ["Config", "Config"]
 
     def test_types_then_geometry_then_estimator_then_engine(self):
         with pytest.raises(ConfigError, match="^alpha_dd must be a real number"):
@@ -202,7 +199,7 @@ class TestConfigIsItsParts:
     def test_same_bits_as_the_parts(self):
         cfg = Config(frame_size=32, proto_len=64, hop=8, shorten_len=16,
                      alpha_dd=0.9, xi_min_db=-20.0, init_frames=3)
-        spec = FilterbankSpec(frame_size=32, proto_len=64, hop=8)
+        spec = Config(frame_size=32, proto_len=64, hop=8, shorten_len=16)
         params = Config(alpha_dd=0.9, xi_min_db=-20.0, init_frames=3)
         x = 0.1 * np.random.default_rng(191).standard_normal(8 * 100)
         frames = analyze_polyphase(x, design_prototype(cfg), cfg).frames

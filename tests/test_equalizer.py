@@ -32,7 +32,6 @@ from fbeq.fbeg import (
 )
 from fbeq.filterbank import (
     HERMITIAN_IMAG_TOL,
-    FilterbankSpec,
     PolyphaseAnalyzer,
     analyze_polyphase,
     design_prototype,
@@ -155,7 +154,7 @@ class TestEmptyLastAxis:
     """A 0-d input, or one of no values along its last axis, is a
     ``DataError`` naming its shape, with no NumPy warning on the way."""
 
-    PROTO = design_prototype(FilterbankSpec(frame_size=16, proto_len=16, hop=4))
+    PROTO = design_prototype(Config(frame_size=16, proto_len=16, hop=4, shorten_len=8))
     CALLS = {
         "subband_to_time": lambda a: subband_to_time(a, TestEmptyLastAxis.PROTO),
         "shorten_filter": lambda a: shorten_filter(a, 8),
@@ -182,8 +181,7 @@ class TestGainsToTaps:
            seed=st.integers(0, 2**32 - 1), complex_gains=st.booleans())
     def test_matches_chain_and_rows(self, geometry, num_frames, seed, complex_gains):
         m, p = geometry["frame_size"], geometry["shorten_len"]
-        proto = design_prototype(FilterbankSpec(
-            frame_size=m, proto_len=geometry["proto_len"], hop=geometry["hop"]))
+        proto = design_prototype(Config(**geometry))
         rng = np.random.default_rng(seed)
         if complex_gains:
             half = np.stack([random_hermitian_gains(rng, m // 2 + 1)
@@ -324,8 +322,8 @@ class TestHermitianChecksProperty:
         want = _first_frame_flagged(
             edge_imag > HERMITIAN_IMAG_TOL * np.abs(half).max(axis=1))
         assert _raised_frame(expand_hermitian, half) == want
-        proto = design_prototype(FilterbankSpec(frame_size=m, proto_len=m + 2 * extra,
-                                                hop=1))
+        proto = design_prototype(Config(frame_size=m, proto_len=m + 2 * extra,
+                                        hop=1, shorten_len=2))
         assert _raised_frame(gains_to_taps, half, proto, 2) == want
 
         half[:, [0, -1]] = half[:, [0, -1]].real
@@ -365,8 +363,7 @@ class TestHermitianChainProperty:
                             min_size=16, max_size=16))
     def test_chain_matches_gains_to_taps(self, geometry, num_frames, seed, factors):
         m, p = geometry["frame_size"], geometry["shorten_len"]
-        proto = design_prototype(FilterbankSpec(
-            frame_size=m, proto_len=geometry["proto_len"], hop=geometry["hop"]))
+        proto = design_prototype(Config(**geometry))
         rng = np.random.default_rng(seed)
         half = np.stack([random_hermitian_gains(rng, m // 2 + 1)
                          for _ in range(num_frames)])
@@ -389,8 +386,7 @@ def _geometry_outputs(geometry, seed):
     """Every output that reads a cached geometry table, for one geometry:
     one-hop analysis through a state and through a ``PolyphaseAnalyzer``,
     then both mappings of the analysed frames' magnitudes."""
-    spec = FilterbankSpec(frame_size=geometry["frame_size"],
-                          proto_len=geometry["proto_len"], hop=geometry["hop"])
+    spec = Config(**geometry)
     proto = design_prototype(spec)
     x = np.random.default_rng(seed).standard_normal(3 * spec.hop)
     state = EngineState(np.zeros(spec.proto_len + 1), spec.hop)
@@ -430,8 +426,7 @@ class TestGeometryTables:
     def test_mappings_equal_an_arange_oracle(self, geometry, seed):
         """The cached bins give the bits of index arrays built afresh."""
         m, p = geometry["frame_size"], geometry["shorten_len"]
-        proto = design_prototype(FilterbankSpec(
-            frame_size=m, proto_len=geometry["proto_len"], hop=geometry["hop"]))
+        proto = design_prototype(Config(**geometry))
         tau = (proto.size - 1) // 2
         rng = np.random.default_rng(seed)
         half = np.stack([random_hermitian_gains(rng, m // 2 + 1) for _ in range(3)])
@@ -641,7 +636,7 @@ class TestMultiHopFiltering:
 def _per_hop_entries():
     """Each per-hop entry point as ``(fresh state, step(state, samples), samples
     per call)`` on the 16/16/4 geometry with ``P = 8``; the filters are fixed."""
-    spec = FilterbankSpec(frame_size=16, proto_len=16, hop=4)
+    spec = Config(frame_size=16, proto_len=16, hop=4, shorten_len=8)
     taps = np.random.default_rng(113).standard_normal((3, 8))
     bins = filter_to_freq(taps)
     return {
@@ -948,20 +943,43 @@ class TestOutputOverflow:
     @pytest.mark.parametrize("record_type", [TYPE_SUBBAND_GAINS, TYPE_DFT_RESPONSES],
                              ids=["type-A", "type-B"])
     def test_names_the_first_frame_of_a_later_block(self, tmp_path, record_type):
-        """The per-hop chain, run with the warnings silenced, is the oracle."""
+        """The per-hop chain, run with the warnings silenced and each filter
+        told its frame, is the oracle: it raises the same error."""
         cfg = Config()
         source = self.unity_file(tmp_path, record_type, 200)
         x = np.random.default_rng(73).standard_normal(200 * cfg.hop)
         x[150 * cfg.hop + 9 :] = 1e307  # in the third block of 64 frames
         rows = load_gain_stream(source)[1]
         with np.errstate(over="ignore", invalid="ignore"):
-            reference = per_hop_chain(x, rows, cfg, record_type)
-        sample = int(np.argmin(np.isfinite(reference)))
-        assert sample >= 150 * cfg.hop
-        message = (f"filtered output overflowed at frame {sample // cfg.hop}: "
-                   f"output sample {sample} is not finite")
+            with pytest.raises(NumericError) as reference:
+                per_hop_chain(x, rows, cfg, record_type)
+        message = str(reference.value)
+        frame, sample = map(int, re.fullmatch(
+            r"filtered output overflowed at frame (\d+): output sample (\d+) "
+            r"is not finite", message).groups())
+        assert frame >= 150 and frame == sample // cfg.hop
         with pytest.raises(NumericError, match=f"^{message}$"):
             process_stream(x, source, cfg)
+
+    @pytest.mark.parametrize("step, response, first_sample", [
+        (ols_filter_frame, np.ones(129, dtype=complex), 0),
+        (direct_filter_block, np.ones(128), 17),  # 18 x 1e307 overflows
+    ], ids=["ols", "direct"])
+    @pytest.mark.parametrize("first_frame", [None, 5])
+    def test_per_hop_filters_raise(self, step, response, first_sample, first_frame):
+        """Either per-hop filter screens its own output, so a library caller
+        gets the error ``process_stream`` gives, not non-finite audio, on
+        every call; the frame and the sample are counted from
+        ``first_frame``."""
+        state = EngineState.create(128, 64)
+        frame = first_frame or 0
+        kwargs = {} if first_frame is None else {"first_frame": first_frame}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for sample in (first_sample, 0, 0):  # later hops overflow at once
+                message = (f"filtered output overflowed at frame {frame}: "
+                           f"output sample {frame * 64 + sample} is not finite")
+                with pytest.raises(NumericError, match=f"^{message}$"):
+                    step(state, response, np.full(64, 1e307), **kwargs)
 
     def test_finite_output_passes(self, tmp_path):
         """Direct filtering of the same input stays finite: no error."""
@@ -1008,10 +1026,10 @@ def per_hop_chain(x, rows, cfg, record_type=None, empty_at=None):
                 gains = _clamp_magnitude(rows[k : k + 1], cfg.g_max)[0]
             taps = gains_to_taps(gains, proto, p)
             if direct:
-                out.append(direct_filter_block(engine, taps, block))
+                out.append(direct_filter_block(engine, taps, block, first_frame=k))
                 continue
             resp = filter_to_freq(taps)
-        out.append(ols_filter_frame(engine, resp, block))
+        out.append(ols_filter_frame(engine, resp, block, first_frame=k))
     return np.concatenate(out)
 
 

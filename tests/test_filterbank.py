@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbeq import filterbank
+from fbeq.config import Config
 from fbeq.errors import ConfigError, DataError, NumericError
 from fbeq.filterbank import (
     EngineState,
-    FilterbankSpec,
     PolyphaseAnalyzer,
     analyze_polyphase,
     design_prototype,
@@ -40,38 +40,40 @@ def brute_force_frames(x, proto, spec):
 
 
 class TestFilterbankSpec:
+    """The filterbank geometry: a ``Config``'s first four fields and their checks."""
+
     def test_default_geometry(self):
-        spec = FilterbankSpec()
+        spec = Config()
         assert (spec.frame_size, spec.proto_len, spec.hop) == (512, 512, 64)
         assert spec.sample_rate_hz == 16000
         assert spec.tau == 256
         assert spec.num_bins == 257
 
     def test_num_frames_floor(self):
-        spec = FilterbankSpec()
+        spec = Config()
         assert spec.num_frames(16000) == 250
         assert spec.num_frames(63) == 0
         assert spec.num_frames(129) == 2
 
     def test_rejects_odd_proto_len(self):
         with pytest.raises(ConfigError, match="even"):
-            FilterbankSpec(proto_len=511)
+            Config(proto_len=511)
 
     def test_rejects_short_prototype(self):
         with pytest.raises(ConfigError, match="at least the frame size"):
-            FilterbankSpec(frame_size=32, proto_len=16, hop=4)
+            Config(frame_size=32, proto_len=16, hop=4)
 
     def test_rejects_bad_hop(self):
         with pytest.raises(ConfigError, match="divide"):
-            FilterbankSpec(hop=60)
+            Config(hop=60)
         with pytest.raises(ConfigError, match="exceed"):
-            FilterbankSpec(frame_size=16, proto_len=16, hop=32)
+            Config(frame_size=16, proto_len=16, hop=32)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigError):
-            FilterbankSpec(frame_size=0)
-        with pytest.raises(ConfigError):
-            FilterbankSpec(hop=-4)
+        for geometry in (dict(frame_size=0), dict(hop=-4), dict(sample_rate_hz=0)):
+            with pytest.raises(ConfigError, match="^filterbank geometry values must "
+                                                  "be positive$"):
+                Config(**geometry)
 
 
 class TestDesignPrototype:
@@ -186,7 +188,7 @@ class TestAnalyzePolyphase:
 
     def test_general_phase_correction_path(self):
         # 2*tau not a multiple of M exercises the complex correction factor.
-        spec = FilterbankSpec(frame_size=8, proto_len=22, hop=4)
+        spec = Config(frame_size=8, proto_len=22, hop=4, shorten_len=8)
         assert (2 * spec.tau) % spec.frame_size != 0
         proto = design_prototype(spec)
         rng = np.random.default_rng(29)
@@ -198,7 +200,7 @@ class TestAnalyzePolyphase:
 
     def test_odd_multiple_sign_correction(self):
         # 2*tau = 3*M keeps the exact +/-1 path with an odd multiplier.
-        spec = FilterbankSpec(frame_size=8, proto_len=24, hop=4)
+        spec = Config(frame_size=8, proto_len=24, hop=4, shorten_len=8)
         assert (2 * spec.tau) % spec.frame_size == 0
         assert (2 * spec.tau) // spec.frame_size == 3
         proto = design_prototype(spec)
@@ -247,8 +249,7 @@ class TestAnalyzePolyphaseBlocksProperty:
     def test_matches_one_block_and_direct(self, geometry, num_frames, seed, data):
         block_frames = data.draw(st.integers(1, min(7, num_frames - 1)),
                                  label="block_frames")
-        spec = FilterbankSpec(frame_size=geometry["frame_size"],
-                              proto_len=geometry["proto_len"], hop=geometry["hop"])
+        spec = Config(**geometry)
         proto = design_prototype(spec)
         x = np.random.default_rng(seed).standard_normal(num_frames * spec.hop + 1)
         with patch.object(filterbank, "BLOCK_FRAMES", block_frames):
@@ -389,8 +390,9 @@ class TestPolyphaseAnalyzer:
         lambda proto, spec: analyze_polyphase(np.ones(40), proto, spec),
     ], ids=["PolyphaseAnalyzer", "analyze_polyphase"])
     def test_both_entry_points_check_prototype_length(self, analyze):
-        spec = FilterbankSpec(frame_size=16, proto_len=16, hop=4)
-        proto = design_prototype(FilterbankSpec(frame_size=16, proto_len=32, hop=4))
+        spec = Config(frame_size=16, proto_len=16, hop=4, shorten_len=8)
+        proto = design_prototype(Config(frame_size=16, proto_len=32, hop=4,
+                                        shorten_len=8))
         with pytest.raises(ConfigError,
                            match="^prototype has 33 taps, geometry expects 17$"):
             analyze(proto, spec)

@@ -10,7 +10,6 @@ from fbeq.config import Config
 from fbeq.errors import ConfigError, DataError, NumericError
 from fbeq.filterbank import (
     BLOCK_FRAMES,
-    FilterbankSpec,
     analyze_polyphase,
     design_prototype,
 )
@@ -200,7 +199,7 @@ class TestUpdateNoisePsd:
         running mean a stable start.  Long-run truth comes from averaging
         2500 independently seeded frames.
         """
-        spec = FilterbankSpec(frame_size=16, proto_len=16, hop=4)
+        spec = Config(frame_size=16, proto_len=16, hop=4, shorten_len=8)
         proto = design_prototype(spec)
         rng = np.random.default_rng(999)
         oracle_frames = analyze_polyphase(

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fbeq import metrics
+from fbeq.config import Config
 from fbeq.errors import DataError
-from fbeq.filterbank import FilterbankSpec, analyze_polyphase
+from fbeq.filterbank import analyze_polyphase
 from fbeq.metrics import _noise_only, compute_report, ri_mag_loss, seg_na, seg_snr
 
 
@@ -304,7 +305,7 @@ class TestComputeReport:
 # only compute_report compensates one (and ``fbeq evaluate --delay`` through it).
 NEGATIVE_DELAY_CALLS = {
     "compute_report": lambda clean, noise, proc, d: compute_report(
-        clean, proc, FilterbankSpec(), noise=noise, delay=d),
+        clean, proc, Config(), noise=noise, delay=d),
 }
 
 
