@@ -56,6 +56,14 @@ NUMERIC_SETTINGS = [f.name for f in dataclasses.fields(Config)
 # bias factor divides by a zero (inf) or takes 0/0 (nan).
 NON_FINITE_DERIVED = [("xi_min_db", 4000.0), ("gamma_threshold", 1e-9),
                       ("gamma_threshold", 1e-300)]
+# The filterbank geometry: the fields that FilterbankSpec held before the fold.
+GEOMETRY = ("frame_size", "proto_len", "hop", "sample_rate_hz")
+
+
+def replace_in_spec(**changes):
+    """Change fields of the default config's ``filterbank_spec()``, as a caller
+    that derives a geometry from a config in hand writes it."""
+    return dataclasses.replace(Config().filterbank_spec(), **changes)
 
 
 class TestConfigValidation:
@@ -67,6 +75,14 @@ class TestConfigValidation:
         assert cfg.mode == "ols"
         # The gain file is an input of ``enhance``, not a setting.
         assert "gains" not in {f.name for f in dataclasses.fields(Config)}
+
+    def test_defaults_are_those_of_the_parts(self):
+        """The parts that the filterbank and the estimator are given carry
+        every default of the config."""
+        cfg = Config()
+        for part in (cfg.filterbank_spec(), cfg.estimator_params()):
+            for field in dataclasses.fields(Config):
+                assert getattr(part, field.name) == field.default, field.name
 
     def test_immutable(self):
         cfg = Config()
@@ -127,7 +143,11 @@ class TestConfigValidation:
         (Config, "sample_rate_hz", 16000.5),
         (Config, "alpha_dd", "0.9"),
         (Config, "shorten_len", None),
-    ] + [(Config, name, True) for name in NUMERIC_SETTINGS])
+    ] + [(Config, name, True) for name in NUMERIC_SETTINGS]
+      # A geometry field changed on a config's filterbank spec, under the ids
+      # the FilterbankSpec cases had before the fold.
+      + [pytest.param(replace_in_spec, name, True, id=f"FilterbankSpec-{name}-True")
+         for name in GEOMETRY])
     def test_wrong_type_rejected_when_built(self, build, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be an? .*, "
                                               f"got {re.escape(repr(value))}$"):
