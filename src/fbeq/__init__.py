@@ -38,6 +38,7 @@ from .gains import (
     GainFrame,
     NoiseTrackerState,
     estimate_gains,
+    exp_integral_e1,
     mmse_lsa_gain,
     update_noise_psd,
 )
@@ -48,7 +49,6 @@ from .metrics import (
     seg_na,
     seg_snr,
 )
-from .special import exp_integral_e1
 
 __version__ = "0.1.0"
 

@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .filterbank import check_shorten_len
 
 MODES = ("ols", "direct")
 
@@ -147,7 +146,9 @@ def check_field_types(settings) -> None:
     ``settings`` whose value does not fit its declared type.
 
     An ``int`` field takes an integer, NumPy's included; a ``float`` field
-    takes a finite real number.  Neither takes a ``bool``.
+    takes a finite real number.  Neither takes a ``bool``.  An accepted
+    value that is not exactly an ``int`` or a ``float`` (a NumPy scalar) is
+    stored as the Python ``int`` or ``float`` it equals.
     """
     for field in fields(settings):
         value = getattr(settings, field.name)
@@ -163,6 +164,36 @@ def check_field_types(settings) -> None:
             finite = False
         if not finite:
             raise ConfigError(f"{field.name} must be finite, got {value}")
+        if type(value) not in (int, float):
+            plain = int if isinstance(value, numbers.Integral) else float
+            object.__setattr__(settings, field.name, plain(value))
+
+
+def check_shorten_len(shorten_len: int, num_taps: int | None = None,
+                      hop: int | None = None) -> None:
+    """Validate the short-filter length P, the one place P and the hop are checked.
+
+    P must be positive and even.  Given ``num_taps``, the central-P window
+    around the group-delay point ``(num_taps - 1) // 2`` must fit inside a
+    filter of that many taps.  Given ``hop``, ``hop <= P + 1``, or the
+    2P-point overlap-save blocks would alias.
+    """
+    p = shorten_len
+    if p <= 0 or p % 2 != 0:
+        raise ConfigError(f"shorten_len must be a positive even number, got {p}")
+    if num_taps is not None:
+        start = (num_taps - 1) // 2 - p // 2
+        if start < 0:  # P is even, so the window's end fits when its start does
+            raise ConfigError(
+                f"shorten_len {p} does not fit inside a {num_taps}-tap filter: "
+                f"its central window [{start}, {start + p - 1}] falls outside "
+                f"taps 0..{num_taps - 1}"
+            )
+    if hop is not None and hop > p + 1:
+        raise ConfigError(
+            f"hop {hop} exceeds shorten_len + 1 = {p + 1}; "
+            "overlap-save blocks would alias"
+        )
 
 
 # Each derived constant and the setting it is computed from.

@@ -25,12 +25,12 @@ import numpy as np
 
 from . import fbeg
 from .audio_io import WavReader, _check_finite, _first_non_finite
+from .config import check_shorten_len
 from .errors import ConfigError, DataError, NumericError
 from .filterbank import (
     HERMITIAN_IMAG_TOL,
     EngineState,
     analyze_polyphase,
-    check_shorten_len,
     design_prototype,
     _check_hermitian_edges,
     _first_flagged,
@@ -73,7 +73,7 @@ def gains_to_taps(half, proto, shorten_len: int,
     Parameters
     ----------
     half : array_like
-        ``M/2+1`` complex gains, or a ``K x (M/2+1)`` matrix of frames.
+        ``M/2+1`` real or complex gains, or a ``K x (M/2+1)`` matrix of frames.
     proto : numpy.ndarray
         The ``L+1`` prototype taps, centred at ``tau = L/2``.
     shorten_len : int
@@ -406,12 +406,9 @@ def process_stream(x, gain_source, cfg, out=None) -> tuple[np.ndarray, LatencyRe
                                                 first_frame=frames.start)
                 else:
                     if estimator:
-                        # Complex now, as gains_to_taps needs them: the real
-                        # gains die before the mapping's kernel is formed.
                         taps = gains_to_taps(estimate_gains(
                             analyze_polyphase(block, proto, cfg, analysis).frames,
-                            cfg, tracker).astype(np.complex128),
-                            proto, p, first_frame=frames.start)
+                            cfg, tracker), proto, p, first_frame=frames.start)
                     else:
                         taps = gains_to_taps(_clamp_magnitude(read(frames), cfg.g_max),
                                              proto, p, first_frame=frames.start)

@@ -18,15 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .audio_io import _check_finite
+from .config import Config, check_shorten_len
 from .errors import ConfigError, DataError, NumericError
-
-if TYPE_CHECKING:  # config imports check_shorten_len from here
-    from .config import Config
 
 HERMITIAN_IMAG_TOL = 1e-9
 # Frames per block in analyze_polyphase and process_stream.  At the default
@@ -269,33 +267,6 @@ def _hop_windows(samples: np.ndarray, size: int, hop: int, count: int) -> np.nda
     on the buffer, ~20x cheaper per call than ``sliding_window_view``."""
     item = samples.itemsize
     return np.ndarray((count, size), samples.dtype, samples, strides=(hop * item, item))
-
-
-def check_shorten_len(shorten_len: int, num_taps: int | None = None,
-                      hop: int | None = None) -> None:
-    """Validate the short-filter length P, the one place P and the hop are checked.
-
-    P must be positive and even.  Given ``num_taps``, the central-P window
-    around the group-delay point ``(num_taps - 1) // 2`` must fit inside a
-    filter of that many taps.  Given ``hop``, ``hop <= P + 1``, or the
-    2P-point overlap-save blocks would alias.
-    """
-    p = shorten_len
-    if p <= 0 or p % 2 != 0:
-        raise ConfigError(f"shorten_len must be a positive even number, got {p}")
-    if num_taps is not None:
-        start = (num_taps - 1) // 2 - p // 2
-        if start < 0:  # P is even, so the window's end fits when its start does
-            raise ConfigError(
-                f"shorten_len {p} does not fit inside a {num_taps}-tap filter: "
-                f"its central window [{start}, {start + p - 1}] falls outside "
-                f"taps 0..{num_taps - 1}"
-            )
-    if hop is not None and hop > p + 1:
-        raise ConfigError(
-            f"hop {hop} exceeds shorten_len + 1 = {p + 1}; "
-            "overlap-save blocks would alias"
-        )
 
 
 @dataclass

@@ -7,6 +7,8 @@ tracking, decision-directed a priori SNR, and the LSA gain rule
 
 with gains clamped to ``[gain_floor, 1]``.  Gains are real (magnitude-only);
 complex per-bin responses enter the pipeline only through gain-stream files.
+E1 is :func:`scipy.special.exp1`, imported at the first call of
+:func:`exp_integral_e1`, so ``import fbeq`` does not load ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from .config import Config
 from .errors import DataError, NumericError
-from .special import exp_integral_e1
 
 # Below this, nu is treated as its continuity limit (the gain clamps to 1).
 _NU_FLOOR = 1e-12
@@ -187,6 +188,44 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
             "a posteriori SNR is not finite"
         ) from None
     return GainFrame(values=gains)
+
+
+# scipy.special.exp1, bound on the first call.
+_exp1 = None
+
+
+def exp_integral_e1(x):
+    """Exponential integral ``E1(x) = int_x^inf exp(-t)/t dt`` for ``x > 0``.
+
+    Parameters
+    ----------
+    x : float or array_like
+        Strictly positive argument(s).
+
+    Returns
+    -------
+    float or numpy.ndarray
+        ``E1`` evaluated elementwise with :func:`scipy.special.exp1`; a
+        Python float for scalar input, the input's shape otherwise.
+
+    Raises
+    ------
+    ValueError
+        If any argument is not strictly positive (NaN included).
+    """
+    global _exp1
+    if _exp1 is None:
+        from scipy.special import exp1 as _exp1
+
+    arr = np.asarray(x, dtype=float)
+    # A NaN minimum fails too.  The ufunc reduce skips ndarray.all's Python
+    # wrapper; its initial value lets an empty input pass.
+    if not np.minimum.reduce(arr, axis=None, initial=np.inf) > 0.0:
+        raise ValueError("exp_integral_e1 requires x > 0")
+    out = _exp1(arr)
+    if arr.ndim == 0:
+        return float(out)
+    return out
 
 
 def _lsa_frame(xi_prev, gamma, gain, params: Config) -> np.ndarray:

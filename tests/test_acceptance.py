@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fbeq import fbeg
+from fbeq import exp_integral_e1, fbeg
 from fbeq.audio_io import AudioBuffer, mix_at_snr, write_wav
 from fbeq.cli import main
 from fbeq.config import Config
@@ -25,7 +25,6 @@ from fbeq.filterbank import (
 )
 from fbeq.gains import NoiseTrackerState, mmse_lsa_gain
 from fbeq.metrics import ri_mag_loss, seg_na, seg_snr
-from fbeq.special import exp_integral_e1
 
 from conftest import analyze_direct, make_speech
 

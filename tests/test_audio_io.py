@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import stat
@@ -396,6 +397,34 @@ class TestEncoderFile:
         with BlockEncoder(tmp_path / "x.wav", 0, 16000) as encoder:
             with pytest.raises(ConfigError, match="^samples encoded for "):
                 write_wav(path, AudioBuffer(encoder, rate))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_header_write_leaves_no_file(self, tmp_path, monkeypatch):
+        opened = []
+
+        class Full:
+            """A file on a full disk: every write fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def close(self):
+                self.fh.close()
+
+        def open_full(path, real=audio_io._open_output):
+            fh, temp, target = real(path)
+            opened.append((fh, temp))
+            return Full(fh), temp, target
+
+        monkeypatch.setattr(audio_io, "_open_output", open_full)
+        with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+            BlockEncoder(tmp_path / "x.wav", 10, 16000)
+        [(fh, temp)] = opened
+        assert fh.closed
+        assert os.path.basename(temp).startswith(".x.wav.")
         assert list(tmp_path.iterdir()) == []
 
     def test_replaces_a_file_keeping_its_mode_and_a_symlink(self, tmp_path):

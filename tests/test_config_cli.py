@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import inspect
 import io
+import json
 import os
 import re
 import struct
@@ -161,6 +162,28 @@ class TestConfigValidation:
         assert Config(hop=np.int64(32)).filterbank_spec().hop == 32
         params = Config(alpha_dd=np.float32(0.9)).estimator_params()
         assert params.alpha_dd == np.float32(0.9)
+
+    @pytest.mark.parametrize("build", [
+        lambda **kw: Config(**kw),
+        lambda **kw: dataclasses.replace(Config(), **kw),
+    ], ids=["Config", "replace"])
+    def test_numpy_scalars_stored_as_python_numbers(self, build):
+        cfg = build(hop=np.int64(32), init_frames=np.int32(6), g_max=np.float32(4.0),
+                    alpha_dd=np.float64(0.98), xi_min_db=np.int16(-15))
+        stored = {name: type(getattr(cfg, name))
+                  for name in ("hop", "init_frames", "g_max", "alpha_dd", "xi_min_db")}
+        assert stored == {"hop": int, "init_frames": int, "g_max": float,
+                          "alpha_dd": float, "xi_min_db": int}
+        assert "np." not in repr(cfg)
+        assert type(cfg.num_frames(1000)) is int
+        assert json.dumps(cfg.num_frames(1000)) == "31"
+        plain = Config(hop=32, xi_min_db=-15)
+        assert cfg == plain and hash(cfg) == hash(plain)
+        assert repr(cfg) == repr(plain)
+
+    def test_python_numbers_stored_as_given(self):
+        cfg = Config(g_max=4, alpha_dd=0.98)
+        assert type(cfg.g_max) is int and type(cfg.alpha_dd) is float
 
 
 class TestConfigIsItsParts:

@@ -1,8 +1,13 @@
+import ast
+import graphlib
+import importlib.util
 import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fbeq
 
@@ -63,6 +68,29 @@ def test_read_wav_leaves_scipy_io_unloaded(tmp_path):
         "print('scipy.io' in sys.modules)\n"
     )
     assert _run(code) == ["False"]
+
+
+def test_package_imports_run_one_way():
+    """No module of the package imports, even for type checking only, one that
+    imports it back; E1 lives in ``gains``, not in a module of its own."""
+    graph = {}
+    for path in sorted((SRC_DIR / "fbeq").glob("*.py")):
+        imported = graph.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:  # from .x import name
+                    imported.add(node.module.split(".")[0])
+                else:  # from . import x
+                    imported.update(alias.name for alias in node.names)
+    assert graph["config"] == {"errors"}  # it holds every geometry check itself
+    assert "config" in graph["filterbank"] and "config" in graph["gains"]
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
+    assert "special" not in graph
+    assert importlib.util.find_spec("fbeq.special") is None
+    assert fbeq.exp_integral_e1 is fbeq.gains.exp_integral_e1
 
 
 def test_every_exported_name_resolves():

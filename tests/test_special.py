@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fbeq.special import exp_integral_e1
+from fbeq import exp_integral_e1
 
 
 def quadrature_e1(x: float) -> float:
