@@ -147,8 +147,9 @@ def check_field_types(settings) -> None:
 
     An ``int`` field takes an integer, NumPy's included; a ``float`` field
     takes a finite real number.  Neither takes a ``bool``.  An accepted
-    value that is not exactly an ``int`` or a ``float`` (a NumPy scalar) is
-    stored as the Python ``int`` or ``float`` it equals.
+    value is stored as the Python type of its field: a NumPy scalar as the
+    number it equals, an integer given for a ``float`` field as a ``float``,
+    so ``Config(g_max=4)`` prints and serializes as ``Config()`` does.
     """
     for field in fields(settings):
         value = getattr(settings, field.name)
@@ -164,8 +165,8 @@ def check_field_types(settings) -> None:
             finite = False
         if not finite:
             raise ConfigError(f"{field.name} must be finite, got {value}")
-        if type(value) not in (int, float):
-            plain = int if isinstance(value, numbers.Integral) else float
+        plain = int if field.type == "int" else float
+        if type(value) is not plain:
             object.__setattr__(settings, field.name, plain(value))
 
 

@@ -102,7 +102,8 @@ def gains_to_taps(half, proto, shorten_len: int,
     start = (proto.size - 1) // 2 - shorten_len // 2
     kernel = np.fft.irfft(half, n=m, axis=-1, norm="forward")
     del half  # the caller's last reference when it passed the gains inline
-    short = kernel[..., _central_bins(shorten_len, m)]
+    # take, unlike kernel[..., bins], gives C-ordered rows for the rfft.
+    short = kernel.take(_central_bins(shorten_len, m), axis=-1)
     del kernel  # before the broadcast multiply allocates its buffer
     short *= proto[start : start + shorten_len]
     return short

@@ -173,7 +173,7 @@ class TestConfigValidation:
         stored = {name: type(getattr(cfg, name))
                   for name in ("hop", "init_frames", "g_max", "alpha_dd", "xi_min_db")}
         assert stored == {"hop": int, "init_frames": int, "g_max": float,
-                          "alpha_dd": float, "xi_min_db": int}
+                          "alpha_dd": float, "xi_min_db": float}
         assert "np." not in repr(cfg)
         assert type(cfg.num_frames(1000)) is int
         assert json.dumps(cfg.num_frames(1000)) == "31"
@@ -181,9 +181,28 @@ class TestConfigValidation:
         assert cfg == plain and hash(cfg) == hash(plain)
         assert repr(cfg) == repr(plain)
 
-    def test_python_numbers_stored_as_given(self):
-        cfg = Config(g_max=4, alpha_dd=0.98)
-        assert type(cfg.g_max) is int and type(cfg.alpha_dd) is float
+    @pytest.mark.parametrize("build", [
+        lambda **kw: Config(**kw),
+        lambda **kw: dataclasses.replace(Config(), **kw),
+    ], ids=["Config", "replace"])
+    def test_integer_in_a_float_field_stored_as_float(self, build):
+        """An ``int`` given for a ``float`` field prints and serializes as the
+        equal default does."""
+        cfg, default = build(g_max=4, xi_min_db=-15, hop=64), Config()
+        assert type(cfg.g_max) is float and type(cfg.xi_min_db) is float
+        assert type(cfg.hop) is int
+        assert repr(cfg) == repr(default)
+        assert "g_max=4.0" in repr(cfg) and "xi_min_db=-15.0" in repr(cfg)
+        assert (json.dumps(dataclasses.asdict(cfg))
+                == json.dumps(dataclasses.asdict(default)))
+        assert cfg == default and hash(cfg) == hash(default)
+
+    def test_integer_in_a_config_file_stored_as_float(self, tmp_path):
+        path = tmp_path / "fbeq.conf"
+        path.write_text("g_max = 4\nxi_min_db = -15\n", encoding="utf-8")
+        cfg = build_config(path)
+        assert repr(cfg) == repr(Config())
+        assert type(cfg.g_max) is float and type(cfg.xi_min_db) is float
 
 
 class TestConfigIsItsParts:

@@ -191,6 +191,7 @@ class TestGainsToTaps:
         got = gains_to_taps(half, proto, p)
         want = shorten_filter(subband_to_time(expand_hermitian(half), proto), p)
         assert got.shape == (num_frames, p)
+        assert got.flags.c_contiguous  # filter_to_freq's rfft runs on rows
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         rows = np.stack([gains_to_taps(row, proto, p) for row in half])
         assert np.array_equal(got, rows)

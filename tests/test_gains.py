@@ -13,6 +13,7 @@ from fbeq.filterbank import (
     analyze_polyphase,
     design_prototype,
 )
+from fbeq import gains as gains_module
 from fbeq.gains import (
     GainFrame,
     NoiseTrackerState,
@@ -400,6 +401,73 @@ class TestEstimateGains:
             tracemalloc.stop()
         matrix = BLOCK_FRAMES * default_spec.num_bins * 16
         assert peak / matrix <= 1.2, peak / matrix
+
+
+class TestBlockGuards:
+    """A block skips the floor on the noise estimate and the floor on ``nu``
+    only where neither can bind.  On white noise neither binds and both are
+    skipped; after 100 ms of exact zeros (power and ``gamma`` 0) both bind
+    and both run.  Either way the block equals the one-frame chain, which
+    always clamps."""
+
+    @staticmethod
+    def clamp_flags(monkeypatch, name):
+        """Record the ``clamp`` argument of every call to ``gains.<name>``."""
+        flags, original = [], getattr(gains_module, name)
+
+        def spy(*args):
+            flags.append(args[3])
+            return original(*args)
+
+        monkeypatch.setattr(gains_module, name, spy)
+        return flags
+
+    @pytest.mark.parametrize("zeros, clamped", [(0, False), (1600, True)],
+                             ids=["white-noise", "after-100-ms-of-zeros"])
+    def test_block_equals_chain(self, default_spec, default_proto, monkeypatch,
+                                zeros, clamped):
+        rng = np.random.default_rng(331)
+        x = np.concatenate([np.zeros(zeros),
+                            rng.standard_normal(BLOCK_FRAMES * default_spec.hop)])
+        frames = analyze_polyphase(x, default_proto,
+                                   default_spec).frames[:BLOCK_FRAMES]
+        p, bins = Config(), default_spec.num_bins
+        chain = NoiseTrackerState.initial(bins, p)
+        want = []
+        for frame in frames:
+            update_noise_psd(chain, frame, p)
+            want.append(mmse_lsa_gain(frame, chain, p).values)
+
+        tracker = self.clamp_flags(monkeypatch, "_track_frame")
+        rule = self.clamp_flags(monkeypatch, "_lsa_frame")
+        state = NoiseTrackerState.initial(bins, p)
+        got = estimate_gains(frames, p, state)
+        assert np.array_equal(got, np.array(want))
+        assert np.array_equal(state.noise_psd, chain.noise_psd)
+        assert np.array_equal(state.xi_prev, chain.xi_prev)
+        # The running mean always clamps; past it the guard decides.
+        assert tracker[:p.init_frames] == [True] * p.init_frames
+        assert tracker[p.init_frames:] == [clamped] * (len(frames) - p.init_frames)
+        assert rule == [clamped] * len(frames)
+        if clamped:  # and the floors bind, so skipping them would show
+            estimates = update_noise_psd(NoiseTrackerState.initial(bins, p),
+                                         frames, p).noise_psd
+            assert np.all(estimates[:zeros // default_spec.hop]
+                          == p.lambda_floor)
+
+    def test_first_frame_of_a_call_clamps(self, default_spec):
+        """A call's first frame may start from any estimate, so it clamps
+        even where the block's power clears the floor."""
+        p, bins = Config(), default_spec.num_bins
+        frames = np.ones((3, bins), dtype=complex)
+        below = NoiseTrackerState(noise_psd=np.full(bins, 0.1 * p.lambda_floor),
+                                  xi_prev=np.ones(bins), frame_count=p.init_frames)
+        chain = NoiseTrackerState(noise_psd=below.noise_psd.copy(),
+                                  xi_prev=np.ones(bins), frame_count=p.init_frames)
+        for frame in frames:
+            update_noise_psd(chain, frame, p)
+        update_noise_psd(below, frames, p)
+        assert np.array_equal(below.noise_psd[-1], chain.noise_psd)
 
 
 class TestInputPowerOverflow:

@@ -13,7 +13,10 @@ CALLS = ["PolyphaseAnalyzer.push", "update_noise_psd", "mmse_lsa_gain",
          "expand_hermitian", "subband_to_time", "shorten_filter", "filter_to_freq",
          "ols_filter_frame", "gains_to_taps", "analyze_polyphase one hop",
          "reference mapping chain", "filter_to_freq(gains_to_taps)",
-         "analyze_polyphase one hop / push"]
+         "analyze_polyphase one hop / push",
+         "update_noise_psd per frame, 64-frame blocks",
+         "mmse_lsa_gain per frame, 64-frame blocks",
+         "exp_integral_e1 per frame, 64-frame blocks"]
 
 
 def test_one_round_reports_every_call():

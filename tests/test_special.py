@@ -51,6 +51,23 @@ class TestExpIntegralE1:
             with pytest.raises(ValueError, match="x > 0"):
                 exp_integral_e1(x)
 
+    def test_infinity_gives_zero(self):
+        assert exp_integral_e1(np.inf) == 0.0
+        assert np.array_equal(exp_integral_e1(np.array([1.0, np.inf]))[1:], [0.0])
+
+    def test_rejects_minus_infinity(self):
+        for x in (-np.inf, np.array([1.0, -np.inf])):
+            with pytest.raises(ValueError, match="x > 0"):
+                exp_integral_e1(x)
+
+    def test_smallest_subnormal_is_finite(self):
+        """E1 is finite for every x > 0, largest at the smallest double:
+        there ``E1(x) = -gamma - ln x`` to rounding."""
+        tiny = np.nextafter(0.0, 1.0)
+        expected = -np.euler_gamma - np.log(tiny)
+        assert exp_integral_e1(tiny) == pytest.approx(743.86285625648, rel=1e-12)
+        assert exp_integral_e1(tiny) == pytest.approx(expected, rel=1e-15)
+
     @pytest.mark.parametrize("x", [float("nan"), np.array([1.0, np.nan]),
                                    np.array([[np.nan, 2.0], [3.0, 4.0]]),
                                    np.append(np.full(256, 2.0), np.nan)],

@@ -14,8 +14,16 @@ block, each timed on its own with ``perf_counter``; two more rows time the
 reference mapping chain and ``filter_to_freq(gains_to_taps(…))`` as one
 call each.  A round is one pass over the clip, so every call is timed in
 every hop and host drift reaches all rows alike.  The figure printed is the
-median over all hops of all rounds, in µs of wall time per call, and last
-the ratio of the one-hop ``analyze_polyphase`` to ``push``.
+median over all hops of all rounds, in µs of wall time per call, then the
+ratio of the one-hop ``analyze_polyphase`` to ``push``.
+
+Three last rows time the estimator as ``fbeq enhance`` runs it: the clip's
+analysis frames in blocks of ``BLOCK_FRAMES`` (64), each block through one
+``update_noise_psd`` and one ``mmse_lsa_gain`` call, with each
+``exp_integral_e1`` call inside the rule timed too (so the rule's row
+carries that timer's cost).  Their figures are µs per frame: the median
+over all blocks of a block call's time over its frame count, and the median
+E1 call, one per frame.
 
 To compare two trees, run this script from each, alternately.  Besides
 ``fbeq`` and the benchmark's input generator, only the standard library and
@@ -36,6 +44,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 import numpy as np  # noqa: E402
 
 import fbeq  # noqa: E402
+from fbeq.filterbank import BLOCK_FRAMES  # noqa: E402
 
 _write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 try:  # the benchmark's tree is only read
@@ -49,6 +58,9 @@ CALLS = ("PolyphaseAnalyzer.push", "update_noise_psd", "mmse_lsa_gain",
          "expand_hermitian", "subband_to_time", "shorten_filter", "filter_to_freq",
          "ols_filter_frame", "gains_to_taps", "analyze_polyphase one hop",
          "reference mapping chain", "filter_to_freq(gains_to_taps)")
+BLOCK_CALLS = tuple(f"{name} per frame, {BLOCK_FRAMES}-frame blocks"
+                    for name in ("update_noise_psd", "mmse_lsa_gain",
+                                 "exp_integral_e1"))
 
 
 def mixture(seed: int = SEED) -> np.ndarray:
@@ -100,13 +112,48 @@ def one_round(x: np.ndarray, cfg) -> dict[str, list[float]]:
     return times
 
 
+def block_round(frames: np.ndarray, cfg) -> dict[str, list[float]]:
+    """Time the estimator over ``frames`` in ``BLOCK_FRAMES``-frame blocks;
+    seconds per frame of each name in ``BLOCK_CALLS``."""
+    tracker_row, rule_row, e1_row = BLOCK_CALLS
+    times = {name: [] for name in BLOCK_CALLS}
+    tracker = fbeq.NoiseTrackerState.initial(cfg.num_bins, cfg)
+    e1 = fbeq.gains.exp_integral_e1
+
+    def timed_e1(x):
+        start = perf_counter()
+        result = e1(x)
+        times[e1_row].append(perf_counter() - start)
+        return result
+
+    fbeq.gains.exp_integral_e1 = timed_e1  # the rule calls E1 through it
+    try:
+        for first in range(0, len(frames), BLOCK_FRAMES):
+            block = frames[first : first + BLOCK_FRAMES]
+            start = perf_counter()
+            fbeq.update_noise_psd(tracker, block, cfg)
+            middle = perf_counter()
+            fbeq.mmse_lsa_gain(block, tracker, cfg)
+            end = perf_counter()
+            times[tracker_row].append((middle - start) / len(block))
+            times[rule_row].append((end - middle) / len(block))
+    finally:
+        fbeq.gains.exp_integral_e1 = e1
+    return times
+
+
 def measure(rounds: int, seed: int = SEED) -> dict[str, float]:
-    """Median µs per call of each name in ``CALLS`` over ``rounds`` rounds."""
+    """Median µs per call of each name in ``CALLS``, and per frame of each in
+    ``BLOCK_CALLS``, over ``rounds`` rounds."""
     x, cfg = mixture(seed), fbeq.Config()
+    frames = fbeq.analyze_polyphase(x, fbeq.design_prototype(cfg), cfg).frames
     one_round(x[: 8 * cfg.hop], cfg)  # warm-up: imports and first-call set-up
-    times = {name: [] for name in CALLS}
+    block_round(frames[:BLOCK_FRAMES], cfg)
+    times = {name: [] for name in CALLS + BLOCK_CALLS}
     for _ in range(rounds):
         for name, seconds in one_round(x, cfg).items():
+            times[name].extend(seconds)
+        for name, seconds in block_round(frames, cfg).items():
             times[name].extend(seconds)
     return {name: 1e6 * statistics.median(seconds) for name, seconds in times.items()}
 
@@ -119,12 +166,14 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     costs = measure(args.rounds)
-    width = max(map(len, CALLS))
+    width = max(map(len, CALLS + BLOCK_CALLS))
     print(f"{'call':<{width}}  median µs")
     for name in CALLS:
         print(f"{name:<{width}}  {costs[name]:9.2f}")
     ratio = costs["analyze_polyphase one hop"] / costs["PolyphaseAnalyzer.push"]
     print(f"{'analyze_polyphase one hop / push':<{width}}  {ratio:9.2f}")
+    for name in BLOCK_CALLS:
+        print(f"{name:<{width}}  {costs[name]:9.2f}")
     return 0
 
 
