@@ -225,11 +225,13 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
             xi_min = params.xi_min
             clamp = not (np.minimum.reduce(gamma, axis=None)
                          * (0.5 * xi_min / (1.0 + xi_min)) > 2.0 * _NU_FLOOR)
-            bins = gamma.shape[-1]
-            work = np.empty(bins), np.empty(bins), np.empty(bins)
+            # The first frame allocates its DD memory once E1 is done, so
+            # no second memory row is alive beside the previous one at E1's
+            # sort; later frames rewrite it in place.
+            xi, memory = np.empty(gamma.shape[-1]), None
             for k, gain in enumerate(gains):
-                state.xi_prev = _lsa_frame(state.xi_prev, gamma[k], gain, clamp,
-                                           constants, *work)
+                memory = state.xi_prev = _lsa_frame(state.xi_prev, gamma[k], gain,
+                                                    clamp, constants, xi, memory)
     except ValueError:  # E1 of a NaN, from an infinite gamma
         n = len(frame) if frame.ndim == 2 else 1
         raise NumericError(
@@ -243,19 +245,31 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
 _exp1 = None
 
 
-def exp_integral_e1(x):
+def exp_integral_e1(x, out=None):
     """Exponential integral ``E1(x) = int_x^inf exp(-t)/t dt`` for ``x > 0``.
+
+    An array is evaluated in ascending order of its arguments, in one work
+    buffer, and the values are scattered back to their positions.  E1 is
+    elementwise, so the result is bit for bit :func:`scipy.special.exp1`
+    applied to each element.  scipy's loops depend on the argument (a series
+    that stops early up to 1, a continued fraction whose length falls with
+    ``x`` above it); in ascending order their branches go alike from one
+    argument to the next, which saves more than the sort costs.
 
     Parameters
     ----------
     x : float or array_like
         Strictly positive argument(s).
+    out : numpy.ndarray, optional
+        A float64 array of ``x``'s shape to receive the values of an array
+        ``x``; it may be ``x`` itself.  Allocated when not given.
 
     Returns
     -------
     float or numpy.ndarray
         ``E1`` evaluated elementwise with :func:`scipy.special.exp1`; a
-        Python float for scalar input, the input's shape otherwise.
+        Python float for scalar input, ``out`` (of the input's shape)
+        otherwise.
 
     Raises
     ------
@@ -266,40 +280,53 @@ def exp_integral_e1(x):
     if _exp1 is None:
         from scipy.special import exp1 as _exp1
 
-    out = _exp1(np.asarray(x, dtype=float))
-    # E1 is finite (at most ~745) for every x > 0, and inf or NaN for 0,
-    # -0.0, a negative x and NaN, so its sum is finite exactly when every x
-    # is positive.  An empty input sums to 0 and passes.
-    if not math.isfinite(np.add.reduce(out, axis=None)):
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        # E1 is finite (at most ~745) for every x > 0, and inf or NaN for 0,
+        # -0.0, a negative x and NaN.
+        value = float(_exp1(x))
+        if not math.isfinite(value):
+            raise ValueError("exp_integral_e1 requires x > 0")
+        return value
+    flat = x.reshape(-1)
+    order = flat.argsort()
+    work = flat[order]
+    # The sort puts -inf, negatives and zeros of either sign first and NaN
+    # last, so its ends show whether every x is positive.
+    if len(work) and (work[0] <= 0 or math.isnan(work[-1])):
         raise ValueError("exp_integral_e1 requires x > 0")
-    if out.ndim == 0:
-        return float(out)
+    _exp1(work, out=work)
+    if out is None:
+        out = np.empty(x.shape)
+    out.put(order, work)
     return out
 
 
-def _lsa_frame(xi_prev, gamma, gain, clamp, constants, xi=None, ratio=None,
+def _lsa_frame(xi_prev, gamma, gain, clamp, constants, xi=None,
                memory=None) -> np.ndarray:
     """Replace one frame's decision-directed increment ``gain`` by its gains;
     write its DD memory to ``memory`` and return it.
 
     ``xi_prev`` is read first, so it may be ``memory`` itself, which is
     written last: when E1 raises, ``memory`` still holds the frame before.
-    ``constants`` are :func:`mmse_lsa_gain`'s; ``xi`` and ``ratio`` are
-    work buffers.  Buffers not given are allocated here.  ``clamp=False``
-    skips the floor on ``nu``, for a caller that has shown it cannot bind.
+    ``constants`` are :func:`mmse_lsa_gain`'s; ``xi`` is a work buffer, and
+    ``gain`` holds ``xi / (1 + xi)`` once the increment is read.  Buffers
+    not given are allocated here.  ``clamp=False`` skips the floor on
+    ``nu``, for a caller that has shown it cannot bind.
     """
     one, half, alpha, xi_min, floor, nu_floor = constants
     xi = np.multiply(alpha, xi_prev, out=xi)
     np.add(xi, gain, out=xi)
     np.maximum(xi, xi_min, out=xi)
-    ratio = np.add(xi, one, out=ratio)
+    ratio = np.add(xi, one, out=gain)  # the increment is not read again
     np.divide(xi, ratio, out=ratio)
     nu = np.multiply(gamma, ratio, out=xi)  # xi is not read again
     if clamp:
         np.maximum(nu, nu_floor, out=nu)
-    np.multiply(exp_integral_e1(nu), half, out=gain)
-    np.exp(gain, out=gain)
-    np.multiply(gain, ratio, out=gain)
+    exp_integral_e1(nu, out=nu)
+    np.multiply(nu, half, out=nu)
+    np.exp(nu, out=nu)
+    np.multiply(nu, ratio, out=gain)
     np.maximum(gain, floor, out=gain)  # np.clip, minus its
     np.minimum(gain, one, out=gain)    # Python-level overhead
     memory = np.multiply(gain, gain, out=memory)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from fbeq import exp_integral_e1
 
@@ -99,3 +102,79 @@ class TestExpIntegralE1:
         out = exp_integral_e1(xs)
         assert out.shape == (2, 2)
         assert out[0, 0] == exp_integral_e1(0.5)
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def shuffled_arguments(seed: int) -> np.ndarray:
+    """A 257-vector log-uniform over 1e-3 ... 1e3 with 1.0 and its two
+    neighbours (the series / continued-fraction switch), shuffled."""
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** rng.uniform(-3.0, 3.0, 257)
+    x[:3] = np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)
+    return rng.permutation(x)
+
+
+class TestOrderedEvaluation:
+    """Arrays are evaluated in ascending order and scattered back: every
+    value keeps the bits of scipy's exp1 at its own argument."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           x=st.lists(st.floats(min_value=5e-324, max_value=1e300,
+                                allow_nan=False),
+                      min_size=1, max_size=300))
+    def test_permutation_commutes(self, data, x):
+        x = np.array(x)
+        p = np.array(data.draw(st.permutations(range(len(x)))))
+        assert np.array_equal(bits(exp_integral_e1(x)[p]),
+                              bits(exp_integral_e1(x[p])))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_elementwise_exp1(self, seed):
+        x = shuffled_arguments(seed)
+        values = exp_integral_e1(x)
+        assert np.array_equal(bits(values), bits(exp1(x)))
+        assert np.array_equal(bits(values), bits([exp1(v) for v in x]))
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -0.0, -2.5, -np.inf],
+                             ids=["nan", "zero", "minus-zero", "negative",
+                                  "minus-inf"])
+    @pytest.mark.parametrize("where", [0, 128, 256], ids=["first", "middle", "last"])
+    def test_rejects_bad_argument_anywhere(self, bad, where):
+        x = shuffled_arguments(7)
+        x[where] = bad
+        with pytest.raises(ValueError, match="x > 0"):
+            exp_integral_e1(x)
+
+    @pytest.mark.parametrize("where", [0, 128, 256])
+    def test_infinity_anywhere_gives_zero(self, where):
+        x = shuffled_arguments(8)
+        x[where] = np.inf
+        values = exp_integral_e1(x)
+        assert bits(values[where]) == bits(0.0)
+        assert np.array_equal(bits(values), bits(exp1(x)))
+
+    @pytest.mark.parametrize("shape", [(16, 257), (3, 1), (1,), (0,), (2, 0)])
+    def test_shape_is_kept(self, shape):
+        x = 10.0 ** np.random.default_rng(9).uniform(-3.0, 3.0, shape)
+        values = exp_integral_e1(x)
+        assert values.shape == shape
+        assert np.array_equal(bits(values), bits(exp1(x)))
+
+    def test_out_receives_the_values(self):
+        x = shuffled_arguments(10)
+        expected = bits(exp1(x))
+        out = np.empty(x.shape)
+        assert exp_integral_e1(x, out=out) is out
+        assert np.array_equal(bits(out), expected)
+        assert exp_integral_e1(x, out=x) is x  # in place
+        assert np.array_equal(bits(x), expected)
+
+    def test_out_in_fortran_order(self):
+        x = 10.0 ** np.random.default_rng(11).uniform(-3.0, 3.0, (5, 7))
+        out = np.empty(x.shape, order="F")
+        exp_integral_e1(x, out=out)
+        assert np.array_equal(bits(out), bits(exp1(x)))

@@ -17,17 +17,20 @@ every hop and host drift reaches all rows alike.  The figure printed is the
 median over all hops of all rounds, in µs of wall time per call, then the
 ratio of the one-hop ``analyze_polyphase`` to ``push``.
 
-Three last rows time the estimator as ``fbeq enhance`` runs it: the clip's
+Four last rows time the estimator as ``fbeq enhance`` runs it: the clip's
 analysis frames in blocks of ``BLOCK_FRAMES`` (64), each block through one
 ``update_noise_psd`` and one ``mmse_lsa_gain`` call, with each
 ``exp_integral_e1`` call inside the rule timed too (so the rule's row
-carries that timer's cost).  Their figures are µs per frame: the median
-over all blocks of a block call's time over its frame count, and the median
-E1 call, one per frame.
+carries that timer's cost).  The last row times a bare
+``scipy.special.exp1`` call on each frame's same argument ``nu`` in bin
+order, as the rule forms it, so it shows what ``exp_integral_e1``'s
+evaluation in ascending order saves.  Their figures are µs per frame: the
+median over all blocks of a block call's time over its frame count, and the
+median E1 call, one per frame.
 
 To compare two trees, run this script from each, alternately.  Besides
-``fbeq`` and the benchmark's input generator, only the standard library and
-numpy are used.
+``fbeq`` and the benchmark's input generator, only the standard library,
+numpy and ``scipy.special`` are used.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
+from scipy.special import exp1  # noqa: E402
 
 import fbeq  # noqa: E402
 from fbeq.filterbank import BLOCK_FRAMES  # noqa: E402
@@ -60,7 +64,8 @@ CALLS = ("PolyphaseAnalyzer.push", "update_noise_psd", "mmse_lsa_gain",
          "reference mapping chain", "filter_to_freq(gains_to_taps)")
 BLOCK_CALLS = tuple(f"{name} per frame, {BLOCK_FRAMES}-frame blocks"
                     for name in ("update_noise_psd", "mmse_lsa_gain",
-                                 "exp_integral_e1"))
+                                 "exp_integral_e1",
+                                 "scipy.special.exp1 in bin order"))
 
 
 def mixture(seed: int = SEED) -> np.ndarray:
@@ -112,17 +117,38 @@ def one_round(x: np.ndarray, cfg) -> dict[str, list[float]]:
     return times
 
 
-def block_round(frames: np.ndarray, cfg) -> dict[str, list[float]]:
-    """Time the estimator over ``frames`` in ``BLOCK_FRAMES``-frame blocks;
-    seconds per frame of each name in ``BLOCK_CALLS``."""
-    tracker_row, rule_row, e1_row = BLOCK_CALLS
+def frame_arguments(frames: np.ndarray, cfg) -> list[np.ndarray]:
+    """Each frame's ``nu``, as the rule passes it to ``exp_integral_e1`` over
+    ``frames`` in ``BLOCK_FRAMES``-frame blocks: in bin order."""
+    arguments, e1 = [], fbeq.gains.exp_integral_e1
+
+    def recorded(x, **kwargs):
+        arguments.append(x.copy())
+        return e1(x, **kwargs)
+
+    fbeq.gains.exp_integral_e1 = recorded
+    try:
+        tracker = fbeq.NoiseTrackerState.initial(cfg.num_bins, cfg)
+        for first in range(0, len(frames), BLOCK_FRAMES):
+            fbeq.estimate_gains(frames[first : first + BLOCK_FRAMES], cfg, tracker)
+    finally:
+        fbeq.gains.exp_integral_e1 = e1
+    return arguments
+
+
+def block_round(frames: np.ndarray, arguments: list[np.ndarray],
+                cfg) -> dict[str, list[float]]:
+    """Time the estimator over ``frames`` in ``BLOCK_FRAMES``-frame blocks,
+    then ``exp1`` on each of :func:`frame_arguments`' ``arguments``; seconds
+    per frame of each name in ``BLOCK_CALLS``."""
+    tracker_row, rule_row, e1_row, bin_order_row = BLOCK_CALLS
     times = {name: [] for name in BLOCK_CALLS}
     tracker = fbeq.NoiseTrackerState.initial(cfg.num_bins, cfg)
     e1 = fbeq.gains.exp_integral_e1
 
-    def timed_e1(x):
+    def timed_e1(x, **kwargs):
         start = perf_counter()
-        result = e1(x)
+        result = e1(x, **kwargs)
         times[e1_row].append(perf_counter() - start)
         return result
 
@@ -139,6 +165,10 @@ def block_round(frames: np.ndarray, cfg) -> dict[str, list[float]]:
             times[rule_row].append((end - middle) / len(block))
     finally:
         fbeq.gains.exp_integral_e1 = e1
+    for nu in arguments:
+        start = perf_counter()
+        exp1(nu)
+        times[bin_order_row].append(perf_counter() - start)
     return times
 
 
@@ -147,13 +177,14 @@ def measure(rounds: int, seed: int = SEED) -> dict[str, float]:
     ``BLOCK_CALLS``, over ``rounds`` rounds."""
     x, cfg = mixture(seed), fbeq.Config()
     frames = fbeq.analyze_polyphase(x, fbeq.design_prototype(cfg), cfg).frames
+    arguments = frame_arguments(frames, cfg)
     one_round(x[: 8 * cfg.hop], cfg)  # warm-up: imports and first-call set-up
-    block_round(frames[:BLOCK_FRAMES], cfg)
+    block_round(frames[:BLOCK_FRAMES], arguments[:BLOCK_FRAMES], cfg)
     times = {name: [] for name in CALLS + BLOCK_CALLS}
     for _ in range(rounds):
         for name, seconds in one_round(x, cfg).items():
             times[name].extend(seconds)
-        for name, seconds in block_round(frames, cfg).items():
+        for name, seconds in block_round(frames, arguments, cfg).items():
             times[name].extend(seconds)
     return {name: 1e6 * statistics.median(seconds) for name, seconds in times.items()}
 
