@@ -59,8 +59,9 @@ def read_wav(path, expected_rate: int | None = None, stream: bool = False) -> Au
     ------
     FormatError
         A file that is not RIFF/WAVE, one shorter than its RIFF header
-        declares, a chunk that runs past the RIFF end, or a missing ``fmt ``
-        or ``data`` chunk; the message names the byte offset.
+        declares, a chunk that runs past the RIFF end, a missing ``fmt `` or
+        ``data`` chunk, or a ``data`` chunk that ends inside a sample; the
+        message names the byte offset.
     DataError
         Stereo files, unsupported sample formats (compressed ones included),
         or a rate different from ``expected_rate`` (no silent resampling),
@@ -96,10 +97,13 @@ def read_wav(path, expected_rate: int | None = None, stream: bool = False) -> Au
             raise _unreadable(path, f"no data chunk before the RIFF end at byte {end}")
         if fmt is None:
             raise _unreadable(path, f"data chunk at byte {pos} precedes the fmt chunk")
+        dtype, rate = fmt
+        if size % dtype.itemsize:
+            raise _unreadable(path, f"data chunk size {size} at byte {pos + 4} is not "
+                                    f"a whole number of {dtype.itemsize}-byte samples")
     except BaseException:
         fh.close()
         raise
-    dtype, rate = fmt
     reader = WavReader(fh, path, dtype, pos + 8, size // dtype.itemsize)
     if stream:
         return AudioBuffer(samples=reader, sample_rate_hz=rate)

@@ -11,13 +11,14 @@ Filtering holds each frame's filter over its hop, by overlap-save (2P-point
 transforms, keep the last r samples) or by direct FIR convolution, one hop
 or a block of hops per call.  :func:`process_stream` streams a signal through
 these steps a block at a time, carrying each step's state between blocks.
+The gain source is chosen once, by a context manager that yields the filters.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from contextlib import nullcontext
+from contextlib import contextmanager
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -279,6 +280,56 @@ def _clamp_magnitude(frames: np.ndarray, g_max: float) -> np.ndarray:
     return out
 
 
+@contextmanager
+def _block_filters(gain_source, proto, cfg, num_frames: int):
+    """Yield ``filters(frames, block)``: the filters of the hops in the slice
+    ``frames``, whose input samples are ``block``, in the form the
+    ``cfg.mode`` filter takes (taps, or 2P-point responses for ``ols``).
+
+    A gain file is checked against ``cfg`` and ``num_frames`` on entry, and
+    its records past the input's last frame on a clean exit.  A block's gains
+    reach :func:`gains_to_taps` with no name left on them, so they die inside
+    it after its inverse FFT (CPython 3.11 and later move a call's arguments
+    into the callee's frame; 3.10 frees them on return).
+    """
+    p, hop = cfg.shorten_len, cfg.hop
+
+    def mapped(gains):
+        def filters(frames, block):
+            taps = gains_to_taps(gains(frames, block), proto, p, first_frame=frames.start)
+            return taps if cfg.mode == "direct" else filter_to_freq(taps)
+        return filters
+
+    if gain_source == ESTIMATOR_MMSE_LSA:
+        tracker = NoiseTrackerState.initial(cfg.num_bins, cfg)
+        analysis = EngineState(np.zeros(cfg.proto_len + 1), hop)
+        yield mapped(lambda frames, block: estimate_gains(
+            analyze_polyphase(block, proto, cfg, analysis).frames, cfg, tracker))
+        return
+    with fbeg.open_gain_stream(gain_source) as (header, read):
+        # The reader ties a type-A file's bin count to its frame size.
+        if header.frame_size != cfg.frame_size or header.hop != hop:
+            raise ConfigError(f"gain stream was written for frame size {header.frame_size}"
+                              f", hop {header.hop}; active configuration is "
+                              f"{cfg.frame_size}, {hop}")
+        type_b = header.record_type == fbeg.TYPE_DFT_RESPONSES
+        if type_b and header.num_bins != p + 1:
+            raise ConfigError(f"DFT-response stream has {header.num_bins} bins, "
+                              f"configuration expects {p + 1}")
+        if header.num_frames < num_frames:
+            raise DataError(f"gain stream ends after frame {header.num_frames}; the "
+                            f"input requires {num_frames} frames")
+        if type_b and cfg.mode == "direct":
+            raise ConfigError("DFT-response (type B) streams carry no time-domain "
+                              "taps; use the ols mode")
+        yield ((lambda frames, block: read(frames)) if type_b else mapped(
+            lambda frames, block: _clamp_magnitude(read(frames), cfg.g_max)))
+        for frames in _frame_blocks(header.num_frames, first=num_frames):
+            rows = read(frames)
+            if not type_b:
+                _check_hermitian_edges(_clamp_magnitude(rows, cfg.g_max), frames.start)
+
+
 def process_stream(x, gain_source, cfg, out=None) -> tuple[np.ndarray, LatencyReport]:
     """Run the full enhancement pipeline over a signal.
 
@@ -286,14 +337,14 @@ def process_stream(x, gain_source, cfg, out=None) -> tuple[np.ndarray, LatencyRe
     (:func:`gains_to_taps`) -> 2P-point response -> overlap-save filtering
     of the hop (or direct FIR in ``direct`` mode).
     DFT-response streams (type B) skip the mapping stages and drive the
-    overlap-save engine directly.  The signal goes through the public per-hop
-    functions in blocks of at most ``BLOCK_FRAMES`` hops, carrying the
-    analysis and overlap-save :class:`EngineState` and the noise tracker
-    between blocks: the output equals the per-hop chain exactly.  A gain file
-    is read and checked a block of records at a time, in the same loop and
-    then, for the records past the input's last frame, in a second one, so
-    memory does not grow with the signal or the file; it is opened and
-    checked even for an input shorter than one hop.
+    overlap-save engine directly.  The gain source is chosen once: it yields
+    each block's filters, and the loop makes one filter call per block of at
+    most ``BLOCK_FRAMES`` hops, through the public per-hop functions, with
+    the analysis and overlap-save :class:`EngineState` and the noise tracker
+    carried between blocks: the output equals the per-hop chain exactly.  A
+    gain file is read and checked a block of records at a time, then past the
+    input's last frame, so memory does not grow with the signal or the file;
+    it is opened and checked even for an input shorter than one hop.
 
     Parameters
     ----------
@@ -352,82 +403,27 @@ def process_stream(x, gain_source, cfg, out=None) -> tuple[np.ndarray, LatencyRe
         sample_rate_hz=cfg.sample_rate_hz,
     )
     num_frames = cfg.num_frames(len(x))
-    estimator = gain_source == ESTIMATOR_MMSE_LSA
-    with (nullcontext((None, None)) if estimator
-          else fbeg.open_gain_stream(gain_source)) as (header, read):
-        if estimator:
-            responses = False
-            tracker = NoiseTrackerState.initial(cfg.num_bins, cfg)
-            analysis = EngineState(np.zeros(cfg.proto_len + 1), hop)
-        else:
-            # The reader ties a type-A file's bin count to its frame size.
-            if header.frame_size != cfg.frame_size or header.hop != hop:
-                raise ConfigError(
-                    f"gain stream was written for frame size {header.frame_size}, "
-                    f"hop {header.hop}; active configuration is {cfg.frame_size}, "
-                    f"{hop}"
-                )
-            responses = header.record_type == fbeg.TYPE_DFT_RESPONSES
-            if responses and header.num_bins != p + 1:
-                raise ConfigError(f"DFT-response stream has {header.num_bins} bins, "
-                                  f"configuration expects {p + 1}")
-            if header.num_frames < num_frames:
-                raise DataError(
-                    f"gain stream ends after frame {header.num_frames}; the input "
-                    f"requires {num_frames} frames"
-                )
-            if responses and cfg.mode == "direct":
-                raise ConfigError(
-                    "DFT-response (type B) streams carry no time-domain taps; "
-                    "use the ols mode"
-                )
-
+    filter_block = direct_filter_block if cfg.mode == "direct" else ols_filter_frame
+    with _block_filters(gain_source, proto, cfg, num_frames) as filters:
         engine = EngineState.create(p, hop)
         if out is None:
             out = np.empty(num_frames * hop, dtype=np.float64)
         elif len(out) != num_frames * hop:
             raise ConfigError(f"out holds {len(out)} samples, not {num_frames * hop}")
-        # A block's frames, gains and taps each go once their consumer has
+        # A block's frames, gains and filters each go once their consumer has
         # run, and the histories carried on are copies, so no array of one
         # block is alive while the next is analysed.  The block is the
         # input's own slice, or a streamed file's read: each EngineState.push
         # widens it for its call alone, so no float64 copy is held through
-        # the mapping.  The gains are passed with no name left on them here,
-        # so they die inside gains_to_taps after its inverse FFT (CPython
-        # 3.11 and later move a call's arguments into the callee's frame;
-        # 3.10 frees them on return).  An input loud enough to overflow a
-        # stage shows as a non-finite output, which the filter screens, so
-        # NumPy's overflow and invalid-value warnings are silenced here.
+        # the mapping.  An input loud enough to overflow a stage shows as a
+        # non-finite output, which the filter screens, so NumPy's overflow
+        # and invalid-value warnings are silenced here.
         with np.errstate(over="ignore", invalid="ignore"):
             for frames in _frame_blocks(num_frames):
                 samples = slice(frames.start * hop, frames.stop * hop)
                 block = x[samples]
-                if responses:
-                    filtered = ols_filter_frame(engine, read(frames), block,
-                                                first_frame=frames.start)
-                else:
-                    if estimator:
-                        taps = gains_to_taps(estimate_gains(
-                            analyze_polyphase(block, proto, cfg, analysis).frames,
-                            cfg, tracker), proto, p, first_frame=frames.start)
-                    else:
-                        taps = gains_to_taps(_clamp_magnitude(read(frames), cfg.g_max),
-                                             proto, p, first_frame=frames.start)
-                    if cfg.mode == "direct":
-                        filtered = direct_filter_block(engine, taps, block,
-                                                       first_frame=frames.start)
-                    else:
-                        filtered = ols_filter_frame(engine, filter_to_freq(taps), block,
-                                                    first_frame=frames.start)
-                    del taps
-                out[samples] = filtered
-                del filtered
+                out[samples] = filter_block(engine, filters(frames, block), block,
+                                            first_frame=frames.start)
         if streamed:
             x[num_frames * hop :]  # read to check the samples past the last hop
-        if not estimator:  # the records past the input's end
-            for frames in _frame_blocks(header.num_frames, first=num_frames):
-                rows = read(frames)
-                if not responses:
-                    _check_hermitian_edges(_clamp_magnitude(rows, cfg.g_max),
-                                           frames.start)
     return out, report

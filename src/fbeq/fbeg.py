@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 import stat
 import struct
+import sys
 import warnings
 from contextlib import contextmanager
 from typing import NamedTuple
@@ -101,10 +102,8 @@ def _check_alias_tail(frames: np.ndarray, hop: int, first: int) -> bool:
     circular convolution; those are linear-convolution samples only if the
     implied time filter is supported on taps ``0 .. 2P - hop``.  Energy
     beyond that, above ``ALIAS_TAIL_TOLERANCE`` relative, triggers a warning
-    naming the first such frame counted from ``first``.  It is filed under
-    the caller of the caller of :func:`open_gain_stream`'s ``read``, so under
-    the caller of :func:`load_gain_stream` or ``process_stream``.  Returns
-    whether it warned, so a stream warns once.
+    naming the first such frame counted from ``first``, filed under the first
+    caller outside fbeq and ``contextlib``.  Returns whether it warned.
     """
     fft_size = 2 * (frames.shape[1] - 1)
     taps = np.fft.irfft(frames, n=fft_size, axis=1)
@@ -113,11 +112,15 @@ def _check_alias_tail(frames: np.ndarray, hop: int, first: int) -> bool:
     with np.errstate(invalid="ignore", divide="ignore"):
         bad = np.flatnonzero(tail > ALIAS_TAIL_TOLERANCE * total)
     if bad.size:
+        level, caller = 1, sys._getframe()
+        while caller and caller.f_globals.get("__name__", "").partition(".")[0] \
+                in ("fbeq", "contextlib"):
+            level, caller = level + 1, caller.f_back
         warnings.warn(
             f"DFT-response stream implies time-aliasing: frame {first + bad[0]} "
             f"has relative tail energy {tail[bad[0]] / total[bad[0]]:.3e} beyond "
             f"tap {fft_size - hop} (tolerance {ALIAS_TAIL_TOLERANCE:.0e})",
-            stacklevel=4,  # this function, read, read's caller, its caller
+            stacklevel=level,
         )
     return bool(bad.size)
 
@@ -192,8 +195,8 @@ def open_gain_stream(path):
 
     ``read`` decodes the records in the slice ``frames`` as
     :func:`load_gain_stream` documents and, for type B, warns once per file
-    about the first record that would alias, filed under the caller of its
-    caller.  Records the caller does not read are not checked.
+    about the first record that would alias, filed under the first caller
+    outside fbeq.  Records the caller does not read are not checked.
     """
     with open(path, "rb") as fh:
         header = _read_header(fh)

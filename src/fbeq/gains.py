@@ -261,27 +261,33 @@ def exp_integral_e1(x, out=None):
     x : float or array_like
         Strictly positive argument(s).
     out : numpy.ndarray, optional
-        A float64 array of ``x``'s shape to receive the values of an array
-        ``x``; it may be ``x`` itself.  Allocated when not given.
+        A float64 array of ``x``'s shape to receive the values; it may be
+        ``x`` itself.  Allocated when not given.
 
     Returns
     -------
     float or numpy.ndarray
         ``E1`` evaluated elementwise with :func:`scipy.special.exp1`; a
-        Python float for scalar input, ``out`` (of the input's shape)
-        otherwise.
+        Python float for scalar input without ``out``, ``out`` (of the
+        input's shape) otherwise.
 
     Raises
     ------
     ValueError
-        If any argument is not strictly positive (NaN included).
+        If any argument is not strictly positive (NaN included), or an
+        ``out`` that is not a float64 array of ``x``'s shape.
     """
     global _exp1
     if _exp1 is None:
         from scipy.special import exp1 as _exp1
 
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.shape == x.shape):
+        raise ValueError(f"exp_integral_e1 needs out as a float64 array of shape "
+                         f"{x.shape}, got {getattr(out, 'dtype', type(out).__name__)} "
+                         f"{np.shape(out)}")
+    if x.ndim == 0 and out is None:
         # E1 is finite (at most ~745) for every x > 0, and inf or NaN for 0,
         # -0.0, a negative x and NaN.
         value = float(_exp1(x))

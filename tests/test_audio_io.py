@@ -457,7 +457,35 @@ class TestEncoderFile:
         assert stat.S_ISFIFO(pipe.lstat().st_mode)
 
 
+def wav_with_data(path, tag, itemsize, data: bytes):
+    """A plain mono WAV whose ``data`` chunk holds ``data`` as it is, padded
+    to an even size as RIFF requires."""
+    fmt = struct.pack("<HHIIHH", tag, 1, 16000, 16000 * itemsize, itemsize,
+                      8 * itemsize)
+    chunks = (b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data"
+              + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2))
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+
+
 class TestReadValidation:
+    @pytest.mark.parametrize("stream", [False, True], ids=["whole", "stream"])
+    @pytest.mark.parametrize("dtype, tag, extra",
+                             [(np.int16, 1, 1), (np.float32, 3, 1), (np.float32, 3, 3)])
+    def test_rejects_partial_trailing_sample(self, tmp_path, dtype, tag, extra, stream):
+        size = np.dtype(dtype).itemsize
+        data = np.arange(4, dtype=dtype).tobytes() + b"\x01" * extra
+        path = tmp_path / "partial.wav"
+        wav_with_data(path, tag, size, data)
+        message = (f"data chunk size {len(data)} at byte 40 is not a whole number "
+                   f"of {size}-byte samples")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not a "
+                                              f"readable WAV file \\({message}\\)$"):
+            read_wav(path, stream=stream)
+        wav_with_data(path, tag, size, data[:-extra])  # whole samples still read
+        with read_wav(path, stream=True).samples as reader:
+            assert reader[:].tobytes() == read_wav(path).samples.tobytes()
+            assert len(reader) == 4
+
     def test_rejects_stereo(self, tmp_path):
         path = tmp_path / "st.wav"
         wavfile.write(path, 16000, np.zeros((100, 2), dtype=np.int16))

@@ -1,3 +1,4 @@
+import contextlib
 import re
 import tracemalloc
 import warnings
@@ -892,6 +893,56 @@ class TestProcessStream:
                                block_buffer_samples=64, sample_rate_hz=16000)
         assert report.group_delay_ms == pytest.approx(4.0, abs=1e-12)
         assert report.block_ms == pytest.approx(4.0, abs=1e-12)
+
+
+class TestGainPathHooks:
+    """Every gain path reaches the filter through the ``fbeq.equalizer`` module
+    globals that perfbench's tracer wraps, as often as its blocks need."""
+
+    HOOKS = ("design_prototype", "analyze_polyphase", "estimate_gains",
+             "ols_filter_frame", "direct_filter_block", "_clamp_magnitude")
+
+    @pytest.mark.parametrize("kind, mode", [
+        ("mmse-lsa", "ols"), ("mmse-lsa", "direct"), ("type-a", "ols"),
+        ("type-a", "direct"), ("type-b", "ols")])
+    def test_each_hook_called_per_block(self, tmp_path, kind, mode):
+        cfg = small_config(mode=mode)
+        # Blocks of 4 frames: 3 cover the input's 10 frames, 1 the 3 records past it.
+        num_frames, stored, blocks, past = 10, 13, 3, 1
+        x = np.random.default_rng(71).standard_normal(num_frames * cfg.hop + 2)
+        source = "mmse-lsa"
+        if kind == "type-a":
+            gains = random_hermitian_gains(np.random.default_rng(73), stored * 9)
+            gains = gains.reshape(stored, 9)
+            gains[:, [0, -1]] = gains[:, [0, -1]].real
+            source = gain_file(tmp_path, gains, cfg.frame_size, cfg.hop)
+        elif kind == "type-b":
+            source = gain_file(tmp_path, np.ones((stored, cfg.shorten_len + 1)),
+                               cfg.frame_size, cfg.hop, TYPE_DFT_RESPONSES)
+        counts = dict.fromkeys(self.HOOKS, 0)
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        with patch.object(filterbank, "BLOCK_FRAMES", 4):
+            want, _ = process_stream(x, source, cfg)
+            with contextlib.ExitStack() as hooks:
+                for name in self.HOOKS:
+                    hooks.enter_context(patch.object(
+                        equalizer, name, counted(name, getattr(equalizer, name))))
+                out, _ = process_stream(x, source, cfg)
+        assert np.array_equal(out, want)
+        assert counts == {
+            "design_prototype": 1,
+            "analyze_polyphase": blocks if kind == "mmse-lsa" else 0,
+            "estimate_gains": blocks if kind == "mmse-lsa" else 0,
+            "ols_filter_frame": blocks if mode == "ols" else 0,
+            "direct_filter_block": blocks if mode == "direct" else 0,
+            "_clamp_magnitude": blocks + past if kind == "type-a" else 0,
+        }
 
 
 class TestInputPowerOverflow:

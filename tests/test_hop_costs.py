@@ -17,7 +17,10 @@ CALLS = ["PolyphaseAnalyzer.push", "update_noise_psd", "mmse_lsa_gain",
          "update_noise_psd per frame, 64-frame blocks",
          "mmse_lsa_gain per frame, 64-frame blocks",
          "exp_integral_e1 per frame, 64-frame blocks",
-         "scipy.special.exp1 in bin order per frame, 64-frame blocks"]
+         "scipy.special.exp1 in bin order per frame, 64-frame blocks",
+         "process_stream per hop, mmse-lsa",
+         "process_stream per hop, type-A file",
+         "process_stream per hop, type-B file"]
 
 
 def test_one_round_reports_every_call():

@@ -178,3 +178,21 @@ class TestOrderedEvaluation:
         out = np.empty(x.shape, order="F")
         exp_integral_e1(x, out=out)
         assert np.array_equal(bits(out), bits(exp1(x)))
+
+    @pytest.mark.parametrize("out", [
+        np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.float32), np.zeros(4),
+        np.zeros((3, 1)), np.zeros(3, dtype=">f8"), [0.0, 0.0, 0.0],
+    ], ids=["int64", "float32", "longer", "3x1", "big-endian", "list"])
+    def test_out_of_another_shape_or_dtype_rejected(self, out):
+        x = np.array([0.5, 1.0, 2.0])
+        before = np.array(out, copy=True)
+        with pytest.raises(ValueError, match=r"float64 array of shape \(3,\)"):
+            exp_integral_e1(x, out=out)
+        assert np.array_equal(np.asarray(out), before)  # left as it was
+
+    def test_out_for_zero_d_input(self):
+        out = np.empty(())
+        assert exp_integral_e1(np.float64(0.5), out=out) is out
+        assert bits(out) == bits(exp1(0.5))
+        with pytest.raises(ValueError, match=r"float64 array of shape \(\)"):
+            exp_integral_e1(0.5, out=np.empty(1))

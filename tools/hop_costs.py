@@ -28,6 +28,12 @@ evaluation in ascending order saves.  Their figures are µs per frame: the
 median over all blocks of a block call's time over its frame count, and the
 median E1 call, one per frame.
 
+Three more rows time whole ``process_stream`` calls over the clip, one per
+gain source and round: the built-in estimator, a type-A file holding the
+estimator's gains for the clip, and a type-B file holding their 2P-point
+responses (both written to a temporary directory first).  Their figures are
+µs per hop: the median over rounds of a call's time over its hop count.
+
 To compare two trees, run this script from each, alternately.  Besides
 ``fbeq`` and the benchmark's input generator, only the standard library,
 numpy and ``scipy.special`` are used.
@@ -38,6 +44,7 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -66,6 +73,8 @@ BLOCK_CALLS = tuple(f"{name} per frame, {BLOCK_FRAMES}-frame blocks"
                     for name in ("update_noise_psd", "mmse_lsa_gain",
                                  "exp_integral_e1",
                                  "scipy.special.exp1 in bin order"))
+STREAM_CALLS = tuple(f"process_stream per hop, {source}"
+                     for source in ("mmse-lsa", "type-A file", "type-B file"))
 
 
 def mixture(seed: int = SEED) -> np.ndarray:
@@ -172,20 +181,51 @@ def block_round(frames: np.ndarray, arguments: list[np.ndarray],
     return times
 
 
+def gain_sources(frames: np.ndarray, cfg, directory) -> dict[str, str]:
+    """The ``process_stream`` gain source of each name in ``STREAM_CALLS``:
+    the estimator, and the estimator's gains for ``frames`` written to
+    ``directory`` as a type-A file and, mapped to responses, a type-B file."""
+    proto = fbeq.design_prototype(cfg)
+    gains = fbeq.estimate_gains(frames, cfg)
+    responses = fbeq.filter_to_freq(fbeq.gains_to_taps(gains, proto, cfg.shorten_len))
+    sources = ["mmse-lsa"]
+    for name, records, record_type in (("a", gains, fbeq.TYPE_SUBBAND_GAINS),
+                                       ("b", responses, fbeq.TYPE_DFT_RESPONSES)):
+        sources.append(str(Path(directory) / f"{name}.fbeg"))
+        fbeq.write_gain_stream(sources[-1], records.astype(np.complex64), record_type,
+                               cfg.frame_size, cfg.hop)
+    return dict(zip(STREAM_CALLS, sources))
+
+
+def stream_round(x: np.ndarray, sources: dict[str, str],
+                 cfg) -> dict[str, list[float]]:
+    """Time one ``process_stream`` call over ``x`` from each of ``sources``;
+    seconds per hop, by name."""
+    times = {}
+    for name, source in sources.items():
+        start = perf_counter()
+        fbeq.process_stream(x, source, cfg)
+        times[name] = [(perf_counter() - start) / cfg.num_frames(x.size)]
+    return times
+
+
 def measure(rounds: int, seed: int = SEED) -> dict[str, float]:
-    """Median µs per call of each name in ``CALLS``, and per frame of each in
-    ``BLOCK_CALLS``, over ``rounds`` rounds."""
+    """Median µs per call of each name in ``CALLS``, per frame of each in
+    ``BLOCK_CALLS`` and per hop of each in ``STREAM_CALLS``, over ``rounds``
+    rounds."""
     x, cfg = mixture(seed), fbeq.Config()
     frames = fbeq.analyze_polyphase(x, fbeq.design_prototype(cfg), cfg).frames
     arguments = frame_arguments(frames, cfg)
-    one_round(x[: 8 * cfg.hop], cfg)  # warm-up: imports and first-call set-up
-    block_round(frames[:BLOCK_FRAMES], arguments[:BLOCK_FRAMES], cfg)
-    times = {name: [] for name in CALLS + BLOCK_CALLS}
-    for _ in range(rounds):
-        for name, seconds in one_round(x, cfg).items():
-            times[name].extend(seconds)
-        for name, seconds in block_round(frames, arguments, cfg).items():
-            times[name].extend(seconds)
+    times = {name: [] for name in CALLS + BLOCK_CALLS + STREAM_CALLS}
+    with tempfile.TemporaryDirectory() as directory:
+        sources = gain_sources(frames, cfg, directory)
+        one_round(x[: 8 * cfg.hop], cfg)  # warm-up: imports and first-call set-up
+        block_round(frames[:BLOCK_FRAMES], arguments[:BLOCK_FRAMES], cfg)
+        stream_round(x[: 8 * cfg.hop], sources, cfg)
+        for _ in range(rounds):
+            for name, seconds in (one_round(x, cfg) | block_round(frames, arguments, cfg)
+                                  | stream_round(x, sources, cfg)).items():
+                times[name].extend(seconds)
     return {name: 1e6 * statistics.median(seconds) for name, seconds in times.items()}
 
 
@@ -197,13 +237,13 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     costs = measure(args.rounds)
-    width = max(map(len, CALLS + BLOCK_CALLS))
+    width = max(map(len, CALLS + BLOCK_CALLS + STREAM_CALLS))
     print(f"{'call':<{width}}  median µs")
     for name in CALLS:
         print(f"{name:<{width}}  {costs[name]:9.2f}")
     ratio = costs["analyze_polyphase one hop"] / costs["PolyphaseAnalyzer.push"]
     print(f"{'analyze_polyphase one hop / push':<{width}}  {ratio:9.2f}")
-    for name in BLOCK_CALLS:
+    for name in BLOCK_CALLS + STREAM_CALLS:
         print(f"{name:<{width}}  {costs[name]:9.2f}")
     return 0
 
