@@ -38,7 +38,6 @@ class Config:
     alpha_noise: float = 0.8
     gamma_threshold: float = 2.5
     init_frames: int = 6
-    lambda_floor: float = 1e-20
     shorten_len: int = 128
     mode: str = "ols"
     g_max: float = 4.0
@@ -74,8 +73,6 @@ class Config:
             )
         if self.init_frames < 1:
             raise ConfigError(f"init_frames must be >= 1, got {self.init_frames}")
-        if self.lambda_floor <= 0.0:
-            raise ConfigError(f"lambda_floor must be positive, got {self.lambda_floor}")
         for derived, name in _DERIVED_FROM.items():
             try:
                 with np.errstate(divide="ignore", invalid="ignore"):

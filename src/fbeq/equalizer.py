@@ -280,6 +280,17 @@ def _clamp_magnitude(frames: np.ndarray, g_max: float) -> np.ndarray:
     return out
 
 
+def _mapped(gains, proto, cfg):
+    """``filters(frames, block)`` that maps ``gains(frames, block)`` to the
+    ``cfg.mode`` filter.  Module level, so ``_block_filters``' generator
+    holds no function past building this one."""
+    def filters(frames, block):
+        taps = gains_to_taps(gains(frames, block), proto, cfg.shorten_len,
+                             first_frame=frames.start)
+        return taps if cfg.mode == "direct" else filter_to_freq(taps)
+    return filters
+
+
 @contextmanager
 def _block_filters(gain_source, proto, cfg, num_frames: int):
     """Yield ``filters(frames, block)``: the filters of the hops in the slice
@@ -293,18 +304,12 @@ def _block_filters(gain_source, proto, cfg, num_frames: int):
     into the callee's frame; 3.10 frees them on return).
     """
     p, hop = cfg.shorten_len, cfg.hop
-
-    def mapped(gains):
-        def filters(frames, block):
-            taps = gains_to_taps(gains(frames, block), proto, p, first_frame=frames.start)
-            return taps if cfg.mode == "direct" else filter_to_freq(taps)
-        return filters
-
     if gain_source == ESTIMATOR_MMSE_LSA:
         tracker = NoiseTrackerState.initial(cfg.num_bins, cfg)
         analysis = EngineState(np.zeros(cfg.proto_len + 1), hop)
-        yield mapped(lambda frames, block: estimate_gains(
-            analyze_polyphase(block, proto, cfg, analysis).frames, cfg, tracker))
+        yield _mapped(lambda frames, block: estimate_gains(
+            analyze_polyphase(block, proto, cfg, analysis).frames, cfg, tracker),
+            proto, cfg)
         return
     with fbeg.open_gain_stream(gain_source) as (header, read):
         # The reader ties a type-A file's bin count to its frame size.
@@ -322,8 +327,9 @@ def _block_filters(gain_source, proto, cfg, num_frames: int):
         if type_b and cfg.mode == "direct":
             raise ConfigError("DFT-response (type B) streams carry no time-domain "
                               "taps; use the ols mode")
-        yield ((lambda frames, block: read(frames)) if type_b else mapped(
-            lambda frames, block: _clamp_magnitude(read(frames), cfg.g_max)))
+        yield ((lambda frames, block: read(frames)) if type_b else _mapped(
+            lambda frames, block: _clamp_magnitude(read(frames), cfg.g_max),
+            proto, cfg))
         for frames in _frame_blocks(header.num_frames, first=num_frames):
             rows = read(frames)
             if not type_b:

@@ -23,6 +23,8 @@ import numpy as np
 from .config import Config
 from .errors import DataError, NumericError
 
+# The least noise-PSD estimate, so the a posteriori SNR stays finite.
+_LAMBDA_FLOOR = 1e-20
 # Below this, nu is treated as its continuity limit (the gain clamps to 1).
 _NU_FLOOR = 1e-12
 
@@ -54,7 +56,7 @@ class NoiseTrackerState:
         # xi_prev seeds the decision-directed recursion at unity, matching the
         # common reference initialization of this estimator family.
         return cls(
-            noise_psd=np.full(num_bins, params.lambda_floor, dtype=np.float64),
+            noise_psd=np.full(num_bins, _LAMBDA_FLOOR),
             xi_prev=np.full(num_bins, max(1.0, params.xi_min)),
             frame_count=0,
         )
@@ -70,16 +72,17 @@ def update_noise_psd(state: NoiseTrackerState, frame,
     the current estimate stays below ``gamma_threshold``; louder bins leave
     the estimate untouched.  Gated updates are scaled by
     ``params.gate_bias_factor`` so the truncated average stays centered on
-    the true noise power.  The PSD never drops below ``lambda_floor``.
+    the true noise power.  No frame's PSD drops below ``_LAMBDA_FLOOR``.
 
     ``frame`` is one frame of bins, or an ``n x bins`` block of consecutive
     frames, taken as ``complex128``, the dtype of the analysis frames.  The
     state is advanced in place and returned; its ``noise_psd`` then has the
-    shape of ``frame``, one estimate per frame.  The tracker never reads the
-    gains, so a block gives the bits of its frames one at a time; a block of
-    zero frames leaves the state as it was.  NumPy's floating-point error
-    state is left to the caller: an input loud enough to overflow ``|x|^2``
-    warns here unless the caller silences it, as :func:`estimate_gains` does.
+    shape of ``frame``, one estimate per frame.  A block runs the one-frame
+    step on each of its frames, and the tracker never reads the gains, so a
+    block gives the bits of its frames one at a time; a block of zero frames
+    leaves the state as it was.  NumPy's floating-point error state is left
+    to the caller: an input loud enough to overflow ``|x|^2`` warns here
+    unless the caller silences it, as :func:`estimate_gains` does.
     """
     frame = np.asarray(frame, dtype=np.complex128)
     estimate = state.noise_psd
@@ -95,39 +98,27 @@ def update_noise_psd(state: NoiseTrackerState, frame,
     first = state.frame_count
     constants = _constants(params.gamma_threshold, params.alpha_noise,
                            (1.0 - params.alpha_noise) * params.gate_bias_factor,
-                           params.lambda_floor)
+                           _LAMBDA_FLOOR)
     if frame.ndim == 1:
-        state.noise_psd = _track_frame(estimate, power, first, True, params,
-                                       constants)
+        state.noise_psd = _track_frame(estimate, power, first, params, constants)
         state.frame_count += 1
     elif len(frame):
-        # A gated bin's update, alpha * psd + scale * power, rounds to at
-        # least its scaled power; a closed bin keeps its estimate.  So once
-        # a call's first frame is clamped (its estimate may come from
-        # anywhere), the floor cannot bind on a gated frame whose block's
-        # least scaled power clears it.  A NaN fails the test; the running
-        # mean always clamps.
-        clamp = not (np.minimum.reduce(power, axis=None) * constants[2]
-                     > params.lambda_floor)
         work = np.empty(estimate.shape), np.empty(estimate.shape, dtype=bool)
         state.noise_psd = np.empty_like(power)
         for k, row in enumerate(state.noise_psd):
             row[...] = estimate
-            n = first + k
-            estimate = _track_frame(row, power[k], n,
-                                    clamp or not k or n < params.init_frames,
-                                    params, constants, *work)
+            estimate = _track_frame(row, power[k], first + k, params, constants,
+                                    *work)
         state.frame_count += len(frame)
     return state
 
 
-def _track_frame(psd, power, n, clamp, params: Config, constants,
-                 update=None, gate=None) -> np.ndarray:
+def _track_frame(psd, power, n, params: Config, constants, update=None,
+                 gate=None) -> np.ndarray:
     """Advance the estimate ``psd`` in place by frame ``n`` of the stream and
     return it.  A gated update scales ``power`` in place.  ``constants`` are
     :func:`update_noise_psd`'s; ``update`` and ``gate`` are work buffers,
-    allocated here when not given.  ``clamp=False`` skips the floor, for a
-    caller that has shown it cannot bind."""
+    allocated here when not given."""
     threshold, alpha, scale, floor = constants
     if n >= params.init_frames:
         update = np.multiply(psd, threshold, out=update)
@@ -142,8 +133,7 @@ def _track_frame(psd, power, n, clamp, params: Config, constants,
         psd /= n + 1
     else:
         psd[...] = power
-    if clamp:
-        np.maximum(psd, floor, out=psd)
+    np.maximum(psd, floor, out=psd)
     return psd
 
 
@@ -216,22 +206,15 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
     k = 0
     try:
         if frame.ndim == 1:
-            state.xi_prev = _lsa_frame(state.xi_prev, gamma, gains, True,
-                                       constants)
+            state.xi_prev = _lsa_frame(state.xi_prev, gamma, gains, constants)
         else:
-            # xi >= xi_min, so nu >= gamma * xi_min / (1 + xi_min): the floor
-            # on nu cannot bind when the block's least gamma clears it with
-            # a margin for rounding.  A NaN fails the test.
-            xi_min = params.xi_min
-            clamp = not (np.minimum.reduce(gamma, axis=None)
-                         * (0.5 * xi_min / (1.0 + xi_min)) > 2.0 * _NU_FLOOR)
             # The first frame allocates its DD memory once E1 is done, so
             # no second memory row is alive beside the previous one at E1's
             # sort; later frames rewrite it in place.
             xi, memory = np.empty(gamma.shape[-1]), None
             for k, gain in enumerate(gains):
                 memory = state.xi_prev = _lsa_frame(state.xi_prev, gamma[k], gain,
-                                                    clamp, constants, xi, memory)
+                                                    constants, xi, memory)
     except ValueError:  # E1 of a NaN, from an infinite gamma
         n = len(frame) if frame.ndim == 2 else 1
         raise NumericError(
@@ -308,7 +291,7 @@ def exp_integral_e1(x, out=None):
     return out
 
 
-def _lsa_frame(xi_prev, gamma, gain, clamp, constants, xi=None,
+def _lsa_frame(xi_prev, gamma, gain, constants, xi=None,
                memory=None) -> np.ndarray:
     """Replace one frame's decision-directed increment ``gain`` by its gains;
     write its DD memory to ``memory`` and return it.
@@ -317,8 +300,7 @@ def _lsa_frame(xi_prev, gamma, gain, clamp, constants, xi=None,
     written last: when E1 raises, ``memory`` still holds the frame before.
     ``constants`` are :func:`mmse_lsa_gain`'s; ``xi`` is a work buffer, and
     ``gain`` holds ``xi / (1 + xi)`` once the increment is read.  Buffers
-    not given are allocated here.  ``clamp=False`` skips the floor on
-    ``nu``, for a caller that has shown it cannot bind.
+    not given are allocated here.
     """
     one, half, alpha, xi_min, floor, nu_floor = constants
     xi = np.multiply(alpha, xi_prev, out=xi)
@@ -327,8 +309,7 @@ def _lsa_frame(xi_prev, gamma, gain, clamp, constants, xi=None,
     ratio = np.add(xi, one, out=gain)  # the increment is not read again
     np.divide(xi, ratio, out=ratio)
     nu = np.multiply(gamma, ratio, out=xi)  # xi is not read again
-    if clamp:
-        np.maximum(nu, nu_floor, out=nu)
+    np.maximum(nu, nu_floor, out=nu)
     exp_integral_e1(nu, out=nu)
     np.multiply(nu, half, out=nu)
     np.exp(nu, out=nu)

@@ -225,8 +225,8 @@ class TestConfigIsItsParts:
         defaults = {"frame_size": 512, "proto_len": 512, "hop": 64,
                     "sample_rate_hz": 16000, "alpha_dd": 0.98, "xi_min_db": -15.0,
                     "gain_floor_db": -25.0, "alpha_noise": 0.8,
-                    "gamma_threshold": 2.5, "init_frames": 6, "lambda_floor": 1e-20,
-                    "shorten_len": 128, "mode": "ols", "g_max": 4.0}
+                    "gamma_threshold": 2.5, "init_frames": 6, "shorten_len": 128,
+                    "mode": "ols", "g_max": 4.0}
         fields = dataclasses.fields(Config)
         assert [f.name for f in fields] == list(defaults)
         assert {f.name: f.default for f in fields} == defaults
@@ -1023,6 +1023,15 @@ class TestExitCodes:
         assert code == 3
         assert "unknown config key 'gains'" in capsys.readouterr().err
 
+    def test_lambda_floor_config_key_is_three(self, tmp_path, capsys):
+        path = tmp_path / "fbeq.conf"
+        path.write_text("lambda_floor = 1e-20\n")
+        code = main(["enhance", "--config", str(path),
+                     "--in", str(tmp_path / "in.wav"),
+                     "--out", str(tmp_path / "out.wav")])
+        assert code == 3
+        assert "unknown config key 'lambda_floor'" in capsys.readouterr().err
+
     def test_non_finite_gain_stream_is_three(self, tmp_path, capsys):
         wav = tmp_path / "in.wav"
         write_test_wav(wav, 0.1 * np.random.default_rng(8).standard_normal(160))
@@ -1070,7 +1079,6 @@ ENGINE_FLAGS = [
     ["--mode", "direct"], ["--gains", "g.fbeg"], ["--g-max", "2.0"],
     ["--alpha-dd", "0.9"], ["--xi-min-db", "-10.0"], ["--gain-floor-db", "-20.0"],
     ["--alpha-noise", "0.9"], ["--gamma-threshold", "3.0"], ["--init-frames", "4"],
-    ["--lambda-floor", "1e-12"],
 ]
 
 
@@ -1103,7 +1111,8 @@ class TestParserPerCommand:
 
     @pytest.mark.parametrize("bad", [
         ["extra"], ["--mode", "bad"], ["--g-max", "x"], ["--no-such-flag"],
-    ], ids=["unrecognized", "bad-choice", "bad-type", "unknown-flag"])
+        ["--lambda-floor", "1e-12"],  # the noise-PSD floor is a constant
+    ], ids=["unrecognized", "bad-choice", "bad-type", "unknown-flag", "lambda-floor"])
     @pytest.mark.parametrize("command", list(COMMAND_ARGV))
     def test_usage_errors_match_full_parser(self, command, bad, capsys):
         argv = COMMAND_ARGV[command] + bad
@@ -1133,7 +1142,7 @@ class TestParserPerCommand:
             "--format", "-M", "--frame-size", "-L", "--proto-len", "-r", "--hop",
             "-P", "--shorten-len", "--sample-rate", "--g-max", "--alpha-dd",
             "--xi-min-db", "--gain-floor-db", "--alpha-noise", "--gamma-threshold",
-            "--init-frames", "--lambda-floor"]
+            "--init-frames"]
 
     @pytest.mark.parametrize("argv, code", [
         (["--help"], 0), ([], 2), (["enhanc"], 2),

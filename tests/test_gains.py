@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from fbeq.gains import (
 
 from conftest import first_overflowing_frame, geometries
 
+LAMBDA_FLOOR = gains_module._LAMBDA_FLOOR
+
 
 def reference_gains(frames, p):
     """Independent re-derivation of the whole estimator, scipy E1 inside."""
@@ -32,7 +35,7 @@ def reference_gains(frames, p):
     t = p.gamma_threshold
     comp = (1.0 - np.exp(-t)) / (1.0 - (1.0 + t) * np.exp(-t))
     num_frames, bins = frames.shape
-    psd = np.full(bins, p.lambda_floor)
+    psd = np.full(bins, 1e-20)
     xi_prev = np.full(bins, max(1.0, xi_min))
     out = np.empty((num_frames, bins))
     for k in range(num_frames):
@@ -44,7 +47,7 @@ def reference_gains(frames, p):
             psd = np.where(gate,
                            p.alpha_noise * psd + (1 - p.alpha_noise) * comp * power,
                            psd)
-        psd = np.maximum(psd, p.lambda_floor)
+        psd = np.maximum(psd, 1e-20)
         gamma = power / psd
         xi = np.maximum(xi_min, p.alpha_dd * xi_prev
                         + (1 - p.alpha_dd) * np.maximum(gamma - 1.0, 0.0))
@@ -98,15 +101,15 @@ class TestEstimatorParams:
             Config(gamma_threshold=-2.0)
         with pytest.raises(ConfigError, match="init_frames"):
             Config(init_frames=0)
-        with pytest.raises(ConfigError, match="lambda_floor"):
-            Config(lambda_floor=0.0)
+        with pytest.raises(TypeError, match="lambda_floor"):  # a constant now
+            Config(lambda_floor=1e-20)
 
 
 class TestNoiseTrackerState:
     def test_initial_state(self):
         p = Config()
         state = NoiseTrackerState.initial(5, p)
-        np.testing.assert_array_equal(state.noise_psd, np.full(5, p.lambda_floor))
+        np.testing.assert_array_equal(state.noise_psd, np.full(5, LAMBDA_FLOOR))
         np.testing.assert_array_equal(state.xi_prev, np.ones(5))
         assert state.frame_count == 0
 
@@ -165,7 +168,7 @@ class TestUpdateNoisePsd:
             np.testing.assert_allclose(state.noise_psd, 0.8 ** n, rtol=1e-12)
         for _ in range(250):
             update_noise_psd(state, np.zeros(2), p)
-        np.testing.assert_array_equal(state.noise_psd, np.full(2, p.lambda_floor))
+        np.testing.assert_array_equal(state.noise_psd, np.full(2, LAMBDA_FLOOR))
 
     def test_dimension_mismatch(self):
         p = Config()
@@ -256,7 +259,7 @@ class TestMmseLsaGain:
     def test_vanishing_noise_estimate_passes_through(self):
         # lambda -> 0+ with fixed frame power: xi, gamma -> inf, G -> 1.
         p = Config()
-        state = NoiseTrackerState(noise_psd=np.full(4, p.lambda_floor),
+        state = NoiseTrackerState(noise_psd=np.full(4, LAMBDA_FLOOR),
                                   xi_prev=np.ones(4), frame_count=10)
         result = mmse_lsa_gain(np.ones(4), state, p)
         np.testing.assert_array_equal(result.values, np.ones(4))
@@ -379,7 +382,7 @@ class TestEstimateGains:
         p = Config()
         state = NoiseTrackerState.initial(5, p)
         assert estimate_gains(np.zeros((0, 5)), p, state).shape == (0, 5)
-        np.testing.assert_array_equal(state.noise_psd, np.full(5, p.lambda_floor))
+        np.testing.assert_array_equal(state.noise_psd, np.full(5, LAMBDA_FLOOR))
         assert state.frame_count == 0
 
     def test_block_estimates_die_before_the_frame_loop(self, default_spec,
@@ -404,63 +407,61 @@ class TestEstimateGains:
 
 
 class TestBlockGuards:
-    """A block skips the floor on the noise estimate and the floor on ``nu``
-    only where neither can bind.  On white noise neither binds and both are
-    skipped; after 100 ms of exact zeros (power and ``gamma`` 0) both bind
-    and both run.  Either way the block equals the one-frame chain, which
-    always clamps."""
+    """Every frame of a block applies the floor on the noise estimate and the
+    floor on ``nu``, as a one-frame call does, so a block equals the
+    one-frame chain whether a floor binds or not.  On white noise neither
+    binds; after 100 ms of exact zeros (power and ``gamma`` 0) both do; in
+    the property cases they first bind inside a block."""
 
     @staticmethod
-    def clamp_flags(monkeypatch, name):
-        """Record the ``clamp`` argument of every call to ``gains.<name>``."""
-        flags, original = [], getattr(gains_module, name)
+    def assert_block_equals_chain(frames, p):
+        """``frames`` as one block give the one-frame chain's estimates, gains
+        and state; returns the chain's estimates and gains."""
+        bins = frames.shape[1]
+        chain = NoiseTrackerState.initial(bins, p)
+        estimates, gains = [], []
+        for frame in frames:
+            update_noise_psd(chain, frame, p)
+            estimates.append(chain.noise_psd.copy())
+            gains.append(mmse_lsa_gain(frame, chain, p).values)
+        estimates, gains = np.array(estimates), np.array(gains)
+        block = update_noise_psd(NoiseTrackerState.initial(bins, p), frames, p)
+        assert np.array_equal(block.noise_psd, estimates)
+        state = NoiseTrackerState.initial(bins, p)
+        assert np.array_equal(estimate_gains(frames, p, state), gains)
+        assert np.array_equal(state.noise_psd, chain.noise_psd)
+        assert np.array_equal(state.xi_prev, chain.xi_prev)
+        return estimates, gains
 
-        def spy(*args):
-            flags.append(args[3])
-            return original(*args)
+    @staticmethod
+    def complex_frames(rng, count, bins):
+        return rng.standard_normal((count, bins)) + 1j * rng.standard_normal((count, bins))
 
-        monkeypatch.setattr(gains_module, name, spy)
-        return flags
-
-    @pytest.mark.parametrize("zeros, clamped", [(0, False), (1600, True)],
+    @pytest.mark.parametrize("zeros", [0, 1600],
                              ids=["white-noise", "after-100-ms-of-zeros"])
-    def test_block_equals_chain(self, default_spec, default_proto, monkeypatch,
-                                zeros, clamped):
+    def test_block_equals_chain(self, default_spec, default_proto, zeros):
         rng = np.random.default_rng(331)
         x = np.concatenate([np.zeros(zeros),
                             rng.standard_normal(BLOCK_FRAMES * default_spec.hop)])
         frames = analyze_polyphase(x, default_proto,
                                    default_spec).frames[:BLOCK_FRAMES]
-        p, bins = Config(), default_spec.num_bins
-        chain = NoiseTrackerState.initial(bins, p)
-        want = []
-        for frame in frames:
-            update_noise_psd(chain, frame, p)
-            want.append(mmse_lsa_gain(frame, chain, p).values)
-
-        tracker = self.clamp_flags(monkeypatch, "_track_frame")
-        rule = self.clamp_flags(monkeypatch, "_lsa_frame")
-        state = NoiseTrackerState.initial(bins, p)
-        got = estimate_gains(frames, p, state)
-        assert np.array_equal(got, np.array(want))
-        assert np.array_equal(state.noise_psd, chain.noise_psd)
-        assert np.array_equal(state.xi_prev, chain.xi_prev)
-        # The running mean always clamps; past it the guard decides.
-        assert tracker[:p.init_frames] == [True] * p.init_frames
-        assert tracker[p.init_frames:] == [clamped] * (len(frames) - p.init_frames)
-        assert rule == [clamped] * len(frames)
-        if clamped:  # and the floors bind, so skipping them would show
-            estimates = update_noise_psd(NoiseTrackerState.initial(bins, p),
-                                         frames, p).noise_psd
-            assert np.all(estimates[:zeros // default_spec.hop]
-                          == p.lambda_floor)
+        estimates, _ = self.assert_block_equals_chain(frames, Config())
+        # The silent frames have power 0, so gamma and nu are 0 there and
+        # both floors bind.  (The estimate then stays on its floor: the gate
+        # never opens for louder frames, the tracker's known lock.)  On white
+        # noise alone the floor on the estimate never binds.
+        silent = zeros // default_spec.hop
+        assert not np.any(frames[:silent])
+        assert np.all(estimates[:silent] == LAMBDA_FLOOR)
+        if not silent:
+            assert np.all(estimates > LAMBDA_FLOOR)
 
     def test_first_frame_of_a_call_clamps(self, default_spec):
-        """A call's first frame may start from any estimate, so it clamps
-        even where the block's power clears the floor."""
+        """A call may start from any estimate, even one below the floor; its
+        first frame lifts it to the floor as the chain does."""
         p, bins = Config(), default_spec.num_bins
         frames = np.ones((3, bins), dtype=complex)
-        below = NoiseTrackerState(noise_psd=np.full(bins, 0.1 * p.lambda_floor),
+        below = NoiseTrackerState(noise_psd=np.full(bins, 0.1 * LAMBDA_FLOOR),
                                   xi_prev=np.ones(bins), frame_count=p.init_frames)
         chain = NoiseTrackerState(noise_psd=below.noise_psd.copy(),
                                   xi_prev=np.ones(bins), frame_count=p.init_frames)
@@ -468,6 +469,45 @@ class TestBlockGuards:
             update_noise_psd(chain, frame, p)
         update_noise_psd(below, frames, p)
         assert np.array_equal(below.noise_psd[-1], chain.noise_psd)
+
+    @settings(max_examples=25, deadline=None)
+    @given(geometry=geometries(), loud=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_estimate_floor_binds_mid_block(self, geometry, loud, seed):
+        """Frames of power ~1e-50 after loud ones shrink the estimate by
+        ``alpha_noise`` a frame until the floor holds it, inside the block."""
+        p = Config(**geometry, alpha_noise=0.05, init_frames=1)
+        frames = self.complex_frames(np.random.default_rng(seed), loud + 30,
+                                     p.num_bins)
+        frames[loud:] *= 1e-25
+        estimates, _ = self.assert_block_equals_chain(frames, p)
+        assert not np.any(estimates[:loud + 1] == LAMBDA_FLOOR)
+        assert np.all(estimates[-1] == LAMBDA_FLOOR)
+
+    @settings(max_examples=25, deadline=None)
+    @given(geometry=geometries(), loud=st.integers(1, 8),
+           silent=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_nu_floor_binds_mid_block(self, geometry, loud, silent, seed):
+        """Zero-power frames between loud ones make ``gamma`` and ``nu`` 0,
+        where E1 is infinite; the floor on ``nu`` gives them unit gains."""
+        p = Config(**geometry)
+        frames = self.complex_frames(np.random.default_rng(seed), 2 * loud + silent,
+                                     p.num_bins)
+        quiet = slice(loud, loud + silent)
+        frames[quiet] = 0.0
+        least, e1 = [], gains_module.exp_integral_e1
+
+        def recorded(x, out=None):
+            least.append(x.min())
+            return e1(x, out=out)
+
+        with mock.patch.object(gains_module, "exp_integral_e1", recorded):
+            _, gains = self.assert_block_equals_chain(frames, p)
+        assert np.all(gains[quiet] == 1.0)
+        # E1's arguments: the chain's frames, then the block's.
+        block = np.array(least[len(frames):])
+        assert np.all(block[quiet] == gains_module._NU_FLOOR)
+        assert np.all(np.delete(block, np.r_[quiet]) > gains_module._NU_FLOOR)
 
 
 class TestInputPowerOverflow:

@@ -18,6 +18,10 @@ CALLS = ["PolyphaseAnalyzer.push", "update_noise_psd", "mmse_lsa_gain",
          "mmse_lsa_gain per frame, 64-frame blocks",
          "exp_integral_e1 per frame, 64-frame blocks",
          "scipy.special.exp1 in bin order per frame, 64-frame blocks",
+         "update_noise_psd per frame, one-frame calls",
+         "update_noise_psd + mmse_lsa_gain per frame, one-frame calls",
+         "update_noise_psd per frame, 1-row blocks",
+         "update_noise_psd + mmse_lsa_gain per frame, 1-row blocks",
          "process_stream per hop, mmse-lsa",
          "process_stream per hop, type-A file",
          "process_stream per hop, type-B file"]

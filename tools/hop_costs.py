@@ -17,16 +17,24 @@ every hop and host drift reaches all rows alike.  The figure printed is the
 median over all hops of all rounds, in µs of wall time per call, then the
 ratio of the one-hop ``analyze_polyphase`` to ``push``.
 
-Four last rows time the estimator as ``fbeq enhance`` runs it: the clip's
+Four rows time the estimator as ``fbeq enhance`` runs it: the clip's
 analysis frames in blocks of ``BLOCK_FRAMES`` (64), each block through one
 ``update_noise_psd`` and one ``mmse_lsa_gain`` call, with each
 ``exp_integral_e1`` call inside the rule timed too (so the rule's row
-carries that timer's cost).  The last row times a bare
+carries that timer's cost).  The fourth row times a bare
 ``scipy.special.exp1`` call on each frame's same argument ``nu`` in bin
 order, as the rule forms it, so it shows what ``exp_integral_e1``'s
 evaluation in ascending order saves.  Their figures are µs per frame: the
 median over all blocks of a block call's time over its frame count, and the
 median E1 call, one per frame.
+
+Four rows run the estimator over the clip's frames twice in one loop, each
+frame through the one-frame calls and then, on a second tracker, as a
+one-row block (``1 x bins``) through the block path of ``update_noise_psd``
+and then of ``mmse_lsa_gain``.  Each path gives the tracker alone and the
+tracker plus the rule, in µs per frame (the median over frames), so the
+pairs show what the one-frame fork saves.  The stream loop's rows above
+time the same one-frame calls between the other stages' calls.
 
 Three more rows time whole ``process_stream`` calls over the clip, one per
 gain source and round: the built-in estimator, a type-A file holding the
@@ -73,6 +81,9 @@ BLOCK_CALLS = tuple(f"{name} per frame, {BLOCK_FRAMES}-frame blocks"
                     for name in ("update_noise_psd", "mmse_lsa_gain",
                                  "exp_integral_e1",
                                  "scipy.special.exp1 in bin order"))
+ROW_CALLS = tuple(f"{name} per frame, {path}"
+                  for path in ("one-frame calls", "1-row blocks")
+                  for name in ("update_noise_psd", "update_noise_psd + mmse_lsa_gain"))
 STREAM_CALLS = tuple(f"process_stream per hop, {source}"
                      for source in ("mmse-lsa", "type-A file", "type-B file"))
 
@@ -181,6 +192,26 @@ def block_round(frames: np.ndarray, arguments: list[np.ndarray],
     return times
 
 
+def row_round(frames: np.ndarray, cfg) -> dict[str, list[float]]:
+    """Time the estimator over ``frames`` frame by frame, through the
+    one-frame calls and as one-row blocks; seconds per frame of each name in
+    ``ROW_CALLS``."""
+    times = {name: [] for name in ROW_CALLS}
+    trackers = [fbeq.NoiseTrackerState.initial(cfg.num_bins, cfg) for _ in range(2)]
+    for k in range(len(frames)):
+        # ROW_CALLS names the one-frame path's two rows, then the one-row block's.
+        for path, frame in enumerate((frames[k], frames[k : k + 1])):
+            tracker, (tracker_row, both_row) = trackers[path], ROW_CALLS[2 * path : 2 * path + 2]
+            start = perf_counter()
+            fbeq.update_noise_psd(tracker, frame, cfg)
+            middle = perf_counter()
+            fbeq.mmse_lsa_gain(frame, tracker, cfg)
+            end = perf_counter()
+            times[tracker_row].append(middle - start)
+            times[both_row].append(end - start)
+    return times
+
+
 def gain_sources(frames: np.ndarray, cfg, directory) -> dict[str, str]:
     """The ``process_stream`` gain source of each name in ``STREAM_CALLS``:
     the estimator, and the estimator's gains for ``frames`` written to
@@ -211,19 +242,22 @@ def stream_round(x: np.ndarray, sources: dict[str, str],
 
 def measure(rounds: int, seed: int = SEED) -> dict[str, float]:
     """Median µs per call of each name in ``CALLS``, per frame of each in
-    ``BLOCK_CALLS`` and per hop of each in ``STREAM_CALLS``, over ``rounds``
-    rounds."""
+    ``BLOCK_CALLS`` and ``ROW_CALLS`` and per hop of each in ``STREAM_CALLS``,
+    over ``rounds`` rounds."""
     x, cfg = mixture(seed), fbeq.Config()
     frames = fbeq.analyze_polyphase(x, fbeq.design_prototype(cfg), cfg).frames
     arguments = frame_arguments(frames, cfg)
-    times = {name: [] for name in CALLS + BLOCK_CALLS + STREAM_CALLS}
+    names = CALLS + BLOCK_CALLS + ROW_CALLS + STREAM_CALLS
+    times = {name: [] for name in names}
     with tempfile.TemporaryDirectory() as directory:
         sources = gain_sources(frames, cfg, directory)
         one_round(x[: 8 * cfg.hop], cfg)  # warm-up: imports and first-call set-up
         block_round(frames[:BLOCK_FRAMES], arguments[:BLOCK_FRAMES], cfg)
+        row_round(frames[:8], cfg)
         stream_round(x[: 8 * cfg.hop], sources, cfg)
         for _ in range(rounds):
             for name, seconds in (one_round(x, cfg) | block_round(frames, arguments, cfg)
+                                  | row_round(frames, cfg)
                                   | stream_round(x, sources, cfg)).items():
                 times[name].extend(seconds)
     return {name: 1e6 * statistics.median(seconds) for name, seconds in times.items()}
@@ -237,13 +271,13 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     costs = measure(args.rounds)
-    width = max(map(len, CALLS + BLOCK_CALLS + STREAM_CALLS))
+    width = max(map(len, CALLS + BLOCK_CALLS + ROW_CALLS + STREAM_CALLS))
     print(f"{'call':<{width}}  median µs")
     for name in CALLS:
         print(f"{name:<{width}}  {costs[name]:9.2f}")
     ratio = costs["analyze_polyphase one hop"] / costs["PolyphaseAnalyzer.push"]
     print(f"{'analyze_polyphase one hop / push':<{width}}  {ratio:9.2f}")
-    for name in BLOCK_CALLS + STREAM_CALLS:
+    for name in BLOCK_CALLS + ROW_CALLS + STREAM_CALLS:
         print(f"{name:<{width}}  {costs[name]:9.2f}")
     return 0
 
