@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``design`` (prototype taps/response as CSV), ``analyze``
-(subband frames to a gain-stream file), ``enhance`` (full pipeline),
+(analysis frames to an FBEG file, record type 2), ``enhance`` (full pipeline),
 ``mix`` (SNR-controlled mixing), ``evaluate`` (metric CSV).  A call builds
 only the subcommand it runs; help, no command or an unknown one get all five.
 Only ``enhance`` runs the engine, so only it takes the engine flags.
@@ -166,7 +166,7 @@ def cmd_design(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_analyze(args: argparse.Namespace, cfg: Config) -> int:
     buf = read_wav(args.in_wav, expected_rate=cfg.sample_rate_hz)
     seq = analyze_polyphase(buf.samples, design_prototype(cfg), cfg)
-    fbeg.write_gain_stream(args.out, seq.frames, fbeg.TYPE_SUBBAND_GAINS,
+    fbeg.write_gain_stream(args.out, seq.frames, fbeg.TYPE_ANALYSIS_FRAMES,
                            cfg.frame_size, cfg.hop)
     return 0
 

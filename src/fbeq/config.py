@@ -34,7 +34,6 @@ class Config:
     sample_rate_hz: int = 16000
     alpha_dd: float = 0.98
     xi_min_db: float = -15.0
-    gain_floor_db: float = -25.0
     alpha_noise: float = 0.8
     gamma_threshold: float = 2.5
     init_frames: int = 6
@@ -63,10 +62,6 @@ class Config:
             raise ConfigError(f"alpha_dd must be in (0, 1), got {self.alpha_dd}")
         if not 0.0 < self.alpha_noise < 1.0:
             raise ConfigError(f"alpha_noise must be in (0, 1), got {self.alpha_noise}")
-        if self.gain_floor_db >= 0.0:
-            raise ConfigError(
-                f"gain_floor_db must be negative, got {self.gain_floor_db}"
-            )
         if self.gamma_threshold <= 0.0:
             raise ConfigError(
                 f"gamma_threshold must be positive, got {self.gamma_threshold}"
@@ -124,11 +119,6 @@ class Config:
         t = self.gamma_threshold
         et = np.exp(-t)
         return (1.0 - et) / (1.0 - (1.0 + t) * et)
-
-    @cached_property
-    def gain_floor(self) -> float:
-        """Gain floor as a linear amplitude."""
-        return 10.0 ** (self.gain_floor_db / 20.0)
 
     # Callers that ask for either part get the config itself.
     def filterbank_spec(self) -> Config:
@@ -195,8 +185,7 @@ def check_shorten_len(shorten_len: int, num_taps: int | None = None,
 
 
 # Each derived constant and the setting it is computed from.
-_DERIVED_FROM = {"xi_min": "xi_min_db", "gate_bias_factor": "gamma_threshold",
-                 "gain_floor": "gain_floor_db"}
+_DERIVED_FROM = {"xi_min": "xi_min_db", "gate_bias_factor": "gamma_threshold"}
 
 _FIELDS = {f.name: f.type for f in fields(Config)}
 # Parses a flag or config-file value by its field's type; text stays text.

@@ -312,6 +312,9 @@ def _block_filters(gain_source, proto, cfg, num_frames: int):
             proto, cfg)
         return
     with fbeg.open_gain_stream(gain_source) as (header, read):
+        if header.record_type == fbeg.TYPE_ANALYSIS_FRAMES:
+            raise ConfigError(f"record type {header.record_type} at offset 6 holds "
+                              "analysis frames, not gains")
         # The reader ties a type-A file's bin count to its frame size.
         if header.frame_size != cfg.frame_size or header.hop != hop:
             raise ConfigError(f"gain stream was written for frame size {header.frame_size}"
@@ -381,9 +384,10 @@ def process_stream(x, gain_source, cfg, out=None) -> tuple[np.ndarray, LatencyRe
         A non-finite input sample (its index is reported), or a gain file
         with fewer frames than the input needs.
     ConfigError
-        A ``gain_source`` that is neither a string nor path-like, a gain file
-        whose geometry does not fit the configuration, a DFT-response file
-        in ``direct`` mode, or an ``out`` of another length.
+        A ``gain_source`` that is neither a string nor path-like, a file of
+        analysis frames (record type 2) in place of gains, a gain file whose
+        geometry does not fit the configuration, a DFT-response file in
+        ``direct`` mode, or an ``out`` of another length.
     NumericError
         A subband-gain frame whose DC or Nyquist bin is not real, past the
         input's last frame too, an input loud enough to overflow the

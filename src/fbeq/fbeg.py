@@ -1,18 +1,20 @@
 """FBEG gain-stream files.
 
 Binary container for per-frame complex responses, the integration point for
-externally computed front-ends.  Little-endian layout, bit-exact, no padding:
+externally computed front-ends, and for the analysis frames such a front-end
+reads.  Little-endian layout, bit-exact, no padding:
 
 =======  ====  =====================================================
 offset   size  field
 =======  ====  =====================================================
 0        4     magic ``b"FBEG"``
 4        2     u16 version (= 1)
-6        1     u8 record type: 0 = subband gains, 1 = DFT responses
+6        1     u8 record type: 0 = subband gains, 1 = DFT responses,
+               2 = analysis frames
 7        1     u8 reserved (= 0)
 8        4     u32 analysis frame size M
 12       4     u32 hop r
-16       4     u32 bins per record (type 0: M/2+1; type 1: D)
+16       4     u32 bins per record (types 0 and 2: M/2+1; type 1: D)
 20       4     u32 frame count
 24       ...   frames x bins x (f32 real, f32 imag)
 =======  ====  =====================================================
@@ -41,6 +43,9 @@ MAGIC = b"FBEG"
 VERSION = 1
 TYPE_SUBBAND_GAINS = 0
 TYPE_DFT_RESPONSES = 1
+TYPE_ANALYSIS_FRAMES = 2
+# The types whose records are the frame size's half spectrum.
+_HALF_SPECTRUM_TYPES = (TYPE_SUBBAND_GAINS, TYPE_ANALYSIS_FRAMES)
 
 _HEADER = struct.Struct("<4sHBBIIII")
 ALIAS_TAIL_TOLERANCE = 1e-4
@@ -71,11 +76,11 @@ def write_gain_stream(path, frames, record_type: int, frame_size: int,
     if frames.ndim != 2:
         raise DataError(f"expected a 2-D frame matrix, got shape {frames.shape}")
     num_frames, num_bins = frames.shape
-    if record_type not in (TYPE_SUBBAND_GAINS, TYPE_DFT_RESPONSES):
+    if record_type not in (*_HALF_SPECTRUM_TYPES, TYPE_DFT_RESPONSES):
         raise ConfigError(f"unknown record type {record_type}")
-    if record_type == TYPE_SUBBAND_GAINS and num_bins != frame_size // 2 + 1:
+    if record_type in _HALF_SPECTRUM_TYPES and num_bins != frame_size // 2 + 1:
         raise ConfigError(
-            f"subband-gain records need {frame_size // 2 + 1} bins for "
+            f"type-{record_type} records need {frame_size // 2 + 1} bins for "
             f"frame size {frame_size}, got {num_bins}"
         )
     if num_bins < 2:
@@ -142,11 +147,11 @@ def _read_header(fh) -> StreamHeader:
         raise FormatError(
             f"unsupported version {version} at offset 4, expected {VERSION}"
         )
-    if record_type not in (TYPE_SUBBAND_GAINS, TYPE_DFT_RESPONSES):
+    if record_type not in (*_HALF_SPECTRUM_TYPES, TYPE_DFT_RESPONSES):
         raise FormatError(f"unknown record type {record_type} at offset 6")
     if num_bins < 2:
         raise FormatError(f"bin count {num_bins} at offset 16 must be >= 2")
-    if record_type == TYPE_SUBBAND_GAINS and num_bins != frame_size // 2 + 1:
+    if record_type in _HALF_SPECTRUM_TYPES and num_bins != frame_size // 2 + 1:
         raise FormatError(
             f"bin count {num_bins} at offset 16 does not match frame size "
             f"{frame_size} (expected {frame_size // 2 + 1})"

@@ -5,7 +5,11 @@ tracking, decision-directed a priori SNR, and the LSA gain rule
 
     G = (xi / (1 + xi)) * exp(0.5 * E1(nu)),   nu = gamma * xi / (1 + xi),
 
-with gains clamped to ``[gain_floor, 1]``.  Gains are real (magnitude-only);
+with gains clamped at 1 and no floor: for a fixed ``gamma`` the rule rises
+with ``xi``, and ``xi >= max(xi_min, alpha_dd * xi_min + (1 - alpha_dd) *
+max(gamma - 1, 0))`` because the decision-directed memory never drops below
+``xi_min``, so the least gain is the rule at that bound minimised over
+``gamma`` (-18.29 dB at the defaults).  Gains are real (magnitude-only);
 complex per-bin responses enter the pipeline only through gain-stream files.
 E1 is :func:`scipy.special.exp1`, imported at the first call of
 :func:`exp_integral_e1`, so ``import fbeq`` does not load ``scipy.special``.
@@ -154,8 +158,9 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
     Per bin: a posteriori SNR ``gamma = |x|^2 / noise_psd``; decision-directed
     a priori SNR ``xi = max(xi_min, alpha_dd * G_prev^2 * gamma_prev +
     (1 - alpha_dd) * max(gamma - 1, 0))``; ``nu = gamma * xi / (1 + xi)``;
-    gain ``(xi / (1 + xi)) * exp(0.5 * E1(nu))`` clamped to
-    ``[gain_floor, 1]``.  Updates the DD memory in ``state`` in place.
+    gain ``(xi / (1 + xi)) * exp(0.5 * E1(nu))`` clamped at 1.  No gain is
+    below the least gain that ``xi_min`` and ``alpha_dd`` allow (see
+    :mod:`fbeq.gains`).  Updates the DD memory in ``state`` in place.
 
     ``frame`` is taken as ``complex128``, the dtype of the analysis frames,
     and has the shape of ``state.noise_psd``: one frame after a one-frame
@@ -197,7 +202,7 @@ def mmse_lsa_gain(frame, state: NoiseTrackerState,
         state.noise_psd = state.noise_psd[-1].copy()
     zero, increment, *constants = _constants(
         0.0, 1.0 - params.alpha_dd,  # for the increment, then _lsa_frame's
-        1.0, 0.5, params.alpha_dd, params.xi_min, params.gain_floor, _NU_FLOOR)
+        1.0, 0.5, params.alpha_dd, params.xi_min, _NU_FLOOR)
     one = constants[0]
     # Each frame's decision-directed increment, overwritten by its gains.
     gains = np.subtract(gamma, one)
@@ -302,7 +307,7 @@ def _lsa_frame(xi_prev, gamma, gain, constants, xi=None,
     ``gain`` holds ``xi / (1 + xi)`` once the increment is read.  Buffers
     not given are allocated here.
     """
-    one, half, alpha, xi_min, floor, nu_floor = constants
+    one, half, alpha, xi_min, nu_floor = constants
     xi = np.multiply(alpha, xi_prev, out=xi)
     np.add(xi, gain, out=xi)
     np.maximum(xi, xi_min, out=xi)
@@ -314,8 +319,7 @@ def _lsa_frame(xi_prev, gamma, gain, constants, xi=None,
     np.multiply(nu, half, out=nu)
     np.exp(nu, out=nu)
     np.multiply(nu, ratio, out=gain)
-    np.maximum(gain, floor, out=gain)  # np.clip, minus its
-    np.minimum(gain, one, out=gain)    # Python-level overhead
+    np.minimum(gain, one, out=gain)
     memory = np.multiply(gain, gain, out=memory)
     np.multiply(memory, gamma, out=memory)
     return np.maximum(memory, xi_min, out=memory)
@@ -344,7 +348,8 @@ def estimate_gains(frames: np.ndarray, params: Config,
     Returns
     -------
     numpy.ndarray
-        ``K x bins`` real gains in ``[gain_floor, 1]``.
+        ``K x bins`` real gains, at most 1 and at least the least gain that
+        ``params.xi_min`` and ``params.alpha_dd`` allow (see :mod:`fbeq.gains`).
     """
     frames = np.asarray(frames)
     if frames.ndim != 2:

@@ -224,7 +224,7 @@ class TestConfigIsItsParts:
     def test_fields_defaults_and_order(self):
         defaults = {"frame_size": 512, "proto_len": 512, "hop": 64,
                     "sample_rate_hz": 16000, "alpha_dd": 0.98, "xi_min_db": -15.0,
-                    "gain_floor_db": -25.0, "alpha_noise": 0.8,
+                    "alpha_noise": 0.8,
                     "gamma_threshold": 2.5, "init_frames": 6, "shorten_len": 128,
                     "mode": "ols", "g_max": 4.0}
         fields = dataclasses.fields(Config)
@@ -400,12 +400,25 @@ class TestCliAnalyze:
         out = tmp_path / "frames.fbeg"
         assert main(["analyze", *SMALL_FLAGS, "--in", str(wav),
                      "--out", str(out)]) == 0
+        assert out.read_bytes()[6] == fbeg.TYPE_ANALYSIS_FRAMES == 2
         header, frames = fbeg.load_gain_stream(out)
-        assert header.record_type == fbeg.TYPE_SUBBAND_GAINS
         assert (header.frame_size, header.hop) == (16, 4)
         seq = analyze_polyphase(read_wav(wav).samples, small_proto, small_spec)
         want = seq.frames.astype(np.complex64).astype(np.complex128)
         np.testing.assert_array_equal(frames, want)
+
+    def test_frames_are_not_gains(self, tmp_path, capsys):
+        wav = tmp_path / "in.wav"
+        write_test_wav(wav, np.random.default_rng(1).uniform(-0.5, 0.5, 400))
+        frames, out = tmp_path / "frames.fbeg", tmp_path / "out.wav"
+        assert main(["analyze", *SMALL_FLAGS, "--in", str(wav),
+                     "--out", str(frames)]) == 0
+        code = main(["enhance", *SMALL_FLAGS, "--in", str(wav), "--out", str(out),
+                     "--gains", str(frames)])
+        assert code == 3
+        assert capsys.readouterr().err == ("fbeq: error: record type 2 at offset 6 "
+                                           "holds analysis frames, not gains\n")
+        assert not out.exists()
 
 
 class TestCliEnhance:
@@ -1032,6 +1045,16 @@ class TestExitCodes:
         assert code == 3
         assert "unknown config key 'lambda_floor'" in capsys.readouterr().err
 
+    def test_gain_floor_db_config_key_is_three(self, tmp_path, capsys):
+        """xi_min and alpha_dd bound the gains; no floor setting is left."""
+        path = tmp_path / "fbeq.conf"
+        path.write_text("gain_floor_db = -25.0\n")
+        code = main(["enhance", "--config", str(path),
+                     "--in", str(tmp_path / "in.wav"),
+                     "--out", str(tmp_path / "out.wav")])
+        assert code == 3
+        assert "unknown config key 'gain_floor_db'" in capsys.readouterr().err
+
     def test_non_finite_gain_stream_is_three(self, tmp_path, capsys):
         wav = tmp_path / "in.wav"
         write_test_wav(wav, 0.1 * np.random.default_rng(8).standard_normal(160))
@@ -1077,8 +1100,8 @@ ALL_COMMANDS = "{design,analyze,enhance,mix,evaluate}"
 # The settings only ``enhance`` reads, each with a valid value as it prints.
 ENGINE_FLAGS = [
     ["--mode", "direct"], ["--gains", "g.fbeg"], ["--g-max", "2.0"],
-    ["--alpha-dd", "0.9"], ["--xi-min-db", "-10.0"], ["--gain-floor-db", "-20.0"],
-    ["--alpha-noise", "0.9"], ["--gamma-threshold", "3.0"], ["--init-frames", "4"],
+    ["--alpha-dd", "0.9"], ["--xi-min-db", "-10.0"], ["--alpha-noise", "0.9"],
+    ["--gamma-threshold", "3.0"], ["--init-frames", "4"],
 ]
 
 
@@ -1112,7 +1135,9 @@ class TestParserPerCommand:
     @pytest.mark.parametrize("bad", [
         ["extra"], ["--mode", "bad"], ["--g-max", "x"], ["--no-such-flag"],
         ["--lambda-floor", "1e-12"],  # the noise-PSD floor is a constant
-    ], ids=["unrecognized", "bad-choice", "bad-type", "unknown-flag", "lambda-floor"])
+        ["--gain-floor-db", "-20"],  # xi_min and alpha_dd bound the gains
+    ], ids=["unrecognized", "bad-choice", "bad-type", "unknown-flag", "lambda-floor",
+            "gain-floor-db"])
     @pytest.mark.parametrize("command", list(COMMAND_ARGV))
     def test_usage_errors_match_full_parser(self, command, bad, capsys):
         argv = COMMAND_ARGV[command] + bad
@@ -1141,7 +1166,7 @@ class TestParserPerCommand:
             "-h", "--help", "--config", "--mode", "--gains", "--in", "--out",
             "--format", "-M", "--frame-size", "-L", "--proto-len", "-r", "--hop",
             "-P", "--shorten-len", "--sample-rate", "--g-max", "--alpha-dd",
-            "--xi-min-db", "--gain-floor-db", "--alpha-noise", "--gamma-threshold",
+            "--xi-min-db", "--alpha-noise", "--gamma-threshold",
             "--init-frames"]
 
     @pytest.mark.parametrize("argv, code", [

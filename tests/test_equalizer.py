@@ -26,6 +26,7 @@ from fbeq.equalizer import (
 )
 from fbeq.errors import ConfigError, DataError, NumericError
 from fbeq.fbeg import (
+    TYPE_ANALYSIS_FRAMES,
     TYPE_DFT_RESPONSES,
     TYPE_SUBBAND_GAINS,
     load_gain_stream,
@@ -802,6 +803,13 @@ class TestProcessStream:
         path = gain_file(tmp_path, np.ones((10, 9)), 16, 4, TYPE_DFT_RESPONSES)
         with pytest.raises(ConfigError, match="ols"):
             process_stream(np.ones(40), path, small_config(mode="direct"))
+
+    @pytest.mark.parametrize("mode", ["ols", "direct"])
+    def test_rejects_analysis_frames(self, tmp_path, mode):
+        path = gain_file(tmp_path, np.ones((10, 9)), 16, 4, TYPE_ANALYSIS_FRAMES)
+        with pytest.raises(ConfigError, match="^record type 2 at offset 6 holds "
+                                              "analysis frames, not gains$"):
+            process_stream(np.ones(40), path, small_config(mode=mode))
 
     def test_stream_too_short(self, tmp_path):
         path = gain_file(tmp_path, np.ones((3, 9)), 16, 4)

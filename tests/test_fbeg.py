@@ -19,6 +19,7 @@ from fbeq.errors import ConfigError, DataError, FormatError
 from fbeq.fbeg import (
     ALIAS_TAIL_TOLERANCE,
     MAGIC,
+    TYPE_ANALYSIS_FRAMES,
     TYPE_DFT_RESPONSES,
     TYPE_SUBBAND_GAINS,
     StreamHeader,
@@ -99,7 +100,8 @@ class TestRoundTripProperty:
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(record_type=st.sampled_from([TYPE_SUBBAND_GAINS, TYPE_DFT_RESPONSES]),
+    @given(record_type=st.sampled_from([TYPE_SUBBAND_GAINS, TYPE_DFT_RESPONSES,
+                                        TYPE_ANALYSIS_FRAMES]),
            half_m=st.integers(1, 8), num_frames=st.integers(0, 6), data=st.data())
     def test_load_is_exact_widening(self, tmp_path, record_type, half_m,
                                     num_frames, data):
@@ -116,7 +118,8 @@ class TestRoundTripProperty:
         write_gain_stream(path, stored, record_type, 2 * half_m, 1)
         with warnings.catch_warnings():  # huge type-B responses may alias
             warnings.simplefilter("ignore")
-            _, loaded = load_gain_stream(path)
+            header, loaded = load_gain_stream(path)
+        assert header.record_type == record_type
         assert loaded.dtype == np.complex128
         assert np.array_equal(loaded.view(np.uint64),
                               stored.astype(np.complex128).view(np.uint64))

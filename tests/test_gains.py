@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.special import exp1
 
 from fbeq.config import Config
@@ -31,7 +32,6 @@ LAMBDA_FLOOR = gains_module._LAMBDA_FLOOR
 def reference_gains(frames, p):
     """Independent re-derivation of the whole estimator, scipy E1 inside."""
     xi_min = 10.0 ** (p.xi_min_db / 10.0)
-    floor = 10.0 ** (p.gain_floor_db / 20.0)
     t = p.gamma_threshold
     comp = (1.0 - np.exp(-t)) / (1.0 - (1.0 + t) * np.exp(-t))
     num_frames, bins = frames.shape
@@ -53,10 +53,33 @@ def reference_gains(frames, p):
                         + (1 - p.alpha_dd) * np.maximum(gamma - 1.0, 0.0))
         ratio = xi / (1.0 + xi)
         nu = np.maximum(gamma * ratio, 1e-12)
-        g = np.clip(ratio * np.exp(0.5 * exp1(nu)), floor, 1.0)
+        g = np.minimum(ratio * np.exp(0.5 * exp1(nu)), 1.0)
         xi_prev = np.maximum(g * g * gamma, xi_min)
         out[k] = g
     return out
+
+
+def least_gain(xi_min, alpha_dd):
+    """The least gain the LSA rule can give for these settings, found
+    numerically.  ``G = r * exp(E1(gamma * r) / 2)`` with ``r = xi / (1 + xi)``
+    rises with ``xi`` for a fixed ``gamma``, and the decision-directed memory
+    is never below ``xi_min``, so ``xi >= max(xi_min, alpha_dd * xi_min +
+    (1 - alpha_dd) * max(gamma - 1, 0))``: the least gain is the rule at that
+    bound, minimised over ``gamma`` on a log grid, then refined around the
+    grid's minimum."""
+    def rule(gamma):
+        xi = np.maximum(xi_min, alpha_dd * xi_min
+                        + (1.0 - alpha_dd) * np.maximum(gamma - 1.0, 0.0))
+        ratio = xi / (1.0 + xi)
+        return np.minimum(ratio * np.exp(0.5 * exp1(gamma * ratio)), 1.0)
+
+    grid = np.logspace(-6.0, 9.0, 3001)
+    k = int(np.argmin(rule(grid)))
+    refined = minimize_scalar(lambda t: rule(np.exp(t)), method="bounded",
+                              bounds=(np.log(grid[max(k - 1, 0)]),
+                                      np.log(grid[min(k + 1, grid.size - 1)])),
+                              options={"xatol": 1e-12})
+    return min(float(refined.fun), float(rule(grid[k])))
 
 
 class TestEstimatorParams:
@@ -66,7 +89,6 @@ class TestEstimatorParams:
         p = Config()
         assert p.alpha_dd == 0.98
         assert p.xi_min_db == -15.0
-        assert p.gain_floor_db == -25.0
         assert p.alpha_noise == 0.8
         assert p.gamma_threshold == 2.5
         assert p.init_frames == 6
@@ -74,7 +96,6 @@ class TestEstimatorParams:
     def test_derived_linear_values(self):
         p = Config()
         assert p.xi_min == pytest.approx(10.0 ** -1.5, rel=1e-15)
-        assert p.gain_floor == pytest.approx(10.0 ** -1.25, rel=1e-15)
 
     def test_gate_bias_factor_value(self):
         # (1 - e^-T) / (1 - (1+T) e^-T) at T = 2.5, 30-digit reference.
@@ -95,14 +116,14 @@ class TestEstimatorParams:
             Config(alpha_dd=1.0)
         with pytest.raises(ConfigError, match="alpha_noise"):
             Config(alpha_noise=0.0)
-        with pytest.raises(ConfigError, match="gain_floor_db"):
-            Config(gain_floor_db=0.0)
         with pytest.raises(ConfigError, match="gamma_threshold"):
             Config(gamma_threshold=-2.0)
         with pytest.raises(ConfigError, match="init_frames"):
             Config(init_frames=0)
         with pytest.raises(TypeError, match="lambda_floor"):  # a constant now
             Config(lambda_floor=1e-20)
+        with pytest.raises(TypeError, match="gain_floor_db"):  # xi_min bounds G
+            Config(gain_floor_db=-25.0)
 
 
 class TestNoiseTrackerState:
@@ -264,13 +285,6 @@ class TestMmseLsaGain:
         result = mmse_lsa_gain(np.ones(4), state, p)
         np.testing.assert_array_equal(result.values, np.ones(4))
 
-    def test_floor_clamp_with_raised_floor(self):
-        p = Config(gain_floor_db=-1.0)
-        state = NoiseTrackerState(noise_psd=np.ones(3), xi_prev=np.ones(3),
-                                  frame_count=10)
-        result = mmse_lsa_gain(np.ones(3), state, p)
-        np.testing.assert_array_equal(result.values, np.full(3, 10.0 ** (-1.0 / 20.0)))
-
     def test_dd_memory_update(self):
         p = Config()
         state = NoiseTrackerState(noise_psd=np.full(5, 2.0),
@@ -293,7 +307,7 @@ class TestMmseLsaGain:
             update_noise_psd(state, frame, p)
             g = mmse_lsa_gain(frame, state, p).values
             assert np.all(np.isfinite(g))
-            assert np.all(g >= p.gain_floor)
+            assert np.all(g >= 10.0 ** (-18.3 / 20.0))
             assert np.all(g <= 1.0)
 
     def test_dimension_mismatch(self):
@@ -362,7 +376,7 @@ class TestEstimateGains:
         g = estimate_gains(frames, p)
         assert g.shape == frames.shape
         assert g.dtype == np.float64
-        assert np.all((g >= p.gain_floor) & (g <= 1.0))
+        assert np.all((g >= 10.0 ** (-18.3 / 20.0)) & (g <= 1.0))
 
     def test_median_suppression_on_stationary_noise(self, default_spec,
                                                     default_proto):
@@ -404,6 +418,32 @@ class TestEstimateGains:
             tracemalloc.stop()
         matrix = BLOCK_FRAMES * default_spec.num_bins * 16
         assert peak / matrix <= 1.2, peak / matrix
+
+
+class TestLeastGain:
+    """No floor acts on the gains: ``xi_min`` and ``alpha_dd`` bound them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(xi_min_db=st.floats(-30.0, -5.0), alpha_dd=st.floats(0.5, 0.995),
+           seed=st.integers(0, 2**32 - 1))
+    def test_no_gain_below_the_least_gain(self, xi_min_db, alpha_dd, seed):
+        p = Config(xi_min_db=xi_min_db, alpha_dd=alpha_dd)
+        rng = np.random.default_rng(seed)
+        power = 10.0 ** rng.uniform(-4.0, 4.0, size=(48, 1))
+        frames = np.sqrt(power) * (rng.standard_normal((48, 33))
+                                   + 1j * rng.standard_normal((48, 33)))
+        g = estimate_gains(frames, p)
+        assert np.all(g >= least_gain(p.xi_min, alpha_dd) * (1.0 - 1e-12))
+
+    def test_defaults_reach_their_least_gain(self, default_spec, default_proto):
+        """-18.29 dB at the defaults, and white noise comes within 0.01 dB."""
+        p = Config()
+        bound = least_gain(p.xi_min, p.alpha_dd)
+        assert round(20.0 * np.log10(bound), 2) == -18.29
+        rng = np.random.default_rng(1)
+        x = rng.normal(0.0, 0.1, size=default_spec.hop * 600)
+        g = estimate_gains(analyze_polyphase(x, default_proto, default_spec).frames, p)
+        assert bound * (1.0 - 1e-12) <= g.min() <= bound * 10.0 ** (0.01 / 20.0)
 
 
 class TestBlockGuards:
